@@ -2,7 +2,7 @@
 
 from .buffers import ReplayBuffer
 from .common import AgentConfig
-from .loop import eval_episode, run_episode
+from .loop import eval_episode
 from .policy import GaussianPolicy, policy_init
 from .ppo import PpoAgent
 from .sac import SacAgent
@@ -15,5 +15,4 @@ __all__ = [
     "SacAgent",
     "eval_episode",
     "policy_init",
-    "run_episode",
 ]

@@ -1,10 +1,14 @@
-"""Agent configuration shared by both learners."""
+"""Agent configuration and the failure-memory hook shared by both learners."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+import numpy as np
+
+from .. import embedding, selection
 from ..errors import ConfigError
+from ..memory import END_HAZARD, END_NONE, FailureMemory, FemaConfig, capture_failure
 
 
 @dataclass
@@ -64,13 +68,93 @@ class AgentConfig:
             raise ConfigError("init_temp must be positive")
         return self
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AgentConfig":
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown AgentConfig keys: {sorted(extra)}")
-        return cls(**d).validate()
+class HookedAgent:
+    """Learner base that carries the failure-memory hook.
+
+    The hook is the same for every learner:
+
+    - Training-time actions come from the risk-aware selector
+      (`selection.select`) when the memory is on, and from one plain policy
+      draw when it is off. Each selector decision is counted as a fallback
+      (nothing retrieved, the plain draw passes through) or as selected.
+    - Every transition is appended to its worker's episode. When an episode
+      ends in a hazard, its tail is cut by `capture_failure` and staged into
+      the memory. Staged events become searchable only when the learner
+      publishes: SAC right after a stage, PPO in the gap between phases.
+    - The memory and the learner draw from separate random streams
+      ([seed, 4] and [seed, 3]), so an inert hook (cold memory, zero
+      radius, single candidate) leaves the action sequence bit-identical
+      to the plain agent.
+
+    Subclasses build `policy` and their own networks from `sub_seeds`; the
+    embedding stack takes `sub_seeds[stack_slot]`.
+    """
+
+    stack_slot: int
+
+    def __init__(self, env_spec, cfg: AgentConfig, seed: int,
+                 fema_cfg: FemaConfig | None = None):
+        cfg.validate()
+        if cfg.fema_on and fema_cfg is None:
+            raise ConfigError("fema_on requires a FemaConfig")
+        self.cfg = cfg
+        self.spec = env_spec
+        lo = np.asarray(env_spec.action_low)
+        hi = np.asarray(env_spec.action_high)
+        if not np.allclose(lo, -hi):
+            raise ConfigError("symmetric action bounds required")
+        self.scale = hi.astype(np.float64)
+
+        self.sub_seeds = np.random.default_rng([seed, 0]).integers(
+            0, 2**31 - 1, size=8)
+        self.learn_rng = np.random.default_rng([seed, 3])
+        self.fema_cfg = fema_cfg
+        self.stack = None
+        self.memory = None
+        if cfg.fema_on:
+            self.stack = embedding.stack_init(
+                env_spec.d_s, env_spec.d_a,
+                seed=int(self.sub_seeds[self.stack_slot]), hidden=cfg.hidden)
+            self.memory = FailureMemory(fema_cfg,
+                                        rng=np.random.default_rng([seed, 4]))
+
+        self.steps_seen = 0
+        self.episodes_seen = 0
+        self._episode = {}           # worker -> transitions of the open episode
+        self.last_losses = {}
+        self.fallback_steps = 0
+        self.selected_steps = 0
+
+    def _select(self, s, rng):
+        """Selector decision: (action, log-prob of the action, overridden)."""
+        a, trace = selection.select(s, self.policy, self.memory, self.stack,
+                                    self.fema_cfg, rng)
+        if trace.fallback:
+            self.fallback_steps += 1
+        else:
+            self.selected_steps += 1
+        return a, trace.log_prob, not trace.fallback
+
+    def _track(self, tr, worker: int, step: int) -> bool:
+        """Record one transition; True when it staged a failure event."""
+        self.steps_seen = step
+        self._episode.setdefault(worker, []).append(tr)
+        if tr.end == END_NONE:
+            return False
+        episode = self._episode.pop(worker)
+        self.episodes_seen += 1
+        if self.memory is None or tr.end != END_HAZARD:
+            return False
+        self.memory.stage(capture_failure(episode, self.fema_cfg,
+                                          episode_id=self.episodes_seen,
+                                          capture_step=step))
+        return True
+
+    def act_eval(self, s):
+        return self.policy.det_action(s)
+
+    def fallback_rate(self) -> float:
+        """Share of selector decisions that fell back to the plain draw."""
+        chosen = self.fallback_steps + self.selected_steps
+        return self.fallback_steps / chosen if chosen else 0.0

@@ -1,39 +1,9 @@
-"""Single-episode driver used by tests and the evaluation command."""
+"""Deterministic single-episode driver for evaluation."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..envs.runner import EpisodeRecord
-from ..memory import END_NONE, Transition
-
-
-def run_episode(agent, env, action_rng, start_step: int = 0,
-                worker: int = 0) -> EpisodeRecord:
-    """Drive one full episode with the agent's training-time behavior.
-
-    Steps the environment until it reports a terminal tag, feeding every
-    transition back through agent.observe. Returns the finished episode's
-    record; the global step counter resumes from start_step.
-    """
-    s = env.reset()
-    total = 0.0
-    step = start_step
-    while True:
-        a = agent.act_train(s, action_rng, worker)
-        res = env.step(a)
-        step += 1
-        tr = Transition(s=np.array(s, dtype=np.float64),
-                        a=np.array(a, dtype=np.float64),
-                        r=float(res.reward),
-                        s_next=np.array(res.state, dtype=np.float64),
-                        end=res.end)
-        agent.observe(tr, worker, step)
-        total += float(res.reward)
-        if res.end != END_NONE:
-            return EpisodeRecord(return_=total, length=step - start_step,
-                                 end=res.end, end_step=step, worker=worker)
-        s = res.state
+from ..memory import END_NONE
 
 
 def eval_episode(agent, env) -> EpisodeRecord:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .. import numeric, serialize
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, SerializationError, ShapeError
 
 LOGSTD_MIN = -5.0
 LOGSTD_MAX = 2.0
@@ -105,11 +105,6 @@ class GaussianPolicy:
             )
         return float(out) if out.ndim == 0 else out
 
-    def entropy(self, s: np.ndarray):
-        """Gaussian entropy of the pre-squash distribution."""
-        _, sigma = self.mean_std(s)
-        return np.sum(np.log(sigma) + 0.5 * (LOG_2PI + 1.0), axis=-1)
-
     def copy(self) -> "GaussianPolicy":
         return GaussianPolicy(
             trunk=self.trunk.copy(), mean_head=self.mean_head.copy(),
@@ -140,17 +135,24 @@ class GaussianPolicy:
     @classmethod
     def from_bytes(cls, data: bytes) -> "GaussianPolicy":
         blobs = serialize.blobs_from_bytes(data)
-        meta = json.loads(blobs["meta"].decode("utf-8"))
+        try:
+            meta = json.loads(blobs["meta"].decode("utf-8"))
+            squash, scale = meta["squash"], meta["scale"]
+            state_dependent = meta["state_dependent_std"]
+            std_blob = blobs["logstd" if state_dependent else "logstd_vec"]
+            trunk, mean = blobs["trunk"], blobs["mean"]
+        except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SerializationError(f"unreadable policy blob: {exc!r}") from exc
         logstd_head = logstd_vec = None
-        if meta["state_dependent_std"]:
-            logstd_head = serialize.mlp_from_bytes(blobs["logstd"])
+        if state_dependent:
+            logstd_head = serialize.mlp_from_bytes(std_blob)
         else:
-            logstd_vec = np.frombuffer(blobs["logstd_vec"], dtype="<f8").copy()
+            logstd_vec = np.frombuffer(std_blob, dtype="<f8").copy()
         return cls(
-            trunk=serialize.mlp_from_bytes(blobs["trunk"]),
-            mean_head=serialize.mlp_from_bytes(blobs["mean"]),
+            trunk=serialize.mlp_from_bytes(trunk),
+            mean_head=serialize.mlp_from_bytes(mean),
             logstd_head=logstd_head, logstd_vec=logstd_vec,
-            squash=meta["squash"], scale=np.array(meta["scale"], dtype=np.float64),
+            squash=squash, scale=np.array(scale, dtype=np.float64),
         )
 
 

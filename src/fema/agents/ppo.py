@@ -5,12 +5,12 @@ learned log-std, a separate value network, generalized advantage estimation,
 and KL-based early stopping. Gradients are hand-assembled and
 finite-difference checkable.
 
-With the hook on, the executed action is the risk-aware selector's choice
-and the stored log-probability is evaluated at that executed action, so the
-surrogate ratio stays well-defined. Overridden (non-fallback) decisions can
-be excluded from the policy surrogate via the importance-correction flag,
-since their behavior density is intractable; they always contribute to the
-value target.
+The hook itself lives in `HookedAgent`. PPO stores the log-probability of
+the executed action, so the surrogate ratio stays well-defined when the
+selector overrides the plain draw. Overridden decisions can be excluded
+from the policy surrogate via the importance-correction flag, since their
+behavior density is intractable; they always contribute to the value
+target. The memory publishes only in the gap between phases.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import embedding, numeric, selection
-from ..errors import ConfigError, TrainingError, UsageError
-from ..memory import END_HAZARD, END_NONE, FailureMemory, FemaConfig, capture_failure
-from .common import AgentConfig
+from .. import numeric
+from ..errors import TrainingError, UsageError
+from ..memory import END_HAZARD, END_NONE, FemaConfig
+from .common import AgentConfig, HookedAgent
 from .policy import LOG_2PI, LOGSTD_MAX, LOGSTD_MIN, GaussianPolicy, policy_init
 
 ADV_EPS = 1e-8
@@ -144,21 +144,13 @@ def approx_kl(policy: GaussianPolicy, s, a, logp_old) -> float:
     return float(np.mean(logp_old - lp))
 
 
-class PpoAgent:
+class PpoAgent(HookedAgent):
+    stack_slot = 2
+
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,
                  fema_cfg: FemaConfig | None = None):
-        cfg.validate()
-        if cfg.fema_on and fema_cfg is None:
-            raise ConfigError("fema_on requires a FemaConfig")
-        self.cfg = cfg
-        self.spec = env_spec
-        lo = np.asarray(env_spec.action_low)
-        hi = np.asarray(env_spec.action_high)
-        if not np.allclose(lo, -hi):
-            raise ConfigError("symmetric action bounds required")
-        self.scale = hi.astype(np.float64)
-
-        sub = np.random.default_rng([seed, 0]).integers(0, 2**31 - 1, size=8)
+        super().__init__(env_spec, cfg, seed, fema_cfg)
+        sub = self.sub_seeds
         d_s, d_a, h = env_spec.d_s, env_spec.d_a, cfg.hidden
         self.policy = policy_init(d_s, d_a, self.scale, "clip", False,
                                   seed=int(sub[0]), hidden=h,
@@ -166,23 +158,8 @@ class PpoAgent:
         self.vnet = numeric.mlp_init([d_s, h, h, 1], seed=int(sub[1]))
         self.policy_adam = numeric.adam_init(self.policy.params(), lr=cfg.policy_lr)
         self.value_adam = numeric.adam_init(self.vnet.params(), lr=cfg.critic_lr)
-        self.learn_rng = np.random.default_rng([seed, 3])
-
-        self.fema_cfg = fema_cfg
-        self.stack = None
-        self.memory = None
-        if cfg.fema_on:
-            self.stack = embedding.stack_init(d_s, d_a, seed=int(sub[2]), hidden=h)
-            self.memory = FailureMemory(fema_cfg, rng=np.random.default_rng([seed, 4]))
-
-        self.steps_seen = 0
-        self.episodes_seen = 0
-        self._episode = {}
         self._pending = {}          # worker -> (logp, value, overridden)
         self._rows = {}             # worker -> rows of the current phase
-        self.last_losses = {}
-        self.fallback_steps = 0
-        self.selected_steps = 0
 
     def value_of(self, s) -> float:
         out, _ = numeric.forward(self.vnet, np.asarray(s, dtype=np.float64))
@@ -192,28 +169,16 @@ class PpoAgent:
 
     def act_train(self, s, rng, worker: int = 0):
         if self.memory is not None:
-            a, trace = selection.select(s, self.policy, self.memory, self.stack,
-                                        self.fema_cfg, rng)
-            overridden = not trace.fallback
-            logp = trace.log_prob
-            if trace.fallback:
-                self.fallback_steps += 1
-            else:
-                self.selected_steps += 1
+            a, logp, overridden = self._select(s, rng)
         else:
             a = self.policy.sample(s, rng)
-            logp = self.policy.log_prob(s, a)
-            overridden = False
+            logp, overridden = self.policy.log_prob(s, a), False
         self._pending[worker] = (float(logp), self.value_of(s), overridden)
         return a
-
-    def act_eval(self, s):
-        return self.policy.det_action(s)
 
     # -- collection ---------------------------------------------------------
 
     def observe(self, tr, worker: int = 0, step: int = 0) -> None:
-        self.steps_seen = step
         if worker not in self._pending:
             raise UsageError("observe() without a matching act_train()")
         logp, value, overridden = self._pending.pop(worker)
@@ -221,15 +186,7 @@ class PpoAgent:
             s=tr.s, a=tr.a, r=tr.r, s_next=tr.s_next, end=tr.end,
             logp=logp, value=value, overridden=overridden,
         ))
-        self._episode.setdefault(worker, []).append(tr)
-        if tr.end != END_NONE:
-            episode = self._episode.pop(worker)
-            self.episodes_seen += 1
-            if self.memory is not None and tr.end == END_HAZARD:
-                event = capture_failure(episode, self.fema_cfg,
-                                        episode_id=self.episodes_seen,
-                                        capture_step=step)
-                self.memory.stage(event)  # update deferred to the phase gap
+        self._track(tr, worker, step)  # publishing waits for the phase gap
 
     def collected_steps(self) -> int:
         """Rows gathered since the last phase update."""

@@ -5,12 +5,9 @@ and a learned entropy temperature. All gradients are assembled by hand on
 top of the dense-network engine, so every loss here is checkable against
 finite differences.
 
-When the hook is on, training-time actions are picked by the risk-aware
-selector; hazard episode tails are staged into the failure memory and its
-periodic update runs as soon as enough events accumulate. The memory and
-the learner draw from separate random streams, so an inert hook (cold
-memory, zero radius, single candidate) leaves the action sequence
-bit-identical to the plain agent.
+The hook itself lives in `HookedAgent`. SAC adds uniform warmup actions
+and publishes the memory as soon as a staged failure fills its update
+quota.
 """
 
 from __future__ import annotations
@@ -19,11 +16,12 @@ import math
 
 import numpy as np
 
-from .. import embedding, numeric, selection
-from ..errors import ConfigError, TrainingError
-from ..memory import END_HAZARD, END_NONE, FailureMemory, FemaConfig, capture_failure
+from .. import numeric
+from ..errors import TrainingError
+# The benchmark's tracer self-test looks the capture function up here.
+from ..memory import END_HAZARD, FemaConfig, capture_failure  # noqa: F401
 from .buffers import ReplayBuffer
-from .common import AgentConfig
+from .common import AgentConfig, HookedAgent
 from .policy import (
     LOG_2PI,
     LOGSTD_MAX,
@@ -137,21 +135,13 @@ def polyak(src: numeric.Mlp, dst: numeric.Mlp, tau: float) -> None:
         p_dst += tau * p_src
 
 
-class SacAgent:
+class SacAgent(HookedAgent):
+    stack_slot = 3
+
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,
                  fema_cfg: FemaConfig | None = None):
-        cfg.validate()
-        if cfg.fema_on and fema_cfg is None:
-            raise ConfigError("fema_on requires a FemaConfig")
-        self.cfg = cfg
-        self.spec = env_spec
-        lo = np.asarray(env_spec.action_low)
-        hi = np.asarray(env_spec.action_high)
-        if not np.allclose(lo, -hi):
-            raise ConfigError("symmetric action bounds required")
-        self.scale = hi.astype(np.float64)
-
-        sub = np.random.default_rng([seed, 0]).integers(0, 2**31 - 1, size=8)
+        super().__init__(env_spec, cfg, seed, fema_cfg)
+        sub = self.sub_seeds
         d_s, d_a, h = env_spec.d_s, env_spec.d_a, cfg.hidden
         self.policy = policy_init(d_s, d_a, self.scale, "tanh", True,
                                   seed=int(sub[0]), hidden=h)
@@ -165,59 +155,23 @@ class SacAgent:
                                              lr=cfg.critic_lr)
         self.temp_adam = numeric.adam_init([self.log_alpha], lr=cfg.temp_lr)
         self.target_entropy = -float(d_a)
-
         self.buffer = ReplayBuffer(cfg.buffer_capacity, d_s, d_a)
-        self.learn_rng = np.random.default_rng([seed, 3])
-
-        self.fema_cfg = fema_cfg
-        self.stack = None
-        self.memory = None
-        if cfg.fema_on:
-            self.stack = embedding.stack_init(d_s, d_a, seed=int(sub[3]), hidden=h)
-            self.memory = FailureMemory(fema_cfg, rng=np.random.default_rng([seed, 4]))
-
-        self.steps_seen = 0
-        self.episodes_seen = 0
-        self._episode = {}           # worker -> transition list
-        self.last_losses = {}
-        self.last_trace = None
-        self.fallback_steps = 0
-        self.selected_steps = 0
 
     # -- acting ------------------------------------------------------------
 
     def act_train(self, s, rng, worker: int = 0):
         if self.steps_seen < self.cfg.warmup_steps:
             return rng.uniform(-1.0, 1.0, size=self.spec.d_a) * self.scale
-        if self.memory is not None:
-            a, trace = selection.select(s, self.policy, self.memory, self.stack,
-                                        self.fema_cfg, rng)
-            self.last_trace = trace
-            if trace.fallback:
-                self.fallback_steps += 1
-            else:
-                self.selected_steps += 1
-            return a
-        return self.policy.sample(s, rng)
-
-    def act_eval(self, s):
-        return self.policy.det_action(s)
+        if self.memory is None:
+            return self.policy.sample(s, rng)
+        return self._select(s, rng)[0]
 
     # -- learning ----------------------------------------------------------
 
     def observe(self, tr, worker: int = 0, step: int = 0) -> None:
-        self.steps_seen = step
         self.buffer.add(tr.s, tr.a, tr.r, tr.s_next, tr.end == END_HAZARD)
-        self._episode.setdefault(worker, []).append(tr)
-        if tr.end != END_NONE:
-            episode = self._episode.pop(worker)
-            self.episodes_seen += 1
-            if self.memory is not None and tr.end == END_HAZARD:
-                event = capture_failure(episode, self.fema_cfg,
-                                        episode_id=self.episodes_seen,
-                                        capture_step=step)
-                self.memory.stage(event)
-                self.memory.maybe_update(self.stack)
+        if self._track(tr, worker, step):
+            self.memory.maybe_update(self.stack)
         ready = (self.steps_seen >= self.cfg.warmup_steps
                  and len(self.buffer) >= self.cfg.batch_size)
         if ready and step % self.cfg.update_interval == 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric, serialize
-from .errors import ShapeError, TrainingError, UsageError
+from .errors import SerializationError, ShapeError, TrainingError, UsageError
 
 NORM_EPS = 1e-6
 
@@ -213,12 +213,15 @@ def stack_from_bytes(data: bytes) -> EmbeddingStack:
     """Rebuild a stack snapshot. Optimizer moments are not persisted; the
     restored stack gets a fresh Adam state at the saved learning rate."""
     blobs = serialize.blobs_from_bytes(data)
-    meta = json.loads(blobs[STACK_META_BLOB].decode("utf-8"))
-    nets = {name: serialize.mlp_from_bytes(blobs[name]) for name in _NET_BLOBS}
-    stack = EmbeddingStack(
-        f=nets["f"], g=nets["g"], j=nets["j"], h=nets["h"], adam=None,
-        d_s=meta["d_s"], d_a=meta["d_a"], d_z=meta["d_z"],
-        d_z_a=meta["d_z_a"], d_phi=meta["d_phi"], version=meta["version"],
-    )
-    stack.adam = numeric.adam_init(stack.params(), lr=meta["lr"])
+    try:
+        meta = json.loads(blobs[STACK_META_BLOB].decode("utf-8"))
+        dims = {k: meta[k] for k in ("d_s", "d_a", "d_z", "d_z_a", "d_phi", "version")}
+        lr = meta["lr"]
+        net_blobs = {name: blobs[name] for name in _NET_BLOBS}
+    except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SerializationError(f"unreadable embedding stack: {exc!r}") from exc
+    nets = {name: serialize.mlp_from_bytes(b) for name, b in net_blobs.items()}
+    stack = EmbeddingStack(f=nets["f"], g=nets["g"], j=nets["j"], h=nets["h"],
+                           adam=None, **dims)
+    stack.adam = numeric.adam_init(stack.params(), lr=lr)
     return stack

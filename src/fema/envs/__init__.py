@@ -3,7 +3,7 @@
 from .base import EnvSpec, StepResult
 from .cliff_corridor import CliffCorridor
 from .grid_hazard import GridHazard
-from .runner import EpisodeRecord, VecRunner, vec_run
+from .runner import EpisodeRecord, VecRunner
 from .tilt_pole import TiltPole
 from ..errors import ConfigError
 

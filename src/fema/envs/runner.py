@@ -70,7 +70,3 @@ class VecRunner:
                 self.states[w] = res.state
         return records
 
-
-def vec_run(envs: list, agent, steps: int, action_rngs: list) -> list:
-    """One-shot pool run from fresh resets; returns completed episodes."""
-    return VecRunner(envs, agent, action_rngs).run(steps)

@@ -122,7 +122,7 @@ def curve_rows(series_list: list, window: int) -> list:
     return rows
 
 
-def fallback_rows(series_list: list, window: int) -> list:
+def fallback_rows(series_list: list) -> list:
     total = max(s.total_steps for s in series_list)
     grid = step_grid(total)
     rows = []
@@ -229,7 +229,7 @@ def report_run(directory, window: int = DEFAULT_WINDOW) -> dict:
                curve_rows(series, window))
     _write_csv(os.path.join(out, "fallback.csv"),
                ["step", "mean_fallback_rate", "std_fallback_rate", "n_seeds"],
-               fallback_rows(series, window))
+               fallback_rows(series))
     _write_csv(os.path.join(out, "lengths.csv"),
                ["window", "start_step", "end_step", "mean_length",
                 "std_length", "n_seeds"],

@@ -39,17 +39,12 @@ def build_agent(rc: RunConfig, spec, seed: int):
     return PpoAgent(spec, rc.agent, seed, fema_cfg=fema_cfg)
 
 
-def _echo_comments(rc: RunConfig, seed: int, spec) -> tuple:
+def _echo_comments(seed: int, spec) -> tuple:
     return (
         "run configuration echo (re-parses to the same settings)",
         f"seed = {seed}",
         "env spec: " + json.dumps(spec.to_dict(), sort_keys=True),
     )
-
-
-def _fallback_rate(agent) -> float:
-    chosen = agent.fallback_steps + agent.selected_steps
-    return agent.fallback_steps / chosen if chosen else 0.0
 
 
 class _RunLog:
@@ -76,7 +71,7 @@ class _RunLog:
             "mean_length": float(np.mean(self.lengths)) if self.lengths else 0.0,
             "memory_records": len(mem.records) if mem is not None else 0,
             "memory_version": mem.version if mem is not None else -1,
-            "fallback_rate": _fallback_rate(agent),
+            "fallback_rate": agent.fallback_rate(),
         })
 
     def episode(self, rec, agent) -> None:
@@ -116,7 +111,7 @@ def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
     spec = envs[0].spec
 
     with open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(render_config(rc, comments=_echo_comments(rc, seed, spec)))
+        fh.write(render_config(rc, comments=_echo_comments(seed, spec)))
 
     agent = build_agent(rc, spec, seed)
     action_rngs = [np.random.default_rng([seed, 1, w])
@@ -183,7 +178,7 @@ def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
         "final_mean_length": float(np.mean(log.lengths)) if log.lengths else 0.0,
         "memory_records": (len(agent.memory.records)
                            if agent.memory is not None else 0),
-        "fallback_rate": _fallback_rate(agent),
+        "fallback_rate": agent.fallback_rate(),
     }
 
 

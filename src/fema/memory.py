@@ -325,7 +325,11 @@ class FailureMemory:
         (gamma,) = r.unpack("<d")
         stored_hash = r.take(32)
         (cfg_len,) = r.unpack("<I")
-        cfg = FemaConfig.from_dict(json.loads(r.take(cfg_len).decode("utf-8")))
+        try:
+            cfg_dict = json.loads(r.take(cfg_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SerializationError(f"unreadable memory snapshot config: {exc}") from exc
+        cfg = FemaConfig.from_dict(cfg_dict)
         if cfg.config_hash() != stored_hash:
             raise SerializationError("memory snapshot config hash mismatch")
         if gamma != cfg.discount:

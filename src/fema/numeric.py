@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TrainingError, UsageError
+from .errors import ConfigError, ShapeError, UsageError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 
@@ -36,10 +36,6 @@ class Mlp:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].w.shape[0]
-
-    @property
-    def widths(self) -> list:
-        return [self.in_dim] + [l.w.shape[0] for l in self.layers]
 
     def params(self) -> list:
         """Flat parameter list [w0, b0, w1, b1, ...] (views, not copies)."""
@@ -96,24 +92,6 @@ def mlp_init(widths: Sequence[int], seed, acts=None, dtype=np.float64) -> Mlp:
         w = rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype)
         b = rng.uniform(-bound, bound, size=(fan_out,)).astype(dtype)
         layers.append(Layer(w, b, act))
-    return Mlp(layers)
-
-
-def mlp_zeros(widths: Sequence[int], acts=None, dtype=np.float64) -> Mlp:
-    """All-zero parameters; useful for zero-case tests."""
-    widths = list(widths)
-    if len(widths) < 2:
-        raise ConfigError(f"layer spec needs at least input and output width, got {widths}")
-    if acts is None:
-        acts = default_acts(len(widths) - 1)
-    layers = [
-        Layer(
-            np.zeros((int(widths[i + 1]), int(widths[i])), dtype=dtype),
-            np.zeros(int(widths[i + 1]), dtype=dtype),
-            act,
-        )
-        for i, act in enumerate(acts)
-    ]
     return Mlp(layers)
 
 
@@ -181,22 +159,6 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray):
     return grads, (g[0] if cache.single else g)
 
 
-def zero_grads(net) -> list:
-    """Zero gradient buffers for an Mlp or a flat parameter sequence."""
-    params = net.params() if isinstance(net, Mlp) else net
-    return [np.zeros_like(p) for p in params]
-
-
-def add_grads(acc: Sequence[np.ndarray], extra: Sequence[np.ndarray], scale: float = 1.0):
-    if len(acc) != len(extra):
-        raise ShapeError(f"gradient list length mismatch: {len(acc)} vs {len(extra)}")
-    for a, e in zip(acc, extra):
-        if a.shape != e.shape:
-            raise ShapeError(f"gradient shape mismatch: {a.shape} vs {e.shape}")
-        a += scale * e
-    return acc
-
-
 @dataclass
 class AdamState:
     """First/second moment accumulators plus step counter and hyperparameters."""
@@ -244,9 +206,3 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: 
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return params
 
-
-def check_finite(x: np.ndarray, what: str = "array"):
-    """Raise if any element is NaN/Inf (checked mode guard)."""
-    if not np.isfinite(x).all():
-        raise TrainingError(f"{what} contains non-finite values")
-    return x

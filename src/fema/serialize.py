@@ -71,16 +71,6 @@ def mlp_from_bytes(buf: bytes) -> Mlp:
     return Mlp(layers)
 
 
-def save_mlp(path, mlp: Mlp):
-    with open(path, "wb") as fh:
-        fh.write(mlp_to_bytes(mlp))
-
-
-def load_mlp(path) -> Mlp:
-    with open(path, "rb") as fh:
-        return mlp_from_bytes(fh.read())
-
-
 def blobs_to_bytes(blobs: dict) -> bytes:
     parts = [CONTAINER_MAGIC, struct.pack("<HI", CONTAINER_VERSION, len(blobs))]
     for name, payload in blobs.items():
@@ -105,7 +95,10 @@ def blobs_from_bytes(buf: bytes) -> dict:
             raise SerializationError("truncated container entry header")
         (name_len,) = struct.unpack_from("<H", buf, off)
         off += 2
-        name = buf[off:off + name_len].decode("utf-8")
+        try:
+            name = buf[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError(f"unreadable container entry name: {exc}") from exc
         off += name_len
         if off + 8 > len(buf):
             raise SerializationError("truncated container entry size")

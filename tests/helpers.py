@@ -1,0 +1,44 @@
+"""Test-only helpers built on the package: zero networks and an episode driver."""
+
+import numpy as np
+
+from fema.envs.runner import EpisodeRecord
+from fema.memory import END_NONE, Transition
+from fema.numeric import Layer, Mlp, default_acts
+
+
+def mlp_zeros(widths, acts=None) -> Mlp:
+    """All-zero parameters, for zero-case tests."""
+    widths = [int(w) for w in widths]
+    if acts is None:
+        acts = default_acts(len(widths) - 1)
+    return Mlp([Layer(np.zeros((widths[i + 1], widths[i])), np.zeros(widths[i + 1]), act)
+                for i, act in enumerate(acts)])
+
+
+def run_episode(agent, env, action_rng, start_step: int = 0,
+                worker: int = 0) -> EpisodeRecord:
+    """Drive one full episode with the agent's training-time behavior.
+
+    Steps the environment until it reports a terminal tag, feeding every
+    transition back through agent.observe. Returns the finished episode's
+    record; the global step counter resumes from start_step.
+    """
+    s = env.reset()
+    total = 0.0
+    step = start_step
+    while True:
+        a = agent.act_train(s, action_rng, worker)
+        res = env.step(a)
+        step += 1
+        tr = Transition(s=np.array(s, dtype=np.float64),
+                        a=np.array(a, dtype=np.float64),
+                        r=float(res.reward),
+                        s_next=np.array(res.state, dtype=np.float64),
+                        end=res.end)
+        agent.observe(tr, worker, step)
+        total += float(res.reward)
+        if res.end != END_NONE:
+            return EpisodeRecord(return_=total, length=step - start_step,
+                                 end=res.end, end_step=step, worker=worker)
+        s = res.state

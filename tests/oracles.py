@@ -80,12 +80,18 @@ def linear_scan_retrieve(entries, z_query, eps, top_o):
     """Brute-force retrieval: entries is a list of (index, z_s, H).
 
     Keeps entries with ||z_s - z_query||_2 <= eps, sorts by (H, index)
-    ascending, returns the first top_o indices.
+    ascending, returns the first top_o indices. Plain Python floats summed
+    left to right: for widths below 8 that is the order numpy sums a row
+    in, so distances on the radius boundary decide the same way.
     """
+    q = np.asarray(z_query, dtype=np.float64).tolist()
     hits = []
     for idx, z, h_val in entries:
-        dist = math.sqrt(float(np.sum((np.asarray(z) - np.asarray(z_query)) ** 2)))
-        if dist <= eps:
+        acc = 0.0
+        for zi, qi in zip(np.asarray(z, dtype=np.float64).tolist(), q):
+            d = zi - qi
+            acc += d * d
+        if math.sqrt(acc) <= eps:
             hits.append((h_val, idx))
     hits.sort()
     return [idx for _, idx in hits[:top_o]]

@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every verdict line.
 Each criterion is a single test so the pass/fail summary maps one-to-one.
-The two training-efficacy criteria (8 and 9) run multi-seed experiments and
-dominate the wall-clock time; everything else finishes in seconds.
+Criteria 1-7, 10 and 11 are defined here; numbers 8 and 9 are unused. The
+criterion-5 inertness runs and the criterion-4 scan take most of the
+wall-clock time.
 """
 
 import dataclasses

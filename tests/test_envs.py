@@ -276,8 +276,8 @@ class RandomAgent:
 class TestRunner:
     def test_single_worker_matches_sequential(self):
         agent_a = ScriptedAgent([0.0, 0.3])
-        envs.vec_run([envs.CliffCorridor(np.random.default_rng(1))], agent_a, 60,
-                     [np.random.default_rng(2)])
+        envs.VecRunner([envs.CliffCorridor(np.random.default_rng(1))], agent_a,
+                       [np.random.default_rng(2)]).run(60)
         env = envs.CliffCorridor(np.random.default_rng(1))
         s = env.reset()
         seq = []
@@ -305,11 +305,11 @@ class TestRunner:
         agent = RandomAgent()
         pool = [envs.CliffCorridor(np.random.default_rng([3, w])) for w in range(3)]
         rngs = [np.random.default_rng([4, w]) for w in range(3)]
-        pool_records = envs.vec_run(pool, agent, 300, rngs)
-        solo_records = envs.vec_run(
+        pool_records = envs.VecRunner(pool, agent, rngs).run(300)
+        solo_records = envs.VecRunner(
             [envs.CliffCorridor(np.random.default_rng([3, 1]))],
-            RandomAgent(), 100, [np.random.default_rng([4, 1])],
-        )
+            RandomAgent(), [np.random.default_rng([4, 1])],
+        ).run(100)
         w1 = [(r.return_, r.length, r.end) for r in pool_records if r.worker == 1]
         solo = [(r.return_, r.length, r.end) for r in solo_records]
         assert w1 == solo[: len(w1)]

@@ -3,6 +3,7 @@ import pytest
 
 from fema import numeric
 from fema.errors import ConfigError, ShapeError, UsageError
+from helpers import mlp_zeros
 from oracles import fd_grads, forward_oracle, max_rel_error
 
 
@@ -47,7 +48,7 @@ class TestInit:
 
 class TestForward:
     def test_identity_single_layer_zero_weights(self):
-        m = numeric.mlp_zeros([3, 3], acts=["identity"])
+        m = mlp_zeros([3, 3], acts=["identity"])
         for l in m.layers:
             l.w[:] = np.eye(3)
         x = np.array([1.0, -2.0, 0.5])
@@ -55,7 +56,7 @@ class TestForward:
         np.testing.assert_array_equal(out, x)
 
     def test_zero_net_outputs_zero(self):
-        m = numeric.mlp_zeros([4, 8, 2])
+        m = mlp_zeros([4, 8, 2])
         out, _ = numeric.forward(m, np.ones(4))
         np.testing.assert_array_equal(out, np.zeros(2))
 
@@ -79,7 +80,7 @@ class TestForward:
             np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
 
     def test_relu_act(self):
-        m = numeric.mlp_zeros([2, 2], acts=["relu"])
+        m = mlp_zeros([2, 2], acts=["relu"])
         m.layers[0].w[:] = np.eye(2)
         out, _ = numeric.forward(m, np.array([3.0, -3.0]))
         np.testing.assert_array_equal(out, [3.0, 0.0])
@@ -95,7 +96,7 @@ class TestForward:
 class TestBackward:
     def test_linear_net_grad_is_input(self):
         # Single identity layer, scalar output: dL/dW = g * x, dL/db = g.
-        m = numeric.mlp_zeros([3, 1], acts=["identity"])
+        m = mlp_zeros([3, 1], acts=["identity"])
         x = np.array([1.0, 2.0, -4.0])
         _, cache = numeric.forward(m, x)
         grads, gin = numeric.backward(m, cache, np.array([2.0]))
@@ -159,18 +160,6 @@ class TestBackward:
             numeric.backward(m, cache, np.array([1.0]))
 
 
-class TestGradHelpers:
-    def test_zero_and_accumulate(self):
-        m = random_mlp([2, 3, 1], seed=4)
-        acc = numeric.zero_grads(m)
-        assert all(np.all(g == 0) for g in acc)
-        extra = [np.ones_like(g) for g in acc]
-        numeric.add_grads(acc, extra, scale=2.5)
-        assert all(np.all(g == 2.5) for g in acc)
-        with pytest.raises(ShapeError):
-            numeric.add_grads(acc, extra[:-1])
-
-
 class TestAdam:
     def test_first_step_magnitude(self):
         # With g=1, lr=0.1: m_hat=1, v_hat=1, step = 0.1/(1+1e-8).
@@ -183,7 +172,7 @@ class TestAdam:
         m = random_mlp([3, 4, 2], seed=8)
         before = [p.copy() for p in m.params()]
         state = numeric.adam_init(m.params())
-        numeric.adam_step(m.params(), numeric.zero_grads(m), state)
+        numeric.adam_step(m.params(), [np.zeros_like(p) for p in m.params()], state)
         for p, b in zip(m.params(), before):
             np.testing.assert_array_equal(p, b)
 
@@ -202,10 +191,3 @@ class TestAdam:
             numeric.adam_step([w], [np.zeros(3)], state)
         with pytest.raises(ShapeError):
             numeric.adam_step([w, np.zeros(2)], [np.zeros(2), np.zeros(2)], state)
-
-    def test_check_finite(self):
-        numeric.check_finite(np.ones(3), "ok")
-        from fema.errors import TrainingError
-
-        with pytest.raises(TrainingError):
-            numeric.check_finite(np.array([1.0, np.nan]), "bad")

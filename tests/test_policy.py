@@ -69,13 +69,6 @@ class TestDensities:
         with pytest.raises(ShapeError):
             policy.log_prob(np.zeros(3), np.zeros(5))
 
-    def test_entropy_formula(self):
-        policy = make_clip_policy(seed=6, init_logstd=0.3)
-        s = np.zeros(3)
-        _, sigma = policy.mean_std(s)
-        want = float(np.sum(np.log(sigma) + 0.5 * (np.log(2 * np.pi) + 1.0)))
-        np.testing.assert_allclose(policy.entropy(s), want, atol=1e-12)
-
 
 class TestSampling:
     def test_sample_consumes_one_normal_draw(self):

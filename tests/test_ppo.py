@@ -6,7 +6,6 @@ import pytest
 from fema import numeric
 from fema.agents import ppo
 from fema.agents.common import AgentConfig
-from fema.agents.loop import run_episode
 from fema.agents.policy import policy_init
 from fema.agents.ppo import PpoAgent, _Row
 from fema.envs import make
@@ -14,6 +13,7 @@ from fema.envs.base import EnvSpec
 from fema.errors import UsageError
 from fema.memory import END_HAZARD, END_NONE, END_TIME_LIMIT, FemaConfig, Transition
 
+from helpers import run_episode
 from oracles import fd_grads, gaussian_logpdf, max_rel_error
 
 BANDIT_SPEC = EnvSpec(name="bandit", d_s=1, d_a=1, action_low=(-1.0,),

@@ -8,7 +8,6 @@ import pytest
 from fema import numeric
 from fema.agents import sac
 from fema.agents.common import AgentConfig
-from fema.agents.loop import run_episode
 from fema.agents.policy import SQUASH_EPS, policy_init
 from fema.agents.sac import SacAgent
 from fema.envs import make
@@ -16,6 +15,7 @@ from fema.envs.base import EnvSpec
 from fema.errors import ConfigError, TrainingError
 from fema.memory import END_HAZARD, FemaConfig, Transition
 
+from helpers import mlp_zeros, run_episode
 from oracles import fd_grads, forward_oracle, gaussian_logpdf, max_rel_error
 
 BANDIT_SPEC = EnvSpec(name="bandit", d_s=1, d_a=1, action_low=(-1.0,),
@@ -96,8 +96,8 @@ class TestTargets:
 
     def test_zero_critics_leave_entropy_term(self):
         policy = policy_init(2, 1, 1.0, "tanh", True, seed=6, hidden=8)
-        q1t = numeric.mlp_zeros([3, 4, 1])
-        q2t = numeric.mlp_zeros([3, 4, 1])
+        q1t = mlp_zeros([3, 4, 1])
+        q2t = mlp_zeros([3, 4, 1])
         log_alpha = np.array([math.log(0.3)])
         s_next = np.random.default_rng(7).standard_normal((3, 2))
         noise = np.random.default_rng(8).standard_normal((3, 1))

@@ -1,27 +1,24 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fema import numeric, serialize
-from fema.errors import SerializationError
+from fema import embedding, memory, numeric, serialize
+from fema.agents.policy import GaussianPolicy, policy_init
+from fema.errors import FemaError, SerializationError
 
 
 class TestMlpRoundTrip:
     def test_bytes_round_trip(self):
-        m = numeric.mlp_init([4, 8, 8, 2], seed=5)
-        blob = serialize.mlp_to_bytes(m)
-        back = serialize.mlp_from_bytes(blob)
-        assert [l.act for l in back.layers] == [l.act for l in m.layers]
-        for pa, pb in zip(m.params(), back.params()):
-            np.testing.assert_array_equal(pa, pb)
-
-    def test_file_round_trip(self, tmp_path):
-        m = numeric.mlp_init([3, 6, 1], seed=9, acts=["relu", "identity"])
-        path = tmp_path / "net.fnet"
-        serialize.save_mlp(path, m)
-        back = serialize.load_mlp(path)
-        out_a, _ = numeric.forward(m, np.ones(3))
-        out_b, _ = numeric.forward(back, np.ones(3))
-        np.testing.assert_array_equal(out_a, out_b)
+        for widths, acts in (([4, 8, 8, 2], None), ([3, 6, 1], ["relu", "identity"])):
+            m = numeric.mlp_init(widths, seed=5, acts=acts)
+            blob = serialize.mlp_to_bytes(m)
+            back = serialize.mlp_from_bytes(blob)
+            assert [l.act for l in back.layers] == [l.act for l in m.layers]
+            for pa, pb in zip(m.params(), back.params()):
+                np.testing.assert_array_equal(pa, pb)
 
     def test_deterministic_bytes(self):
         m = numeric.mlp_init([2, 4, 2], seed=1)
@@ -83,3 +80,69 @@ class TestBlobContainer:
         data = serialize.blobs_to_bytes({"x": b"abcdef"})
         with pytest.raises(SerializationError):
             serialize.blobs_from_bytes(data[:-3])
+
+
+def _memory_blob() -> bytes:
+    cfg = memory.FemaConfig(suffix_len=2, update_every=1, capacity=4,
+                            train_epochs=1, train_batch=4)
+    mem = memory.FailureMemory(cfg, rng=np.random.default_rng(0))
+    stack = embedding.stack_init(d_s=2, d_a=1, seed=0, d_z=2, d_z_a=2,
+                                 d_phi=2, hidden=4)
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        episode = [memory.Transition(s=rng.normal(size=2), a=rng.normal(size=1),
+                                     r=1.0, s_next=rng.normal(size=2),
+                                     end=end)
+                   for end in (memory.END_NONE, memory.END_HAZARD)]
+        mem.stage(memory.capture_failure(episode, cfg))
+        if mem.cold:
+            mem.update(stack)
+    return mem.to_bytes()
+
+
+# format -> (build a valid blob, loader); small nets keep the headers and
+# metadata a large share of each blob
+FORMATS = {
+    "fnet": (lambda: serialize.mlp_to_bytes(numeric.mlp_init([2, 3, 1], seed=0)),
+             serialize.mlp_from_bytes),
+    "femc": (lambda: serialize.blobs_to_bytes({"meta": b'{"a": 1}', "x": b"ab"}),
+             serialize.blobs_from_bytes),
+    "policy": (lambda: policy_init(2, 1, 1.0, "tanh", True, seed=0,
+                                   hidden=2).to_bytes(),
+               GaussianPolicy.from_bytes),
+    "stack": (lambda: embedding.stack_to_bytes(embedding.stack_init(
+                  d_s=1, d_a=1, seed=0, d_z=1, d_z_a=1, d_phi=1, hidden=1)),
+              embedding.stack_from_bytes),
+    "memory": (_memory_blob, memory.FailureMemory.from_bytes),
+}
+
+
+@functools.cache
+def _valid_blob(fmt: str) -> bytes:
+    return FORMATS[fmt][0]()
+
+
+@st.composite
+def _corrupted(draw, blob: bytes) -> bytes:
+    op = draw(st.sampled_from(["truncate", "flip", "append"]))
+    if op == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if op == "flip":
+        bit = draw(st.integers(0, 8 * len(blob) - 1))
+        out = bytearray(blob)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    return blob + draw(st.binary(min_size=1, max_size=16))
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupt_input_raises_only_package_errors(fmt, data):
+    """Truncated, bit-flipped or extended input either loads or raises a
+    FemaError; any other exception fails the test."""
+    bad = data.draw(_corrupted(_valid_blob(fmt)))
+    try:
+        FORMATS[fmt][1](bad)
+    except FemaError:
+        pass
