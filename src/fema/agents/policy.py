@@ -27,6 +27,7 @@ LOGSTD_MIN = -5.0
 LOGSTD_MAX = 2.0
 SQUASH_EPS = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
+SQUASHES = ("tanh", "clip")
 
 
 @dataclass
@@ -143,6 +144,8 @@ class GaussianPolicy:
             trunk, mean = blobs["trunk"], blobs["mean"]
         except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SerializationError(f"unreadable policy blob: {exc!r}") from exc
+        if squash not in SQUASHES:
+            raise SerializationError(f"unknown squashing convention {squash!r}")
         logstd_head = logstd_vec = None
         if state_dependent:
             logstd_head = serialize.mlp_from_bytes(std_blob)
@@ -166,7 +169,7 @@ def policy_init(
     hidden: int = 64,
     init_logstd: float = -0.5,
 ) -> GaussianPolicy:
-    if squash not in ("tanh", "clip"):
+    if squash not in SQUASHES:
         raise ConfigError(f"unknown squashing convention {squash!r}")
     scale = np.asarray(scale, dtype=np.float64) * np.ones(d_a)
     if not np.all(scale > 0):

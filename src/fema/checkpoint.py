@@ -77,36 +77,36 @@ def load_checkpoint(path) -> CheckpointData:
     blobs = serialize.load_blobs(path)
     try:
         meta = json.loads(blobs["meta"].decode("utf-8"))
+        if meta.get("format") != FORMAT_NAME:
+            raise SerializationError(f"not a checkpoint file: {path}")
+        if meta.get("version") != FORMAT_VERSION:
+            raise SerializationError(
+                f"unsupported checkpoint version {meta.get('version')}")
+        nets = {}
+        log_alpha = None
+        if meta["algo"] == "sac":
+            for name in ("q1", "q2", "q1t", "q2t"):
+                nets[name] = serialize.mlp_from_bytes(blobs[name])
+            log_alpha = np.frombuffer(blobs["log_alpha"], dtype="<f8").copy()
+        else:
+            nets["vnet"] = serialize.mlp_from_bytes(blobs["vnet"])
+        stack = None
+        if "stack" in blobs:
+            stack = embedding.stack_from_bytes(blobs["stack"])
+        return CheckpointData(
+            algo=meta["algo"],
+            env=meta["env"],
+            step=meta["step"],
+            fema_on=meta["fema_on"],
+            policy=GaussianPolicy.from_bytes(blobs["policy"]),
+            nets=nets,
+            log_alpha=log_alpha,
+            stack=stack,
+            rng_states=json.loads(blobs["rng"].decode("utf-8")),
+        )
     except (KeyError, ValueError) as exc:
-        raise SerializationError(f"unreadable checkpoint metadata: {exc}")
-    if meta.get("format") != FORMAT_NAME:
-        raise SerializationError(f"not a checkpoint file: {path}")
-    if meta.get("version") != FORMAT_VERSION:
         raise SerializationError(
-            f"unsupported checkpoint version {meta.get('version')}")
-
-    nets = {}
-    log_alpha = None
-    if meta["algo"] == "sac":
-        for name in ("q1", "q2", "q1t", "q2t"):
-            nets[name] = serialize.mlp_from_bytes(blobs[name])
-        log_alpha = np.frombuffer(blobs["log_alpha"], dtype="<f8").copy()
-    else:
-        nets["vnet"] = serialize.mlp_from_bytes(blobs["vnet"])
-    stack = None
-    if "stack" in blobs:
-        stack = embedding.stack_from_bytes(blobs["stack"])
-    return CheckpointData(
-        algo=meta["algo"],
-        env=meta["env"],
-        step=meta["step"],
-        fema_on=meta["fema_on"],
-        policy=GaussianPolicy.from_bytes(blobs["policy"]),
-        nets=nets,
-        log_alpha=log_alpha,
-        stack=stack,
-        rng_states=json.loads(blobs["rng"].decode("utf-8")),
-    )
+            f"unreadable checkpoint metadata or blob: {exc!r}") from exc
 
 
 def check_env_match(ckpt: CheckpointData, spec) -> None:

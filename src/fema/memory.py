@@ -4,7 +4,7 @@ Episodes that end in a hazard contribute their last few transitions, each
 tagged with the discounted return of the remaining tail. Events accumulate in
 a pending buffer and are folded in periodically: the embedding stack trains
 on everything stored, every stored transition is re-encoded with the fresh
-encoders, and the resulting records become the searchable generation that
+encoders, and the resulting arrays become the searchable generation that
 retrieval runs against. Between updates the published generation is
 immutable.
 """
@@ -18,7 +18,7 @@ import struct
 import warnings
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -109,26 +109,75 @@ class FailureEvent:
     seq: int = -1  # assigned when staged; defines FIFO order
 
 
-@dataclass
-class MemoryRecord:
-    """One searchable transition: embeddings, raw action, and tail return."""
+class MemoryRow(NamedTuple):
+    """Read-only view of one stored transition of a generation."""
 
     z_s: np.ndarray
-    action: np.ndarray
     phi: np.ndarray
     mc_return: float
     event_seq: int
     step_idx: int
-    version: int
+
+
+@dataclass(frozen=True, eq=False)
+class Generation:
+    """One published generation: row i of every array is one stored
+    transition, in insertion order, embedded by the stack at `version`.
+
+    The arrays are read-only. Indexing and iteration give `MemoryRow` views.
+    """
+
+    z_s: np.ndarray        # (n, d_z) state embeddings
+    phi: np.ndarray        # (n, d_phi) joint state-action embeddings
+    mc_return: np.ndarray  # (n,) discounted tail returns
+    event_seq: np.ndarray  # (n,) seq of the event each row came from
+    step_idx: np.ndarray   # (n,) position of the row inside its event
+    version: int = -1      # stack version of every row; -1 = never published
+
+    def __post_init__(self):
+        for name in ("z_s", "phi", "mc_return", "event_seq", "step_idx"):
+            getattr(self, name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.mc_return.shape[0]
+
+    def __getitem__(self, i: int) -> MemoryRow:
+        return MemoryRow(self.z_s[i], self.phi[i], float(self.mc_return[i]),
+                         int(self.event_seq[i]), int(self.step_idx[i]))
+
+    def __iter__(self):
+        return map(MemoryRow._make, zip(
+            self.z_s, self.phi, self.mc_return.tolist(),
+            self.event_seq.tolist(), self.step_idx.tolist()))
+
+    def take(self, rows) -> "Generation":
+        """The sub-generation of the given row indices, in that order."""
+        return Generation(self.z_s[rows], self.phi[rows], self.mc_return[rows],
+                          self.event_seq[rows], self.step_idx[rows], self.version)
+
+
+def _generation(events: list, z_s: np.ndarray, phi: np.ndarray,
+                version: int) -> Generation:
+    """The generation of `events` from their rows' embeddings; returns,
+    event seqs and step indices come from the events themselves."""
+    return Generation(
+        z_s=z_s, phi=phi,
+        mc_return=np.array([h for e in events for h in e.returns.tolist()]),
+        event_seq=np.array([e.seq for e in events for _ in e.transitions], dtype=np.int64),
+        step_idx=np.array([i for e in events for i in range(len(e.transitions))],
+                          dtype=np.int64),
+        version=version,
+    )
 
 
 @dataclass
 class RetrievalResult:
-    records: list
+    records: Generation
     cold: bool = False
 
     def ids(self) -> list:
-        return [(r.event_seq, r.step_idx) for r in self.records]
+        return list(zip(self.records.event_seq.tolist(),
+                        self.records.step_idx.tolist()))
 
 
 def discounted_tail_returns(rewards, gamma: float) -> np.ndarray:
@@ -175,18 +224,15 @@ def capture_failure(
 
 
 class FailureMemory:
-    """Pending failure events, the published record generation, and retrieval."""
+    """Pending failure events, the published generation, and retrieval."""
 
     def __init__(self, cfg: FemaConfig, rng: Optional[np.random.Generator] = None):
         self.cfg = cfg.validate()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.pending: deque = deque(maxlen=cfg.capacity)
         self.events: list = []      # published events, ascending seq
-        self.records: list = []     # published generation, insertion order
-        self.version: int = -1      # stack version of the generation; -1 = cold
+        self.records = _generation([], np.empty((0, 0)), np.empty((0, 0)), -1)
         self.next_seq: int = 0
-        self._z_matrix: Optional[np.ndarray] = None
-        self._h_vector: Optional[np.ndarray] = None
 
     # -- capture side -----------------------------------------------------
 
@@ -204,7 +250,7 @@ class FailureMemory:
         return None
 
     def update(self, stack: embedding.EmbeddingStack) -> int:
-        """Fold pending events in, retrain the stack, republish every record."""
+        """Fold pending events in, retrain the stack, republish every row."""
         if not self.pending and not self.events:
             warnings.warn("memory update with nothing stored; skipping", stacklevel=2)
             return 0
@@ -225,69 +271,63 @@ class FailureMemory:
         z_s = embedding.encode_state(stack, states)
         z_a = embedding.encode_action(stack, actions)
         phi = embedding.joint_embed(stack, z_s, z_a)
-        records = []
-        i = 0
-        for e in self.events:
-            for step_idx in range(len(e.transitions)):
-                records.append(MemoryRecord(
-                    z_s=z_s[i], action=actions[i], phi=phi[i],
-                    mc_return=float(rets[i]), event_seq=e.seq,
-                    step_idx=step_idx, version=stack.version,
-                ))
-                i += 1
-        self.records = records
-        self.version = stack.version
-        self._z_matrix = z_s
-        self._h_vector = rets
-        return len(records)
+        self.records = _generation(self.events, z_s, phi, stack.version)
+        return len(self.records)
 
     # -- query side -------------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """Stack version of the published generation; -1 = cold."""
+        return self.records.version
 
     @property
     def cold(self) -> bool:
         return self.version < 0
 
     def retrieve(self, z_query: np.ndarray, cfg: Optional[FemaConfig] = None) -> RetrievalResult:
-        """Records within the match radius, lowest tail returns first.
+        """Rows within the match radius, lowest tail returns first, as a
+        sub-generation.
 
         Ties on the return break toward earlier insertion. A memory that has
-        never published reports cold instead of merely empty.
+        never published reports cold instead of merely empty. A query with a
+        NaN or infinite entry is rejected.
         """
         cfg = cfg if cfg is not None else self.cfg
-        if self.cold:
-            return RetrievalResult(records=[], cold=True)
         z_query = np.asarray(z_query, dtype=np.float64)
-        if z_query.shape != (self._z_matrix.shape[1],):
+        if not np.isfinite(z_query).all():
+            raise UsageError("retrieval query has non-finite entries")
+        gen = self.records
+        if self.cold:
+            return RetrievalResult(records=gen, cold=True)
+        if z_query.shape != (gen.z_s.shape[1],):
             raise ShapeError(
                 f"query width {z_query.shape} does not match stored embeddings "
-                f"({self._z_matrix.shape[1]},)"
+                f"({gen.z_s.shape[1]},)"
             )
-        dist = np.sqrt(np.sum((self._z_matrix - z_query) ** 2, axis=1))
+        dist = np.sqrt(np.sum((gen.z_s - z_query) ** 2, axis=1))
         hits = np.flatnonzero(dist <= cfg.match_radius)
-        if hits.size == 0:
-            return RetrievalResult(records=[], cold=False)
-        order = np.lexsort((hits, self._h_vector[hits]))
-        chosen = hits[order][: cfg.max_matches]
-        return RetrievalResult(records=[self.records[i] for i in chosen], cold=False)
+        order = np.lexsort((hits, gen.mc_return[hits]))
+        return RetrievalResult(records=gen.take(hits[order][: cfg.max_matches]))
 
     # -- persistence --------------------------------------------------------
 
     MAGIC = b"FEMA"
-    FORMAT_VERSION = 1
-
-    def _dims(self):
-        if self.events or self.pending:
-            ev = self.events[0] if self.events else self.pending[0]
-            d_s = ev.transitions[0].s.shape[0]
-            d_a = ev.transitions[0].a.shape[0]
-        else:
-            d_s = d_a = 0
-        d_z = self._z_matrix.shape[1] if self._z_matrix is not None else 0
-        d_phi = self.records[0].phi.shape[0] if self.records else 0
-        return d_s, d_a, d_z, d_phi
+    FORMAT_VERSION = 2
 
     def to_bytes(self) -> bytes:
-        d_s, d_a, d_z, d_phi = self._dims()
+        """Snapshot in format version 2, all little-endian: a header (magic,
+        format version, d_s, d_a, d_z, d_phi, discount, config hash and JSON,
+        generation version, next seq, counts of published events, pending
+        events and rows), every published then every pending event, and the
+        generation as two contiguous `<f8` blocks, z_s (n x d_z) then phi
+        (n x d_phi). Row returns, event seqs and step indices are not stored:
+        loading derives them from the published events, as `update` does.
+        """
+        events = list(self.events) + list(self.pending)
+        first = events[0].transitions[0] if events else None
+        d_s, d_a = (first.s.shape[0], first.a.shape[0]) if first else (0, 0)
+        d_z, d_phi = self.records.z_s.shape[1], self.records.phi.shape[1]
         cfg_json = json.dumps(self.cfg.to_dict(), sort_keys=True).encode("utf-8")
         out = bytearray()
         out += self.MAGIC
@@ -298,14 +338,10 @@ class FailureMemory:
         out += struct.pack("<I", len(cfg_json)) + cfg_json
         out += struct.pack("<qQ", self.version, self.next_seq)
         out += struct.pack("<IIQ", len(self.events), len(self.pending), len(self.records))
-        for ev in list(self.events) + list(self.pending):
+        for ev in events:
             out += _event_bytes(ev, d_s, d_a)
-        for rec in self.records:
-            out += struct.pack("<QI", rec.event_seq, rec.step_idx)
-            out += rec.z_s.astype("<f8").tobytes()
-            out += rec.action.astype("<f8").tobytes()
-            out += rec.phi.astype("<f8").tobytes()
-            out += struct.pack("<d", rec.mc_return)
+        out += self.records.z_s.astype("<f8").tobytes()
+        out += self.records.phi.astype("<f8").tobytes()
         return bytes(out)
 
     def snapshot(self, path) -> None:
@@ -344,26 +380,17 @@ class FailureMemory:
         mem = cls(cfg, rng=rng)
         version, next_seq = r.unpack("<qQ")
         n_events, n_pending, n_records = r.unpack("<IIQ")
-        mem.version = version
         mem.next_seq = next_seq
-        for _ in range(n_events):
-            mem.events.append(_event_from(r, d_s, d_a))
-        for _ in range(n_pending):
-            mem.pending.append(_event_from(r, d_s, d_a))
-        for _ in range(n_records):
-            event_seq, step_idx = r.unpack("<QI")
-            z_s = r.floats(d_z)
-            action = r.floats(d_a)
-            phi = r.floats(d_phi)
-            (mc_return,) = r.unpack("<d")
-            mem.records.append(MemoryRecord(
-                z_s=z_s, action=action, phi=phi, mc_return=mc_return,
-                event_seq=event_seq, step_idx=step_idx, version=version,
-            ))
+        mem.events = [_event_from(r, d_s, d_a) for _ in range(n_events)]
+        mem.pending.extend(_event_from(r, d_s, d_a) for _ in range(n_pending))
+        if n_records != sum(len(e.transitions) for e in mem.events):
+            raise SerializationError(
+                f"memory snapshot row count {n_records} does not match its "
+                f"{n_events} published events")
+        z_s = r.floats(n_records * d_z).reshape(n_records, d_z)
+        phi = r.floats(n_records * d_phi).reshape(n_records, d_phi)
         r.done()
-        if mem.records:
-            mem._z_matrix = np.stack([rec.z_s for rec in mem.records])
-            mem._h_vector = np.array([rec.mc_return for rec in mem.records])
+        mem.records = _generation(mem.events, z_s, phi, version)
         return mem
 
     @classmethod

@@ -1,8 +1,8 @@
 """Risk-aware action selection.
 
 At each decision the policy proposes several candidate actions. Remembered
-failure records near the current state pull up their joint embeddings; each
-candidate is scored by how far its own embedding sits from those records,
+failure rows near the current state pull up their joint embeddings; each
+candidate is scored by how far its own embedding sits from those rows,
 minus a weighted risk estimate. The top-scoring candidate is executed. When
 nothing relevant is remembered the first plain policy draw passes through
 untouched, which keeps the agent bit-identical to its baseline away from
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import embedding
 from .errors import CoherenceError, UsageError
-from .memory import FailureMemory, FemaConfig
+from .memory import AGGREGATORS, FailureMemory, FemaConfig, Generation
 
 
 @dataclass
@@ -31,7 +31,7 @@ class ScoredCandidate:
 
 @dataclass
 class SelectionTrace:
-    """Per-decision diagnostics, serializable by the harness log."""
+    """Per-decision diagnostics."""
 
     state: np.ndarray
     retrieved_ids: list
@@ -40,20 +40,7 @@ class SelectionTrace:
     fallback: bool
     cold: bool
     aggregator: str
-    log_prob: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "retrieved": [list(t) for t in self.retrieved_ids],
-            "chosen": self.chosen,
-            "fallback": self.fallback,
-            "cold": self.cold,
-            "aggregator": self.aggregator,
-            "log_prob": self.log_prob,
-            "scores": [c.score for c in self.candidates],
-            "distances": [c.distance for c in self.candidates],
-            "risks": [c.risk for c in self.candidates],
-        }
+    log_prob: float
 
 
 def sample_candidates(policy, s: np.ndarray, n: int, rng: np.random.Generator) -> list:
@@ -67,48 +54,35 @@ def sample_candidates(policy, s: np.ndarray, n: int, rng: np.random.Generator) -
     return [policy.sample(s, rng) for _ in range(n)]
 
 
-def _aggregate(gaps: np.ndarray, how: str) -> float:
-    if how == "mean":
-        return float(gaps.mean())
-    if how == "min":
-        return float(gaps.min())
-    if how == "sum":
-        return float(gaps.sum())
-    raise UsageError(f"unknown aggregator {how!r}")
-
-
 def score_candidates(
     s: np.ndarray,
     candidates: list,
-    records: list,
+    records: Generation,
     stack: embedding.EmbeddingStack,
     risk_weight: float,
     aggregator: str = "mean",
 ) -> list:
-    """Score each candidate action against the retrieved failure records."""
+    """Score each candidate action against the retrieved failure rows."""
     if not records:
         raise UsageError("score_candidates requires a non-empty retrieval")
-    for rec in records:
-        if rec.version != stack.version:
-            raise CoherenceError(
-                f"record embedding version {rec.version} does not match "
-                f"stack version {stack.version}"
-            )
+    if records.version != stack.version:
+        raise CoherenceError(
+            f"record embedding version {records.version} does not match "
+            f"stack version {stack.version}"
+        )
+    if aggregator not in AGGREGATORS:
+        raise UsageError(f"unknown aggregator {aggregator!r}")
     z_s = embedding.encode_state(stack, s)
     acts = np.stack([np.asarray(a, dtype=np.float64) for a in candidates])
     z_a = embedding.encode_action(stack, acts)
     phi = embedding.joint_embed(stack, np.tile(z_s, (len(candidates), 1)), z_a)
-    rho = embedding.risk(stack, phi)
-    rho = np.atleast_1d(rho)
-    rec_phi = np.stack([r.phi for r in records])
-    out = []
-    for i in range(len(candidates)):
-        gaps = np.sqrt(np.sum((rec_phi - phi[i]) ** 2, axis=1))
-        d_i = _aggregate(gaps, aggregator)
-        s_i = d_i - risk_weight * float(rho[i])
-        out.append(ScoredCandidate(action=acts[i], phi=phi[i], distance=d_i,
-                                   risk=float(rho[i]), score=s_i))
-    return out
+    rho = np.atleast_1d(embedding.risk(stack, phi))
+    # gaps[i, j]: l2 distance from candidate i to retrieved row j
+    gaps = np.sqrt(np.sum((records.phi[None, :, :] - phi[:, None, :]) ** 2, axis=2))
+    dist = getattr(gaps, aggregator)(axis=1)
+    score = dist - risk_weight * rho
+    return [ScoredCandidate(*c) for c in
+            zip(acts, phi, dist.tolist(), rho.tolist(), score.tolist())]
 
 
 def select(
@@ -126,24 +100,19 @@ def select(
     """
     z_s = embedding.encode_state(stack, s)
     result = mem.retrieve(z_s, cfg)
-    if not result.records:
+    scored, chosen = [], 0
+    if result.records:
+        candidates = sample_candidates(policy, s, cfg.n_candidates, rng)
+        scored = score_candidates(s, candidates, result.records, stack,
+                                  cfg.risk_weight, cfg.aggregator)
+        # argmax takes the lowest index on ties
+        chosen = int(np.argmax([c.score for c in scored]))
+        action = scored[chosen].action
+    else:
         action = policy.sample(s, rng)
-        trace = SelectionTrace(
-            state=s, retrieved_ids=[], candidates=[], chosen=0,
-            fallback=True, cold=result.cold, aggregator=cfg.aggregator,
-        )
-        trace.log_prob = float(policy.log_prob(s, action))
-        return action, trace
-
-    candidates = sample_candidates(policy, s, cfg.n_candidates, rng)
-    scored = score_candidates(s, candidates, result.records, stack,
-                              cfg.risk_weight, cfg.aggregator)
-    scores = np.array([c.score for c in scored])
-    chosen = int(np.argmax(scores))  # argmax takes the lowest index on ties
-    action = scored[chosen].action
     trace = SelectionTrace(
         state=s, retrieved_ids=result.ids(), candidates=scored, chosen=chosen,
-        fallback=False, cold=False, aggregator=cfg.aggregator,
+        fallback=not result.records, cold=result.cold,
+        aggregator=cfg.aggregator, log_prob=float(policy.log_prob(s, action)),
     )
-    trace.log_prob = float(policy.log_prob(s, action))
     return action, trace

@@ -193,15 +193,10 @@ class TestCriterion4:
             hs = np.round(rng.normal(size=n), 1)
             cfg = memory.FemaConfig().validate()
             mem = memory.FailureMemory(cfg)
-            mem.records = [
-                memory.MemoryRecord(z_s=zs[i], action=np.zeros(2),
-                                    phi=np.zeros(4), mc_return=float(hs[i]),
-                                    event_seq=i, step_idx=0, version=0)
-                for i in range(n)
-            ]
-            mem.version = 0
-            mem._z_matrix = zs
-            mem._h_vector = hs.astype(np.float64)
+            mem.records = memory.Generation(
+                z_s=zs, phi=np.zeros((n, 4)), mc_return=hs.astype(np.float64),
+                event_seq=np.arange(n), step_idx=np.zeros(n, dtype=np.int64),
+                version=0)
             entries = [(i, zs[i], float(hs[i])) for i in range(n)]
             for q in range(100):
                 z_query = rng.normal(size=d)
@@ -371,11 +366,16 @@ class TestCriterion7:
             lam = float(rng.uniform(0.0, 2.0)) if trial % 4 else 0.0
             s = rng.normal(size=3)
             cands = [rng.uniform(-1, 1, size=2) for _ in range(n_cand)]
-            recs = [memory.MemoryRecord(
-                z_s=rng.normal(size=4), action=rng.uniform(-1, 1, 2),
-                phi=rng.normal(size=5), mc_return=float(rng.normal()),
-                event_seq=i, step_idx=0, version=st.version)
-                for i in range(n_rec)]
+            # per row, in the trial stream's order: z_s, an action (drawn
+            # only to keep the stream), phi, return
+            draws = [(rng.normal(size=4), rng.uniform(-1, 1, 2),
+                      rng.normal(size=5), rng.normal()) for _ in range(n_rec)]
+            recs = memory.Generation(
+                z_s=np.stack([d[0] for d in draws]),
+                phi=np.stack([d[2] for d in draws]),
+                mc_return=np.array([d[3] for d in draws]),
+                event_seq=np.arange(n_rec),
+                step_idx=np.zeros(n_rec, dtype=np.int64), version=st.version)
             scored = selection.score_candidates(s, cands, recs, st, lam,
                                                 aggs[trial % 3])
             scores = np.array([c.score for c in scored])
@@ -417,10 +417,10 @@ class TestCriterion10:
         if mem.retrieve(probe).cold or not mem.records:
             ok = False
             notes.append("no publication at the threshold")
-        versions = {r.version for r in mem.records}
-        if versions != {st.version}:
+        if mem.records.version != st.version:
             ok = False
-            notes.append(f"mixed record versions {versions}")
+            notes.append(f"generation version {mem.records.version} is not "
+                         f"the stack's {st.version}")
 
         # snapshot round trip preserves retrieval bit-exactly
         path = tmp_path / "memory.bin"

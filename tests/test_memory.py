@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,7 @@ class TestLifecycle:
         assert count == 6  # 2 events x 3 transitions
         assert len(mem.pending) == 0
         assert not mem.cold
-        assert all(r.version == st.version for r in mem.records)
+        assert mem.records.version == st.version
 
     def test_maybe_update_below_threshold_is_noop(self):
         mem = memory.FailureMemory(small_cfg(update_every=3))
@@ -181,11 +183,10 @@ class TestLifecycle:
                                   d_phi=5, hidden=8, lr=0.0)
         stage_n(mem, 1)
         mem.update(st)
-        first = [r.z_s.copy() for r in mem.records]
+        first = mem.records.z_s.copy()
         stage_n(mem, 1, start_seed=50)
         mem.update(st)
-        for a, b in zip(first, [r.z_s for r in mem.records[: len(first)]]):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(first, mem.records.z_s[: len(first)])
 
     def test_pending_eviction_fifo(self):
         mem = memory.FailureMemory(small_cfg(update_every=2, capacity=2))
@@ -221,7 +222,7 @@ class TestRetrieve:
         mem, _ = self.build_published()
         q = mem.records[0].z_s + 0.01
         res = mem.retrieve(q, small_cfg(match_radius=0.0))
-        assert res.records == [] and not res.cold
+        assert len(res.records) == 0 and not res.cold
 
     def test_infinite_radius_returns_all_sorted(self):
         mem, _ = self.build_published()
@@ -234,31 +235,67 @@ class TestRetrieve:
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(17)
         mem, _ = self.build_published(n_events=10, seed=3)
-        pos = {id(r): i for i, r in enumerate(mem.records)}
+        pos = {(r.event_seq, r.step_idx): i for i, r in enumerate(mem.records)}
         entries = [(i, r.z_s, r.mc_return) for i, r in enumerate(mem.records)]
         for radius in (0.05, 0.3, 1.0, 3.0):
             cfg = small_cfg(match_radius=radius, max_matches=5)
             for _ in range(25):
                 q = rng.normal(size=4)
                 want = linear_scan_retrieve(entries, q, radius, 5)
-                got = [pos[id(r)] for r in mem.retrieve(q, cfg).records]
+                got = [pos[k] for k in mem.retrieve(q, cfg).ids()]
                 assert got == want
 
     def test_tie_break_earlier_insertion(self):
         mem, _ = self.build_published()
         # Force identical returns so ordering falls back to insertion index.
-        for r in mem.records:
-            r.mc_return = 1.0
-        mem._h_vector = np.ones(len(mem.records))
-        pos = {id(r): i for i, r in enumerate(mem.records)}
+        mem.records = dataclasses.replace(mem.records,
+                                          mc_return=np.ones(len(mem.records)))
+        pos = {(r.event_seq, r.step_idx): i for i, r in enumerate(mem.records)}
         cfg = small_cfg(match_radius=float("inf"), max_matches=3)
-        got = [pos[id(r)] for r in mem.retrieve(np.zeros(4), cfg).records]
+        got = [pos[k] for k in mem.retrieve(np.zeros(4), cfg).ids()]
         assert got == [0, 1, 2]
 
     def test_bad_query_width(self):
         mem, _ = self.build_published()
         with pytest.raises(ShapeError):
             mem.retrieve(np.zeros(7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        mem, _ = self.build_published()
+        q = mem.records[0].z_s.copy()
+        q[1] = bad
+        with pytest.raises(UsageError):
+            mem.retrieve(q, small_cfg(match_radius=float("inf")))
+        with pytest.raises(UsageError):
+            memory.FailureMemory(small_cfg()).retrieve(q)
+
+    def test_row_view_surface(self):
+        """The row view the benchmark harness reads: len, indexing,
+        iteration, row attributes, truth of a retrieval and its ids."""
+        mem, _ = self.build_published()
+        gen = mem.records
+        assert len(gen) == 18 and len(list(gen)) == 18
+        for i, row in enumerate(gen):
+            ev = mem.events[i // 3]
+            for r in (row, gen[i]):
+                assert (r.event_seq, r.step_idx) == (ev.seq, i % 3)
+                assert r.mc_return == ev.returns[i % 3]
+                np.testing.assert_array_equal(r.z_s, gen.z_s[i])
+                np.testing.assert_array_equal(r.phi, gen.phi[i])
+        assert isinstance(gen[0].mc_return, float)
+        assert isinstance(gen[0].event_seq, int)
+        with pytest.raises(ValueError):
+            gen.z_s[0, 0] = 1.0
+
+        hit = mem.retrieve(gen[4].z_s, small_cfg(max_matches=2))
+        assert hit.records and not hit.cold
+        assert hit.ids() == [(r.event_seq, r.step_idx) for r in hit.records]
+        assert (gen[4].event_seq, gen[4].step_idx) in hit.ids()
+        miss = mem.retrieve(gen[4].z_s + 1e3)
+        assert not miss.records and not miss.cold and miss.ids() == []
+        cold = memory.FailureMemory(small_cfg()).retrieve(np.zeros(4))
+        assert not cold.records and cold.cold and cold.ids() == []
 
 
 class TestSnapshot:
@@ -306,6 +343,23 @@ class TestSnapshot:
         blob = bytearray(mem.to_bytes())
         blob[0] ^= 0xFF
         with pytest.raises(SerializationError):
+            memory.FailureMemory.from_bytes(bytes(blob))
+
+    def test_format_version_1_refused(self):
+        blob = bytearray(self.build()[0].to_bytes())
+        blob[4:6] = (1).to_bytes(2, "little")
+        with pytest.raises(SerializationError, match="format version 1"):
+            memory.FailureMemory.from_bytes(bytes(blob))
+
+    def test_row_count_must_match_published_events(self):
+        mem, _ = self.build()
+        blob = bytearray(mem.to_bytes())
+        off = 4 + 2 + 16 + 8 + 32  # through the config hash
+        cfg_len = int.from_bytes(blob[off:off + 4], "little")
+        off += 4 + cfg_len + 16 + 8  # config, version/next seq, event counts
+        assert int.from_bytes(blob[off:off + 8], "little") == len(mem.records)
+        blob[off:off + 8] = (len(mem.records) - 1).to_bytes(8, "little")
+        with pytest.raises(SerializationError, match="row count"):
             memory.FailureMemory.from_bytes(bytes(blob))
 
     def test_truncation_refused(self):

@@ -1,15 +1,18 @@
 """Gaussian policy: densities, sampling, squashing, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
+from fema import serialize
 from fema.agents.policy import (
     LOGSTD_MIN,
     SQUASH_EPS,
     GaussianPolicy,
     policy_init,
 )
-from fema.errors import ConfigError, ShapeError
+from fema.errors import ConfigError, SerializationError, ShapeError
 
 from oracles import gaussian_logpdf
 
@@ -135,6 +138,14 @@ class TestLifecycle:
         s = np.random.default_rng(2).standard_normal(3)
         np.testing.assert_allclose(back.det_action(s), policy.det_action(s),
                                    atol=0.0)
+
+    def test_load_rejects_unknown_squash(self):
+        blobs = serialize.blobs_from_bytes(make_clip_policy(seed=23).to_bytes())
+        meta = json.loads(blobs["meta"].decode("utf-8"))
+        meta["squash"] = "clap"
+        blobs["meta"] = json.dumps(meta).encode("utf-8")
+        with pytest.raises(SerializationError, match="clap"):
+            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
 
     def test_copy_is_independent(self):
         policy = make_clip_policy(seed=22)

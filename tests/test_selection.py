@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,9 +140,8 @@ class TestScoreCandidates:
         phi = embedding.joint_embed(
             st, embedding.encode_state(st, s), embedding.encode_action(st, a)
         )
-        rec = mem.records[0]
-        rec.phi = phi.copy()
-        scored = selection.score_candidates(s, [a], [rec], st, 0.5, "mean")
+        rec = dataclasses.replace(mem.records.take([0]), phi=phi[None, :].copy())
+        scored = selection.score_candidates(s, [a], rec, st, 0.5, "mean")
         assert scored[0].distance == 0.0
         assert scored[0].score == -0.5 * scored[0].risk
 
@@ -183,6 +184,7 @@ class TestSelect:
         plain = pol.sample(s, np.random.default_rng(5))
         np.testing.assert_array_equal(a, plain)
         assert trace.fallback and trace.cold and trace.chosen == 0
+        assert trace.aggregator == "mean"
         assert trace.log_prob == gaussian_logpdf(a, pol.mu, pol.sigma)
 
     def test_empty_retrieval_fallback_not_cold(self):
@@ -252,13 +254,3 @@ class TestSelect:
         np.testing.assert_array_equal(a1, a2)
         assert t1.chosen == t2.chosen
         assert [c.score for c in t1.candidates] == [c.score for c in t2.candidates]
-
-    def test_trace_serializes(self):
-        st = small_stack(seed=6)
-        mem = memory.FailureMemory(base_cfg())
-        pol = StubPolicy([0.0, 0.0], [1.0, 1.0])
-        _, trace = selection.select(np.zeros(3), pol, mem, st, mem.cfg,
-                                    np.random.default_rng(1))
-        d = trace.to_dict()
-        assert d["fallback"] is True and d["cold"] is True
-        assert d["aggregator"] == "mean"

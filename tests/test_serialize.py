@@ -1,12 +1,17 @@
 import functools
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fema import embedding, memory, numeric, serialize
+from fema import checkpoint, embedding, memory, numeric, serialize
+from fema.agents.common import AgentConfig
 from fema.agents.policy import GaussianPolicy, policy_init
+from fema.agents.sac import SacAgent
+from fema.envs.tilt_pole import SPEC as TILT_POLE
 from fema.errors import FemaError, SerializationError
 
 
@@ -100,6 +105,24 @@ def _memory_blob() -> bytes:
     return mem.to_bytes()
 
 
+def _checkpoint_blob() -> bytes:
+    agent = SacAgent(TILT_POLE, AgentConfig(hidden=1, fema_on=True), seed=0,
+                     fema_cfg=memory.FemaConfig())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.bin")
+        checkpoint.save_checkpoint(path, agent, "tilt_pole", 0)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _load_checkpoint_bytes(buf: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.bin")
+        with open(path, "wb") as fh:
+            fh.write(buf)
+        return checkpoint.load_checkpoint(path)
+
+
 # format -> (build a valid blob, loader); small nets keep the headers and
 # metadata a large share of each blob
 FORMATS = {
@@ -114,6 +137,7 @@ FORMATS = {
                   d_s=1, d_a=1, seed=0, d_z=1, d_z_a=1, d_phi=1, hidden=1)),
               embedding.stack_from_bytes),
     "memory": (_memory_blob, memory.FailureMemory.from_bytes),
+    "checkpoint": (_checkpoint_blob, _load_checkpoint_bytes),
 }
 
 
