@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,12 @@ class AgentConfig:
     def validate(self) -> "AgentConfig":
         if self.algo not in ("sac", "ppo"):
             raise ConfigError(f"unknown algo {self.algo!r}")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if not (0.0 < self.discount <= 1.0):
             raise ConfigError("discount must be in (0, 1]")
-        for name in ("policy_lr", "critic_lr", "temp_lr"):
+        for name in ("policy_lr", "critic_lr", "temp_lr", "init_temp"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 < self.clip_ratio < 1.0):
@@ -64,8 +68,6 @@ class AgentConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.warmup_steps < 0 or self.ent_coef < 0 or self.kl_stop <= 0:
             raise ConfigError("warmup_steps/ent_coef must be >= 0, kl_stop > 0")
-        if self.init_temp <= 0:
-            raise ConfigError("init_temp must be positive")
         return self
 
 
@@ -126,15 +128,17 @@ class HookedAgent:
         self.fallback_steps = 0
         self.selected_steps = 0
 
-    def _select(self, s, rng):
-        """Selector decision: (action, log-prob of the action, overridden)."""
+    def _act(self, s, rng):
+        """Training-time action: (action, overridden by the selector)."""
+        if self.memory is None:
+            return self.policy.sample(s, rng), False
         a, trace = selection.select(s, self.policy, self.memory, self.stack,
                                     self.fema_cfg, rng)
         if trace.fallback:
             self.fallback_steps += 1
         else:
             self.selected_steps += 1
-        return a, trace.log_prob, not trace.fallback
+        return a, not trace.fallback
 
     def _track(self, tr, worker: int, step: int) -> bool:
         """Record one transition; True when it staged a failure event."""
@@ -150,9 +154,6 @@ class HookedAgent:
                                           episode_id=self.episodes_seen,
                                           capture_step=step))
         return True
-
-    def act_eval(self, s):
-        return self.policy.det_action(s)
 
     def fallback_rate(self) -> float:
         """Share of selector decisions that fell back to the plain draw."""

@@ -6,13 +6,13 @@ from ..envs.runner import EpisodeRecord
 from ..memory import END_NONE
 
 
-def eval_episode(agent, env) -> EpisodeRecord:
-    """One episode under the deterministic policy, no learning side effects."""
+def eval_episode(policy, env) -> EpisodeRecord:
+    """One episode under the policy's deterministic action, no learning."""
     s = env.reset()
     total = 0.0
     length = 0
     while True:
-        a = agent.act_eval(s)
+        a = policy.det_action(s)
         res = env.step(a)
         length += 1
         total += float(res.reward)

@@ -72,10 +72,12 @@ class GaussianPolicy:
         mu, ls, _ = self.heads(s)
         return mu, np.exp(np.clip(ls, LOGSTD_MIN, LOGSTD_MAX))
 
-    def sample(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One stochastic action; consumes exactly one normal draw."""
+    def sample(self, s: np.ndarray, rng: np.random.Generator,
+               n: Optional[int] = None) -> np.ndarray:
+        """One action; with n, an (n, d_a) batch from one forward and one
+        normal draw that uses the random stream exactly as n single draws."""
         mu, sigma = self.mean_std(s)
-        u = mu + sigma * rng.standard_normal(mu.shape)
+        u = mu + sigma * rng.standard_normal(mu.shape if n is None else (n,) + mu.shape)
         if self.squash == "tanh":
             return self.scale * np.tanh(u)
         return u
@@ -138,25 +140,29 @@ class GaussianPolicy:
         blobs = serialize.blobs_from_bytes(data)
         try:
             meta = json.loads(blobs["meta"].decode("utf-8"))
-            squash, scale = meta["squash"], meta["scale"]
-            state_dependent = meta["state_dependent_std"]
+            squash, state_dependent = meta["squash"], meta["state_dependent_std"]
             std_blob = blobs["logstd" if state_dependent else "logstd_vec"]
-            trunk, mean = blobs["trunk"], blobs["mean"]
-        except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            policy = cls(
+                trunk=serialize.mlp_from_bytes(blobs["trunk"]),
+                mean_head=serialize.mlp_from_bytes(blobs["mean"]),
+                logstd_head=serialize.mlp_from_bytes(std_blob) if state_dependent else None,
+                logstd_vec=None if state_dependent else np.frombuffer(std_blob, "<f8").copy(),
+                squash=squash, scale=np.array(meta["scale"], dtype=np.float64),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"unreadable policy blob: {exc!r}") from exc
         if squash not in SQUASHES:
             raise SerializationError(f"unknown squashing convention {squash!r}")
-        logstd_head = logstd_vec = None
+        width, d_a = policy.trunk.out_dim, policy.d_a
+        serialize.expect_widths(policy.mean_head, width, d_a, "policy mean head")
         if state_dependent:
-            logstd_head = serialize.mlp_from_bytes(std_blob)
-        else:
-            logstd_vec = np.frombuffer(std_blob, dtype="<f8").copy()
-        return cls(
-            trunk=serialize.mlp_from_bytes(trunk),
-            mean_head=serialize.mlp_from_bytes(mean),
-            logstd_head=logstd_head, logstd_vec=logstd_vec,
-            squash=squash, scale=np.array(scale, dtype=np.float64),
-        )
+            serialize.expect_widths(policy.logstd_head, width, d_a, "policy log-std head")
+        for name in ("scale", "logstd_vec"):
+            vec = getattr(policy, name)
+            if vec is not None and vec.shape != (d_a,):
+                raise SerializationError(f"policy {name} has shape {vec.shape}, "
+                                         f"expected ({d_a},)")
+        return policy
 
 
 def policy_init(

@@ -168,12 +168,9 @@ class PpoAgent(HookedAgent):
     # -- acting ------------------------------------------------------------
 
     def act_train(self, s, rng, worker: int = 0):
-        if self.memory is not None:
-            a, logp, overridden = self._select(s, rng)
-        else:
-            a = self.policy.sample(s, rng)
-            logp, overridden = self.policy.log_prob(s, a), False
-        self._pending[worker] = (float(logp), self.value_of(s), overridden)
+        a, overridden = self._act(s, rng)
+        logp = float(self.policy.log_prob(s, a))
+        self._pending[worker] = (logp, self.value_of(s), overridden)
         return a
 
     # -- collection ---------------------------------------------------------

@@ -162,9 +162,7 @@ class SacAgent(HookedAgent):
     def act_train(self, s, rng, worker: int = 0):
         if self.steps_seen < self.cfg.warmup_steps:
             return rng.uniform(-1.0, 1.0, size=self.spec.d_a) * self.scale
-        if self.memory is None:
-            return self.policy.sample(s, rng)
-        return self._select(s, rng)[0]
+        return self._act(s, rng)[0]
 
     # -- learning ----------------------------------------------------------
 

@@ -220,7 +220,13 @@ def stack_from_bytes(data: bytes) -> EmbeddingStack:
         net_blobs = {name: blobs[name] for name in _NET_BLOBS}
     except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerializationError(f"unreadable embedding stack: {exc!r}") from exc
+    if not all(type(v) is int for v in dims.values()):
+        raise SerializationError(f"non-integer embedding stack widths: {dims}")
     nets = {name: serialize.mlp_from_bytes(b) for name, b in net_blobs.items()}
+    d_z, d_z_a, d_phi = dims["d_z"], dims["d_z_a"], dims["d_phi"]
+    for name, widths in (("f", (dims["d_s"], d_z)), ("g", (dims["d_a"], d_z_a)),
+                         ("j", (d_z + d_z_a, d_phi)), ("h", (d_phi, 1))):
+        serialize.expect_widths(nets[name], *widths, f"embedding net {name!r}")
     stack = EmbeddingStack(f=nets["f"], g=nets["g"], j=nets["j"], h=nets["h"],
                            adam=None, **dims)
     stack.adam = numeric.adam_init(stack.params(), lr=lr)

@@ -9,25 +9,14 @@ from ..agents.loop import eval_episode
 from ..envs import make
 
 
-class _PolicyOnly:
-    """The minimal agent surface the episode driver needs for evaluation."""
-
-    def __init__(self, policy):
-        self.policy = policy
-
-    def act_eval(self, s):
-        return self.policy.det_action(s)
-
-
 def cmd_eval(ckpt_path, env_name: str, episodes: int, seed: int) -> list:
     """Roll out the checkpointed policy; returns per-episode rows."""
     data = checkpoint.load_checkpoint(ckpt_path)
     env = make(env_name, np.random.default_rng([seed, 5]))
     checkpoint.check_env_match(data, env.spec)
-    shell = _PolicyOnly(data.policy)
     rows = []
     for index in range(episodes):
-        rec = eval_episode(shell, env)
+        rec = eval_episode(data.policy, env)
         rows.append({"episode": index, "return": rec.return_,
                      "length": rec.length, "end": rec.end})
     return rows

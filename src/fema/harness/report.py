@@ -69,8 +69,11 @@ def load_seed_dir(path) -> SeedSeries:
     with open(os.path.join(path, "config.txt"), "r", encoding="utf-8") as fh:
         rc = parse_text(fh.read(), source=os.path.join(path, "config.txt"))
     records = jsonl.read_records(os.path.join(path, "metrics.jsonl"))
-    episodes = [r for r in records
-                if r["kind"] == "episode" and r["end"] != "none"]
+    ends = [r for r in records if r["kind"] == "episode"]
+    if rc.fema_enabled and (not ends or ends[-1]["memory_records"] == 0):
+        warnings.warn(f"{path}: the failure memory is enabled but never "
+                      "published (memory_records == 0 at the end of the run)")
+    episodes = [r for r in ends if r["end"] != "none"]
     evals = [r for r in records if r["kind"] == "eval"]
     seed_name = os.path.basename(os.path.normpath(path))
     match = _SEED_DIR.match(seed_name)
@@ -106,34 +109,28 @@ def load_run_dir(path) -> list:
     return series
 
 
-def curve_rows(series_list: list, window: int) -> list:
-    """(step, mean smoothed return, std over seeds, n_seeds) per grid step."""
-    total = max(s.total_steps for s in series_list)
-    grid = step_grid(total)
-    smoothed = [(s.steps, smooth(s.returns, window)) for s in series_list]
+def _grid_rows(series_list: list, curves: list) -> list:
+    """(step, mean, std over seeds, n_seeds) per grid step, from one
+    (steps, values) curve per seed; steps no seed has reached are skipped."""
     rows = []
-    for g in grid:
-        vals = [value_at(steps, vals, g) for steps, vals in smoothed]
+    for g in step_grid(max(s.total_steps for s in series_list)):
+        vals = [value_at(steps, values, g) for steps, values in curves]
         vals = [v for v in vals if not np.isnan(v)]
-        if not vals:
-            continue
-        arr = np.array(vals)
-        rows.append((int(g), float(arr.mean()), float(arr.std()), len(arr)))
+        if vals:
+            arr = np.array(vals)
+            rows.append((int(g), float(arr.mean()), float(arr.std()), len(arr)))
     return rows
+
+
+def curve_rows(series_list: list, window: int) -> list:
+    """Smoothed training return per grid step, across seeds."""
+    return _grid_rows(series_list, [(s.steps, smooth(s.returns, window))
+                                    for s in series_list])
 
 
 def fallback_rows(series_list: list) -> list:
-    total = max(s.total_steps for s in series_list)
-    grid = step_grid(total)
-    rows = []
-    for g in grid:
-        vals = [value_at(s.steps, s.fallback, g) for s in series_list]
-        vals = [v for v in vals if not np.isnan(v)]
-        if not vals:
-            continue
-        arr = np.array(vals)
-        rows.append((int(g), float(arr.mean()), float(arr.std()), len(arr)))
-    return rows
+    """Cumulative selector fallback rate per grid step, across seeds."""
+    return _grid_rows(series_list, [(s.steps, s.fallback) for s in series_list])
 
 
 def length_window_rows(series_list: list, edges: Optional[list] = None) -> list:

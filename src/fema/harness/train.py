@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from .. import checkpoint
+from .. import checkpoint, serialize
 from ..agents.loop import eval_episode
 from ..agents.ppo import PpoAgent
 from ..agents.sac import SacAgent
@@ -149,7 +149,7 @@ def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
                 if agent.last_losses:
                     log.loss(done, agent.last_losses)
             if rc.eval_every > 0 and done % rc.eval_every == 0:
-                evals = [eval_episode(agent, eval_env)
+                evals = [eval_episode(agent.policy, eval_env)
                          for _ in range(rc.eval_episodes)]
                 log.eval(done, evals)
         if rc.agent_kind == "ppo" and agent.collected_steps() > 0:
@@ -198,10 +198,9 @@ def run_config(rc: RunConfig, seed_offset: int = 0) -> str:
         "seed_offset": seed_offset,
         "runs": rows,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    serialize.write_atomic(os.path.join(out_dir, "summary.json"),
+                           text.encode("utf-8"))
     return out_dir
 
 

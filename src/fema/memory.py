@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import embedding
+from . import embedding, serialize
 from .errors import CoherenceError, ConfigError, SerializationError, ShapeError, UsageError
 
 END_NONE = "none"
@@ -345,8 +345,7 @@ class FailureMemory:
         return bytes(out)
 
     def snapshot(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        serialize.write_atomic(path, self.to_bytes())
 
     @classmethod
     def from_bytes(cls, buf: bytes, rng: Optional[np.random.Generator] = None,

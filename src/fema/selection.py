@@ -1,12 +1,13 @@
 """Risk-aware action selection.
 
-At each decision the policy proposes several candidate actions. Remembered
-failure rows near the current state pull up their joint embeddings; each
-candidate is scored by how far its own embedding sits from those rows,
-minus a weighted risk estimate. The top-scoring candidate is executed. When
-nothing relevant is remembered the first plain policy draw passes through
-untouched, which keeps the agent bit-identical to its baseline away from
-known hazards.
+Each decision encodes the state and retrieves the remembered failure rows
+near it. On a hit the policy runs once and draws a batch of candidate
+actions in one go; each candidate is scored by how far its joint embedding
+sits from the retrieved rows, minus a weighted risk estimate, and the
+top-scoring candidate is executed. When nothing relevant is remembered one
+plain policy draw passes through untouched, which keeps the agent
+bit-identical to its baseline away from known hazards. The batch uses the
+random stream exactly as the same number of plain draws would.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .memory import AGGREGATORS, FailureMemory, FemaConfig, Generation
 @dataclass
 class ScoredCandidate:
     action: np.ndarray
-    phi: np.ndarray
     distance: float   # aggregated l2 gap to the retrieved embeddings
     risk: float       # risk head output for this candidate
     score: float      # distance - risk_weight * risk
@@ -31,27 +31,12 @@ class ScoredCandidate:
 
 @dataclass
 class SelectionTrace:
-    """Per-decision diagnostics."""
+    """What one decision did."""
 
-    state: np.ndarray
-    retrieved_ids: list
-    candidates: list
-    chosen: int
-    fallback: bool
-    cold: bool
-    aggregator: str
-    log_prob: float
-
-
-def sample_candidates(policy, s: np.ndarray, n: int, rng: np.random.Generator) -> list:
-    """Draw n independent actions from the policy at state s.
-
-    Sequential draws, so n=1 consumes exactly the same random stream as the
-    plain agent taking one step.
-    """
-    if n < 1:
-        raise UsageError("candidate count must be >= 1")
-    return [policy.sample(s, rng) for _ in range(n)]
+    candidates: list  # ScoredCandidate per draw; empty on a fallback
+    chosen: int       # index of the executed candidate (0 on a fallback)
+    fallback: bool    # retrieval was empty, the plain draw passed through
+    cold: bool        # nothing was published yet
 
 
 def score_candidates(
@@ -62,7 +47,8 @@ def score_candidates(
     risk_weight: float,
     aggregator: str = "mean",
 ) -> list:
-    """Score each candidate action against the retrieved failure rows."""
+    """Score candidate actions (a list, or an (n, d_a) array) against the
+    retrieved failure rows."""
     if not records:
         raise UsageError("score_candidates requires a non-empty retrieval")
     if records.version != stack.version:
@@ -73,7 +59,7 @@ def score_candidates(
     if aggregator not in AGGREGATORS:
         raise UsageError(f"unknown aggregator {aggregator!r}")
     z_s = embedding.encode_state(stack, s)
-    acts = np.stack([np.asarray(a, dtype=np.float64) for a in candidates])
+    acts = np.asarray(candidates, dtype=np.float64)
     z_a = embedding.encode_action(stack, acts)
     phi = embedding.joint_embed(stack, np.tile(z_s, (len(candidates), 1)), z_a)
     rho = np.atleast_1d(embedding.risk(stack, phi))
@@ -82,7 +68,7 @@ def score_candidates(
     dist = getattr(gaps, aggregator)(axis=1)
     score = dist - risk_weight * rho
     return [ScoredCandidate(*c) for c in
-            zip(acts, phi, dist.tolist(), rho.tolist(), score.tolist())]
+            zip(acts, dist.tolist(), rho.tolist(), score.tolist())]
 
 
 def select(
@@ -95,24 +81,17 @@ def select(
 ):
     """Pick an action for state s, steering around remembered failures.
 
-    Returns (action, SelectionTrace). With an empty or cold retrieval the
-    single plain policy draw is returned unscored (fallback).
+    Returns (action, SelectionTrace). On a hit the best of one batch of
+    cfg.n_candidates policy draws is returned; with an empty or cold
+    retrieval the single plain policy draw is returned unscored (fallback).
     """
     z_s = embedding.encode_state(stack, s)
     result = mem.retrieve(z_s, cfg)
-    scored, chosen = [], 0
-    if result.records:
-        candidates = sample_candidates(policy, s, cfg.n_candidates, rng)
-        scored = score_candidates(s, candidates, result.records, stack,
-                                  cfg.risk_weight, cfg.aggregator)
-        # argmax takes the lowest index on ties
-        chosen = int(np.argmax([c.score for c in scored]))
-        action = scored[chosen].action
-    else:
-        action = policy.sample(s, rng)
-    trace = SelectionTrace(
-        state=s, retrieved_ids=result.ids(), candidates=scored, chosen=chosen,
-        fallback=not result.records, cold=result.cold,
-        aggregator=cfg.aggregator, log_prob=float(policy.log_prob(s, action)),
-    )
-    return action, trace
+    if not result.records:
+        return policy.sample(s, rng), SelectionTrace(
+            candidates=[], chosen=0, fallback=True, cold=result.cold)
+    scored = score_candidates(s, policy.sample(s, rng, cfg.n_candidates),
+                              result.records, stack, cfg.risk_weight, cfg.aggregator)
+    chosen = int(np.argmax([c.score for c in scored]))  # lowest index on ties
+    return scored[chosen].action, SelectionTrace(
+        candidates=scored, chosen=chosen, fallback=False, cold=False)

@@ -11,6 +11,7 @@ Used by checkpoints to bundle parameter blobs, rng state and metadata.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -44,6 +45,8 @@ def mlp_from_bytes(buf: bytes) -> Mlp:
     version, n_layers = struct.unpack_from("<HH", buf, 4)
     if version != MLP_VERSION:
         raise SerializationError(f"unsupported FNET version {version}")
+    if n_layers == 0:
+        raise SerializationError("FNET network has no layers")
     off = 8
     specs = []
     for _ in range(n_layers):
@@ -53,6 +56,8 @@ def mlp_from_bytes(buf: bytes) -> Mlp:
         off += 9
         if code not in _CODE_ACT:
             raise SerializationError(f"unknown activation code {code}")
+        if in_d == 0 or out_d == 0 or (specs and specs[-1][1] != in_d):
+            raise SerializationError("FNET layer widths are zero or do not chain")
         specs.append((in_d, out_d, _CODE_ACT[code]))
 
     layers = []
@@ -69,6 +74,13 @@ def mlp_from_bytes(buf: bytes) -> Mlp:
     if off != len(buf):
         raise SerializationError("trailing bytes after FNET payload")
     return Mlp(layers)
+
+
+def expect_widths(mlp: Mlp, in_dim, out_dim, what: str) -> None:
+    """Reject a loaded network whose input or output width is not expected."""
+    if (mlp.in_dim, mlp.out_dim) != (in_dim, out_dim):
+        raise SerializationError(f"{what} maps {mlp.in_dim} -> {mlp.out_dim}, "
+                                 f"expected {in_dim} -> {out_dim}")
 
 
 def blobs_to_bytes(blobs: dict) -> bytes:
@@ -115,9 +127,25 @@ def blobs_from_bytes(buf: bytes) -> dict:
     return out
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace the file at `path` with `data`: write a temp file in the same
+    directory, flush and fsync it, then rename it over `path`. On error the
+    temp file is removed and any old file at `path` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_blobs(path, blobs: dict):
-    with open(path, "wb") as fh:
-        fh.write(blobs_to_bytes(blobs))
+    write_atomic(path, blobs_to_bytes(blobs))
 
 
 def load_blobs(path) -> dict:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,17 @@ class TestConfigParsing:
         assert rc.fema_enabled is True
         assert rc.agent.fema_on is True
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [
+        "discount", "policy_lr", "critic_lr", "temp_lr", "tau", "init_temp",
+        "clip_ratio", "gae_lambda", "ent_coef", "kl_stop", "init_logstd"])
+    def test_non_finite_agent_float_rejected(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            AgentConfig(**{field: float(value)}).validate()
+        path = write_config(tmp_path, MINIMAL)
+        with pytest.raises(ConfigError, match=field):
+            parse_config(path, environ={f"FEMA_AGENT__{field.upper()}": value})
+
     def test_unknown_agent_kind_via_dataclass(self, tmp_path):
         rc = parse_text(MINIMAL.format(out_dir=tmp_path))
         from dataclasses import replace
@@ -371,6 +383,26 @@ class TestCheckpoint:
         serialize.save_blobs(path, {"meta": meta.encode()})
         with pytest.raises(SerializationError, match="version 99"):
             checkpoint.load_checkpoint(path)
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        agent, _ = self.make_agent("sac")
+        path = tmp_path / "checkpoint.bin"
+        checkpoint.save_checkpoint(path, agent, "tilt_pole", 1)
+        before = path.read_bytes()
+
+        def disk_full(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            checkpoint.save_checkpoint(path, agent, "tilt_pole", 2)
+        with pytest.raises(OSError, match="no space"):
+            serialize.write_atomic(tmp_path / "summary.json", b"{}")
+        with pytest.raises(OSError, match="no space"):
+            agent.memory.snapshot(tmp_path / "memory.bin")
+        assert path.read_bytes() == before
+        assert checkpoint.load_checkpoint(path).step == 1
+        assert os.listdir(tmp_path) == ["checkpoint.bin"]
 
     def test_missing_meta_refused(self, tmp_path):
         path = tmp_path / "empty.bin"
@@ -644,6 +676,25 @@ class TestReportFiles:
     def test_report_empty_directory_refused(self, tmp_path):
         with pytest.raises(UsageError, match="no completed seed runs"):
             load_run_dir(tmp_path)
+
+    def test_memory_that_never_published_warns(self, sac_run, tmp_path):
+        import shutil
+        root = tmp_path / "unpublished"
+        shutil.copytree(os.path.join(sac_run["out"], "seed0"), root / "seed0")
+        records = jsonl.read_records(root / "seed0" / "metrics.jsonl")
+        ends = [r for r in records if r["kind"] == "episode"]
+        assert ends[-1]["memory_records"] > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_run_dir(root)
+        with open(root / "seed0" / "metrics.jsonl", "w") as fh:
+            for record in records:
+                if record["kind"] == "episode":
+                    record["memory_records"] = 0
+                jsonl.append_record(fh, record)
+        with pytest.warns(UserWarning, match="never published"):
+            series = load_run_dir(root)
+        assert [s.seed for s in series] == [0]
 
     def test_partial_run_warns_and_skips(self, sac_run, tmp_path):
         import shutil

@@ -82,6 +82,19 @@ class TestSampling:
         eps = np.random.default_rng(99).standard_normal(mu.shape)
         np.testing.assert_allclose(a, mu + sigma * eps, atol=1e-15)
 
+    @pytest.mark.parametrize("make", [make_clip_policy, make_tanh_policy],
+                             ids=["clip", "tanh"])
+    def test_batch_equals_sequential_draws(self, make):
+        policy = make(seed=14)
+        s = np.array([0.4, 0.1, -0.7])
+        rng_batch, rng_seq = np.random.default_rng(5), np.random.default_rng(5)
+        batch = policy.sample(s, rng_batch, 7)
+        assert batch.shape == (7, 2)
+        np.testing.assert_array_equal(
+            batch, np.stack([policy.sample(s, rng_seq) for _ in range(7)]))
+        # both generators are left at the same point of the stream
+        assert rng_batch.random() == rng_seq.random()
+
     def test_tanh_samples_stay_inside_scale(self):
         policy = make_tanh_policy(seed=8, scale=1.5)
         rng = np.random.default_rng(13)

@@ -1,5 +1,7 @@
 """On-policy learner: advantage estimation, clipped surrogate, phase cycle."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -234,7 +236,7 @@ class TestAgent:
     def test_bandit_mean_approaches_optimum(self):
         agent = PpoAgent(BANDIT_SPEC, bandit_cfg(), seed=0)
         drive_bandit(agent, 0, 20, 256)
-        assert abs(float(agent.act_eval(np.zeros(1))[0]) - 0.6) < 0.1
+        assert abs(float(agent.policy.det_action(np.zeros(1))[0]) - 0.6) < 0.1
 
     def test_kl_threshold_stops_epochs_early(self):
         stopped = PpoAgent(BANDIT_SPEC,
@@ -294,6 +296,34 @@ class TestAgent:
         batch = agent.build_batch()
         np.testing.assert_array_equal(batch.mask,
                                       [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+
+    def test_overridden_row_stores_logp_of_executed_action(self):
+        cfg = bandit_cfg(fema_on=True)
+        fcfg = FemaConfig(suffix_len=1, update_every=2, capacity=8,
+                          n_candidates=4, match_radius=float("inf"),
+                          train_epochs=1)
+        agent = PpoAgent(BANDIT_SPEC, cfg, seed=1, fema_cfg=fcfg)
+        rng = np.random.default_rng(1)
+        s = np.zeros(1)
+
+        def step(i):
+            a = agent.act_train(s, rng, 0)
+            agent.observe(Transition(s=s.copy(), a=np.asarray(a, float),
+                                     r=-1.0, s_next=s.copy(), end=END_HAZARD),
+                          0, i)
+            return a
+
+        step(1)
+        step(2)
+        agent.between_phases()
+        assert len(agent.memory.records) == 2
+        first_draw = agent.policy.sample(s, copy.deepcopy(rng), 4)[0]
+        a = step(3)
+        row = agent._rows[0][-1]
+        assert row.overridden
+        # the selector executed a later candidate, not the first draw
+        assert not np.array_equal(a, first_draw)
+        assert row.logp == float(agent.policy.log_prob(s, a))
 
     def test_correction_off_keeps_full_mask(self):
         cfg = bandit_cfg(fema_on=True)

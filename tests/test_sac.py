@@ -226,7 +226,7 @@ class TestTraining:
                 agent.observe(Transition(s=s.copy(), a=np.asarray(a, float),
                                          r=r, s_next=s.copy(),
                                          end=END_HAZARD), 0, step)
-            assert abs(float(agent.act_eval(s)[0]) - 0.6) < 0.1
+            assert abs(float(agent.policy.det_action(s)[0]) - 0.6) < 0.1
 
     def test_hazard_tails_reach_memory(self):
         fcfg = FemaConfig(suffix_len=3, update_every=2, capacity=8,

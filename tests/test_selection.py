@@ -5,7 +5,6 @@ import pytest
 
 from fema import embedding, memory, selection
 from fema.errors import CoherenceError, UsageError
-from oracles import gaussian_logpdf
 
 
 class StubPolicy:
@@ -15,13 +14,9 @@ class StubPolicy:
         self.mu = np.asarray(mu, dtype=np.float64)
         self.sigma = np.asarray(sigma, dtype=np.float64)
 
-    def sample(self, s, rng):
-        return self.mu + self.sigma * rng.standard_normal(self.mu.shape)
-
-    def log_prob(self, s, a):
-        if np.all(self.sigma > 0):
-            return gaussian_logpdf(a, self.mu, self.sigma)
-        return 0.0
+    def sample(self, s, rng, n=None):
+        shape = self.mu.shape if n is None else (n,) + self.mu.shape
+        return self.mu + self.sigma * rng.standard_normal(shape)
 
 
 class ScriptedPolicy:
@@ -30,11 +25,10 @@ class ScriptedPolicy:
     def __init__(self, actions):
         self.queue = [np.asarray(a, dtype=np.float64) for a in actions]
 
-    def sample(self, s, rng):
-        return self.queue.pop(0)
-
-    def log_prob(self, s, a):
-        return 0.0
+    def sample(self, s, rng, n=None):
+        if n is None:
+            return self.queue.pop(0)
+        return np.stack([self.queue.pop(0) for _ in range(n)])
 
 
 def small_stack(seed=0):
@@ -63,34 +57,6 @@ def base_cfg(**kw):
     kw.setdefault("train_epochs", 1)
     kw.setdefault("suffix_len", 1)
     return memory.FemaConfig(**kw).validate()
-
-
-class TestSampleCandidates:
-    def test_zero_sigma_collapses_to_mean(self):
-        pol = StubPolicy([0.5, -0.5], [0.0, 0.0])
-        cands = selection.sample_candidates(pol, np.zeros(3), 4, np.random.default_rng(0))
-        for c in cands:
-            np.testing.assert_array_equal(c, [0.5, -0.5])
-
-    def test_n1_same_stream_as_plain_draw(self):
-        pol = StubPolicy([0.0, 0.0], [1.0, 2.0])
-        a = selection.sample_candidates(pol, np.zeros(3), 1, np.random.default_rng(9))[0]
-        b = pol.sample(np.zeros(3), np.random.default_rng(9))
-        np.testing.assert_array_equal(a, b)
-
-    def test_sample_mean_statistics(self):
-        mu, sigma, n = np.array([1.0, -2.0]), np.array([0.5, 1.5]), 10_000
-        pol = StubPolicy(mu, sigma)
-        draws = np.stack(selection.sample_candidates(
-            pol, np.zeros(3), n, np.random.default_rng(4)
-        ))
-        bound = 4.0 * sigma / np.sqrt(n)
-        assert np.all(np.abs(draws.mean(axis=0) - mu) <= bound)
-
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(UsageError):
-            selection.sample_candidates(StubPolicy([0.0], [1.0]), np.zeros(3), 0,
-                                        np.random.default_rng(0))
 
 
 class TestScoreCandidates:
@@ -184,8 +150,6 @@ class TestSelect:
         plain = pol.sample(s, np.random.default_rng(5))
         np.testing.assert_array_equal(a, plain)
         assert trace.fallback and trace.cold and trace.chosen == 0
-        assert trace.aggregator == "mean"
-        assert trace.log_prob == gaussian_logpdf(a, pol.mu, pol.sigma)
 
     def test_empty_retrieval_fallback_not_cold(self):
         st = small_stack(seed=2)

@@ -1,5 +1,7 @@
 import functools
+import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -85,6 +87,122 @@ class TestBlobContainer:
         data = serialize.blobs_to_bytes({"x": b"abcdef"})
         with pytest.raises(SerializationError):
             serialize.blobs_from_bytes(data[:-3])
+
+
+def _fnet(widths) -> bytes:
+    """An FNET blob with the given (in, out) layer table and zero weights."""
+    head = [serialize.MLP_MAGIC, struct.pack("<HH", serialize.MLP_VERSION,
+                                             len(widths))]
+    n_floats = 0
+    for in_d, out_d in widths:
+        head.append(struct.pack("<IIB", in_d, out_d, 0))
+        n_floats += in_d * out_d + out_d
+    return b"".join(head) + bytes(8 * n_floats)
+
+
+class TestMismatchedNetworks:
+    """Crafted blobs whose parts do not fit together are refused on load."""
+
+    @pytest.mark.parametrize("widths", [[], [(2, 0)], [(0, 3), (3, 1)],
+                                        [(2, 3), (4, 1)]],
+                             ids=["no-layers", "zero-out", "zero-in",
+                                  "unchained"])
+    def test_fnet_layer_table(self, widths):
+        with pytest.raises(SerializationError):
+            serialize.mlp_from_bytes(_fnet(widths))
+
+    def test_fnet_chained_table_loads(self):
+        net = serialize.mlp_from_bytes(_fnet([(2, 3), (3, 1)]))
+        assert (net.in_dim, net.out_dim) == (2, 1)
+
+    @staticmethod
+    def _policy_blobs(state_dependent):
+        policy = policy_init(3, 2, 1.0, "tanh" if state_dependent else "clip",
+                             state_dependent, seed=0, hidden=4)
+        blobs = serialize.blobs_from_bytes(policy.to_bytes())
+        return blobs, json.loads(blobs["meta"].decode("utf-8"))
+
+    @pytest.mark.parametrize("scale", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_policy_scale_length(self, scale):
+        blobs, meta = self._policy_blobs(False)
+        meta["scale"] = scale
+        blobs["meta"] = json.dumps(meta).encode("utf-8")
+        with pytest.raises(SerializationError, match="scale"):
+            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
+
+    @pytest.mark.parametrize("n_bytes", [8, 24, 12, 0])
+    def test_policy_logstd_vec_length(self, n_bytes):
+        blobs, _ = self._policy_blobs(False)
+        blobs["logstd_vec"] = bytes(n_bytes)
+        with pytest.raises(SerializationError, match="logstd_vec|unreadable"):
+            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
+
+    @pytest.mark.parametrize("name,widths", [("mean", [(5, 2)]),
+                                             ("logstd", [(4, 3)])])
+    def test_policy_heads_must_fit_trunk(self, name, widths):
+        blobs, _ = self._policy_blobs(True)
+        blobs[name] = _fnet(widths)
+        with pytest.raises(SerializationError, match="head"):
+            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
+
+    @pytest.mark.parametrize("name", ["f", "g", "j", "h"])
+    def test_stack_net_widths(self, name):
+        stack = embedding.stack_init(d_s=3, d_a=2, seed=0, d_z=4, d_z_a=3,
+                                     d_phi=5, hidden=4)
+        blobs = serialize.blobs_from_bytes(embedding.stack_to_bytes(stack))
+        blobs[name] = _fnet([(6, 4), (4, 6)])
+        with pytest.raises(SerializationError, match=f"net '{name}'"):
+            embedding.stack_from_bytes(serialize.blobs_to_bytes(blobs))
+
+    @pytest.mark.parametrize("key,value", [("d_s", 4), ("d_phi", 6),
+                                           ("d_z", "4"), ("d_a", None)])
+    def test_stack_meta_widths(self, key, value):
+        stack = embedding.stack_init(d_s=3, d_a=2, seed=0, d_z=4, d_z_a=3,
+                                     d_phi=5, hidden=4)
+        blobs = serialize.blobs_from_bytes(embedding.stack_to_bytes(stack))
+        meta = json.loads(blobs["meta"].decode("utf-8"))
+        meta[key] = value
+        blobs["meta"] = json.dumps(meta).encode("utf-8")
+        with pytest.raises(SerializationError):
+            embedding.stack_from_bytes(serialize.blobs_to_bytes(blobs))
+
+
+class TestWriteAtomic:
+    def test_replaces_contents(self, tmp_path):
+        path = tmp_path / "out.bin"
+        serialize.write_atomic(path, b"old")
+        serialize.write_atomic(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failure_midway_leaves_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+        real_open = open
+
+        class HalfWriter:
+            """Writes the first half of the payload, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("device went away")
+
+        monkeypatch.setattr("builtins.open",
+                            lambda *a, **k: HalfWriter(real_open(*a, **k)))
+        with pytest.raises(OSError, match="went away"):
+            serialize.write_atomic(path, b"new contents that never land")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"old contents"
+        assert os.listdir(tmp_path) == ["out.bin"]
 
 
 def _memory_blob() -> bytes:
