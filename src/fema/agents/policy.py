@@ -48,12 +48,9 @@ class GaussianPolicy:
         return self.mean_head.out_dim
 
     def params(self) -> list:
-        out = self.trunk.params() + self.mean_head.params()
-        if self.logstd_head is not None:
-            out += self.logstd_head.params()
-        else:
-            out.append(self.logstd_vec)
-        return out
+        """[trunk, mean head, log-std head or vector]: one array each."""
+        tail = self.logstd_vec if self.logstd_head is None else self.logstd_head.flat
+        return [self.trunk.flat, self.mean_head.flat, tail]
 
     # -- forward ----------------------------------------------------------
 
@@ -108,14 +105,6 @@ class GaussianPolicy:
             )
         return float(out) if out.ndim == 0 else out
 
-    def copy(self) -> "GaussianPolicy":
-        return GaussianPolicy(
-            trunk=self.trunk.copy(), mean_head=self.mean_head.copy(),
-            logstd_head=self.logstd_head.copy() if self.logstd_head else None,
-            logstd_vec=self.logstd_vec.copy() if self.logstd_vec is not None else None,
-            squash=self.squash, scale=self.scale.copy(),
-        )
-
     # -- persistence --------------------------------------------------------
 
     def to_bytes(self) -> bytes:
@@ -162,6 +151,9 @@ class GaussianPolicy:
             if vec is not None and vec.shape != (d_a,):
                 raise SerializationError(f"policy {name} has shape {vec.shape}, "
                                          f"expected ({d_a},)")
+        if not np.all(np.isfinite(policy.scale) & (policy.scale > 0)):
+            raise SerializationError(f"policy action scale must be positive and finite, "
+                                     f"got {list(policy.scale)}")
         return policy
 
 
@@ -178,8 +170,8 @@ def policy_init(
     if squash not in SQUASHES:
         raise ConfigError(f"unknown squashing convention {squash!r}")
     scale = np.asarray(scale, dtype=np.float64) * np.ones(d_a)
-    if not np.all(scale > 0):
-        raise ConfigError("action scale must be positive")
+    if not np.all(np.isfinite(scale) & (scale > 0)):
+        raise ConfigError("action scale must be positive and finite")
     trunk = numeric.mlp_init([d_s, hidden, hidden], seed=seed, acts=["tanh", "tanh"])
     mean_head = numeric.mlp_init([hidden, d_a], seed=seed + 1, acts=["identity"])
     logstd_head = logstd_vec = None

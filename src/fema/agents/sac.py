@@ -130,9 +130,8 @@ def temperature_loss_and_grad(log_alpha: np.ndarray, logp: np.ndarray,
 
 
 def polyak(src: numeric.Mlp, dst: numeric.Mlp, tau: float) -> None:
-    for p_src, p_dst in zip(src.params(), dst.params()):
-        p_dst *= 1.0 - tau
-        p_dst += tau * p_src
+    dst.flat *= 1.0 - tau
+    dst.flat += tau * src.flat
 
 
 class SacAgent(HookedAgent):

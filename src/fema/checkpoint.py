@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import embedding, numeric, serialize
+from . import embedding, serialize
 from .agents.policy import GaussianPolicy
 from .errors import CoherenceError, SerializationError
 

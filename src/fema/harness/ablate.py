@@ -12,6 +12,7 @@ import json
 import os
 from dataclasses import replace
 
+from .. import serialize
 from ..errors import ConfigError, UsageError
 from .config import RunConfig, parse_config
 from .report import DEFAULT_WINDOW, curve_rows, load_run_dir, _write_csv
@@ -70,9 +71,8 @@ def cmd_ablate(config_path, axis: str, values: list,
         )
         cells.append({"value": str(raw),
                       "dir": os.path.basename(cell.out_dir)})
-    with open(os.path.join(sweep_dir, "sweep.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"axis": axis, "cells": cells, "seeds": list(rc.seeds)},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    sweep = json.dumps({"axis": axis, "cells": cells, "seeds": list(rc.seeds)},
+                       sort_keys=True, indent=2)
+    serialize.write_atomic(os.path.join(sweep_dir, "sweep.json"),
+                           (sweep + "\n").encode("utf-8"))
     return sweep_dir

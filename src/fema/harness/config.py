@@ -13,6 +13,7 @@ values at parse time, e.g. FEMA_RUN__TOTAL_STEPS=5000.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -81,6 +82,9 @@ class RunConfig:
             raise ConfigError("eval_every and eval_episodes must be >= 0")
         if self.eval_every > 0 and self.eval_episodes == 0:
             raise ConfigError("eval_every > 0 needs eval_episodes >= 1")
+        if self.threshold_return is not None and not math.isfinite(self.threshold_return):
+            raise ConfigError(f"threshold_return must be finite or none, "
+                              f"got {self.threshold_return}")
         self.agent.validate()
         self.fema.validate()
         if not self.fema_enabled and self.fema.n_candidates != 1:

@@ -15,6 +15,7 @@ total_steps.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import re
 import warnings
@@ -23,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .. import serialize
 from ..errors import UsageError
 from . import jsonl
 from .config import parse_text
@@ -193,12 +195,13 @@ def steps_to_threshold(series: SeedSeries, window: int,
 
 
 def _write_csv(path, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v
+                         for v in row])
+    serialize.write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 def _variant_sort_key(name: str):
@@ -260,8 +263,8 @@ def report_run(directory, window: int = DEFAULT_WINDOW) -> dict:
         lines.append(f"threshold return: {threshold!r}")
         lines.append("steps to threshold (unreached counts as total_steps): "
                      f"{result['steps_to_threshold_mean']!r}")
-    with open(os.path.join(out, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    serialize.write_atomic(os.path.join(out, "summary.txt"),
+                           ("\n".join(lines) + "\n").encode("utf-8"))
     return result
 
 
@@ -290,8 +293,8 @@ def report_sweep(directory, window: int = DEFAULT_WINDOW) -> dict:
                    ["variant", "mean_steps_to_threshold"], threshold_rows)
         for name, steps in threshold_rows:
             lines.append(f"steps to threshold {name}: {steps!r}")
-    with open(os.path.join(out, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    serialize.write_atomic(os.path.join(out, "summary.txt"),
+                           ("\n".join(lines) + "\n").encode("utf-8"))
     return per_variant
 
 

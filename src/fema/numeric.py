@@ -1,9 +1,11 @@
 """Minimal dense-network engine: MLPs with analytic gradients and Adam updates.
 
-Forward/backward are purely functional over explicit parameter values.
+A network's parameters are one float64 vector, `Mlp.flat`, laid out layer by
+layer as W (row-major) then b; this is also the FNET payload. Layer `w` and `b`
+are views into it, and backward() returns one gradient vector in the same
+layout. Forward/backward are purely functional over explicit parameter values.
 Adam mutates only the state object passed in, so concurrent workers are safe
 as long as each owns its parameter copy (or reads an immutable snapshot).
-All math is float64 unless a dtype is requested at init.
 """
 
 from __future__ import annotations
@@ -25,28 +27,39 @@ class Layer:
     act: str
 
 
-@dataclass
 class Mlp:
-    layers: list
+    """Dense network over one parameter vector; `layers` are views into `flat`."""
+
+    def __init__(self, widths: Sequence[int], acts: Sequence[str], flat: np.ndarray):
+        self.widths = list(widths)
+        self.acts = list(acts)
+        self.flat = flat
+        sizes = [(n_in + 1) * n_out for n_in, n_out in zip(self.widths, self.widths[1:])]
+        if len(self.acts) != len(sizes) or flat.shape != (sum(sizes),):
+            raise ShapeError(f"parameter vector of shape {flat.shape} does not fit "
+                             f"widths {self.widths} with {len(self.acts)} activations")
+        self.layers = []
+        off = 0
+        for n_in, n_out, act in zip(self.widths, self.widths[1:], self.acts):
+            w = flat[off:off + n_in * n_out].reshape(n_out, n_in)
+            off += n_in * n_out
+            self.layers.append(Layer(w, flat[off:off + n_out], act))
+            off += n_out
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].w.shape[1]
+        return self.widths[0]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].w.shape[0]
+        return self.widths[-1]
 
     def params(self) -> list:
-        """Flat parameter list [w0, b0, w1, b1, ...] (views, not copies)."""
-        out = []
-        for l in self.layers:
-            out.append(l.w)
-            out.append(l.b)
-        return out
+        """[flat]: the one parameter array (the vector itself, not a copy)."""
+        return [self.flat]
 
     def copy(self) -> "Mlp":
-        return Mlp([Layer(l.w.copy(), l.b.copy(), l.act) for l in self.layers])
+        return Mlp(self.widths, self.acts, self.flat.copy())
 
 
 @dataclass
@@ -64,17 +77,17 @@ def default_acts(n_layers: int) -> list:
     return ["tanh"] * (n_layers - 1) + ["identity"]
 
 
-def mlp_init(widths: Sequence[int], seed, acts=None, dtype=np.float64) -> Mlp:
+def mlp_init(widths: Sequence[int], seed, acts=None) -> Mlp:
     """Build an MLP with uniform fan-in initialization.
 
     Weights and biases of a layer with fan-in n are drawn i.i.d. from
     U(-1/sqrt(n), 1/sqrt(n)). Identical (widths, acts, seed) give
     bit-identical parameters.
     """
-    widths = list(widths)
+    widths = [int(w) for w in widths]
     if len(widths) < 2:
         raise ConfigError(f"layer spec needs at least input and output width, got {widths}")
-    if any(int(w) < 1 for w in widths):
+    if any(w < 1 for w in widths):
         raise ConfigError(f"layer widths must be >= 1, got {widths}")
     if acts is None:
         acts = default_acts(len(widths) - 1)
@@ -85,14 +98,12 @@ def mlp_init(widths: Sequence[int], seed, acts=None, dtype=np.float64) -> Mlp:
             raise ConfigError(f"unknown activation {a!r}")
 
     rng = np.random.default_rng(seed)
-    layers = []
-    for i, act in enumerate(acts):
-        fan_in, fan_out = int(widths[i]), int(widths[i + 1])
+    parts = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype)
-        b = rng.uniform(-bound, bound, size=(fan_out,)).astype(dtype)
-        layers.append(Layer(w, b, act))
-    return Mlp(layers)
+        parts.append(rng.uniform(-bound, bound, size=fan_out * fan_in))
+        parts.append(rng.uniform(-bound, bound, size=fan_out))
+    return Mlp(widths, acts, np.concatenate(parts))
 
 
 def _apply_act(z: np.ndarray, act: str) -> np.ndarray:
@@ -128,8 +139,8 @@ def forward(mlp: Mlp, x: np.ndarray):
 def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray):
     """Backpropagate loss gradients through a cached forward pass.
 
-    Returns (grads, input_grad) where grads is a flat list matching
-    mlp.params() order.
+    Returns (grads, input_grad) where grads is [one vector laid out like
+    mlp.flat], matching mlp.params().
     """
     if cache.mlp_id != id(mlp) or len(cache.inputs) != len(mlp.layers):
         raise UsageError("cache does not belong to this network's forward pass")
@@ -144,19 +155,15 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray):
                 f"output_grad shape {g.shape} != forward output shape {cache.outputs[-1].shape}"
             )
 
-    grads = [None] * (2 * len(mlp.layers))
-    for i in range(len(mlp.layers) - 1, -1, -1):
-        layer = mlp.layers[i]
-        a = cache.outputs[i]
+    grads = []
+    for layer, x_in, a in zip(mlp.layers[::-1], cache.inputs[::-1], cache.outputs[::-1]):
         if layer.act == "tanh":
             g = g * (1.0 - a * a)
         elif layer.act == "relu":
             g = g * (a > 0.0)
-        x_in = cache.inputs[i]
-        grads[2 * i] = g.T @ x_in
-        grads[2 * i + 1] = g.sum(axis=0)
+        grads += [g.sum(axis=0), (g.T @ x_in).ravel()]
         g = g @ layer.w
-    return grads, (g[0] if cache.single else g)
+    return [np.concatenate(grads[::-1])], (g[0] if cache.single else g)
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Flat binary layouts for network parameters and named-blob containers.
 
 MLP format ("FNET"): magic | u16 version | u16 n_layers |
-per layer (u32 in, u32 out, u8 act code) | all floats as little-endian f8,
-layer by layer: W row-major then b.
+per layer (u32 in, u32 out, u8 act code) | the network's parameter vector
+`Mlp.flat` as little-endian f8 (layer by layer: W row-major then b).
 
 Container format ("FEMC"): magic | u16 version | u32 count |
 per entry: u16 name length, name utf-8, u64 payload length, payload bytes.
@@ -16,8 +16,8 @@ import struct
 
 import numpy as np
 
-from .errors import SerializationError
-from .numeric import ACTIVATIONS, Layer, Mlp
+from .errors import SerializationError, ShapeError
+from .numeric import ACTIVATIONS, Mlp
 
 MLP_MAGIC = b"FNET"
 MLP_VERSION = 1
@@ -30,13 +30,9 @@ _CODE_ACT = {i: name for name, i in _ACT_CODE.items()}
 
 def mlp_to_bytes(mlp: Mlp) -> bytes:
     head = [MLP_MAGIC, struct.pack("<HH", MLP_VERSION, len(mlp.layers))]
-    body = []
-    for layer in mlp.layers:
-        out_d, in_d = layer.w.shape
-        head.append(struct.pack("<IIB", in_d, out_d, _ACT_CODE[layer.act]))
-        body.append(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
-        body.append(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
-    return b"".join(head) + b"".join(body)
+    for n_in, n_out, act in zip(mlp.widths, mlp.widths[1:], mlp.acts):
+        head.append(struct.pack("<IIB", n_in, n_out, _ACT_CODE[act]))
+    return b"".join(head) + mlp.flat.astype("<f8").tobytes()
 
 
 def mlp_from_bytes(buf: bytes) -> Mlp:
@@ -48,7 +44,7 @@ def mlp_from_bytes(buf: bytes) -> Mlp:
     if n_layers == 0:
         raise SerializationError("FNET network has no layers")
     off = 8
-    specs = []
+    widths, acts = [], []
     for _ in range(n_layers):
         if off + 9 > len(buf):
             raise SerializationError("truncated FNET layer table")
@@ -56,24 +52,19 @@ def mlp_from_bytes(buf: bytes) -> Mlp:
         off += 9
         if code not in _CODE_ACT:
             raise SerializationError(f"unknown activation code {code}")
-        if in_d == 0 or out_d == 0 or (specs and specs[-1][1] != in_d):
+        if in_d == 0 or out_d == 0 or (widths and widths[-1] != in_d):
             raise SerializationError("FNET layer widths are zero or do not chain")
-        specs.append((in_d, out_d, _CODE_ACT[code]))
+        if not widths:
+            widths.append(in_d)
+        widths.append(out_d)
+        acts.append(_CODE_ACT[code])
 
-    layers = []
-    for in_d, out_d, act in specs:
-        n_w, n_b = in_d * out_d, out_d
-        need = (n_w + n_b) * 8
-        if off + need > len(buf):
-            raise SerializationError("truncated FNET payload")
-        w = np.frombuffer(buf, dtype="<f8", count=n_w, offset=off).reshape(out_d, in_d).copy()
-        off += n_w * 8
-        b = np.frombuffer(buf, dtype="<f8", count=n_b, offset=off).copy()
-        off += n_b * 8
-        layers.append(Layer(w, b, act))
-    if off != len(buf):
-        raise SerializationError("trailing bytes after FNET payload")
-    return Mlp(layers)
+    if (len(buf) - off) % 8:
+        raise SerializationError("FNET payload is not a whole number of f8 values")
+    try:
+        return Mlp(widths, acts, np.frombuffer(buf, dtype="<f8", offset=off).astype(np.float64))
+    except ShapeError as exc:
+        raise SerializationError(f"FNET payload does not fit its layer table: {exc}") from exc
 
 
 def expect_widths(mlp: Mlp, in_dim, out_dim, what: str) -> None:

@@ -4,16 +4,15 @@ import numpy as np
 
 from fema.envs.runner import EpisodeRecord
 from fema.memory import END_NONE, Transition
-from fema.numeric import Layer, Mlp, default_acts
+from fema.numeric import Mlp, default_acts
 
 
 def mlp_zeros(widths, acts=None) -> Mlp:
     """All-zero parameters, for zero-case tests."""
-    widths = [int(w) for w in widths]
     if acts is None:
         acts = default_acts(len(widths) - 1)
-    return Mlp([Layer(np.zeros((widths[i + 1], widths[i])), np.zeros(widths[i + 1]), act)
-                for i, act in enumerate(acts)])
+    n = sum((n_in + 1) * n_out for n_in, n_out in zip(widths, widths[1:]))
+    return Mlp(widths, acts, np.zeros(n))
 
 
 def run_episode(agent, env, action_rng, start_step: int = 0,

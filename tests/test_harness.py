@@ -267,6 +267,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=field):
             parse_config(path, environ={f"FEMA_AGENT__{field.upper()}": value})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_return_rejected(self, tmp_path, value):
+        text = MINIMAL.replace("[fema]", f"threshold_return = {value}\n\n[fema]")
+        with pytest.raises(ConfigError, match="threshold_return"):
+            parse_config(write_config(tmp_path, text))
+        path = write_config(tmp_path, MINIMAL)
+        with pytest.raises(ConfigError, match="threshold_return"):
+            parse_config(path, environ={"FEMA_RUN__THRESHOLD_RETURN": value})
+        assert parse_config(path, environ={
+            "FEMA_RUN__THRESHOLD_RETURN": "none"}).threshold_return is None
+
     def test_unknown_agent_kind_via_dataclass(self, tmp_path):
         rc = parse_text(MINIMAL.format(out_dir=tmp_path))
         from dataclasses import replace
@@ -672,6 +683,41 @@ class TestReportFiles:
         assert raw.count(b"\r\n") == raw.count(b"\n")
         header = raw.split(b"\r\n", 1)[0]
         assert header == b"step,mean_return,std_return,n_seeds"
+
+    def test_failed_write_keeps_old_report(self, sac_run, tmp_path, monkeypatch):
+        # Fail the k-th fsync of a sweep or report rewrite, for each k: every
+        # old file stays as it was and no temp file is left behind.
+        import shutil
+        from fema.harness import ablate
+        sweep = tmp_path / "sweep"
+        for value in ("2", "4"):
+            shutil.copytree(sac_run["out"], sweep / f"update_m={value}")
+        path = write_config(tmp_path, TINY_SAC, out_name="sweep")
+        monkeypatch.setattr(ablate, "run_config", lambda cell: None)
+        cmd_ablate(path, "update_m", ["2", "4"])
+        cmd_report(sweep)
+        before = {p: p.read_bytes() for p in sweep.rglob("*") if p.is_file()}
+        reports = [p for p in before if p.parent.name == "report"]
+        rewrites = [(lambda: cmd_ablate(path, "update_m", ["2", "4"]), 3),
+                    (lambda: cmd_report(sweep), len(reports))]
+        real_fsync = os.fsync
+        for rewrite, n_files in rewrites:
+            for k in range(n_files + 1):
+                calls = iter(range(n_files + 1))
+
+                def fsync(fd, k=k, calls=calls):
+                    if next(calls) == k:
+                        raise OSError("no space left on device")
+                    real_fsync(fd)
+
+                monkeypatch.setattr(os, "fsync", fsync)
+                if k < n_files:
+                    with pytest.raises(OSError, match="no space"):
+                        rewrite()
+                else:
+                    rewrite()
+                after = {p: p.read_bytes() for p in sweep.rglob("*") if p.is_file()}
+                assert after == before
 
     def test_report_empty_directory_refused(self, tmp_path):
         with pytest.raises(UsageError, match="no completed seed runs"):

@@ -46,6 +46,39 @@ class TestInit:
             numeric.mlp_init([4, 8, 2], seed=0, acts=["tanh", "sigmoid"])
 
 
+class TestFlatLayout:
+    def test_layers_are_views_into_flat(self):
+        m = numeric.mlp_init([3, 5, 2], seed=0, acts=["tanh", "identity"])
+        assert len(m.params()) == 1 and m.params()[0] is m.flat
+        assert m.flat.shape == (4 * 5 + 6 * 2,)
+        np.testing.assert_array_equal(
+            m.flat, np.concatenate([a.ravel() for l in m.layers for a in (l.w, l.b)]))
+        m.layers[1].w[1, 2] = 7.5
+        m.layers[0].b[:] = -1.0
+        assert m.flat[20 + 5 + 2] == 7.5
+        np.testing.assert_array_equal(m.flat[15:20], -1.0)
+
+    def test_wrong_size_flat_rejected(self):
+        with pytest.raises(ShapeError):
+            numeric.Mlp([3, 5, 2], ["tanh", "identity"], np.zeros(31))
+        with pytest.raises(ShapeError):
+            numeric.Mlp([3, 5, 2], ["tanh", "identity"], np.zeros(33))
+        with pytest.raises(ShapeError):
+            numeric.Mlp([3, 5, 2], ["tanh"], np.zeros(32))
+
+    def test_copy_is_independent(self):
+        src = numeric.mlp_init([3, 5, 2], seed=22)
+        before = src.flat.copy()
+        dup = src.copy()
+        dup.layers[0].w += 1.0
+        dup.layers[1].b[:] = 9.0
+        np.testing.assert_array_equal(src.flat, before)
+        assert not np.allclose(dup.layers[0].w, src.layers[0].w)
+        assert not np.allclose(dup.flat, src.flat)
+        np.testing.assert_array_equal(src.layers[0].w, before[:15].reshape(5, 3))
+        np.testing.assert_array_equal(src.layers[1].b, before[-2:])
+
+
 class TestForward:
     def test_identity_single_layer_zero_weights(self):
         m = mlp_zeros([3, 3], acts=["identity"])
@@ -100,8 +133,10 @@ class TestBackward:
         x = np.array([1.0, 2.0, -4.0])
         _, cache = numeric.forward(m, x)
         grads, gin = numeric.backward(m, cache, np.array([2.0]))
-        np.testing.assert_array_equal(grads[0], 2.0 * x[None, :])
-        np.testing.assert_array_equal(grads[1], [2.0])
+        # one flat gradient laid out like m.flat: W (1x3) row-major, then b
+        assert len(grads) == 1 and grads[0].shape == m.flat.shape
+        np.testing.assert_array_equal(grads[0][:3], 2.0 * x)
+        np.testing.assert_array_equal(grads[0][3:], [2.0])
         np.testing.assert_array_equal(gin, np.zeros(3))
 
     def test_fd_agreement_scalar_loss(self):

@@ -152,6 +152,15 @@ class TestLifecycle:
         np.testing.assert_allclose(back.det_action(s), policy.det_action(s),
                                    atol=0.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_load_rejects_bad_scale(self, bad):
+        blobs = serialize.blobs_from_bytes(make_tanh_policy(seed=24).to_bytes())
+        meta = json.loads(blobs["meta"].decode("utf-8"))
+        meta["scale"][1] = bad
+        blobs["meta"] = json.dumps(meta).encode("utf-8")
+        with pytest.raises(SerializationError, match="scale"):
+            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
+
     def test_load_rejects_unknown_squash(self):
         blobs = serialize.blobs_from_bytes(make_clip_policy(seed=23).to_bytes())
         meta = json.loads(blobs["meta"].decode("utf-8"))
@@ -160,21 +169,16 @@ class TestLifecycle:
         with pytest.raises(SerializationError, match="clap"):
             GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
 
-    def test_copy_is_independent(self):
-        policy = make_clip_policy(seed=22)
-        dup = policy.copy()
-        dup.logstd_vec += 1.0
-        dup.trunk.layers[0].w += 1.0
-        assert not np.allclose(dup.logstd_vec, policy.logstd_vec)
-        assert not np.allclose(dup.trunk.layers[0].w, policy.trunk.layers[0].w)
-
     def test_params_order_and_count(self):
         shared = make_clip_policy()
         dependent = make_tanh_policy()
-        # trunk: 2 layers -> 4 arrays; mean head: 2; tail: vec (1) or head (2)
-        assert len(shared.params()) == 7
+        # one flat vector each for trunk and mean head; tail: vec or head
+        assert len(shared.params()) == 3
+        assert shared.params()[0] is shared.trunk.flat
+        assert shared.params()[1] is shared.mean_head.flat
         assert shared.params()[-1] is shared.logstd_vec
-        assert len(dependent.params()) == 8
+        assert len(dependent.params()) == 3
+        assert dependent.params()[-1] is dependent.logstd_head.flat
 
     def test_init_rejects_bad_args(self):
         with pytest.raises(ConfigError):
@@ -183,6 +187,8 @@ class TestLifecycle:
             policy_init(3, 2, 0.0, "tanh", True, seed=0)
         with pytest.raises(ConfigError):
             policy_init(3, 2, [1.0, -1.0], "clip", False, seed=0)
+        with pytest.raises(ConfigError):
+            policy_init(3, 2, [1.0, np.inf], "tanh", True, seed=0)
 
     def test_init_deterministic_in_seed(self):
         a = make_tanh_policy(seed=33)

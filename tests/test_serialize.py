@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import struct
@@ -26,6 +27,16 @@ class TestMlpRoundTrip:
             assert [l.act for l in back.layers] == [l.act for l in m.layers]
             for pa, pb in zip(m.params(), back.params()):
                 np.testing.assert_array_equal(pa, pb)
+
+    def test_payload_is_flat_vector(self):
+        # Pins FNET: this network's bytes are unchanged since format version 1.
+        m = numeric.mlp_init([3, 5, 2], seed=0, acts=["tanh", "identity"])
+        blob = serialize.mlp_to_bytes(m)
+        assert len(blob) == 282
+        assert hashlib.sha256(blob).hexdigest() == (
+            "b6a5f9f6158b45ac63671087f03d55a6f1604e86457c57f04cd97d39c452f699")
+        payload = b"".join(l.w.tobytes() + l.b.tobytes() for l in m.layers)
+        assert blob[8 + 9 * 2:] == payload == m.flat.astype("<f8").tobytes()
 
     def test_deterministic_bytes(self):
         m = numeric.mlp_init([2, 4, 2], seed=1)
