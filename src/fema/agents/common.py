@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,10 +82,11 @@ class HookedAgent:
       (`selection.select`) when the memory is on, and from one plain policy
       draw when it is off. Each selector decision is counted as a fallback
       (nothing retrieved, the plain draw passes through) or as selected.
-    - Every transition is appended to its worker's episode. When an episode
-      ends in a hazard, its tail is cut by `capture_failure` and staged into
-      the memory. Staged events become searchable only when the learner
-      publishes: SAC right after a stage, PPO in the gap between phases.
+    - When the memory is on, each worker keeps only the last `suffix_len`
+      transitions of its open episode. When an episode ends in a hazard,
+      `capture_failure` turns that tail into an event and the memory stages
+      it. Staged events become searchable only when the learner publishes:
+      SAC right after a stage, PPO in the gap between phases.
     - The memory and the learner draw from separate random streams
       ([seed, 4] and [seed, 3]), so an inert hook (cold memory, zero
       radius, single candidate) leaves the action sequence bit-identical
@@ -114,16 +117,17 @@ class HookedAgent:
         self.fema_cfg = fema_cfg
         self.stack = None
         self.memory = None
+        self._tails = None  # worker -> deque of its open episode's last transitions
         if cfg.fema_on:
             self.stack = embedding.stack_init(
                 env_spec.d_s, env_spec.d_a,
                 seed=int(self.sub_seeds[self.stack_slot]), hidden=cfg.hidden)
             self.memory = FailureMemory(fema_cfg,
                                         rng=np.random.default_rng([seed, 4]))
+            self._tails = defaultdict(partial(deque, maxlen=fema_cfg.suffix_len))
 
         self.steps_seen = 0
         self.episodes_seen = 0
-        self._episode = {}           # worker -> transitions of the open episode
         self.last_losses = {}
         self.fallback_steps = 0
         self.selected_steps = 0
@@ -143,16 +147,17 @@ class HookedAgent:
     def _track(self, tr, worker: int, step: int) -> bool:
         """Record one transition; True when it staged a failure event."""
         self.steps_seen = step
-        self._episode.setdefault(worker, []).append(tr)
+        self.episodes_seen += tr.end != END_NONE
+        if self.memory is None:
+            return False
+        tail = self._tails[worker]
+        tail.append(tr)
         if tr.end == END_NONE:
             return False
-        episode = self._episode.pop(worker)
-        self.episodes_seen += 1
-        if self.memory is None or tr.end != END_HAZARD:
+        del self._tails[worker]
+        if tr.end != END_HAZARD:
             return False
-        self.memory.stage(capture_failure(episode, self.fema_cfg,
-                                          episode_id=self.episodes_seen,
-                                          capture_step=step))
+        self.memory.stage(capture_failure(tail, self.fema_cfg))
         return True
 
     def fallback_rate(self) -> float:

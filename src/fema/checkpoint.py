@@ -1,9 +1,10 @@
 """Training checkpoints: one binary container per run.
 
-Bundles the policy, the learner's auxiliary networks, the embedding stack
-when the failure memory is on, and the random-generator states, all in the
-named-blob container format. The failure memory itself snapshots to its own
-file next to the checkpoint; the metadata records whether one is expected.
+Bundles the policy, the learner's auxiliary networks and the embedding stack
+when the failure memory is on, all in the named-blob container format. The
+failure memory itself snapshots to its own file next to the checkpoint; the
+metadata records whether one is expected. Files from older writers may carry
+an `rng` blob of generator states; loading ignores it.
 """
 
 from __future__ import annotations
@@ -32,22 +33,10 @@ class CheckpointData:
     nets: dict          # name -> Mlp (critics / value net)
     log_alpha: Optional[np.ndarray]
     stack: Optional[embedding.EmbeddingStack]
-    rng_states: dict    # name -> bit-generator state dict
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
-def save_checkpoint(path, agent, env_name: str, step: int,
-                    extra_rngs: Optional[dict] = None) -> None:
-    """Write the agent's learnable state and rng bookkeeping to one file."""
-    rngs = {"learner": _rng_state(agent.learn_rng)}
-    if agent.memory is not None:
-        rngs["memory"] = _rng_state(agent.memory.rng)
-    for name, rng in (extra_rngs or {}).items():
-        rngs[name] = _rng_state(rng)
-
+def save_checkpoint(path, agent, env_name: str, step: int) -> None:
+    """Write the agent's learnable state to one file."""
     blobs = {}
     meta = {
         "format": FORMAT_NAME,
@@ -69,7 +58,6 @@ def save_checkpoint(path, agent, env_name: str, step: int,
         blobs["vnet"] = serialize.mlp_to_bytes(agent.vnet)
     if agent.stack is not None:
         blobs["stack"] = embedding.stack_to_bytes(agent.stack)
-    blobs["rng"] = json.dumps(rngs, sort_keys=True).encode("utf-8")
     serialize.save_blobs(path, blobs)
 
 
@@ -102,7 +90,6 @@ def load_checkpoint(path) -> CheckpointData:
             nets=nets,
             log_alpha=log_alpha,
             stack=stack,
-            rng_states=json.loads(blobs["rng"].decode("utf-8")),
         )
     except (KeyError, ValueError) as exc:
         raise SerializationError(
@@ -115,9 +102,3 @@ def check_env_match(ckpt: CheckpointData, spec) -> None:
         raise CoherenceError(
             f"checkpoint expects d_s={ckpt.policy.d_s}, d_a={ckpt.policy.d_a}"
             f" but env {spec.name!r} has d_s={spec.d_s}, d_a={spec.d_a}")
-
-
-def restore_rng(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng

@@ -161,11 +161,8 @@ def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
                 log.partial(rc.total_steps, w, runner.ep_return[w],
                             runner.ep_length[w], agent)
 
-    checkpoint.save_checkpoint(
-        os.path.join(run_dir, "checkpoint.bin"), agent, rc.env_kind,
-        rc.total_steps,
-        extra_rngs={f"action_{w}": action_rngs[w] for w in range(n_workers)},
-    )
+    checkpoint.save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), agent,
+                               rc.env_kind, rc.total_steps)
     if agent.memory is not None:
         agent.memory.snapshot(os.path.join(run_dir, "memory.bin"))
 

@@ -1,21 +1,28 @@
 """Failure episodic memory.
 
 Episodes that end in a hazard contribute their last few transitions, each
-tagged with the discounted return of the remaining tail. Events accumulate in
-a pending buffer and are folded in periodically: the embedding stack trains
-on everything stored, every stored transition is re-encoded with the fresh
-encoders, and the resulting arrays become the searchable generation that
-retrieval runs against. Between updates the published generation is
-immutable.
+tagged with the discounted return of the remaining tail. Staging keeps only
+what retrieval needs: the event becomes a `Tail` of state, action and return
+arrays. Tails accumulate in a pending buffer and are folded in periodically:
+the embedding stack trains on everything stored, every stored row is
+re-encoded with the fresh encoders, and the resulting arrays become the
+searchable generation that retrieval runs against. Between updates the
+published generation is immutable.
+
+A snapshot (format 3, see `FailureMemory.to_bytes`) is a header, an event
+table and contiguous array blocks, closed by a CRC32 trailer.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import numbers
 import struct
 import warnings
+import zlib
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
@@ -28,10 +35,11 @@ from .errors import CoherenceError, ConfigError, SerializationError, ShapeError,
 END_NONE = "none"
 END_HAZARD = "hazard"
 END_TIME_LIMIT = "time_limit"
-_END_CODES = {END_NONE: 0, END_HAZARD: 1, END_TIME_LIMIT: 2}
-_END_NAMES = {v: k for k, v in _END_CODES.items()}
 
 AGGREGATORS = ("mean", "min", "sum")
+
+# annotation of a FemaConfig field -> the values it accepts (bool never)
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass
@@ -51,24 +59,22 @@ class FemaConfig:
     train_batch: int = 64        # risk regression minibatch size
 
     def validate(self) -> "FemaConfig":
-        if self.suffix_len < 1:
-            raise ConfigError("suffix_len must be >= 1")
-        if self.update_every < 1:
-            raise ConfigError("update_every must be >= 1")
-        if self.n_candidates < 1:
-            raise ConfigError("n_candidates must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+        for name in ("suffix_len", "update_every", "n_candidates", "max_matches",
+                     "train_epochs", "train_batch"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not self.match_radius >= 0.0:
             raise ConfigError("match_radius must be >= 0")
-        if self.max_matches < 1:
-            raise ConfigError("max_matches must be >= 1")
         if not (0.0 < self.discount <= 1.0):
             raise ConfigError("discount must be in (0, 1]")
         if self.capacity < self.update_every:
             raise ConfigError("capacity must be >= update_every")
         if self.aggregator not in AGGREGATORS:
             raise ConfigError(f"aggregator must be one of {AGGREGATORS}")
-        if self.train_epochs < 1 or self.train_batch < 1:
-            raise ConfigError("train_epochs and train_batch must be >= 1")
         if not math.isfinite(self.risk_weight):
             raise ConfigError("risk_weight must be finite")
         return self
@@ -78,6 +84,8 @@ class FemaConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FemaConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"FemaConfig must be a mapping, got {type(d).__name__}")
         known = {f.name for f in fields(cls)}
         extra = set(d) - known
         if extra:
@@ -107,6 +115,15 @@ class FailureEvent:
     episode_id: int = -1
     capture_step: int = 0
     seq: int = -1  # assigned when staged; defines FIFO order
+
+
+class Tail(NamedTuple):
+    """A staged failure event: k states, actions and their tail returns."""
+
+    seq: int              # staging order; defines FIFO order
+    s: np.ndarray         # (k, d_s)
+    a: np.ndarray         # (k, d_a)
+    returns: np.ndarray   # (k,)
 
 
 class MemoryRow(NamedTuple):
@@ -156,16 +173,22 @@ class Generation:
                           self.event_seq[rows], self.step_idx[rows], self.version)
 
 
-def _generation(events: list, z_s: np.ndarray, phi: np.ndarray,
-                version: int) -> Generation:
-    """The generation of `events` from their rows' embeddings; returns,
-    event seqs and step indices come from the events themselves."""
+def _table(tails) -> tuple:
+    """The event table of `tails`: their seqs and tail lengths."""
+    return (np.array([t.seq for t in tails], dtype=np.int64),
+            np.array([len(t.returns) for t in tails], dtype=np.int64))
+
+
+def _generation(seqs: np.ndarray, lengths: np.ndarray, mc_return: np.ndarray,
+                z_s: np.ndarray, phi: np.ndarray, version: int) -> Generation:
+    """The generation of the events in the table (`seqs`, `lengths`) from
+    their rows' returns and embeddings; each row's event seq and step index
+    follow from the table."""
+    starts = np.cumsum(lengths) - lengths
     return Generation(
-        z_s=z_s, phi=phi,
-        mc_return=np.array([h for e in events for h in e.returns.tolist()]),
-        event_seq=np.array([e.seq for e in events for _ in e.transitions], dtype=np.int64),
-        step_idx=np.array([i for e in events for i in range(len(e.transitions))],
-                          dtype=np.int64),
+        z_s=z_s, phi=phi, mc_return=mc_return,
+        event_seq=np.repeat(seqs, lengths),
+        step_idx=np.arange(mc_return.shape[0]) - np.repeat(starts, lengths),
         version=version,
     )
 
@@ -196,51 +219,57 @@ def discounted_tail_returns(rewards, gamma: float) -> np.ndarray:
     return out
 
 
-def capture_failure(
-    episode,
-    cfg: FemaConfig,
-    episode_id: int = -1,
-    capture_step: int = 0,
-) -> Optional[FailureEvent]:
-    """Cut the stored suffix out of a finished episode.
+def capture_failure(episode, cfg: FemaConfig, episode_id: int = -1,
+                    capture_step: int = 0) -> Optional[FailureEvent]:
+    """Cut the stored suffix out of a finished episode (any sequence of
+    transitions, or just its last `suffix_len` of them).
 
     Only hazard endings produce an event; time-limit truncation and unfinished
     episodes return None. Returns are computed within the stored suffix.
     """
-    if len(episode) == 0:
+    episode = list(episode)
+    if not episode:
         raise UsageError("cannot capture from an empty episode")
-    for t in episode[:-1]:
-        if t.end != END_NONE:
-            raise UsageError("termination tag on a non-final transition")
+    if any(t.end != END_NONE for t in episode[:-1]):
+        raise UsageError("termination tag on a non-final transition")
     last = episode[-1]
-    if last.end not in _END_CODES:
+    if last.end not in (END_NONE, END_HAZARD, END_TIME_LIMIT):
         raise UsageError(f"unknown termination tag {last.end!r}")
     if last.end != END_HAZARD:
         return None
-    tail = list(episode[-min(cfg.suffix_len, len(episode)):])
+    tail = episode[-cfg.suffix_len:]
     rets = discounted_tail_returns([t.r for t in tail], cfg.discount)
     return FailureEvent(transitions=tail, returns=rets,
                         episode_id=episode_id, capture_step=capture_step)
 
 
 class FailureMemory:
-    """Pending failure events, the published generation, and retrieval."""
+    """Pending failure tails, the published generation, and retrieval."""
 
     def __init__(self, cfg: FemaConfig, rng: Optional[np.random.Generator] = None):
         self.cfg = cfg.validate()
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.pending: deque = deque(maxlen=cfg.capacity)
-        self.events: list = []      # published events, ascending seq
-        self.records = _generation([], np.empty((0, 0)), np.empty((0, 0)), -1)
+        self.pending: deque = deque(maxlen=cfg.capacity)  # staged Tails
+        self.events: list = []      # published Tails, ascending seq
+        self.records = _generation(*_table([]), np.empty(0), np.empty((0, 0)),
+                                   np.empty((0, 0)), -1)
         self.next_seq: int = 0
 
     # -- capture side -----------------------------------------------------
 
     def stage(self, event: FailureEvent) -> int:
-        """Queue one failure event; nothing becomes searchable yet."""
+        """Queue one failure event as a `Tail` copy of its arrays, keeping no
+        reference to the event; nothing becomes searchable yet."""
+        k = len(event.transitions)
+        if not 1 <= k <= self.cfg.suffix_len or len(event.returns) != k:
+            raise UsageError("a staged event needs 1..suffix_len transitions, one return each")
         event.seq = self.next_seq
         self.next_seq += 1
-        self.pending.append(event)  # deque(maxlen) evicts oldest pending
+        self.pending.append(Tail(  # deque(maxlen) evicts oldest pending
+            event.seq,
+            np.array([t.s for t in event.transitions], dtype=np.float64),
+            np.array([t.a for t in event.transitions], dtype=np.float64),
+            np.array(event.returns, dtype=np.float64)))
         return len(self.pending)
 
     def maybe_update(self, stack: embedding.EmbeddingStack) -> Optional[int]:
@@ -259,19 +288,16 @@ class FailureMemory:
         if len(self.events) > self.cfg.capacity:
             self.events = self.events[-self.cfg.capacity:]
 
-        states = np.concatenate([[t.s for t in e.transitions] for e in self.events])
-        actions = np.concatenate([[t.a for t in e.transitions] for e in self.events])
+        states = np.concatenate([e.s for e in self.events])
+        actions = np.concatenate([e.a for e in self.events])
         rets = np.concatenate([e.returns for e in self.events])
-        embedding.train_risk(
-            stack, states, actions, rets,
-            epochs=self.cfg.train_epochs, batch_size=self.cfg.train_batch,
-            rng=self.rng,
-        )
+        embedding.train_risk(stack, states, actions, rets, epochs=self.cfg.train_epochs,
+                             batch_size=self.cfg.train_batch, rng=self.rng)
 
         z_s = embedding.encode_state(stack, states)
         z_a = embedding.encode_action(stack, actions)
         phi = embedding.joint_embed(stack, z_s, z_a)
-        self.records = _generation(self.events, z_s, phi, stack.version)
+        self.records = _generation(*_table(self.events), rets, z_s, phi, stack.version)
         return len(self.records)
 
     # -- query side -------------------------------------------------------
@@ -301,10 +327,8 @@ class FailureMemory:
         if self.cold:
             return RetrievalResult(records=gen, cold=True)
         if z_query.shape != (gen.z_s.shape[1],):
-            raise ShapeError(
-                f"query width {z_query.shape} does not match stored embeddings "
-                f"({gen.z_s.shape[1]},)"
-            )
+            raise ShapeError(f"query width {z_query.shape} does not match stored "
+                             f"embeddings ({gen.z_s.shape[1]},)")
         dist = np.sqrt(np.sum((gen.z_s - z_query) ** 2, axis=1))
         hits = np.flatnonzero(dist <= cfg.match_radius)
         order = np.lexsort((hits, gen.mc_return[hits]))
@@ -313,36 +337,38 @@ class FailureMemory:
     # -- persistence --------------------------------------------------------
 
     MAGIC = b"FEMA"
-    FORMAT_VERSION = 2
+    FORMAT_VERSION = 3
 
     def to_bytes(self) -> bytes:
-        """Snapshot in format version 2, all little-endian: a header (magic,
+        """Snapshot in format version 3, all little-endian: a header (magic,
         format version, d_s, d_a, d_z, d_phi, discount, config hash and JSON,
-        generation version, next seq, counts of published events, pending
-        events and rows), every published then every pending event, and the
-        generation as two contiguous `<f8` blocks, z_s (n x d_z) then phi
-        (n x d_phi). Row returns, event seqs and step indices are not stored:
-        loading derives them from the published events, as `update` does.
+        generation version, next seq, counts of published and pending
+        events); the event table of the published then the pending events,
+        all seqs then all tail lengths, as `<i8` blocks; their rows as `<f8`
+        blocks, states (rows x d_s), actions (rows x d_a) and tail returns;
+        the generation as `<f8` blocks, z_s (n x d_z) then phi (n x d_phi);
+        and a `<I` trailer, the `zlib.crc32` of every byte before it. Row
+        event seqs and step indices are derived from the table on load, as
+        `update` derives them.
         """
-        events = list(self.events) + list(self.pending)
-        first = events[0].transitions[0] if events else None
-        d_s, d_a = (first.s.shape[0], first.a.shape[0]) if first else (0, 0)
-        d_z, d_phi = self.records.z_s.shape[1], self.records.phi.shape[1]
+        tails, gen = list(self.events) + list(self.pending), self.records
+        d_s, d_a = (tails[0].s.shape[1], tails[0].a.shape[1]) if tails else (0, 0)
         cfg_json = json.dumps(self.cfg.to_dict(), sort_keys=True).encode("utf-8")
-        out = bytearray()
-        out += self.MAGIC
-        out += struct.pack("<H", self.FORMAT_VERSION)
-        out += struct.pack("<4I", d_s, d_a, d_z, d_phi)
-        out += struct.pack("<d", self.cfg.discount)
-        out += self.cfg.config_hash()
-        out += struct.pack("<I", len(cfg_json)) + cfg_json
-        out += struct.pack("<qQ", self.version, self.next_seq)
-        out += struct.pack("<IIQ", len(self.events), len(self.pending), len(self.records))
-        for ev in events:
-            out += _event_bytes(ev, d_s, d_a)
-        out += self.records.z_s.astype("<f8").tobytes()
-        out += self.records.phi.astype("<f8").tobytes()
-        return bytes(out)
+        rows = [np.concatenate([getattr(t, k) for t in tails]) if tails else np.empty(0)
+                for k in ("s", "a", "returns")]
+        parts = [
+            self.MAGIC, struct.pack("<H4Id", self.FORMAT_VERSION, d_s, d_a,
+                                    gen.z_s.shape[1], gen.phi.shape[1], self.cfg.discount),
+            self.cfg.config_hash(), struct.pack("<I", len(cfg_json)), cfg_json,
+            struct.pack("<qQII", self.version, self.next_seq, len(self.events),
+                        len(self.pending)),
+            *(np.ascontiguousarray(x, "<i8") for x in _table(tails)),
+            *(np.ascontiguousarray(x, "<f8") for x in (*rows, gen.z_s, gen.phi)),
+        ]
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        return b"".join([*parts, struct.pack("<I", crc)])
 
     def snapshot(self, path) -> None:
         serialize.write_atomic(path, self.to_bytes())
@@ -351,17 +377,18 @@ class FailureMemory:
     def from_bytes(cls, buf: bytes, rng: Optional[np.random.Generator] = None,
                    expect_dims: Optional[dict] = None) -> "FailureMemory":
         r = _Reader(buf)
-        if r.take(4) != cls.MAGIC:
+        magic, fmt = r.unpack("<4sH")
+        if magic != cls.MAGIC:
             raise SerializationError("bad memory snapshot: missing FEMA magic")
-        (fmt,) = r.unpack("<H")
         if fmt != cls.FORMAT_VERSION:
             raise SerializationError(f"unsupported memory format version {fmt}")
-        d_s, d_a, d_z, d_phi = r.unpack("<4I")
-        (gamma,) = r.unpack("<d")
-        stored_hash = r.take(32)
-        (cfg_len,) = r.unpack("<I")
+        r.end -= 4  # the CRC32 trailer
+        if r.end < r.off or (zlib.crc32(r.buf[:r.end])
+                             != int.from_bytes(r.buf[r.end:], "little")):
+            raise SerializationError("memory snapshot fails its CRC32 check")
+        d_s, d_a, d_z, d_phi, gamma, stored_hash, cfg_len = r.unpack("<4Id32sI")
         try:
-            cfg_dict = json.loads(r.take(cfg_len).decode("utf-8"))
+            cfg_dict = json.loads(str(r.take(cfg_len), "utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SerializationError(f"unreadable memory snapshot config: {exc}") from exc
         cfg = FemaConfig.from_dict(cfg_dict)
@@ -369,27 +396,33 @@ class FailureMemory:
             raise SerializationError("memory snapshot config hash mismatch")
         if gamma != cfg.discount:
             raise SerializationError("memory snapshot header/config discount mismatch")
-        if expect_dims:
-            for name, want in expect_dims.items():
-                got = {"d_s": d_s, "d_a": d_a, "d_z": d_z, "d_phi": d_phi}[name]
-                if got not in (0, want):
-                    raise CoherenceError(
-                        f"memory snapshot {name}={got} does not match expected {want}"
-                    )
-        mem = cls(cfg, rng=rng)
-        version, next_seq = r.unpack("<qQ")
-        n_events, n_pending, n_records = r.unpack("<IIQ")
-        mem.next_seq = next_seq
-        mem.events = [_event_from(r, d_s, d_a) for _ in range(n_events)]
-        mem.pending.extend(_event_from(r, d_s, d_a) for _ in range(n_pending))
-        if n_records != sum(len(e.transitions) for e in mem.events):
-            raise SerializationError(
-                f"memory snapshot row count {n_records} does not match its "
-                f"{n_events} published events")
-        z_s = r.floats(n_records * d_z).reshape(n_records, d_z)
-        phi = r.floats(n_records * d_phi).reshape(n_records, d_phi)
+        for name, want in (expect_dims or {}).items():
+            got = {"d_s": d_s, "d_a": d_a, "d_z": d_z, "d_phi": d_phi}[name]
+            if got not in (0, want):
+                raise CoherenceError(
+                    f"memory snapshot {name}={got} does not match expected {want}")
+        version, next_seq, n_events, n_pending = r.unpack("<qQII")
+        if max(n_events, n_pending) > cfg.capacity:
+            raise SerializationError("memory snapshot holds more events than its capacity")
+        seqs, lengths = (r.array("<i8", n_events + n_pending) for _ in range(2))
+        if np.any((lengths < 1) | (lengths > cfg.suffix_len)):
+            raise SerializationError("memory snapshot tail length outside 1..suffix_len")
+        if seqs.size and (seqs[0] < 0 or np.any(seqs[1:] <= seqs[:-1])
+                          or int(seqs[-1]) >= next_seq):
+            raise SerializationError("memory snapshot event seqs do not increase below next seq")
+        bounds = list(itertools.accumulate(lengths.tolist(), initial=0))
+        n_rows, n_pub = bounds[-1], bounds[n_events]
+        sizes = [n_rows * d_s, n_rows * d_a, n_rows, n_pub * d_z, n_pub * d_phi]
+        s, a, rets, z_s, phi = np.split(r.array("<f8", sum(sizes)), np.cumsum(sizes)[:-1])
         r.done()
-        mem.records = _generation(mem.events, z_s, phi, version)
+        s, a = s.reshape(n_rows, d_s), a.reshape(n_rows, d_a)
+        tails = [Tail(q, s[i:j], a[i:j], rets[i:j])
+                 for q, i, j in zip(seqs.tolist(), bounds, bounds[1:])]
+        mem = cls(cfg, rng=rng)
+        mem.next_seq, mem.events = next_seq, tails[:n_events]
+        mem.pending.extend(tails[n_events:])
+        mem.records = _generation(seqs[:n_events], lengths[:n_events], rets[:n_pub],
+                                  z_s.reshape(n_pub, d_z), phi.reshape(n_pub, d_phi), version)
         return mem
 
     @classmethod
@@ -399,60 +432,25 @@ class FailureMemory:
             return cls.from_bytes(fh.read(), rng=rng, expect_dims=expect_dims)
 
 
-def _event_bytes(ev: FailureEvent, d_s: int, d_a: int) -> bytes:
-    out = bytearray()
-    out += struct.pack("<QqQI", ev.seq, ev.episode_id, ev.capture_step,
-                       len(ev.transitions))
-    for t in ev.transitions:
-        if t.s.shape[0] != d_s or t.a.shape[0] != d_a:
-            raise ShapeError("inconsistent transition widths in memory")
-        out += t.s.astype("<f8").tobytes()
-        out += t.a.astype("<f8").tobytes()
-        out += struct.pack("<d", t.r)
-        out += t.s_next.astype("<f8").tobytes()
-        out += struct.pack("<B", _END_CODES[t.end])
-    out += ev.returns.astype("<f8").tobytes()
-    return bytes(out)
-
-
-def _event_from(r: "_Reader", d_s: int, d_a: int) -> FailureEvent:
-    seq, episode_id, capture_step, n_tr = r.unpack("<QqQI")
-    transitions = []
-    for _ in range(n_tr):
-        s = r.floats(d_s)
-        a = r.floats(d_a)
-        (rew,) = r.unpack("<d")
-        s_next = r.floats(d_s)
-        (code,) = r.unpack("<B")
-        if code not in _END_NAMES:
-            raise SerializationError(f"unknown termination code {code}")
-        transitions.append(Transition(s=s, a=a, r=rew, s_next=s_next,
-                                      end=_END_NAMES[code]))
-    returns = r.floats(n_tr)
-    return FailureEvent(transitions=transitions, returns=returns,
-                        episode_id=episode_id, capture_step=capture_step, seq=seq)
-
-
 class _Reader:
-    """Bounds-checked little-endian cursor over a byte buffer."""
+    """Bounds-checked cursor over a byte buffer, up to `end`."""
 
     def __init__(self, buf: bytes):
-        self.buf = buf
-        self.off = 0
+        self.buf, self.off, self.end = memoryview(buf), 0, len(buf)
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
+    def take(self, n: int) -> memoryview:
+        if self.off + n > self.end:
             raise SerializationError("truncated memory snapshot")
-        out = self.buf[self.off:self.off + n]
         self.off += n
-        return out
+        return self.buf[self.off - n:self.off]
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def floats(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * n), dtype="<f8").copy()
+    def array(self, dtype: str, n: int) -> np.ndarray:
+        """A copy of the next n values of `dtype`."""
+        return np.frombuffer(self.take(np.dtype(dtype).itemsize * n), dtype).copy()
 
     def done(self) -> None:
-        if self.off != len(self.buf):
+        if self.off != self.end:
             raise SerializationError("trailing bytes after memory snapshot")

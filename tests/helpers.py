@@ -1,4 +1,8 @@
-"""Test-only helpers built on the package: zero networks and an episode driver."""
+"""Test-only helpers built on the package: zero networks, an episode driver
+and a count of the transitions an agent still holds."""
+
+import gc
+import weakref
 
 import numpy as np
 
@@ -41,3 +45,20 @@ def run_episode(agent, env, action_rng, start_step: int = 0,
             return EpisodeRecord(return_=total, length=step - start_step,
                                  end=res.end, end_step=step, worker=worker)
         s = res.state
+
+
+def held_transitions(agent, steps: int, workers: int = 2) -> int:
+    """Feed `steps` non-terminal transitions per worker through act_train and
+    observe, round-robin, then count how many of them the agent still holds."""
+    rng = np.random.default_rng(0)
+    refs = []
+    for step in range(1, steps * workers + 1):
+        w = step % workers
+        s = rng.standard_normal(agent.spec.d_s)
+        a = np.asarray(agent.act_train(s, rng, w), dtype=np.float64)
+        tr = Transition(s=s, a=a, r=0.0, s_next=s.copy(), end=END_NONE)
+        agent.observe(tr, w, step)
+        refs.append(weakref.ref(tr))
+    del tr
+    gc.collect()
+    return sum(ref() is not None for ref in refs)

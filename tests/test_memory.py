@@ -1,7 +1,13 @@
 import dataclasses
+import hashlib
+import json
+import warnings
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fema import embedding, memory
 from fema.errors import (
@@ -52,6 +58,20 @@ class TestConfig:
         ]:
             with pytest.raises(ConfigError):
                 memory.FemaConfig(**kw).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("suffix_len", 2.5), ("suffix_len", "4"), ("suffix_len", None),
+        ("update_every", True), ("match_radius", "0.1"), ("discount", None),
+        ("risk_weight", False),
+    ])
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            memory.FemaConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("d", [5, [1], "suffix_len"], ids=["int", "list", "str"])
+    def test_from_dict_needs_mapping(self, d):
+        with pytest.raises(ConfigError, match="mapping"):
+            memory.FemaConfig.from_dict(d)
 
     def test_round_trip_dict(self):
         cfg = small_cfg(match_radius=0.25)
@@ -187,6 +207,35 @@ class TestLifecycle:
         stage_n(mem, 1, start_seed=50)
         mem.update(st)
         np.testing.assert_array_equal(first, mem.records.z_s[: len(first)])
+
+    def test_staged_event_is_copied(self):
+        st = small_stack(seed=4)
+        mems = [memory.FailureMemory(small_cfg(), rng=np.random.default_rng(1))
+                for _ in range(2)]
+        for mem in mems:
+            staged = stage_n(mem, 2)
+        for ev in staged:  # mutate only the second memory's events
+            for t in ev.transitions:
+                t.s[:] = 1e6
+                t.a[:] = -1e6
+            ev.returns[:] = 7.0
+        for mem in mems:
+            mem.update(embedding.stack_from_bytes(embedding.stack_to_bytes(st)))
+        a, b = mems[0].records, mems[1].records
+        for name in ("z_s", "phi", "mc_return", "event_seq", "step_idx"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_stage_rejects_event_outside_suffix(self):
+        mem = memory.FailureMemory(small_cfg(suffix_len=4))
+        long_ev = memory.FailureEvent(transitions=make_episode([1.0] * 5),
+                                      returns=np.ones(5))
+        short_returns = memory.capture_failure(make_episode([1.0, 2.0]), mem.cfg)
+        short_returns.returns = short_returns.returns[:1]
+        empty = memory.FailureEvent(transitions=[], returns=np.ones(0))
+        for ev in (long_ev, short_returns, empty):
+            with pytest.raises(UsageError, match="suffix_len"):
+                mem.stage(ev)
+        assert mem.next_seq == 0 and not mem.pending
 
     def test_pending_eviction_fifo(self):
         mem = memory.FailureMemory(small_cfg(update_every=2, capacity=2))
@@ -351,16 +400,59 @@ class TestSnapshot:
         with pytest.raises(SerializationError, match="format version 1"):
             memory.FailureMemory.from_bytes(bytes(blob))
 
-    def test_row_count_must_match_published_events(self):
+    def test_format_version_2_refused(self):
+        blob = bytearray(self.build()[0].to_bytes())
+        blob[4:6] = (2).to_bytes(2, "little")
+        with pytest.raises(SerializationError, match="format version 2"):
+            memory.FailureMemory.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("table, i, value, match", [
+        ("lengths", 1, 0, "tail length"),
+        ("lengths", 2, 5, "tail length"),     # suffix_len is 4
+        ("seqs", 3, 2, "increase"),           # repeats the seq before it
+        ("seqs", 4, 5, "next seq"),           # next_seq is 5
+    ], ids=["zero_length", "length_over_suffix", "seq_repeats", "seq_at_next_seq"])
+    def test_event_table_checked(self, table, i, value, match):
         mem, _ = self.build()
-        blob = bytearray(mem.to_bytes())
+        blob = bytearray(mem.to_bytes()[:-4])
         off = 4 + 2 + 16 + 8 + 32  # through the config hash
         cfg_len = int.from_bytes(blob[off:off + 4], "little")
         off += 4 + cfg_len + 16 + 8  # config, version/next seq, event counts
-        assert int.from_bytes(blob[off:off + 8], "little") == len(mem.records)
-        blob[off:off + 8] = (len(mem.records) - 1).to_bytes(8, "little")
-        with pytest.raises(SerializationError, match="row count"):
+        n = len(mem.events) + len(mem.pending)
+        arrays = {"seqs": np.frombuffer(blob, "<i8", n, off).copy(),
+                  "lengths": np.frombuffer(blob, "<i8", n, off + 8 * n).copy()}
+        assert arrays["seqs"].tolist() == [0, 1, 2, 3, 4] and mem.next_seq == 5
+        assert arrays["lengths"].tolist() == [3] * 5 and mem.cfg.suffix_len == 4
+        arrays[table][i] = value
+        blob[off:off + 16 * n] = arrays["seqs"].tobytes() + arrays["lengths"].tobytes()
+        blob += zlib.crc32(blob).to_bytes(4, "little")
+        with pytest.raises(SerializationError, match=match):
             memory.FailureMemory.from_bytes(bytes(blob))
+
+    def test_flipped_embedding_bit_refused(self):
+        mem, _ = self.build()
+        blob = bytearray(mem.to_bytes())
+        phi_start = len(blob) - 4 - mem.records.phi.nbytes
+        z_start = phi_start - mem.records.z_s.nbytes
+        assert blob[z_start:phi_start] == mem.records.z_s.tobytes()
+        blob[(z_start + phi_start) // 2] ^= 0x10
+        with pytest.raises(SerializationError, match="CRC32"):
+            memory.FailureMemory.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("value", ["4", None])
+    def test_config_of_wrong_type_refused(self, value):
+        mem, _ = self.build()
+        blob = mem.to_bytes()
+        off = 4 + 2 + 16 + 8  # through discount
+        cfg_len = int.from_bytes(blob[off + 32:off + 36], "little")
+        rest = blob[off + 36 + cfg_len:-4]
+        cfg = dict(mem.cfg.to_dict(), suffix_len=value)
+        cfg_json = json.dumps(cfg, sort_keys=True).encode("utf-8")
+        crafted = (blob[:off] + hashlib.sha256(cfg_json).digest()
+                   + len(cfg_json).to_bytes(4, "little") + cfg_json + rest)
+        crafted += zlib.crc32(crafted).to_bytes(4, "little")
+        with pytest.raises(ConfigError, match="suffix_len"):
+            memory.FailureMemory.from_bytes(crafted)
 
     def test_truncation_refused(self):
         mem, _ = self.build()
@@ -376,3 +468,42 @@ class TestSnapshot:
         blob[off] ^= 0xFF
         with pytest.raises(SerializationError):
             memory.FailureMemory.from_bytes(bytes(blob))
+
+
+class TestListModel:
+    """Random stage/update sequences against a plain-list model of the
+    memory: FIFO pending and published lists, and the rows they publish."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(capacity=st.integers(1, 5), suffix_len=st.integers(1, 4),
+           ops=st.lists(st.one_of(st.none(), st.integers(1, 6)), max_size=20))
+    def test_stage_and_update_match_model(self, capacity, suffix_len, ops):
+        cfg = small_cfg(suffix_len=suffix_len, update_every=1, capacity=capacity,
+                        train_epochs=1, train_batch=4, discount=0.9)
+        mem = memory.FailureMemory(cfg, rng=np.random.default_rng(0))
+        stack = small_stack()
+        pending, published, rows = [], [], []
+        for op in ops:
+            if op is None:  # update
+                with warnings.catch_warnings(record=True):
+                    warnings.simplefilter("always")
+                    mem.update(stack)
+                if pending or published:
+                    published = (published + pending)[-capacity:]
+                    pending = []
+                    rows = [(q, i, h) for q, hs in published for i, h in enumerate(hs)]
+            else:  # stage an episode of `op` steps
+                seq = mem.next_seq
+                rewards = np.arange(op) - 0.5 * seq
+                mem.stage(memory.capture_failure(make_episode(rewards, seed=seq), cfg))
+                pending = (pending + [(seq, mc_return_direct(rewards[-suffix_len:], 0.9))])
+                pending = pending[-capacity:]
+            assert [t.seq for t in mem.pending] == [q for q, _ in pending]
+            assert [t.seq for t in mem.events] == [q for q, _ in published]
+            got = mem.records
+            assert list(zip(got.event_seq.tolist(), got.step_idx.tolist())) == [
+                (q, i) for q, i, _ in rows]
+            np.testing.assert_allclose(got.mc_return, [h for *_, h in rows],
+                                       rtol=0, atol=1e-12)
+            blob = mem.to_bytes()
+            assert memory.FailureMemory.from_bytes(blob).to_bytes() == blob

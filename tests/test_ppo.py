@@ -15,7 +15,7 @@ from fema.envs.base import EnvSpec
 from fema.errors import UsageError
 from fema.memory import END_HAZARD, END_NONE, END_TIME_LIMIT, FemaConfig, Transition
 
-from helpers import run_episode
+from helpers import held_transitions, run_episode
 from oracles import fd_grads, gaussian_logpdf, max_rel_error
 
 BANDIT_SPEC = EnvSpec(name="bandit", d_s=1, d_a=1, action_low=(-1.0,),
@@ -356,6 +356,15 @@ class TestAgent:
         assert agent.memory.version >= 0
         assert len(agent.memory.pending) == 0
         assert len(agent.memory.records) >= 1
+
+    @pytest.mark.parametrize("fema_on", [True, False])
+    def test_agent_holds_only_open_tails(self, fema_on):
+        fcfg = FemaConfig(suffix_len=3, update_every=2, capacity=8)
+        agent = PpoAgent(BANDIT_SPEC, bandit_cfg(fema_on=fema_on, hidden=8), seed=0,
+                         fema_cfg=fcfg if fema_on else None)
+        held = held_transitions(agent, steps=200, workers=2)
+        assert held == (2 * fcfg.suffix_len if fema_on else 0)
+        assert agent.collected_steps() == 400
 
     def test_inert_memory_keeps_training_identical(self):
         fcfg = FemaConfig(suffix_len=4, update_every=10000, capacity=10000,

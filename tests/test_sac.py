@@ -15,7 +15,7 @@ from fema.envs.base import EnvSpec
 from fema.errors import ConfigError, TrainingError
 from fema.memory import END_HAZARD, FemaConfig, Transition
 
-from helpers import mlp_zeros, run_episode
+from helpers import held_transitions, mlp_zeros, run_episode
 from oracles import fd_grads, forward_oracle, gaussian_logpdf, max_rel_error
 
 BANDIT_SPEC = EnvSpec(name="bandit", d_s=1, d_a=1, action_low=(-1.0,),
@@ -246,9 +246,16 @@ class TestTraining:
         assert agent.memory.version >= 0
         assert len(agent.memory.records) >= 1
         assert len(agent.memory.pending) < fcfg.update_every
-        assert all(e.transitions[-1].end == END_HAZARD
-                   for e in agent.memory.events)
+        assert agent.memory.next_seq == hazard_eps  # exactly the hazard episodes
         assert agent.episodes_seen == 12
+
+    @pytest.mark.parametrize("fema_on", [True, False])
+    def test_agent_holds_only_open_tails(self, fema_on):
+        fcfg = FemaConfig(suffix_len=3, update_every=2, capacity=8)
+        agent = SacAgent(BANDIT_SPEC, small_cfg(fema_on=fema_on, warmup_steps=10**9),
+                         seed=0, fema_cfg=fcfg if fema_on else None)
+        held = held_transitions(agent, steps=200, workers=2)
+        assert held == (2 * fcfg.suffix_len if fema_on else 0)
 
     def test_inert_memory_keeps_action_stream_identical(self):
         # memory never fills to its update threshold, so retrieval stays
