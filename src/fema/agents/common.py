@@ -16,7 +16,6 @@ from ..memory import END_HAZARD, END_NONE, FailureMemory, FemaConfig, capture_fa
 
 @dataclass
 class AgentConfig:
-    algo: str = "sac"                 # sac | ppo
     discount: float = 0.99
     hidden: int = 64
 
@@ -44,12 +43,9 @@ class AgentConfig:
     init_logstd: float = -0.5
 
     # failure-memory hook
-    fema_on: bool = False
     importance_correction: bool = False
 
     def validate(self) -> "AgentConfig":
-        if self.algo not in ("sac", "ppo"):
-            raise ConfigError(f"unknown algo {self.algo!r}")
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
@@ -76,7 +72,8 @@ class AgentConfig:
 class HookedAgent:
     """Learner base that carries the failure-memory hook.
 
-    The hook is the same for every learner:
+    The memory is on exactly when a `FemaConfig` is passed. The hook is the
+    same for every learner:
 
     - Training-time actions come from the risk-aware selector
       (`selection.select`) when the memory is on, and from one plain policy
@@ -92,17 +89,17 @@ class HookedAgent:
       radius, single candidate) leaves the action sequence bit-identical
       to the plain agent.
 
-    Subclasses build `policy` and their own networks from `sub_seeds`; the
-    embedding stack takes `sub_seeds[stack_slot]`.
+    Subclasses name their learner in `algo`, build `policy` and their own
+    networks from `sub_seeds`; the embedding stack takes
+    `sub_seeds[stack_slot]`.
     """
 
+    algo: str
     stack_slot: int
 
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,
                  fema_cfg: FemaConfig | None = None):
         cfg.validate()
-        if cfg.fema_on and fema_cfg is None:
-            raise ConfigError("fema_on requires a FemaConfig")
         self.cfg = cfg
         self.spec = env_spec
         lo = np.asarray(env_spec.action_low)
@@ -118,7 +115,7 @@ class HookedAgent:
         self.stack = None
         self.memory = None
         self._tails = None  # worker -> deque of its open episode's last transitions
-        if cfg.fema_on:
+        if fema_cfg is not None:
             self.stack = embedding.stack_init(
                 env_spec.d_s, env_spec.d_a,
                 seed=int(self.sub_seeds[self.stack_slot]), hidden=cfg.hidden)

@@ -135,6 +135,7 @@ def polyak(src: numeric.Mlp, dst: numeric.Mlp, tau: float) -> None:
 
 
 class SacAgent(HookedAgent):
+    algo = "sac"
     stack_slot = 3
 
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,

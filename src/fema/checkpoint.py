@@ -41,7 +41,7 @@ def save_checkpoint(path, agent, env_name: str, step: int) -> None:
     meta = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "algo": agent.cfg.algo,
+        "algo": agent.algo,
         "env": env_name,
         "step": int(step),
         "d_s": int(agent.spec.d_s),
@@ -50,7 +50,7 @@ def save_checkpoint(path, agent, env_name: str, step: int) -> None:
     }
     blobs["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
     blobs["policy"] = agent.policy.to_bytes()
-    if agent.cfg.algo == "sac":
+    if agent.algo == "sac":
         for name in ("q1", "q2", "q1t", "q2t"):
             blobs[name] = serialize.mlp_to_bytes(getattr(agent, name))
         blobs["log_alpha"] = agent.log_alpha.astype("<f8").tobytes()
@@ -65,7 +65,7 @@ def load_checkpoint(path) -> CheckpointData:
     blobs = serialize.load_blobs(path)
     try:
         meta = json.loads(blobs["meta"].decode("utf-8"))
-        if meta.get("format") != FORMAT_NAME:
+        if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
             raise SerializationError(f"not a checkpoint file: {path}")
         if meta.get("version") != FORMAT_VERSION:
             raise SerializationError(

@@ -11,6 +11,7 @@ termination.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -215,6 +216,8 @@ def stack_from_bytes(data: bytes) -> EmbeddingStack:
     blobs = serialize.blobs_from_bytes(data)
     try:
         meta = json.loads(blobs[STACK_META_BLOB].decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise SerializationError(f"embedding stack metadata is not an object: {meta!r}")
         dims = {k: meta[k] for k in ("d_s", "d_a", "d_z", "d_z_a", "d_phi", "version")}
         lr = meta["lr"]
         net_blobs = {name: blobs[name] for name in _NET_BLOBS}
@@ -222,6 +225,8 @@ def stack_from_bytes(data: bytes) -> EmbeddingStack:
         raise SerializationError(f"unreadable embedding stack: {exc!r}") from exc
     if not all(type(v) is int for v in dims.values()):
         raise SerializationError(f"non-integer embedding stack widths: {dims}")
+    if type(lr) not in (int, float) or not 0 < lr < math.inf:
+        raise SerializationError(f"embedding stack lr must be finite and positive, got {lr!r}")
     nets = {name: serialize.mlp_from_bytes(b) for name, b in net_blobs.items()}
     d_z, d_z_a, d_phi = dims["d_z"], dims["d_z_a"], dims["d_phi"]
     for name, widths in (("f", (dims["d_s"], d_z)), ("g", (dims["d_a"], d_z_a)),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,9 @@ class StepResult:
     state: np.ndarray
     reward: float
     end: str = END_NONE
-    info: dict = field(default_factory=dict)
 
 
-def clip_action(action, spec: EnvSpec):
-    """Clip to spec bounds; second return flags whether anything moved."""
+def clip_action(action, spec: EnvSpec) -> np.ndarray:
+    """Clip to spec bounds."""
     action = np.asarray(action, dtype=np.float64)
-    lo = np.asarray(spec.action_low)
-    hi = np.asarray(spec.action_high)
-    clipped = np.clip(action, lo, hi)
-    return clipped, bool(np.any(clipped != action))
+    return np.clip(action, np.asarray(spec.action_low), np.asarray(spec.action_high))

@@ -67,7 +67,7 @@ class CliffCorridor:
         return self.state.copy()
 
     def step(self, action) -> StepResult:
-        action, clipped = clip_action(action, self.spec)
+        action = clip_action(action, self.spec)
         noise = self.noise_std * self.rng.standard_normal()
         nxt = dynamics(self.state, action, noise)
         reward = reward_of(nxt, action)
@@ -79,5 +79,4 @@ class CliffCorridor:
             end = END_TIME_LIMIT
         else:
             end = END_NONE
-        info = {"clipped": clipped, "x": float(nxt[0]), "y": float(nxt[1])}
-        return StepResult(state=nxt.copy(), reward=reward, end=end, info=info)
+        return StepResult(state=nxt.copy(), reward=reward, end=end)

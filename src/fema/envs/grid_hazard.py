@@ -71,12 +71,11 @@ class GridHazard:
         return np.array(self.cell, dtype=np.float64)
 
     def step(self, action) -> StepResult:
-        action, clipped = clip_action(action, self.spec)
+        action = clip_action(action, self.spec)
         self.cell = move(self.cell, action)
         self.t += 1
         reward, end = cell_outcome(self.cell)
         if end == END_NONE and self.t >= self.spec.max_steps:
             end = END_TIME_LIMIT
         state = np.array(self.cell, dtype=np.float64)
-        return StepResult(state=state, reward=float(reward), end=end,
-                          info={"clipped": clipped})
+        return StepResult(state=state, reward=float(reward), end=end)

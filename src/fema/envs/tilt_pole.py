@@ -57,7 +57,7 @@ class TiltPole:
         return self.state.copy()
 
     def step(self, action) -> StepResult:
-        action, clipped = clip_action(action, self.spec)
+        action = clip_action(action, self.spec)
         nxt = dynamics(self.state, float(action[0]))
         self.state = nxt
         self.t += 1
@@ -67,5 +67,4 @@ class TiltPole:
             end = END_TIME_LIMIT
         else:
             end = END_NONE
-        info = {"clipped": clipped, "theta": float(nxt[0])}
-        return StepResult(state=nxt.copy(), reward=reward_of(nxt), end=end, info=info)
+        return StepResult(state=nxt.copy(), reward=reward_of(nxt), end=end)

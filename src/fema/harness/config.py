@@ -1,11 +1,15 @@
 """Flat typed run-configuration files.
 
 Format: `[section]` headers, `key = value` lines, `#` comments, blank lines.
-Three sections: [run] (what to train, where, for how long), [agent]
-(learner settings), [fema] (failure-memory settings plus its on/off switch).
+The schema is read from the dataclasses, in field order:
+- [run] holds RunConfig's own fields; keys `agent` and `env` set
+  `agent_kind` and `env_kind`, and fields without a default are required;
+- [agent] holds AgentConfig's fields;
+- [fema] holds `enabled` (RunConfig.fema_enabled), then FemaConfig's fields.
 Unknown sections or keys are rejected with the file name, line number, and
-field spelled out. Values are typed per field; booleans are `true`/`false`,
-the seed list is comma-separated, and `none` marks an unset optional field.
+field spelled out. Values are typed by each field's annotation; booleans are
+`true`/`false`, the seed list is comma-separated, and `none` marks an unset
+optional field.
 
 Environment variables named FEMA_<SECTION>__<KEY> (upper case) override file
 values at parse time, e.g. FEMA_RUN__TOTAL_STEPS=5000.
@@ -15,33 +19,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
-from ..agents.common import AgentConfig
+from ..agents import AGENTS, AgentConfig
 from ..envs import REGISTRY
 from ..errors import ConfigError
 from ..memory import FemaConfig
 
 ENV_PREFIX = "FEMA_"
-AGENT_KINDS = ("sac", "ppo")
-
-# [run] keys handled outside the two dataclasses. algo and fema_on are
-# deliberately absent from the [agent] schema: the run section owns them.
-_RUN_FIELDS = {
-    "agent": "str",
-    "env": "str",
-    "seeds": "int_list",
-    "total_steps": "int",
-    "out_dir": "str",
-    "loss_log_every": "int",
-    "eval_every": "int",
-    "eval_episodes": "int",
-    "threshold_return": "opt_float",
-    "sweep_axis": "str",
-    "sweep_value": "str",
-}
-_RUN_REQUIRED = ("agent", "env", "seeds", "total_steps", "out_dir")
-_AGENT_SKIP = ("algo", "fema_on")
+# Field annotation -> value kind, where the two differ.
+_KINDS = {"tuple": "int_list", "float | None": "opt_float"}
+# RunConfig field -> [run] key, where the two differ.
+_RUN_KEYS = {"agent_kind": "agent", "env_kind": "env"}
+# RunConfig fields kept outside [run]: [fema] `enabled` and the two sections.
+_NOT_RUN = ("agent", "fema_enabled", "fema")
 
 
 class SchemaWarning(UserWarning):
@@ -66,7 +57,7 @@ class RunConfig:
     fema: FemaConfig = field(default_factory=FemaConfig)
 
     def validate(self) -> "RunConfig":
-        if self.agent_kind not in AGENT_KINDS:
+        if self.agent_kind not in AGENTS:
             raise ConfigError(f"unknown agent kind {self.agent_kind!r}")
         if self.env_kind not in REGISTRY:
             raise ConfigError(f"unknown env kind {self.env_kind!r}")
@@ -95,29 +86,21 @@ class RunConfig:
         return self
 
 
-def _dataclass_kinds(cls, skip=()) -> dict:
-    probe = cls()
-    out = {}
-    for f in fields(cls):
-        if f.name in skip:
-            continue
-        default = getattr(probe, f.name)
-        if isinstance(default, bool):
-            out[f.name] = "bool"
-        elif isinstance(default, int):
-            out[f.name] = "int"
-        elif isinstance(default, float):
-            out[f.name] = "float"
-        else:
-            out[f.name] = "str"
-    return out
+def _kind(f) -> str:
+    return _KINDS.get(f.type, f.type)
+
+
+def _run_fields() -> dict:
+    """[run] key -> RunConfig field, in declaration order."""
+    return {_RUN_KEYS.get(f.name, f.name): f
+            for f in fields(RunConfig) if f.name not in _NOT_RUN}
 
 
 def _schemas() -> dict:
     return {
-        "run": dict(_RUN_FIELDS),
-        "agent": _dataclass_kinds(AgentConfig, skip=_AGENT_SKIP),
-        "fema": {"enabled": "bool", **_dataclass_kinds(FemaConfig)},
+        "run": {key: _kind(f) for key, f in _run_fields().items()},
+        "agent": {f.name: _kind(f) for f in fields(AgentConfig)},
+        "fema": {"enabled": "bool", **{f.name: _kind(f) for f in fields(FemaConfig)}},
     }
 
 
@@ -192,9 +175,14 @@ def _parse_lines(text: str, source: str, schemas: dict) -> dict:
     return values
 
 
-def parse_text(text: str, source: str = "<config>") -> RunConfig:
+def parse_text(text: str, source: str = "<config>",
+               environ: dict | None = None) -> RunConfig:
+    """Parse config text, then apply FEMA_* overrides from `environ`."""
     schemas = _schemas()
-    return _build(_parse_lines(text, source, schemas), source)
+    values = _parse_lines(text, source, schemas)
+    if environ:
+        apply_env_overrides(values, environ, schemas)
+    return _build(values, source)
 
 
 def apply_env_overrides(values: dict, environ: dict, schemas: dict) -> None:
@@ -212,69 +200,38 @@ def apply_env_overrides(values: dict, environ: dict, schemas: dict) -> None:
 
 
 def _build(values: dict, source: str) -> RunConfig:
-    for key in _RUN_REQUIRED:
-        if ("run", key) not in values:
+    run_fields = _run_fields()
+    for key, f in run_fields.items():
+        if f.default is MISSING and ("run", key) not in values:
             raise ConfigError(f"{source}: missing required field 'run.{key}'")
-    run = {k: v for (sec, k), v in values.items() if sec == "run"}
-    agent_kw = {k: v for (sec, k), v in values.items() if sec == "agent"}
-    fema_kw = {k: v for (sec, k), v in values.items() if sec == "fema"}
-    fema_enabled = fema_kw.pop("enabled", False)
-
-    agent_kw["algo"] = run["agent"]
-    agent_kw["fema_on"] = fema_enabled
-    rc = RunConfig(
-        agent_kind=run["agent"],
-        env_kind=run["env"],
-        seeds=run["seeds"],
-        total_steps=run["total_steps"],
-        out_dir=run["out_dir"],
-        loss_log_every=run.get("loss_log_every", 1000),
-        eval_every=run.get("eval_every", 0),
-        eval_episodes=run.get("eval_episodes", 0),
-        threshold_return=run.get("threshold_return"),
-        sweep_axis=run.get("sweep_axis", "none"),
-        sweep_value=run.get("sweep_value", "none"),
-        agent=AgentConfig(**agent_kw),
-        fema_enabled=fema_enabled,
-        fema=FemaConfig(**fema_kw),
-    )
+    kw = {"run": {}, "agent": {}, "fema": {}}
+    for (section, key), value in values.items():
+        kw[section][key] = value
+    run = {run_fields[key].name: value for key, value in kw["run"].items()}
+    if "enabled" in kw["fema"]:
+        run["fema_enabled"] = kw["fema"].pop("enabled")
+    rc = RunConfig(**run, agent=AgentConfig(**kw["agent"]),
+                   fema=FemaConfig(**kw["fema"]))
     return rc.validate()
 
 
 def render_config(rc: RunConfig, comments: tuple = ()) -> str:
     """Canonical text for a RunConfig; parse_text(render_config(rc)) == rc."""
-    schemas = _schemas()
-    lines = [f"# {c}" for c in comments]
-    lines.append("[run]")
-    run_values = {
-        "agent": rc.agent_kind, "env": rc.env_kind, "seeds": rc.seeds,
-        "total_steps": rc.total_steps, "out_dir": rc.out_dir,
-        "loss_log_every": rc.loss_log_every, "eval_every": rc.eval_every,
-        "eval_episodes": rc.eval_episodes,
-        "threshold_return": rc.threshold_return,
-        "sweep_axis": rc.sweep_axis, "sweep_value": rc.sweep_value,
+    values = {
+        "run": {key: getattr(rc, f.name) for key, f in _run_fields().items()},
+        "agent": vars(rc.agent),
+        "fema": {"enabled": rc.fema_enabled, **vars(rc.fema)},
     }
-    for key, kind in _RUN_FIELDS.items():
-        lines.append(f"{key} = {_render_scalar(kind, run_values[key])}")
-    lines.append("")
-    lines.append("[agent]")
-    for key, kind in schemas["agent"].items():
-        lines.append(f"{key} = {_render_scalar(kind, getattr(rc.agent, key))}")
-    lines.append("")
-    lines.append("[fema]")
-    lines.append(f"enabled = {_render_scalar('bool', rc.fema_enabled)}")
-    for key, kind in _dataclass_kinds(FemaConfig).items():
-        lines.append(f"{key} = {_render_scalar(kind, getattr(rc.fema, key))}")
-    lines.append("")
+    lines = [f"# {c}" for c in comments]
+    for section, kinds in _schemas().items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_render_scalar(kind, values[section][key])}"
+                  for key, kind in kinds.items()]
+        lines.append("")
     return "\n".join(lines)
 
 
 def parse_config(path, environ: dict | None = None) -> RunConfig:
     """Parse a config file, then apply FEMA_* environment overrides."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    schemas = _schemas()
-    values = _parse_lines(text, str(path), schemas)
-    if environ:
-        apply_env_overrides(values, environ, schemas)
-    return _build(values, str(path))
+        return parse_text(fh.read(), str(path), environ)

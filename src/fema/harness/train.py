@@ -21,9 +21,8 @@ from collections import deque
 import numpy as np
 
 from .. import checkpoint, serialize
+from ..agents import AGENTS
 from ..agents.loop import eval_episode
-from ..agents.ppo import PpoAgent
-from ..agents.sac import SacAgent
 from ..envs import make
 from ..envs.runner import VecRunner
 from . import jsonl
@@ -33,10 +32,8 @@ ROLLING_WINDOW = 20
 
 
 def build_agent(rc: RunConfig, spec, seed: int):
-    fema_cfg = rc.fema if rc.fema_enabled else None
-    if rc.agent_kind == "sac":
-        return SacAgent(spec, rc.agent, seed, fema_cfg=fema_cfg)
-    return PpoAgent(spec, rc.agent, seed, fema_cfg=fema_cfg)
+    return AGENTS[rc.agent_kind](spec, rc.agent, seed,
+                                 fema_cfg=rc.fema if rc.fema_enabled else None)
 
 
 def _echo_comments(seed: int, spec) -> tuple:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fema import checkpoint, serialize
+from fema.agents import AGENTS
 from fema.agents.common import AgentConfig
 from fema.agents.ppo import PpoAgent
 from fema.agents.sac import SacAgent
@@ -41,7 +43,7 @@ from fema.harness.report import (
     step_grid,
     value_at,
 )
-from fema.harness.train import cmd_train, run_config, run_seed
+from fema.harness.train import build_agent, cmd_train, run_config, run_seed
 
 MINIMAL = """\
 [run]
@@ -136,8 +138,9 @@ class TestConfigParsing:
         assert rc.fema_enabled is True
         assert rc.fema.update_every == 2
         assert rc.agent.hidden == 16
-        assert rc.agent.algo == "sac"
-        assert rc.agent.fema_on is True
+        agent = build_agent(rc, make(rc.env_kind, np.random.default_rng(0)).spec, 0)
+        assert type(agent) is SacAgent
+        assert agent.memory is not None
 
     def test_defaults_fill_unset_fields(self, tmp_path):
         rc = parse_text(MINIMAL.format(out_dir=tmp_path))
@@ -146,7 +149,7 @@ class TestConfigParsing:
         assert rc.threshold_return is None
         assert rc.sweep_axis == "none"
         assert rc.fema_enabled is False
-        assert rc.agent == AgentConfig(algo="sac", fema_on=False)
+        assert rc.agent == AgentConfig()
 
     def test_unknown_section_with_line(self):
         text = "[run]\nagent = sac\n[bogus]\nx = 1\n"
@@ -254,7 +257,9 @@ class TestConfigParsing:
         path = write_config(tmp_path, MINIMAL)
         rc = parse_config(path, environ={"FEMA_FEMA__ENABLED": "true"})
         assert rc.fema_enabled is True
-        assert rc.agent.fema_on is True
+        agent = build_agent(rc, make(rc.env_kind, np.random.default_rng(0)).spec, 0)
+        assert type(agent) is SacAgent
+        assert agent.memory is not None
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", [
@@ -283,6 +288,25 @@ class TestConfigParsing:
         from dataclasses import replace
         with pytest.raises(ConfigError, match="unknown agent kind"):
             replace(rc, agent_kind="dqn").validate()
+
+    # sha256 of each shipped config's canonical rendering; a schema change
+    # that moves a key, a default or a number format changes these bytes
+    @pytest.mark.parametrize("name,digest", [
+        ("cliff_radius_sweep.txt",
+         "eb10d94594338487baa4765992934acaf468843e4dcd50ca5a40d424042eed37"),
+        ("cliff_sac_baseline.txt",
+         "de6f3a17143a2028725bdc72cf2b2aff83beba540b58d9350b046702b38895b8"),
+        ("cliff_sac_memory.txt",
+         "2391e6210ae704eed3c6ba327022d122c421b49018793c51bc30b0cdeae8aa6d"),
+        ("grid_hazard_ppo_demo.txt",
+         "c1140eabb7d09e46ff70767705937b5caaf1e76f938e9ea17fcfaab365395438"),
+        ("tilt_pole_sac_demo.txt",
+         "4a47bd86874102bac2380fffa7b8c242ff3a6448643d8f332f41d3d3b55a845e"),
+    ])
+    def test_shipped_config_renders_unchanged(self, name, digest):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+        text = render_config(parse_config(path))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestJsonl:
@@ -316,14 +340,13 @@ class TestJsonl:
 class TestCheckpoint:
     def make_agent(self, algo, fema=True):
         env = make("tilt_pole", np.random.default_rng(0))
-        cfg = AgentConfig(algo=algo, hidden=16, fema_on=fema)
+        cfg = AgentConfig(hidden=16)
         fema_cfg = None
         if fema:
             from fema.memory import FemaConfig
             fema_cfg = FemaConfig(suffix_len=3, update_every=2, capacity=8,
                                   train_epochs=2, train_batch=8)
-        cls = SacAgent if algo == "sac" else PpoAgent
-        return cls(env.spec, cfg, seed=5, fema_cfg=fema_cfg), env
+        return AGENTS[algo](env.spec, cfg, seed=5, fema_cfg=fema_cfg), env
 
     def test_sac_round_trip_bit_exact(self, tmp_path):
         agent, _ = self.make_agent("sac")
@@ -351,6 +374,16 @@ class TestCheckpoint:
         assert data.log_alpha is None
         assert data.stack is None
         assert set(data.nets) == {"vnet"}
+        assert (serialize.mlp_to_bytes(data.nets["vnet"])
+                == serialize.mlp_to_bytes(agent.vnet))
+
+    def test_ppo_from_default_agent_config_round_trip(self, tmp_path):
+        env = make("tilt_pole", np.random.default_rng(0))
+        agent = PpoAgent(env.spec, AgentConfig(hidden=8), seed=1)
+        path = tmp_path / "ckpt.bin"
+        checkpoint.save_checkpoint(path, agent, "tilt_pole", 0)
+        data = checkpoint.load_checkpoint(path)
+        assert data.algo == "ppo"
         assert (serialize.mlp_to_bytes(data.nets["vnet"])
                 == serialize.mlp_to_bytes(agent.vnet))
 
@@ -829,7 +862,7 @@ class TestEval:
 
     def test_untrained_policy_falls(self, tmp_path):
         env = make("tilt_pole", np.random.default_rng(0))
-        agent = SacAgent(env.spec, AgentConfig(algo="sac", hidden=16), seed=7)
+        agent = SacAgent(env.spec, AgentConfig(hidden=16), seed=7)
         path = tmp_path / "untrained.bin"
         checkpoint.save_checkpoint(path, agent, "tilt_pole", 0)
         rows = cmd_eval(path, "tilt_pole", 5, seed=3)

@@ -211,7 +211,7 @@ class TestSurrogate:
 
 
 def bandit_cfg(**overrides):
-    base = dict(algo="ppo", hidden=32, rollout_steps=256, n_workers=1,
+    base = dict(hidden=32, rollout_steps=256, n_workers=1,
                 ppo_epochs=10, minibatch=64, ent_coef=0.0, kl_stop=0.05)
     base.update(overrides)
     return AgentConfig(**base)
@@ -260,8 +260,7 @@ class TestAgent:
             agent.observe(tr, 0, 1)
 
     def test_masked_rows_freeze_policy_but_not_value(self):
-        cfg = bandit_cfg(importance_correction=True, fema_on=True,
-                         minibatch=8)
+        cfg = bandit_cfg(importance_correction=True, minibatch=8)
         fcfg = FemaConfig(suffix_len=2, update_every=4, capacity=8)
         agent = PpoAgent(BANDIT_SPEC, cfg, seed=4, fema_cfg=fcfg)
         rng = np.random.default_rng(4)
@@ -282,7 +281,7 @@ class TestAgent:
                    for old, new in zip(value_before, agent.vnet.params()))
 
     def test_mixed_mask_reflects_override_flags(self):
-        cfg = bandit_cfg(importance_correction=True, fema_on=True)
+        cfg = bandit_cfg(importance_correction=True)
         fcfg = FemaConfig(suffix_len=2, update_every=4, capacity=8)
         agent = PpoAgent(BANDIT_SPEC, cfg, seed=5, fema_cfg=fcfg)
         rng = np.random.default_rng(5)
@@ -298,7 +297,7 @@ class TestAgent:
                                       [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
     def test_overridden_row_stores_logp_of_executed_action(self):
-        cfg = bandit_cfg(fema_on=True)
+        cfg = bandit_cfg()
         fcfg = FemaConfig(suffix_len=1, update_every=2, capacity=8,
                           n_candidates=4, match_radius=float("inf"),
                           train_epochs=1)
@@ -326,7 +325,7 @@ class TestAgent:
         assert row.logp == float(agent.policy.log_prob(s, a))
 
     def test_correction_off_keeps_full_mask(self):
-        cfg = bandit_cfg(fema_on=True)
+        cfg = bandit_cfg()
         fcfg = FemaConfig(suffix_len=2, update_every=4, capacity=8)
         agent = PpoAgent(BANDIT_SPEC, cfg, seed=6, fema_cfg=fcfg)
         rng = np.random.default_rng(6)
@@ -343,7 +342,7 @@ class TestAgent:
         fcfg = FemaConfig(suffix_len=3, update_every=3, capacity=8,
                           n_candidates=2)
         spec = make("grid_hazard", np.random.default_rng(0)).spec
-        agent = PpoAgent(spec, bandit_cfg(fema_on=True, hidden=16),
+        agent = PpoAgent(spec, bandit_cfg(hidden=16),
                          seed=7, fema_cfg=fcfg)
         env = make("grid_hazard", np.random.default_rng(1))
         arng = np.random.default_rng([7, 1, 0])
@@ -357,24 +356,24 @@ class TestAgent:
         assert len(agent.memory.pending) == 0
         assert len(agent.memory.records) >= 1
 
-    @pytest.mark.parametrize("fema_on", [True, False])
-    def test_agent_holds_only_open_tails(self, fema_on):
+    @pytest.mark.parametrize("memory_on", [True, False])
+    def test_agent_holds_only_open_tails(self, memory_on):
         fcfg = FemaConfig(suffix_len=3, update_every=2, capacity=8)
-        agent = PpoAgent(BANDIT_SPEC, bandit_cfg(fema_on=fema_on, hidden=8), seed=0,
-                         fema_cfg=fcfg if fema_on else None)
+        agent = PpoAgent(BANDIT_SPEC, bandit_cfg(hidden=8), seed=0,
+                         fema_cfg=fcfg if memory_on else None)
         held = held_transitions(agent, steps=200, workers=2)
-        assert held == (2 * fcfg.suffix_len if fema_on else 0)
+        assert held == (2 * fcfg.suffix_len if memory_on else 0)
         assert agent.collected_steps() == 400
 
     def test_inert_memory_keeps_training_identical(self):
         fcfg = FemaConfig(suffix_len=4, update_every=10000, capacity=10000,
                           n_candidates=5, match_radius=0.05)
         outcomes = {}
-        for fema_on in (False, True):
-            cfg = bandit_cfg(fema_on=fema_on, rollout_steps=120, hidden=16,
-                             minibatch=32, ppo_epochs=4)
+        for memory_on in (False, True):
+            cfg = bandit_cfg(rollout_steps=120, hidden=16, minibatch=32,
+                             ppo_epochs=4)
             agent = PpoAgent(make("tilt_pole", np.random.default_rng(0)).spec,
-                             cfg, seed=8, fema_cfg=fcfg if fema_on else None)
+                             cfg, seed=8, fema_cfg=fcfg if memory_on else None)
             env = make("tilt_pole", np.random.default_rng([8, 2, 0]))
             arng = np.random.default_rng([8, 1, 0])
             taken = []
@@ -394,7 +393,7 @@ class TestAgent:
                     s = env.reset() if res.end != "none" else res.state
                 agent.update_phase()
                 agent.between_phases()
-            outcomes[fema_on] = (np.stack(taken),
+            outcomes[memory_on] = (np.stack(taken),
                                  [p.copy() for p in agent.policy.params()])
         np.testing.assert_array_equal(outcomes[True][0], outcomes[False][0])
         for p_on, p_off in zip(outcomes[True][1], outcomes[False][1]):

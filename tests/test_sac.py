@@ -23,7 +23,7 @@ BANDIT_SPEC = EnvSpec(name="bandit", d_s=1, d_a=1, action_low=(-1.0,),
 
 
 def small_cfg(**overrides):
-    base = dict(algo="sac", hidden=32, batch_size=32, warmup_steps=50,
+    base = dict(hidden=32, batch_size=32, warmup_steps=50,
                 update_interval=2, buffer_capacity=5000)
     base.update(overrides)
     return AgentConfig(**base)
@@ -192,10 +192,6 @@ class TestAgentMechanics:
             for _ in range(50):
                 agent.update()
 
-    def test_fema_flag_requires_config(self):
-        with pytest.raises(ConfigError):
-            SacAgent(BANDIT_SPEC, small_cfg(fema_on=True), seed=0)
-
     def test_asymmetric_bounds_rejected(self):
         spec = EnvSpec(name="skew", d_s=1, d_a=1, action_low=(-1.0,),
                        action_high=(2.0,), max_steps=10, hazard="none")
@@ -213,7 +209,7 @@ class TestAgentMechanics:
 class TestTraining:
     def test_bandit_mean_approaches_optimum(self):
         for seed in (0, 1):
-            cfg = AgentConfig(algo="sac", hidden=32, batch_size=64,
+            cfg = AgentConfig(hidden=32, batch_size=64,
                               warmup_steps=200, update_interval=1,
                               policy_lr=1e-3, critic_lr=1e-3, temp_lr=1e-3,
                               buffer_capacity=20000)
@@ -232,7 +228,7 @@ class TestTraining:
         fcfg = FemaConfig(suffix_len=3, update_every=2, capacity=8,
                           n_candidates=2, match_radius=0.05)
         agent = SacAgent(make("grid_hazard", np.random.default_rng(0)).spec,
-                         small_cfg(fema_on=True, warmup_steps=10**9),
+                         small_cfg(warmup_steps=10**9),
                          seed=5, fema_cfg=fcfg)
         env = make("grid_hazard", np.random.default_rng(1))
         arng = np.random.default_rng([5, 1, 0])
@@ -249,13 +245,13 @@ class TestTraining:
         assert agent.memory.next_seq == hazard_eps  # exactly the hazard episodes
         assert agent.episodes_seen == 12
 
-    @pytest.mark.parametrize("fema_on", [True, False])
-    def test_agent_holds_only_open_tails(self, fema_on):
+    @pytest.mark.parametrize("memory_on", [True, False])
+    def test_agent_holds_only_open_tails(self, memory_on):
         fcfg = FemaConfig(suffix_len=3, update_every=2, capacity=8)
-        agent = SacAgent(BANDIT_SPEC, small_cfg(fema_on=fema_on, warmup_steps=10**9),
-                         seed=0, fema_cfg=fcfg if fema_on else None)
+        agent = SacAgent(BANDIT_SPEC, small_cfg(warmup_steps=10**9),
+                         seed=0, fema_cfg=fcfg if memory_on else None)
         held = held_transitions(agent, steps=200, workers=2)
-        assert held == (2 * fcfg.suffix_len if fema_on else 0)
+        assert held == (2 * fcfg.suffix_len if memory_on else 0)
 
     def test_inert_memory_keeps_action_stream_identical(self):
         # memory never fills to its update threshold, so retrieval stays
@@ -263,10 +259,10 @@ class TestTraining:
         fcfg = FemaConfig(suffix_len=4, update_every=10000, capacity=10000,
                           n_candidates=5, match_radius=0.05)
         actions = {}
-        for fema_on in (False, True):
-            cfg = small_cfg(fema_on=fema_on, warmup_steps=20, batch_size=16)
+        for memory_on in (False, True):
+            cfg = small_cfg(warmup_steps=20, batch_size=16)
             agent = SacAgent(make("tilt_pole", np.random.default_rng(0)).spec,
-                             cfg, seed=7, fema_cfg=fcfg if fema_on else None)
+                             cfg, seed=7, fema_cfg=fcfg if memory_on else None)
             env = make("tilt_pole", np.random.default_rng([7, 2, 0]))
             arng = np.random.default_rng([7, 1, 0])
             taken = []
@@ -281,8 +277,8 @@ class TestTraining:
                                          s_next=np.asarray(res.state, float),
                                          end=res.end), 0, step)
                 s = env.reset() if res.end != "none" else res.state
-            actions[fema_on] = np.stack(taken)
-            if fema_on:
+            actions[memory_on] = np.stack(taken)
+            if memory_on:
                 assert agent.fallback_steps > 0
                 assert agent.selected_steps == 0
         np.testing.assert_array_equal(actions[True], actions[False])

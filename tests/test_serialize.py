@@ -178,6 +178,36 @@ class TestMismatchedNetworks:
             embedding.stack_from_bytes(serialize.blobs_to_bytes(blobs))
 
 
+class TestMetaBlobs:
+    """Meta blobs that are valid JSON but not what the loader expects."""
+
+    @staticmethod
+    def _stack_with_meta(edit):
+        stack = embedding.stack_init(d_s=3, d_a=2, seed=0, hidden=4)
+        blobs = serialize.blobs_from_bytes(embedding.stack_to_bytes(stack))
+        blobs["meta"] = json.dumps(edit(json.loads(blobs["meta"]))).encode("utf-8")
+        return serialize.blobs_to_bytes(blobs)
+
+    @pytest.mark.parametrize("meta", [[], 5, "x"])
+    def test_stack_meta_must_be_object(self, meta):
+        with pytest.raises(SerializationError, match="not an object"):
+            embedding.stack_from_bytes(self._stack_with_meta(lambda _: meta))
+
+    @pytest.mark.parametrize("lr", ["0.1", None, True, float("nan"),
+                                    float("inf"), 0.0, -1e-3])
+    def test_stack_lr_must_be_finite_positive(self, lr):
+        blob = self._stack_with_meta(lambda m: {**m, "lr": lr})
+        with pytest.raises(SerializationError, match="lr"):
+            embedding.stack_from_bytes(blob)
+
+    @pytest.mark.parametrize("meta", [[], 5, "x"])
+    def test_checkpoint_meta_must_be_object(self, meta):
+        blobs = serialize.blobs_from_bytes(_valid_blob("checkpoint"))
+        blobs["meta"] = json.dumps(meta).encode("utf-8")
+        with pytest.raises(SerializationError, match="not a checkpoint"):
+            _load_checkpoint_bytes(serialize.blobs_to_bytes(blobs))
+
+
 class TestWriteAtomic:
     def test_replaces_contents(self, tmp_path):
         path = tmp_path / "out.bin"
@@ -235,7 +265,7 @@ def _memory_blob() -> bytes:
 
 
 def _checkpoint_blob() -> bytes:
-    agent = SacAgent(TILT_POLE, AgentConfig(hidden=1, fema_on=True), seed=0,
+    agent = SacAgent(TILT_POLE, AgentConfig(hidden=1), seed=0,
                      fema_cfg=memory.FemaConfig())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ckpt.bin")
