@@ -89,13 +89,18 @@ class HookedAgent:
       radius, single candidate) leaves the action sequence bit-identical
       to the plain agent.
 
-    Subclasses name their learner in `algo`, build `policy` and their own
-    networks from `sub_seeds`; the embedding stack takes
-    `sub_seeds[stack_slot]`.
+    The harness runs any subclass through its learner contract: the
+    constructor `(env_spec, AgentConfig, seed, fema_cfg=None)`, `algo` (its
+    key in `fema.agents.AGENTS`), `n_workers` env workers, `phase_steps` env
+    steps per collection phase (`None`: no phases), and `end_phase()`, which
+    returns the losses to log. Networks come from `sub_seeds`; the embedding
+    stack takes `sub_seeds[stack_slot]`.
     """
 
     algo: str
     stack_slot: int
+    n_workers = 1
+    phase_steps = None
 
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,
                  fema_cfg: FemaConfig | None = None):
@@ -156,6 +161,9 @@ class HookedAgent:
             return False
         self.memory.stage(capture_failure(tail, self.fema_cfg))
         return True
+
+    def end_phase(self) -> dict:
+        return self.last_losses
 
     def fallback_rate(self) -> float:
         """Share of selector decisions that fell back to the plain draw."""

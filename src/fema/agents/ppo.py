@@ -151,6 +151,8 @@ class PpoAgent(HookedAgent):
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,
                  fema_cfg: FemaConfig | None = None):
         super().__init__(env_spec, cfg, seed, fema_cfg)
+        self.n_workers = cfg.n_workers
+        self.phase_steps = cfg.rollout_steps
         sub = self.sub_seeds
         d_s, d_a, h = env_spec.d_s, env_spec.d_a, cfg.hidden
         self.policy = policy_init(d_s, d_a, self.scale, "clip", False,
@@ -256,3 +258,8 @@ class PpoAgent(HookedAgent):
         """Memory generation swap, allowed only in the collection gap."""
         if self.memory is not None:
             self.memory.maybe_update(self.stack)
+
+    def end_phase(self) -> dict:
+        losses = self.update_phase()
+        self.between_phases()
+        return losses

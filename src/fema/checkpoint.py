@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import embedding, serialize
+from .agents import AGENTS
 from .agents.policy import GaussianPolicy
 from .errors import CoherenceError, SerializationError
 
@@ -70,6 +71,7 @@ def load_checkpoint(path) -> CheckpointData:
         if meta.get("version") != FORMAT_VERSION:
             raise SerializationError(
                 f"unsupported checkpoint version {meta.get('version')}")
+        _check_meta(meta, has_stack="stack" in blobs)
         nets = {}
         log_alpha = None
         if meta["algo"] == "sac":
@@ -94,6 +96,26 @@ def load_checkpoint(path) -> CheckpointData:
     except (KeyError, ValueError) as exc:
         raise SerializationError(
             f"unreadable checkpoint metadata or blob: {exc!r}") from exc
+
+
+def _check_meta(meta: dict, has_stack: bool) -> None:
+    """Refuse metadata that describes no learner, step, env or memory state."""
+    algo, step, env, fema_on = (meta["algo"], meta["step"], meta["env"],
+                                meta["fema_on"])
+    if not (isinstance(algo, str) and algo in AGENTS):
+        raise SerializationError(
+            f"checkpoint algo {algo!r} is not a learner; choices: {sorted(AGENTS)}")
+    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+        raise SerializationError(
+            f"checkpoint step {step!r} is not a non-negative integer")
+    if not isinstance(env, str):
+        raise SerializationError(f"checkpoint env {env!r} is not a name")
+    if not isinstance(fema_on, bool):
+        raise SerializationError(f"checkpoint fema_on {fema_on!r} is not a bool")
+    if fema_on != has_stack:
+        raise SerializationError(
+            f"checkpoint fema_on={fema_on} disagrees with its stack blob "
+            f"(present: {has_stack})")
 
 
 def check_env_match(ckpt: CheckpointData, spec) -> None:

@@ -233,5 +233,9 @@ def render_config(rc: RunConfig, comments: tuple = ()) -> str:
 
 def parse_config(path, environ: dict | None = None) -> RunConfig:
     """Parse a config file, then apply FEMA_* environment overrides."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read(), str(path), environ)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_text(text, str(path), environ)

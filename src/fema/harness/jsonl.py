@@ -36,14 +36,23 @@ def append_record(fh, record: dict) -> None:
 
 
 def read_records(path) -> list:
+    """Every non-blank line as a dict; anything else names `path:line`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SerializationError(f"cannot read {path}: {exc}") from exc
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise SerializationError(f"{path}:{line_no}: bad record: {exc}")
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SerializationError(f"{path}:{line_no}: bad record: {exc}")
+        if not isinstance(record, dict):
+            raise SerializationError(
+                f"{path}:{line_no}: record is not a JSON object")
+        out.append(record)
     return out

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .. import serialize
-from ..errors import UsageError
+from ..errors import SerializationError, UsageError
 from . import jsonl
 from .config import parse_text
 
@@ -33,6 +33,12 @@ DEFAULT_WINDOW = 20
 GRID_POINTS = 100
 _SEED_DIR = re.compile(r"^seed(-?\d+)$")
 _VARIANT_DIR = re.compile(r"^[a-z_]+=[^/]+$")
+# Fields the report reads from each record kind; all but "end" are numbers.
+_FIELDS = {
+    "episode": ("step", "end", "return", "length", "fallback_rate",
+                "memory_records"),
+    "eval": ("step", "mean_return"),
+}
 
 
 @dataclass
@@ -67,10 +73,35 @@ def step_grid(total_steps: int, points: int = GRID_POINTS) -> np.ndarray:
     return np.arange(stride, total_steps + 1, stride)
 
 
+def _check_records(path, records: list) -> None:
+    """Refuse a record that lacks, or mistypes, a field the report reads."""
+    for index, record in enumerate(records, start=1):
+        kind = record.get("kind")
+        if not isinstance(kind, str):
+            raise SerializationError(f"{path}: record {index} has no kind")
+        for field in _FIELDS.get(kind, ()):
+            if field not in record:
+                raise SerializationError(
+                    f"{path}: {kind} record {index} lacks {field!r}")
+            value = record[field]
+            if field != "end" and (isinstance(value, bool)
+                                   or not isinstance(value, (int, float))):
+                raise SerializationError(
+                    f"{path}: {kind} record {index} has non-numeric "
+                    f"{field} {value!r}")
+
+
 def load_seed_dir(path) -> SeedSeries:
-    with open(os.path.join(path, "config.txt"), "r", encoding="utf-8") as fh:
-        rc = parse_text(fh.read(), source=os.path.join(path, "config.txt"))
-    records = jsonl.read_records(os.path.join(path, "metrics.jsonl"))
+    config_path = os.path.join(path, "config.txt")
+    try:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SerializationError(f"cannot read {config_path}: {exc}") from exc
+    rc = parse_text(text, source=config_path)
+    metrics_path = os.path.join(path, "metrics.jsonl")
+    records = jsonl.read_records(metrics_path)
+    _check_records(metrics_path, records)
     ends = [r for r in records if r["kind"] == "episode"]
     if rc.fema_enabled and (not ends or ends[-1]["memory_records"] == 0):
         warnings.warn(f"{path}: the failure memory is enabled but never "

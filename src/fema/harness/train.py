@@ -1,11 +1,15 @@
 """Training driver: one deterministic run per seed, logged as JSONL.
 
 Log contents per run: one record per completed episode (kind "episode"),
-periodic loss records (kind "loss": every loss_log_every steps for the
-off-policy learner, after every update phase for the on-policy one),
-optional deterministic evaluation records (kind "eval"), and one trailing
-"none"-ended episode record per worker still mid-episode when the step
-budget runs out, so episode lengths always sum to total_steps.
+loss records (kind "loss") where a learner phase ends, or every
+loss_log_every steps for a learner without phases, optional deterministic
+evaluation records (kind "eval"), and one trailing "none"-ended episode
+record per worker still mid-episode when the step budget runs out, so
+episode lengths always sum to total_steps. A phase that the budget cut
+short is closed, and its losses logged, after the final eval.
+
+The learner owns this schedule: the harness steps `agent.n_workers` env
+workers and calls `agent.end_phase()` every `agent.phase_steps` steps.
 
 Random streams per seed: [seed, 0] agent init, [seed, 1, w] actions,
 [seed, 2, w] env noise, [seed, 3] learner batches, [seed, 4] memory
@@ -23,7 +27,7 @@ import numpy as np
 from .. import checkpoint, serialize
 from ..agents import AGENTS
 from ..agents.loop import eval_episode
-from ..envs import make
+from ..envs import REGISTRY, make
 from ..envs.runner import VecRunner
 from . import jsonl
 from .config import RunConfig, parse_config, render_config
@@ -85,6 +89,8 @@ class _RunLog:
         self._emit(step, worker, return_, length, "none", agent)
 
     def loss(self, step: int, losses: dict) -> None:
+        if not losses:
+            return
         record = {"kind": "loss", "step": step}
         record.update(losses)
         jsonl.append_record(self.fh, record)
@@ -102,58 +108,43 @@ class _RunLog:
 def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
     """Train one seed to completion; returns the run's summary row."""
     os.makedirs(run_dir, exist_ok=True)
-    n_workers = rc.agent.n_workers if rc.agent_kind == "ppo" else 1
-    envs = [make(rc.env_kind, np.random.default_rng([seed, 2, w]))
-            for w in range(n_workers)]
-    spec = envs[0].spec
-
-    with open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(render_config(rc, comments=_echo_comments(seed, spec)))
+    spec = REGISTRY[rc.env_kind].spec
+    serialize.write_atomic(
+        os.path.join(run_dir, "config.txt"),
+        render_config(rc, comments=_echo_comments(seed, spec)).encode("utf-8"))
 
     agent = build_agent(rc, spec, seed)
+    envs = [make(rc.env_kind, np.random.default_rng([seed, 2, w]))
+            for w in range(agent.n_workers)]
     action_rngs = [np.random.default_rng([seed, 1, w])
-                   for w in range(n_workers)]
+                   for w in range(agent.n_workers)]
     runner = VecRunner(envs, agent, action_rngs)
     eval_env = None
     if rc.eval_every > 0:
         eval_env = make(rc.env_kind, np.random.default_rng([seed, 5]))
 
-    def boundaries(done: int) -> int:
-        nxt = rc.total_steps
-        if rc.agent_kind == "sac":
-            nxt = min(nxt, (done // rc.loss_log_every + 1) * rc.loss_log_every)
-        else:
-            nxt = min(nxt, (done // rc.agent.rollout_steps + 1)
-                      * rc.agent.rollout_steps)
-        if rc.eval_every > 0:
-            nxt = min(nxt, (done // rc.eval_every + 1) * rc.eval_every)
-        return nxt
+    period = agent.phase_steps or rc.loss_log_every
+    cadences = [c for c in (period, rc.eval_every) if c > 0]
 
     metrics_path = os.path.join(run_dir, "metrics.jsonl")
     with open(metrics_path, "w", encoding="utf-8") as fh:
         log = _RunLog(fh)
         done = 0
         while done < rc.total_steps:
-            target = boundaries(done)
+            target = min(rc.total_steps,
+                         *((done // c + 1) * c for c in cadences))
             for rec in runner.run(target - done):
                 log.episode(rec, agent)
             done = target
-            if rc.agent_kind == "ppo" and done % rc.agent.rollout_steps == 0:
-                losses = agent.update_phase()
-                agent.between_phases()
-                log.loss(done, losses)
-            elif rc.agent_kind == "sac" and done % rc.loss_log_every == 0:
-                if agent.last_losses:
-                    log.loss(done, agent.last_losses)
+            if done % period == 0:
+                log.loss(done, agent.end_phase())
             if rc.eval_every > 0 and done % rc.eval_every == 0:
                 evals = [eval_episode(agent.policy, eval_env)
                          for _ in range(rc.eval_episodes)]
                 log.eval(done, evals)
-        if rc.agent_kind == "ppo" and agent.collected_steps() > 0:
-            losses = agent.update_phase()
-            agent.between_phases()
-            log.loss(done, losses)
-        for w in range(n_workers):
+        if agent.phase_steps and done % period:
+            log.loss(done, agent.end_phase())
+        for w in range(agent.n_workers):
             if runner.ep_length[w] > 0:
                 log.partial(rc.total_steps, w, runner.ep_return[w],
                             runner.ep_length[w], agent)

@@ -140,5 +140,9 @@ def save_blobs(path, blobs: dict):
 
 
 def load_blobs(path) -> dict:
-    with open(path, "rb") as fh:
-        return blobs_from_bytes(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as exc:
+        raise SerializationError(f"cannot read {path}: {exc}") from exc
+    return blobs_from_bytes(buf)

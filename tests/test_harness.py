@@ -448,6 +448,33 @@ class TestCheckpoint:
         with pytest.raises(SerializationError, match="metadata"):
             checkpoint.load_checkpoint(path)
 
+    @pytest.mark.parametrize("fema, key, value", [
+        (False, "algo", "dqn"),
+        (False, "algo", 7),
+        (False, "step", "x"),
+        (False, "step", -3),
+        (False, "step", True),
+        (False, "env", ["a"]),
+        (False, "env", 5),
+        (False, "fema_on", True),
+        (False, "fema_on", "yes"),
+        (True, "fema_on", False),
+    ], ids=["algo_dqn", "algo_int", "step_str", "step_negative", "step_bool",
+            "env_list", "env_int", "fema_on_without_stack", "fema_on_str",
+            "stack_without_fema_on"])
+    def test_meta_that_describes_no_learner_refused(self, tmp_path, fema,
+                                                    key, value):
+        agent, _ = self.make_agent("ppo", fema=fema)
+        path = tmp_path / "ckpt.bin"
+        checkpoint.save_checkpoint(path, agent, "tilt_pole", 5)
+        blobs = serialize.load_blobs(path)
+        meta = json.loads(blobs["meta"].decode("utf-8"))
+        meta[key] = value
+        blobs["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
+        serialize.save_blobs(path, blobs)
+        with pytest.raises(SerializationError, match=key):
+            checkpoint.load_checkpoint(path)
+
 
 @pytest.fixture(scope="module")
 def sac_run(tmp_path_factory):
@@ -551,6 +578,38 @@ class TestTrain:
         assert {"pi_loss", "v_loss", "approx_kl"} <= set(losses[0])
         episodes = [r for r in records if r["kind"] == "episode"]
         assert sum(r["length"] for r in episodes) == 90
+
+    def test_ppo_run_that_ends_mid_phase(self, tmp_path):
+        from dataclasses import replace
+        rc = parse_config(write_config(tmp_path, TINY_PPO))
+        rc = replace(rc, total_steps=100, eval_every=50, eval_episodes=1)
+        out = run_config(rc)
+        records, _ = read_jsonl_kinds(out, 0)
+        others = [(r["kind"], r["step"]) for r in records
+                  if r["kind"] != "episode"]
+        assert others == [("loss", 45), ("eval", 50), ("loss", 90),
+                          ("eval", 100), ("loss", 100)]
+        last_loss = max(i for i, r in enumerate(records) if r["kind"] == "loss")
+        trailing = records[last_loss + 1:]
+        assert trailing
+        assert all(r["kind"] == "episode" and r["end"] == "none"
+                   for r in trailing)
+        episodes = [r for r in records if r["kind"] == "episode"]
+        assert sum(r["length"] for r in episodes) == 100
+
+    def test_learner_under_a_new_name(self, tmp_path, monkeypatch):
+        class Alias(PpoAgent):
+            algo = "ppo_alias"
+
+        monkeypatch.setitem(AGENTS, "ppo_alias", Alias)
+        path = write_config(tmp_path, TINY_PPO.replace("agent = ppo",
+                                                       "agent = ppo_alias"))
+        out = cmd_train(path)
+        records, _ = read_jsonl_kinds(out, 0)
+        workers = {r["worker"] for r in records if r["kind"] == "episode"}
+        assert workers == {0, 1}
+        losses = [r["step"] for r in records if r["kind"] == "loss"]
+        assert losses == [45, 90]
 
     def test_env_override_reaches_run(self, tmp_path):
         path = write_config(tmp_path, TINY_PPO)
@@ -779,6 +838,32 @@ class TestReportFiles:
             series = load_run_dir(root)
         assert [s.seed for s in series] == [0]
 
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", r"metrics\.jsonl:\d+: record is not a JSON object"),
+        ("7", r"metrics\.jsonl:\d+: record is not a JSON object"),
+        ('{"step": 3}', r"metrics\.jsonl: record \d+ has no kind"),
+        ('{"kind": "episode", "step": 5}',
+         r"metrics\.jsonl: episode record \d+ lacks 'end'"),
+        ('{"kind": "eval", "step": "x", "mean_return": 1.0}',
+         r"metrics\.jsonl: eval record \d+ has non-numeric step"),
+    ], ids=["list", "number", "no_kind", "episode_fields", "eval_step_str"])
+    def test_malformed_record_refused(self, sac_run, tmp_path, line, message):
+        import shutil
+        root = tmp_path / "malformed"
+        shutil.copytree(os.path.join(sac_run["out"], "seed0"), root / "seed0")
+        with open(root / "seed0" / "metrics.jsonl", "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(SerializationError, match=message):
+            load_run_dir(root)
+
+    def test_missing_config_echo_refused(self, sac_run, tmp_path):
+        import shutil
+        root = tmp_path / "no_config"
+        shutil.copytree(os.path.join(sac_run["out"], "seed0"), root / "seed0")
+        os.remove(root / "seed0" / "config.txt")
+        with pytest.raises(SerializationError, match="config.txt"):
+            load_run_dir(root)
+
 
 class TestAblate:
     def test_derive_cell_sets_axis_fields(self, tmp_path):
@@ -912,6 +997,26 @@ class TestCli:
     def test_report_on_missing_directory(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "{missing}"],
+        ["ablate", "--config", "{missing}", "--axis", "top_o", "--values", "1"],
+        ["eval", "--ckpt", "{missing}", "--env", "grid_hazard",
+         "--episodes", "1", "--seed", "0"],
+        ["train", "--config", "{undecodable}"],
+    ], ids=["train_missing", "ablate_missing", "eval_missing",
+            "train_undecodable"])
+    def test_unreadable_input_is_one_error_line(self, tmp_path, capsys, argv):
+        undecodable = tmp_path / "utf16.txt"
+        undecodable.write_bytes(b"\xff\xfe[\x00r\x00u\x00n\x00]\x00")
+        paths = {"missing": str(tmp_path / "nope.bin"),
+                 "undecodable": str(undecodable)}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert any(path in err for path in paths.values())
 
     def test_ablate_values_parsing(self, tmp_path, capsys):
         text = TINY_SAC.format(out_dir=tmp_path / "sweep").replace(
