@@ -6,8 +6,8 @@ class keeps the learner contract of `common.HookedAgent`: it is built as
 memory exactly when `fema_cfg` is given; `algo` names it; `n_workers` and
 `phase_steps` tell the harness how many env workers to step and how many
 steps a collection phase lasts (`None`: no phases); `end_phase()` closes a
-phase and returns the losses to log. Adding a learner means adding one
-class here.
+phase and returns the losses to log; `saved_nets`/`saved_arrays` name what
+its checkpoint stores. Adding a learner means adding one class here.
 """
 
 from .buffers import ReplayBuffer

@@ -92,15 +92,18 @@ class HookedAgent:
     The harness runs any subclass through its learner contract: the
     constructor `(env_spec, AgentConfig, seed, fema_cfg=None)`, `algo` (its
     key in `fema.agents.AGENTS`), `n_workers` env workers, `phase_steps` env
-    steps per collection phase (`None`: no phases), and `end_phase()`, which
-    returns the losses to log. Networks come from `sub_seeds`; the embedding
-    stack takes `sub_seeds[stack_slot]`.
+    steps per collection phase (`None`: no phases), `end_phase()`, which
+    returns the losses to log, and `saved_nets`/`saved_arrays`, the `Mlp` and
+    float64 array attributes its checkpoint stores. Networks come from
+    `sub_seeds`; the embedding stack takes `sub_seeds[stack_slot]`.
     """
 
     algo: str
     stack_slot: int
     n_workers = 1
     phase_steps = None
+    saved_nets = ()
+    saved_arrays = ()
 
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,
                  fema_cfg: FemaConfig | None = None):

@@ -146,6 +146,7 @@ def approx_kl(policy: GaussianPolicy, s, a, logp_old) -> float:
 
 class PpoAgent(HookedAgent):
     algo = "ppo"
+    saved_nets = ("vnet",)
     stack_slot = 2
 
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,

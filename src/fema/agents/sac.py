@@ -136,6 +136,8 @@ def polyak(src: numeric.Mlp, dst: numeric.Mlp, tau: float) -> None:
 
 class SacAgent(HookedAgent):
     algo = "sac"
+    saved_nets = ("q1", "q2", "q1t", "q2t")
+    saved_arrays = ("log_alpha",)
     stack_slot = 3
 
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,

@@ -1,10 +1,10 @@
 """Training checkpoints: one binary container per run.
 
-Bundles the policy, the learner's auxiliary networks and the embedding stack
-when the failure memory is on, all in the named-blob container format. The
-failure memory itself snapshots to its own file next to the checkpoint; the
-metadata records whether one is expected. Files from older writers may carry
-an `rng` blob of generator states; loading ignores it.
+Bundles the policy, the networks and f8 arrays the learner class names in
+`saved_nets` and `saved_arrays`, and the embedding stack when the failure
+memory is on, all in the named-blob container format. The failure memory
+snapshots to its own file next to the checkpoint; the metadata records
+whether one is expected. An `rng` blob from older writers is ignored.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class CheckpointData:
     step: int
     fema_on: bool
     policy: GaussianPolicy
-    nets: dict          # name -> Mlp (critics / value net)
-    log_alpha: Optional[np.ndarray]
+    nets: dict          # name -> Mlp, the learner's `saved_nets`
+    arrays: dict        # name -> float64 array, the learner's `saved_arrays`
     stack: Optional[embedding.EmbeddingStack]
 
 
@@ -51,12 +51,10 @@ def save_checkpoint(path, agent, env_name: str, step: int) -> None:
     }
     blobs["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
     blobs["policy"] = agent.policy.to_bytes()
-    if agent.algo == "sac":
-        for name in ("q1", "q2", "q1t", "q2t"):
-            blobs[name] = serialize.mlp_to_bytes(getattr(agent, name))
-        blobs["log_alpha"] = agent.log_alpha.astype("<f8").tobytes()
-    else:
-        blobs["vnet"] = serialize.mlp_to_bytes(agent.vnet)
+    for name in agent.saved_nets:
+        blobs[name] = serialize.mlp_to_bytes(getattr(agent, name))
+    for name in agent.saved_arrays:
+        blobs[name] = getattr(agent, name).astype("<f8").tobytes()
     if agent.stack is not None:
         blobs["stack"] = embedding.stack_to_bytes(agent.stack)
     serialize.save_blobs(path, blobs)
@@ -72,25 +70,24 @@ def load_checkpoint(path) -> CheckpointData:
             raise SerializationError(
                 f"unsupported checkpoint version {meta.get('version')}")
         _check_meta(meta, has_stack="stack" in blobs)
-        nets = {}
-        log_alpha = None
-        if meta["algo"] == "sac":
-            for name in ("q1", "q2", "q1t", "q2t"):
-                nets[name] = serialize.mlp_from_bytes(blobs[name])
-            log_alpha = np.frombuffer(blobs["log_alpha"], dtype="<f8").copy()
-        else:
-            nets["vnet"] = serialize.mlp_from_bytes(blobs["vnet"])
+        learner = AGENTS[meta["algo"]]
+        nets = {name: serialize.mlp_from_bytes(blobs[name])
+                for name in learner.saved_nets}
+        arrays = {name: np.frombuffer(blobs[name], dtype="<f8").copy()
+                  for name in learner.saved_arrays}
+        policy = GaussianPolicy.from_bytes(blobs["policy"])
         stack = None
         if "stack" in blobs:
             stack = embedding.stack_from_bytes(blobs["stack"])
+        _check_widths(meta, policy, stack)
         return CheckpointData(
             algo=meta["algo"],
             env=meta["env"],
             step=meta["step"],
             fema_on=meta["fema_on"],
-            policy=GaussianPolicy.from_bytes(blobs["policy"]),
+            policy=policy,
             nets=nets,
-            log_alpha=log_alpha,
+            arrays=arrays,
             stack=stack,
         )
     except (KeyError, ValueError) as exc:
@@ -116,6 +113,20 @@ def _check_meta(meta: dict, has_stack: bool) -> None:
         raise SerializationError(
             f"checkpoint fema_on={fema_on} disagrees with its stack blob "
             f"(present: {has_stack})")
+
+
+def _check_widths(meta: dict, policy: GaussianPolicy, stack) -> None:
+    """Refuse metadata or a stack whose env widths are not the policy's."""
+    for key in ("d_s", "d_a"):
+        want = getattr(policy, key)
+        found = [("meta", meta[key])]
+        if stack is not None:
+            found.append(("stack", getattr(stack, key)))
+        for part, width in found:
+            if type(width) is not int or width != want:
+                raise SerializationError(
+                    f"checkpoint {part} {key}={width!r} is not the policy's "
+                    f"{key}={want}")
 
 
 def check_env_match(ckpt: CheckpointData, spec) -> None:

@@ -69,7 +69,7 @@ def main(argv=None) -> int:
             rows = cmd_eval(args.ckpt, args.env, args.episodes, args.seed)
             print(format_table(rows))
         return 0
-    except FemaError as exc:
+    except (FemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

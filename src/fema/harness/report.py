@@ -68,8 +68,8 @@ def value_at(steps: np.ndarray, values: np.ndarray, grid_step: float) -> float:
     return float(values[idx]) if idx >= 0 else float("nan")
 
 
-def step_grid(total_steps: int, points: int = GRID_POINTS) -> np.ndarray:
-    stride = max(total_steps // points, 1)
+def step_grid(total_steps: int) -> np.ndarray:
+    stride = max(total_steps // GRID_POINTS, 1)
     return np.arange(stride, total_steps + 1, stride)
 
 
@@ -166,13 +166,12 @@ def fallback_rows(series_list: list) -> list:
     return _grid_rows(series_list, [(s.steps, s.fallback) for s in series_list])
 
 
-def length_window_rows(series_list: list, edges: Optional[list] = None) -> list:
-    """Mean episode length per step window, aggregated across seeds."""
+def length_window_rows(series_list: list) -> list:
+    """Mean episode length per third of the step budget, across seeds."""
     total = max(s.total_steps for s in series_list)
-    if edges is None:
-        third = total / 3.0
-        edges = [("early", 0.0, third), ("middle", third, 2 * third),
-                 ("late", 2 * third, float(total))]
+    third = total / 3.0
+    edges = [("early", 0.0, third), ("middle", third, 2 * third),
+             ("late", 2 * third, float(total))]
     rows = []
     for label, start, end in edges:
         per_seed = []

@@ -428,8 +428,8 @@ class FailureMemory:
     @classmethod
     def load(cls, path, rng: Optional[np.random.Generator] = None,
              expect_dims: Optional[dict] = None) -> "FailureMemory":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read(), rng=rng, expect_dims=expect_dims)
+        return cls.from_bytes(serialize.read_bytes(path), rng=rng,
+                              expect_dims=expect_dims)
 
 
 class _Reader:

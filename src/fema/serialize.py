@@ -6,7 +6,8 @@ per layer (u32 in, u32 out, u8 act code) | the network's parameter vector
 
 Container format ("FEMC"): magic | u16 version | u32 count |
 per entry: u16 name length, name utf-8, u64 payload length, payload bytes.
-Used by checkpoints to bundle parameter blobs, rng state and metadata.
+Used by checkpoints, policies and embedding stacks to bundle parameter
+blobs and metadata.
 """
 
 from __future__ import annotations
@@ -139,10 +140,14 @@ def save_blobs(path, blobs: dict):
     write_atomic(path, blobs_to_bytes(blobs))
 
 
-def load_blobs(path) -> dict:
+def read_bytes(path) -> bytes:
+    """The whole file; an unreadable path is a `SerializationError`."""
     try:
         with open(path, "rb") as fh:
-            buf = fh.read()
+            return fh.read()
     except OSError as exc:
         raise SerializationError(f"cannot read {path}: {exc}") from exc
-    return blobs_from_bytes(buf)
+
+
+def load_blobs(path) -> dict:
+    return blobs_from_bytes(read_bytes(path))

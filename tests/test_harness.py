@@ -359,7 +359,7 @@ class TestCheckpoint:
         for name in ("q1", "q2", "q1t", "q2t"):
             assert (serialize.mlp_to_bytes(data.nets[name])
                     == serialize.mlp_to_bytes(getattr(agent, name)))
-        np.testing.assert_array_equal(data.log_alpha, agent.log_alpha)
+        np.testing.assert_array_equal(data.arrays["log_alpha"], agent.log_alpha)
         from fema import embedding
         assert (embedding.stack_to_bytes(data.stack)
                 == embedding.stack_to_bytes(agent.stack))
@@ -371,7 +371,7 @@ class TestCheckpoint:
         data = checkpoint.load_checkpoint(path)
         assert data.algo == "ppo"
         assert data.fema_on is False
-        assert data.log_alpha is None
+        assert data.arrays == {}
         assert data.stack is None
         assert set(data.nets) == {"vnet"}
         assert (serialize.mlp_to_bytes(data.nets["vnet"])
@@ -459,9 +459,15 @@ class TestCheckpoint:
         (False, "fema_on", True),
         (False, "fema_on", "yes"),
         (True, "fema_on", False),
+        (False, "d_s", 7),
+        (False, "d_s", "x"),
+        (False, "d_s", None),
+        (False, "d_a", True),
+        (False, "d_a", 2),
     ], ids=["algo_dqn", "algo_int", "step_str", "step_negative", "step_bool",
             "env_list", "env_int", "fema_on_without_stack", "fema_on_str",
-            "stack_without_fema_on"])
+            "stack_without_fema_on", "d_s_wrong", "d_s_str", "d_s_null",
+            "d_a_bool", "d_a_wrong"])
     def test_meta_that_describes_no_learner_refused(self, tmp_path, fema,
                                                     key, value):
         agent, _ = self.make_agent("ppo", fema=fema)
@@ -474,6 +480,96 @@ class TestCheckpoint:
         serialize.save_blobs(path, blobs)
         with pytest.raises(SerializationError, match=key):
             checkpoint.load_checkpoint(path)
+
+    @pytest.mark.parametrize("d_s, d_a, key", [(5, 3, "d_s"), (2, 3, "d_a")])
+    def test_stack_widths_that_differ_from_policy_refused(self, tmp_path,
+                                                          d_s, d_a, key):
+        from fema import embedding
+        agent, _ = self.make_agent("sac")
+        path = tmp_path / "ckpt.bin"
+        checkpoint.save_checkpoint(path, agent, "tilt_pole", 5)
+        blobs = serialize.load_blobs(path)
+        blobs["stack"] = embedding.stack_to_bytes(
+            embedding.stack_init(d_s=d_s, d_a=d_a, seed=0, hidden=4))
+        serialize.save_blobs(path, blobs)
+        with pytest.raises(SerializationError, match=f"stack {key}="):
+            checkpoint.load_checkpoint(path)
+
+    # sha256 prefixes of the files written below; they pin the checkpoint
+    # layout byte for byte
+    LAYOUT_SHA256 = {
+        ("tilt_pole", "ppo", False): "3e1de7a51c3bb443",
+        ("tilt_pole", "ppo", True): "6f1a38123b2035c7",
+        ("tilt_pole", "sac", False): "89f0b8074006a97f",
+        ("tilt_pole", "sac", True): "3770f192a3d5591d",
+        ("grid_hazard", "ppo", False): "f6ab2de3bbc4faa3",
+        ("grid_hazard", "ppo", True): "9a66726050098ae6",
+        ("grid_hazard", "sac", False): "d3e566ff9fa96316",
+        ("grid_hazard", "sac", True): "2e95acab97a70d40",
+    }
+
+    LAYOUTS = pytest.mark.parametrize(
+        "env_name, algo, fema",
+        [(env_name, algo, fema) for env_name in ("tilt_pole", "grid_hazard")
+         for algo in sorted(AGENTS) for fema in (False, True)])
+
+    def save_layout_agent(self, tmp_path, env_name, algo, fema):
+        from fema.memory import FemaConfig
+        spec = make(env_name, np.random.default_rng(0)).spec
+        agent = AGENTS[algo](spec, AgentConfig(hidden=8), seed=3,
+                             fema_cfg=FemaConfig() if fema else None)
+        path = tmp_path / "ckpt.bin"
+        checkpoint.save_checkpoint(path, agent, env_name, 11)
+        return agent, path
+
+    @LAYOUTS
+    def test_checkpoint_bytes_pinned(self, tmp_path, env_name, algo, fema):
+        _, path = self.save_layout_agent(tmp_path, env_name, algo, fema)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest.startswith(self.LAYOUT_SHA256[env_name, algo, fema])
+
+    @LAYOUTS
+    def test_learner_layout_round_trip(self, tmp_path, env_name, algo, fema):
+        agent, path = self.save_layout_agent(tmp_path, env_name, algo, fema)
+        assert list(serialize.load_blobs(path)) == (
+            ["meta", "policy", *agent.saved_nets, *agent.saved_arrays]
+            + ["stack"] * fema)
+        data = checkpoint.load_checkpoint(path)
+        assert (data.algo, data.env, data.step) == (algo, env_name, 11)
+        assert data.policy.to_bytes() == agent.policy.to_bytes()
+        assert list(data.nets) == list(agent.saved_nets)
+        for name in agent.saved_nets:
+            assert (serialize.mlp_to_bytes(data.nets[name])
+                    == serialize.mlp_to_bytes(getattr(agent, name)))
+        assert list(data.arrays) == list(agent.saved_arrays)
+        for name in agent.saved_arrays:
+            assert data.arrays[name].dtype == np.float64
+            assert data.arrays[name].tobytes() == getattr(agent, name).tobytes()
+        assert (data.stack is not None) == fema
+
+    def test_learner_under_a_new_name_saves_its_state(self, tmp_path,
+                                                      monkeypatch):
+        built = []
+
+        class Alias(SacAgent):
+            algo = "sac_alias"
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setitem(AGENTS, "sac_alias", Alias)
+        rc = parse_text(TINY_SAC.format(out_dir=tmp_path).replace(
+            "agent = sac", "agent = sac_alias"))
+        run_seed(rc, 0, tmp_path / "seed0")
+        data = checkpoint.load_checkpoint(tmp_path / "seed0" / "checkpoint.bin")
+        (agent,) = built
+        assert data.algo == "sac_alias"
+        assert data.step == rc.total_steps
+        for name in ("q1", "q2", "q1t", "q2t"):
+            assert (serialize.mlp_to_bytes(data.nets[name])
+                    == serialize.mlp_to_bytes(getattr(agent, name)))
+        assert data.arrays["log_alpha"].tobytes() == agent.log_alpha.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -1017,6 +1113,25 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
         assert any(path in err for path in paths.values())
+
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys,
+                                                 command):
+        if command == "train":
+            blocker = tmp_path / "file"
+            path = write_config(tmp_path, TINY_PPO, out_name="file/run")
+            argv = ["train", "--config", str(path)]
+        else:
+            cmd_train(write_config(tmp_path, TINY_PPO.replace(
+                "total_steps = 90", "total_steps = 45")))
+            blocker = tmp_path / "run" / "report"
+            argv = ["report", str(tmp_path / "run")]
+        blocker.write_text("")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert str(blocker) in err
 
     def test_ablate_values_parsing(self, tmp_path, capsys):
         text = TINY_SAC.format(out_dir=tmp_path / "sweep").replace(

@@ -387,6 +387,10 @@ class TestSnapshot:
             memory.FailureMemory.load(path, expect_dims={"d_z": 9})
         memory.FailureMemory.load(path, expect_dims={"d_z": 4, "d_s": 3})
 
+    def test_missing_file_refused(self, tmp_path):
+        with pytest.raises(SerializationError, match=r"nope\.fema"):
+            memory.FailureMemory.load(tmp_path / "nope.fema")
+
     def test_corrupt_magic_refused(self, tmp_path):
         mem, _ = self.build()
         blob = bytearray(mem.to_bytes())
