@@ -7,7 +7,9 @@ memory exactly when `fema_cfg` is given; `algo` names it; `n_workers` and
 `phase_steps` tell the harness how many env workers to step and how many
 steps a collection phase lasts (`None`: no phases); `end_phase()` closes a
 phase and returns the losses to log; `saved_nets`/`saved_arrays` name what
-its checkpoint stores. Adding a learner means adding one class here.
+its checkpoint stores and `saved_widths` gives their shapes. A learner with
+phases also keeps the phase-learner promise that lets the runner act its
+workers in parallel lanes. Adding a learner means adding one class here.
 """
 
 from .buffers import ReplayBuffer

@@ -93,9 +93,26 @@ class HookedAgent:
     constructor `(env_spec, AgentConfig, seed, fema_cfg=None)`, `algo` (its
     key in `fema.agents.AGENTS`), `n_workers` env workers, `phase_steps` env
     steps per collection phase (`None`: no phases), `end_phase()`, which
-    returns the losses to log, and `saved_nets`/`saved_arrays`, the `Mlp` and
-    float64 array attributes its checkpoint stores. Networks come from
-    `sub_seeds`; the embedding stack takes `sub_seeds[stack_slot]`.
+    returns the losses to log, `saved_nets`/`saved_arrays`, the `Mlp` and
+    float64 array attributes its checkpoint stores, and `saved_widths`, the
+    layer widths of each saved net and the length of each saved array, which
+    the checkpoint loader checks. Networks come from `sub_seeds`; the
+    embedding stack takes `sub_seeds[stack_slot]`.
+
+    Phase-learner promise. A learner with phases (`phase_steps` set) makes
+    the runner act its workers in parallel lanes, so between two
+    `end_phase()` calls it keeps two rules:
+
+    - `act_train(s, rng, worker)` reads only state that is frozen for the
+      phase (policy, value net, embedding stack, published generation)
+      and writes only `pending[worker]`, the per-step record that the
+      matching `observe` consumes.
+    - `observe(transition, worker, step)` changes nothing `act_train`
+      reads; it appends rows, stages failure tails and books the
+      selector decision through `_count`.
+
+    A learner without phases (SAC) learns between two acts and is always
+    stepped one worker at a time.
     """
 
     algo: str
@@ -104,6 +121,12 @@ class HookedAgent:
     phase_steps = None
     saved_nets = ()
     saved_arrays = ()
+
+    @staticmethod
+    def saved_widths(d_s: int, d_a: int, hidden: int) -> dict:
+        """Name -> layer widths of each saved net, or length of each saved
+        array, for env widths d_s, d_a and policy width `hidden`."""
+        return {}
 
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,
                  fema_cfg: FemaConfig | None = None):
@@ -138,16 +161,21 @@ class HookedAgent:
         self.selected_steps = 0
 
     def _act(self, s, rng):
-        """Training-time action: (action, overridden by the selector)."""
+        """Training-time action: (action, overridden by the selector).
+
+        Changes no agent state; `_count` books the decision.
+        """
         if self.memory is None:
             return self.policy.sample(s, rng), False
         a, trace = selection.select(s, self.policy, self.memory, self.stack,
                                     self.fema_cfg, rng)
-        if trace.fallback:
-            self.fallback_steps += 1
-        else:
-            self.selected_steps += 1
         return a, not trace.fallback
+
+    def _count(self, overridden: bool) -> None:
+        """Book one `_act` decision as selected or as a fallback."""
+        if self.memory is not None:
+            self.selected_steps += overridden
+            self.fallback_steps += not overridden
 
     def _track(self, tr, worker: int, step: int) -> bool:
         """Record one transition; True when it staged a failure event."""

@@ -149,6 +149,10 @@ class PpoAgent(HookedAgent):
     saved_nets = ("vnet",)
     stack_slot = 2
 
+    @staticmethod
+    def saved_widths(d_s: int, d_a: int, hidden: int) -> dict:
+        return {"vnet": [d_s, hidden, hidden, 1]}
+
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,
                  fema_cfg: FemaConfig | None = None):
         super().__init__(env_spec, cfg, seed, fema_cfg)
@@ -159,10 +163,11 @@ class PpoAgent(HookedAgent):
         self.policy = policy_init(d_s, d_a, self.scale, "clip", False,
                                   seed=int(sub[0]), hidden=h,
                                   init_logstd=cfg.init_logstd)
-        self.vnet = numeric.mlp_init([d_s, h, h, 1], seed=int(sub[1]))
+        self.vnet = numeric.mlp_init(self.saved_widths(d_s, d_a, h)["vnet"],
+                                     seed=int(sub[1]))
         self.policy_adam = numeric.adam_init(self.policy.params(), lr=cfg.policy_lr)
         self.value_adam = numeric.adam_init(self.vnet.params(), lr=cfg.critic_lr)
-        self._pending = {}          # worker -> (logp, value, overridden)
+        self.pending = {}           # worker -> (logp, value, overridden)
         self._rows = {}             # worker -> rows of the current phase
 
     def value_of(self, s) -> float:
@@ -172,17 +177,19 @@ class PpoAgent(HookedAgent):
     # -- acting ------------------------------------------------------------
 
     def act_train(self, s, rng, worker: int = 0):
+        """Action for one step; its record waits in `pending[worker]`."""
         a, overridden = self._act(s, rng)
         logp = float(self.policy.log_prob(s, a))
-        self._pending[worker] = (logp, self.value_of(s), overridden)
+        self.pending[worker] = (logp, self.value_of(s), overridden)
         return a
 
     # -- collection ---------------------------------------------------------
 
     def observe(self, tr, worker: int = 0, step: int = 0) -> None:
-        if worker not in self._pending:
+        if worker not in self.pending:
             raise UsageError("observe() without a matching act_train()")
-        logp, value, overridden = self._pending.pop(worker)
+        logp, value, overridden = self.pending.pop(worker)
+        self._count(overridden)
         self._rows.setdefault(worker, []).append(_Row(
             s=tr.s, a=tr.a, r=tr.r, s_next=tr.s_next, end=tr.end,
             logp=logp, value=value, overridden=overridden,

@@ -140,6 +140,11 @@ class SacAgent(HookedAgent):
     saved_arrays = ("log_alpha",)
     stack_slot = 3
 
+    @staticmethod
+    def saved_widths(d_s: int, d_a: int, hidden: int) -> dict:
+        q = [d_s + d_a, hidden, hidden, 1]
+        return {"q1": q, "q2": q, "q1t": q, "q2t": q, "log_alpha": 1}
+
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,
                  fema_cfg: FemaConfig | None = None):
         super().__init__(env_spec, cfg, seed, fema_cfg)
@@ -147,8 +152,9 @@ class SacAgent(HookedAgent):
         d_s, d_a, h = env_spec.d_s, env_spec.d_a, cfg.hidden
         self.policy = policy_init(d_s, d_a, self.scale, "tanh", True,
                                   seed=int(sub[0]), hidden=h)
-        self.q1 = numeric.mlp_init([d_s + d_a, h, h, 1], seed=int(sub[1]))
-        self.q2 = numeric.mlp_init([d_s + d_a, h, h, 1], seed=int(sub[2]))
+        widths = self.saved_widths(d_s, d_a, h)
+        self.q1 = numeric.mlp_init(widths["q1"], seed=int(sub[1]))
+        self.q2 = numeric.mlp_init(widths["q2"], seed=int(sub[2]))
         self.q1t = self.q1.copy()
         self.q2t = self.q2.copy()
         self.log_alpha = np.array([math.log(cfg.init_temp)])
@@ -164,7 +170,9 @@ class SacAgent(HookedAgent):
     def act_train(self, s, rng, worker: int = 0):
         if self.steps_seen < self.cfg.warmup_steps:
             return rng.uniform(-1.0, 1.0, size=self.spec.d_a) * self.scale
-        return self._act(s, rng)[0]
+        a, overridden = self._act(s, rng)
+        self._count(overridden)
+        return a
 
     # -- learning ----------------------------------------------------------
 

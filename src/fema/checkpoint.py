@@ -2,7 +2,9 @@
 
 Bundles the policy, the networks and f8 arrays the learner class names in
 `saved_nets` and `saved_arrays`, and the embedding stack when the failure
-memory is on, all in the named-blob container format. The failure memory
+memory is on, all in the named-blob container format. The loader refuses
+a saved net or array whose shape differs from the learner's `saved_widths`
+for the policy's widths. The failure memory
 snapshots to its own file next to the checkpoint; the metadata records
 whether one is expected. An `rng` blob from older writers is ignored.
 """
@@ -80,6 +82,7 @@ def load_checkpoint(path) -> CheckpointData:
         if "stack" in blobs:
             stack = embedding.stack_from_bytes(blobs["stack"])
         _check_widths(meta, policy, stack)
+        _check_saved(learner, policy, nets, arrays)
         return CheckpointData(
             algo=meta["algo"],
             env=meta["env"],
@@ -127,6 +130,23 @@ def _check_widths(meta: dict, policy: GaussianPolicy, stack) -> None:
                 raise SerializationError(
                     f"checkpoint {part} {key}={width!r} is not the policy's "
                     f"{key}={want}")
+
+
+def _check_saved(learner, policy: GaussianPolicy, nets: dict,
+                 arrays: dict) -> None:
+    """Refuse a saved net or array whose shape is not the one the learner
+    declares for the policy's widths."""
+    want = learner.saved_widths(policy.d_s, policy.d_a, policy.trunk.out_dim)
+    for name, net in nets.items():
+        if net.widths != want[name]:
+            raise SerializationError(
+                f"checkpoint {name} blob has widths {net.widths}, expected "
+                f"{want[name]}")
+    for name, arr in arrays.items():
+        if arr.shape != (want[name],):
+            raise SerializationError(
+                f"checkpoint {name} blob holds {arr.size} floats, expected "
+                f"{want[name]}")
 
 
 def check_env_match(ckpt: CheckpointData, spec) -> None:

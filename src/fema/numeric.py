@@ -155,15 +155,20 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray):
                 f"output_grad shape {g.shape} != forward output shape {cache.outputs[-1].shape}"
             )
 
-    grads = []
+    grad = np.empty_like(mlp.flat)
+    end = grad.size
     for layer, x_in, a in zip(mlp.layers[::-1], cache.inputs[::-1], cache.outputs[::-1]):
         if layer.act == "tanh":
             g = g * (1.0 - a * a)
         elif layer.act == "relu":
             g = g * (a > 0.0)
-        grads += [g.sum(axis=0), (g.T @ x_in).ravel()]
+        n_out, n_in = layer.w.shape
+        b_at, w_at = end - n_out, end - n_out - n_out * n_in
+        np.add.reduce(g, axis=0, out=grad[b_at:end])
+        np.matmul(g.T, x_in, out=grad[w_at:b_at].reshape(n_out, n_in))
+        end = w_at
         g = g @ layer.w
-    return [np.concatenate(grads[::-1])], (g[0] if cache.single else g)
+    return [grad], (g[0] if cache.single else g)
 
 
 @dataclass

@@ -46,9 +46,11 @@ def score_candidates(
     stack: embedding.EmbeddingStack,
     risk_weight: float,
     aggregator: str = "mean",
+    z_s: np.ndarray | None = None,
 ) -> list:
     """Score candidate actions (a list, or an (n, d_a) array) against the
-    retrieved failure rows."""
+    retrieved failure rows. `z_s` is the state's embedding when the caller
+    has it already; it is computed from `s` otherwise."""
     if not records:
         raise UsageError("score_candidates requires a non-empty retrieval")
     if records.version != stack.version:
@@ -58,7 +60,8 @@ def score_candidates(
         )
     if aggregator not in AGGREGATORS:
         raise UsageError(f"unknown aggregator {aggregator!r}")
-    z_s = embedding.encode_state(stack, s)
+    if z_s is None:
+        z_s = embedding.encode_state(stack, s)
     acts = np.asarray(candidates, dtype=np.float64)
     z_a = embedding.encode_action(stack, acts)
     phi = embedding.joint_embed(stack, np.tile(z_s, (len(candidates), 1)), z_a)
@@ -91,7 +94,8 @@ def select(
         return policy.sample(s, rng), SelectionTrace(
             candidates=[], chosen=0, fallback=True, cold=result.cold)
     scored = score_candidates(s, policy.sample(s, rng, cfg.n_candidates),
-                              result.records, stack, cfg.risk_weight, cfg.aggregator)
+                              result.records, stack, cfg.risk_weight,
+                              cfg.aggregator, z_s=z_s)
     chosen = int(np.argmax([c.score for c in scored]))  # lowest index on ties
     return scored[chosen].action, SelectionTrace(
         candidates=scored, chosen=chosen, fallback=False, cold=False)

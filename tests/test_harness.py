@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fema import checkpoint, serialize
+from fema import checkpoint, numeric, serialize
 from fema.agents import AGENTS
 from fema.agents.common import AgentConfig
 from fema.agents.ppo import PpoAgent
@@ -493,6 +493,27 @@ class TestCheckpoint:
             embedding.stack_init(d_s=d_s, d_a=d_a, seed=0, hidden=4))
         serialize.save_blobs(path, blobs)
         with pytest.raises(SerializationError, match=f"stack {key}="):
+            checkpoint.load_checkpoint(path)
+
+    @pytest.mark.parametrize("algo, name, blob, message", [
+        ("sac", "q1", lambda: serialize.mlp_to_bytes(
+            numeric.mlp_init([9, 16, 16, 1], seed=0)),
+         r"q1 blob has widths \[9, 16, 16, 1\], expected \[3, 16, 16, 1\]"),
+        ("sac", "log_alpha", lambda: np.zeros(3).astype("<f8").tobytes(),
+         "log_alpha blob holds 3 floats, expected 1"),
+        ("ppo", "vnet", lambda: serialize.mlp_to_bytes(
+            numeric.mlp_init([2, 8, 8, 1], seed=0)),
+         r"vnet blob has widths \[2, 8, 8, 1\], expected \[2, 16, 16, 1\]"),
+    ], ids=["sac_q1_inputs", "sac_log_alpha_length", "ppo_vnet_width"])
+    def test_saved_blob_of_wrong_shape_refused(self, tmp_path, algo, name,
+                                               blob, message):
+        agent, _ = self.make_agent(algo)
+        path = tmp_path / "ckpt.bin"
+        checkpoint.save_checkpoint(path, agent, "tilt_pole", 5)
+        blobs = serialize.load_blobs(path)
+        blobs[name] = blob()
+        serialize.save_blobs(path, blobs)
+        with pytest.raises(SerializationError, match=message):
             checkpoint.load_checkpoint(path)
 
     # sha256 prefixes of the files written below; they pin the checkpoint

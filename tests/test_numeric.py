@@ -187,6 +187,22 @@ class TestBackward:
         fd = fd_grads(loss, [x], h=1e-5)[0]
         assert max_rel_error([gin], [fd]) < 1e-4
 
+    def test_flat_gradient_holds_each_layer_product(self):
+        # Layer by layer, the flat gradient holds exactly g.T @ x_in (row-major)
+        # then g.sum(0), as a hand-run backward pass computes them.
+        rng = np.random.default_rng(14)
+        m = random_mlp([5, 7, 3], seed=22)
+        x = rng.normal(size=(6, 5))
+        c = rng.normal(size=(6, 3))
+        _, cache = numeric.forward(m, x)
+        (grad,), _ = numeric.backward(m, cache, c)
+        g_out = c
+        h = cache.outputs[0]
+        g_hid = (g_out @ m.layers[1].w) * (1.0 - h * h)
+        want = np.concatenate([(g_hid.T @ x).ravel(), g_hid.sum(axis=0),
+                               (g_out.T @ h).ravel(), g_out.sum(axis=0)])
+        np.testing.assert_array_equal(grad, want)
+
     def test_stale_cache_rejected(self):
         m = random_mlp([3, 4, 1], seed=1)
         other = random_mlp([3, 4, 1], seed=2)

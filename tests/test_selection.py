@@ -139,8 +139,36 @@ class TestScoreCandidates:
         assert scored.distance - 0.5 * (scored.risk + 1.0) < scored.score
         assert (scored.distance + 1.0) - 0.5 * scored.risk > scored.score
 
+    def test_given_state_embedding_scores_the_same(self):
+        st, mem = self.setup_scene(seed=9)
+        s = np.array([0.3, -0.2, 0.1])
+        cands = np.random.default_rng(4).normal(size=(4, 2))
+        plain = selection.score_candidates(s, cands, mem.records, st, 0.5)
+        given = selection.score_candidates(s, cands, mem.records, st, 0.5,
+                                           z_s=embedding.encode_state(st, s))
+        assert ([(c.distance, c.risk, c.score) for c in given]
+                == [(c.distance, c.risk, c.score) for c in plain])
+
 
 class TestSelect:
+    def test_one_state_encode_per_decision(self, monkeypatch):
+        st = small_stack(seed=6)
+        rng = np.random.default_rng(17)
+        mem = published_memory(
+            st, rng.normal(size=(3, 3)), rng.normal(size=(3, 2)),
+            [-1.0, -2.0, -3.0],
+            base_cfg(match_radius=float("inf"), n_candidates=4),
+        )
+        calls = []
+        encode = embedding.encode_state
+        monkeypatch.setattr(embedding, "encode_state",
+                            lambda *args: calls.append(1) or encode(*args))
+        pol = StubPolicy([0.0, 0.0], [1.0, 1.0])
+        _, trace = selection.select(np.full(3, 0.2), pol, mem, st, mem.cfg,
+                                    np.random.default_rng(1))
+        assert not trace.fallback
+        assert len(calls) == 1
+
     def test_cold_memory_fallback_matches_plain_draw(self):
         st = small_stack(seed=1)
         mem = memory.FailureMemory(base_cfg())
