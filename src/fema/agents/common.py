@@ -111,6 +111,12 @@ class HookedAgent:
       reads; it appends rows, stages failure tails and books the
       selector decision through `_count`.
 
+    In the gap between phases, `end_phase()` may run `update_phase()` in a
+    forked child while `between_phases()` publishes in this process, so
+    `update_phase` touches only the learner nets, their optimizers,
+    `learn_rng` and `_rows`, and `between_phases` touches only the memory
+    and the embedding stack.
+
     A learner without phases (SAC) learns between two acts and is always
     stepped one worker at a time.
     """

@@ -10,7 +10,9 @@ the executed action, so the surrogate ratio stays well-defined when the
 selector overrides the plain draw. Overridden decisions can be excluded
 from the policy surrogate via the importance-correction flag, since their
 behavior density is intractable; they always contribute to the value
-target. The memory publishes only in the gap between phases.
+target. The memory publishes only in the gap between phases; while it
+does, the learner update runs in a forked child beside it, and this
+process adopts the nets, optimizer states and learner rng it returns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import numeric
+from .. import forking, numeric
 from ..errors import TrainingError, UsageError
 from ..memory import END_HAZARD, END_NONE, FemaConfig
 from .common import AgentConfig, HookedAgent
@@ -268,6 +270,36 @@ class PpoAgent(HookedAgent):
             self.memory.maybe_update(self.stack)
 
     def end_phase(self) -> dict:
-        losses = self.update_phase()
-        self.between_phases()
+        """update_phase(), then between_phases(). When a publish is due and
+        `forking.can_fork()`, the update runs in a forked child beside the
+        publish and this process adopts what it changed (the gap rule in
+        `HookedAgent` keeps the two apart)."""
+        mem = self.memory
+        if (mem is None or len(mem.pending) < mem.cfg.update_every
+                or not forking.can_fork()):
+            losses = self.update_phase()
+            self.between_phases()
+            return losses
+        pid, fh = forking.fork(lambda: (self.update_phase(), self._learned()))
+        running = {pid: fh}
+        try:
+            self.between_phases()
+            losses, (arrays, steps, rng_state) = forking.collect(
+                pid, running.pop(pid), "PPO learner update")
+        finally:
+            forking.reap(running)
+        for mine, theirs in zip(self._learned()[0], arrays, strict=True):
+            mine[...] = theirs
+        self.policy_adam.t, self.value_adam.t = steps
+        self.learn_rng.bit_generator.state = rng_state
+        self._rows, self.last_losses = {}, losses
         return losses
+
+    def _learned(self) -> tuple:
+        """What update_phase changes besides `_rows` and `last_losses`: the
+        arrays it writes in place, both Adam step counts, the rng state."""
+        adams = (self.policy_adam, self.value_adam)
+        return ([*self.policy.params(), *self.vnet.params(),
+                 *(x for adam in adams for x in adam.m + adam.v)],
+                (self.policy_adam.t, self.value_adam.t),
+                self.learn_rng.bit_generator.state)

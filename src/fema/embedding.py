@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,8 +27,10 @@ NORM_EPS = 1e-6
 class EmbeddingStack:
     """State encoder, action encoder, joint embedder, risk head, shared Adam.
 
-    `version` counts completed training rounds; consumers that cache
-    embeddings compare it to decide whether a re-encode is due.
+    The four nets become views of one parameter vector, `flat`, laid out f,
+    g, j, h, so the stack trains as one array. `version` counts completed
+    training rounds; consumers that cache embeddings compare it to decide
+    whether a re-encode is due.
     """
 
     f: numeric.Mlp
@@ -42,9 +44,26 @@ class EmbeddingStack:
     d_z_a: int
     d_phi: int
     version: int = 0
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nets = (self.f, self.g, self.j, self.h)
+        self.flat = np.concatenate([net.flat for net in nets])
+        self.f, self.g, self.j, self.h = (
+            numeric.Mlp(net.widths, net.acts, view)
+            for net, view in zip(nets, self.split(self.flat)))
 
     def params(self) -> list:
-        return self.f.params() + self.g.params() + self.j.params() + self.h.params()
+        """[flat]: the one parameter array (the vector itself, not a copy)."""
+        return [self.flat]
+
+    def split(self, vec: np.ndarray) -> list:
+        """Views of `vec`, laid out like `flat`, one per net f, g, j, h."""
+        views, off = [], 0
+        for net in (self.f, self.g, self.j, self.h):
+            views.append(vec[off:off + net.flat.size])
+            off += net.flat.size
+        return views
 
 
 def stack_init(
@@ -127,7 +146,8 @@ def risk_loss_and_grads(stack: EmbeddingStack, states, actions, targets):
     """Mean squared error of the risk head and its end-to-end gradients.
 
     Gradients flow through the head into the joint embedder and both
-    encoders; the returned list lines up with stack.params().
+    encoders; the returned list, [one vector laid out like stack.flat],
+    lines up with stack.params().
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -146,11 +166,13 @@ def risk_loss_and_grads(stack: EmbeddingStack, states, actions, targets):
     loss = float(np.mean(err * err))
 
     d_pred = (2.0 / batch) * err[:, None]
-    g_h, d_phi = numeric.backward(stack.h, cache_h, d_pred)
-    g_j, d_cat = numeric.backward(stack.j, cache_j, d_phi)
-    g_f, _ = numeric.backward(stack.f, cache_f, d_cat[:, : stack.d_z])
-    g_g, _ = numeric.backward(stack.g, cache_g, d_cat[:, stack.d_z:])
-    return loss, g_f + g_g + g_j + g_h
+    grad = np.empty_like(stack.flat)
+    out_f, out_g, out_j, out_h = stack.split(grad)
+    _, d_phi = numeric.backward(stack.h, cache_h, d_pred, out=out_h)
+    _, d_cat = numeric.backward(stack.j, cache_j, d_phi, out=out_j)
+    numeric.backward(stack.f, cache_f, d_cat[:, : stack.d_z], out=out_f)
+    numeric.backward(stack.g, cache_g, d_cat[:, stack.d_z:], out=out_g)
+    return loss, [grad]
 
 
 def train_risk(

@@ -14,24 +14,21 @@ in P = min(W, usable CPUs) lanes: lane 0 in this process, lanes 1..P-1 in
 children forked at block start, which see the frozen agent copy-on-write.
 The parent then replays observe() and the episode bookkeeping in global
 round-robin order, so the agent and the log see exactly what one worker at
-a time would give them. The runner stays sequential where os.fork or
-os.sched_getaffinity is missing, where one CPU is usable, and while other
-Python threads run.
+a time would give them. The runner stays sequential where
+`forking.can_fork` refuses: os.fork or os.sched_getaffinity missing, one
+usable CPU, or other Python threads running.
 """
 
 from __future__ import annotations
 
-import gc
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from ..errors import ConfigError, FemaError
+from ..errors import ConfigError
+from ..forking import can_fork, collect, reap, usable_cpus
+from ..forking import fork as _fork  # tests count lane forks through this name
 from ..memory import END_NONE, Transition
 
 
@@ -42,13 +39,6 @@ class EpisodeRecord:
     end: str
     end_step: int   # global step index at which the episode finished
     worker: int
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on; 1 where that cannot be asked."""
-    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def lane_count(agent, n_workers: int, cpus: int) -> int:
@@ -86,9 +76,7 @@ class VecRunner:
         """Advance the worker pool by exactly `steps` env steps."""
         take = self._advance
         n_lanes = lane_count(self.agent, len(self.envs), usable_cpus())
-        # A forked child holds only the calling thread, so a process running
-        # other Python threads steps sequentially.
-        if n_lanes > 1 and self._disjoint and threading.active_count() == 1:
+        if n_lanes > 1 and self._disjoint and can_fork(n_lanes):
             take = self._act_in_lanes(steps, n_lanes)
         records = []
         for _ in range(steps):
@@ -129,21 +117,25 @@ class VecRunner:
                   for w in range(n)]
         lanes = [range(k, n, n_lanes) for k in range(n_lanes)]
         running = {}   # pid -> read end of the child's result pipe
+        forked = []    # (pid, workers of its lane)
         try:
             for workers in lanes[1:]:
                 if any(counts[w] for w in workers):
                     pid, fh = _fork(partial(self._child_lane, workers, counts))
                     running[pid] = fh
+                    forked.append((pid, workers))
             taken = self._act_lane(lanes[0], counts)
-            for pid in list(running):
-                lane_taken, ends = _collect(pid, running.pop(pid))
+            for pid, workers in forked:
+                lane_taken, ends = collect(
+                    pid, running.pop(pid),
+                    f"rollout lane of workers {list(workers)}")
                 taken.update(lane_taken)
                 for w, (env, rng, state) in ends.items():
                     vars(self.envs[w]).update(vars(env))
                     self.rngs[w].bit_generator.state = rng.bit_generator.state
                     self.states[w] = state
         finally:
-            _reap(running)
+            reap(running)
         queues = {w: _unpack(packed) for w, packed in taken.items()}
 
         def take(w: int) -> Transition:
@@ -181,74 +173,3 @@ def _unpack(packed):
     for i, rec in enumerate(recs):
         yield Transition(s=s[i], a=a[i], r=r[i], s_next=s_next[i],
                          end=end[i]), rec
-
-
-def _fork(work) -> tuple:
-    """Run work() in a forked child; returns (pid, read end of its pipe).
-
-    The child pickles ("ok", result) or ("error", exception) into the pipe
-    and leaves through os._exit, so it never runs the parent's cleanup or
-    flushes the parent's buffered files. Its cyclic garbage collector is
-    off, so no finalizer of the parent's unreachable objects runs there.
-    """
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            gc.disable()
-            os.close(rfd)
-            try:
-                payload = pickle.dumps(("ok", work()), pickle.HIGHEST_PROTOCOL)
-            except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
-                payload = _pickled_error(exc)
-            with os.fdopen(wfd, "wb") as fh:
-                fh.write(payload)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    return pid, os.fdopen(rfd, "rb")
-
-
-def _pickled_error(exc: BaseException) -> bytes:
-    """The exception, pickled so that it unpickles; else a FemaError that
-    carries its type name and message."""
-    try:
-        payload = pickle.dumps(("error", exc), pickle.HIGHEST_PROTOCOL)
-        pickle.loads(payload)
-        return payload
-    except Exception:  # noqa: BLE001 - any pickling failure
-        return pickle.dumps(("error", FemaError(f"{type(exc).__name__}: {exc}")))
-
-
-def _collect(pid: int, fh):
-    """Read and reap one lane child; returns its result or raises its error."""
-    try:
-        with fh:
-            data = fh.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if not data:
-        raise FemaError(f"rollout lane process {pid} exited without a result "
-                        f"(wait status {status})")
-    kind, value = pickle.loads(data)
-    if kind == "error":
-        raise value
-    return value
-
-
-def _reap(running: dict) -> None:
-    """Stop and wait for every lane child whose result was not collected."""
-    for pid, fh in running.items():
-        fh.close()
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        os.waitpid(pid, 0)

@@ -25,6 +25,7 @@ AXES = {
     "update_m": ("update_every", int),
     "top_o": ("max_matches", int),
     "lambda_risk": ("risk_weight", float),
+    "train_epochs": ("train_epochs", int),
 }
 
 

@@ -136,11 +136,11 @@ def forward(mlp: Mlp, x: np.ndarray):
     return out, ForwardCache(inputs, outputs, single, id(mlp))
 
 
-def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray):
+def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray, out=None):
     """Backpropagate loss gradients through a cached forward pass.
 
     Returns (grads, input_grad) where grads is [one vector laid out like
-    mlp.flat], matching mlp.params().
+    mlp.flat], matching mlp.params(); the vector is `out` when given.
     """
     if cache.mlp_id != id(mlp) or len(cache.inputs) != len(mlp.layers):
         raise UsageError("cache does not belong to this network's forward pass")
@@ -155,7 +155,9 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray):
                 f"output_grad shape {g.shape} != forward output shape {cache.outputs[-1].shape}"
             )
 
-    grad = np.empty_like(mlp.flat)
+    grad = np.empty_like(mlp.flat) if out is None else out
+    if grad.shape != mlp.flat.shape:
+        raise ShapeError(f"gradient buffer shape {grad.shape} != {mlp.flat.shape}")
     end = grad.size
     for layer, x_in, a in zip(mlp.layers[::-1], cache.inputs[::-1], cache.outputs[::-1]):
         if layer.act == "tanh":

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,61 @@ class TestStackSnapshot:
         assert back.version == 4
         s, a = np.ones(3), np.ones(2)
         assert embedding.risk_of_pair(back, s, a) == embedding.risk_of_pair(st, s, a)
+
+
+class TestStackVector:
+    """The four nets are views of one vector, which trains as one array."""
+
+    @staticmethod
+    def nets(st):
+        return (st.f, st.g, st.j, st.h)
+
+    def assert_views(self, st):
+        assert st.params() == [st.flat] and st.params()[0] is st.flat
+        assert sum(net.flat.size for net in self.nets(st)) == st.flat.size
+        for net in self.nets(st):
+            assert net.flat.base is st.flat
+        np.testing.assert_array_equal(
+            np.concatenate([net.flat for net in self.nets(st)]), st.flat)
+        st.flat[-1] = 7.5   # the risk head's output bias
+        assert st.h.layers[-1].b[0] == 7.5
+
+    def test_views_after_init(self):
+        self.assert_views(small_stack(seed=3))
+
+    def test_views_after_from_bytes(self):
+        st = small_stack(seed=3)
+        self.assert_views(embedding.stack_from_bytes(embedding.stack_to_bytes(st)))
+
+    def test_one_gradient_is_the_per_net_gradients_joined(self):
+        st = small_stack(seed=8)
+        rng = np.random.default_rng(9)
+        s = rng.normal(size=(6, 3))
+        a = rng.normal(size=(6, 2))
+        y = rng.normal(size=6)
+        loss, (grad,) = embedding.risk_loss_and_grads(st, s, a, y)
+        z_s, c_f = numeric.forward(st.f, s)
+        z_a, c_g = numeric.forward(st.g, a)
+        phi, c_j = numeric.forward(st.j, np.concatenate([z_s, z_a], axis=1))
+        pred, c_h = numeric.forward(st.h, phi)
+        err = pred[:, 0] - y
+        (g_h,), d_phi = numeric.backward(st.h, c_h, (2.0 / 6) * err[:, None])
+        (g_j,), d_cat = numeric.backward(st.j, c_j, d_phi)
+        (g_f,), _ = numeric.backward(st.f, c_f, d_cat[:, :4])
+        (g_g,), _ = numeric.backward(st.g, c_g, d_cat[:, 4:])
+        assert loss == float(np.mean(err * err))
+        assert grad.tobytes() == np.concatenate([g_f, g_g, g_j, g_h]).tobytes()
+
+    # sha256 prefixes of stack_to_bytes, written while each net was its own
+    # vector (x86-64, numpy 2.4.6, scipy-openblas 0.3.31)
+    def test_bytes_pinned(self):
+        st = embedding.stack_init(d_s=3, d_a=2, seed=5, d_z=4, d_z_a=3,
+                                  d_phi=5, hidden=8)
+        digest = hashlib.sha256(embedding.stack_to_bytes(st)).hexdigest()[:16]
+        assert digest == "f33fc576f178b3c4"
+        rng = np.random.default_rng(11)
+        embedding.train_risk(st, rng.normal(size=(40, 3)),
+                             rng.normal(size=(40, 2)), rng.normal(size=40),
+                             epochs=3, batch_size=8, rng=np.random.default_rng(12))
+        digest = hashlib.sha256(embedding.stack_to_bytes(st)).hexdigest()[:16]
+        assert digest == "5c8963271ced1c56"

@@ -998,6 +998,13 @@ class TestAblate:
         with pytest.raises(UsageError, match="int values"):
             derive_cell(rc, "top_o", "lots")
 
+    def test_derive_cell_train_epochs(self, tmp_path):
+        rc = parse_text(TINY_SAC.format(out_dir=tmp_path))
+        assert derive_cell(rc, "train_epochs", "3").fema.train_epochs == 3
+        for bad in ("2.5", "many"):
+            with pytest.raises(UsageError, match="int values"):
+                derive_cell(rc, "train_epochs", bad)
+
     def test_unknown_axis_refused(self, tmp_path):
         path = write_config(tmp_path, TINY_SAC)
         with pytest.raises(UsageError, match="unknown axis"):

@@ -258,6 +258,20 @@ class TestLifecycle:
         with pytest.warns(UserWarning):
             assert mem.update(small_stack()) == 0
 
+    def test_publish_pinned(self):
+        # sha256 prefixes of z_s + phi and of the trained stack's bytes,
+        # written while each embedding net was its own vector (x86-64,
+        # numpy 2.4.6, scipy-openblas 0.3.31)
+        mem = memory.FailureMemory(small_cfg(update_every=2),
+                                   rng=np.random.default_rng(1))
+        st = small_stack(seed=3)
+        stage_n(mem, 3)
+        mem.update(st)
+        rows = mem.records.z_s.tobytes() + mem.records.phi.tobytes()
+        assert hashlib.sha256(rows).hexdigest()[:16] == "5ac5b9103d7aa6cd"
+        stack = embedding.stack_to_bytes(st)
+        assert hashlib.sha256(stack).hexdigest()[:16] == "ba1850d831bb1acf"
+
 
 class TestRetrieve:
     def build_published(self, n_events=6, seed=0):

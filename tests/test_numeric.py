@@ -203,6 +203,23 @@ class TestBackward:
                                (g_out.T @ h).ravel(), g_out.sum(axis=0)])
         np.testing.assert_array_equal(grad, want)
 
+    def test_gradient_written_into_out(self):
+        rng = np.random.default_rng(15)
+        m = random_mlp([4, 6, 2], seed=23)
+        x = rng.normal(size=(5, 4))
+        c = rng.normal(size=(5, 2))
+        _, cache = numeric.forward(m, x)
+        (want,), want_in = numeric.backward(m, cache, c)
+        buf = np.full(m.flat.size + 3, np.nan)
+        view = buf[2:-1]
+        (got,), got_in = numeric.backward(m, cache, c, out=view)
+        assert got is view
+        assert got.tobytes() == want.tobytes()
+        assert got_in.tobytes() == want_in.tobytes()
+        assert np.isnan(buf[:2]).all() and np.isnan(buf[-1])
+        with pytest.raises(ShapeError, match="gradient buffer"):
+            numeric.backward(m, cache, c, out=buf)
+
     def test_stale_cache_rejected(self):
         m = random_mlp([3, 4, 1], seed=1)
         other = random_mlp([3, 4, 1], seed=2)
