@@ -61,7 +61,8 @@ class GaussianPolicy:
         if self.logstd_head is not None:
             ls, cache_l = numeric.forward(self.logstd_head, feat)
         else:
-            ls = np.broadcast_to(self.logstd_vec, mu.shape).copy()
+            ls = np.empty_like(mu)
+            ls[...] = self.logstd_vec
             cache_l = None
         return mu, ls, (cache_t, cache_m, cache_l)
 

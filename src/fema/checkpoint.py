@@ -1,12 +1,13 @@
-"""Training checkpoints: one binary container per run.
+"""Training checkpoints: one sealed container per run.
 
 Bundles the policy, the networks and f8 arrays the learner class names in
 `saved_nets` and `saved_arrays`, and the embedding stack when the failure
-memory is on, all in the named-blob container format. The loader refuses
-a saved net or array whose shape differs from the learner's `saved_widths`
-for the policy's widths. The failure memory
-snapshots to its own file next to the checkpoint; the metadata records
-whether one is expected. An `rng` blob from older writers is ignored.
+memory is on, as blobs of a sealed container (see `serialize`), whose CRC32
+trailer is checked on load; a checkpoint written before files were sealed
+is refused. The loader refuses a saved net or array whose shape differs
+from the learner's `saved_widths` for the policy's widths, and ignores
+blobs the learner does not name. The failure memory snapshots to its own
+file next to the checkpoint; the metadata records whether one is expected.
 """
 
 from __future__ import annotations
@@ -64,13 +65,8 @@ def save_checkpoint(path, agent, env_name: str, step: int) -> None:
 
 def load_checkpoint(path) -> CheckpointData:
     blobs = serialize.load_blobs(path)
+    meta = serialize.read_meta(blobs, FORMAT_NAME, FORMAT_VERSION)
     try:
-        meta = json.loads(blobs["meta"].decode("utf-8"))
-        if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
-            raise SerializationError(f"not a checkpoint file: {path}")
-        if meta.get("version") != FORMAT_VERSION:
-            raise SerializationError(
-                f"unsupported checkpoint version {meta.get('version')}")
         _check_meta(meta, has_stack="stack" in blobs)
         learner = AGENTS[meta["algo"]]
         nets = {name: serialize.mlp_from_bytes(blobs[name])

@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from .. import checkpoint
+from ..errors import UsageError
 from ..agents.loop import eval_episode
 from ..envs import make
 
 
 def cmd_eval(ckpt_path, env_name: str, episodes: int, seed: int) -> list:
     """Roll out the checkpointed policy; returns per-episode rows."""
+    if episodes < 1:
+        raise UsageError(f"eval needs at least 1 episode, got {episodes}")
     data = checkpoint.load_checkpoint(ckpt_path)
     env = make(env_name, np.random.default_rng([seed, 5]))
     checkpoint.check_env_match(data, env.spec)

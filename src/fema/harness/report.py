@@ -332,6 +332,8 @@ def cmd_report(directory, window: int = DEFAULT_WINDOW):
     """Dispatch on layout: seed*/ children mean a run, axis=value a sweep."""
     if not os.path.isdir(directory):
         raise UsageError(f"not a directory: {directory}")
+    if window < 1:
+        raise UsageError(f"the smoothing window must be at least 1, got {window}")
     if find_variants(directory):
         return report_sweep(directory, window)
     return report_run(directory, window)

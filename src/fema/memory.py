@@ -9,20 +9,18 @@ re-encoded with the fresh encoders, and the resulting arrays become the
 searchable generation that retrieval runs against. Between updates the
 published generation is immutable.
 
-A snapshot (format 3, see `FailureMemory.to_bytes`) is a header, an event
-table and contiguous array blocks, closed by a CRC32 trailer.
+A snapshot (format 4, see `FailureMemory.to_bytes`) is a sealed container
+(see `serialize`): a JSON meta blob, the event table and the row and
+generation arrays as blobs, closed by a CRC32 trailer.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import numbers
-import struct
 import warnings
-import zlib
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
@@ -30,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import embedding, serialize
-from .errors import CoherenceError, ConfigError, SerializationError, ShapeError, UsageError
+from .errors import ConfigError, SerializationError, ShapeError, UsageError
 
 END_NONE = "none"
 END_HAZARD = "hazard"
@@ -91,10 +89,6 @@ class FemaConfig:
         if extra:
             raise ConfigError(f"unknown FemaConfig keys: {sorted(extra)}")
         return cls(**d).validate()
-
-    def config_hash(self) -> bytes:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode("utf-8")).digest()
 
 
 @dataclass
@@ -336,75 +330,60 @@ class FailureMemory:
 
     # -- persistence --------------------------------------------------------
 
-    MAGIC = b"FEMA"
-    FORMAT_VERSION = 3
+    FORMAT_NAME = "fema-memory"
+    FORMAT_VERSION = 4
+    # a snapshot's array blobs, in file order, and their little-endian dtypes
+    ARRAYS = {"seq": "<i8", "length": "<i8", "s": "<f8", "a": "<f8",
+              "returns": "<f8", "z_s": "<f8", "phi": "<f8"}
 
     def to_bytes(self) -> bytes:
-        """Snapshot in format version 3, all little-endian: a header (magic,
-        format version, d_s, d_a, d_z, d_phi, discount, config hash and JSON,
-        generation version, next seq, counts of published and pending
-        events); the event table of the published then the pending events,
-        all seqs then all tail lengths, as `<i8` blocks; their rows as `<f8`
-        blocks, states (rows x d_s), actions (rows x d_a) and tail returns;
-        the generation as `<f8` blocks, z_s (n x d_z) then phi (n x d_phi);
-        and a `<I` trailer, the `zlib.crc32` of every byte before it. Row
-        event seqs and step indices are derived from the table on load, as
-        `update` derives them.
+        """Snapshot in format version 4, a sealed container (see `serialize`):
+        a JSON `meta` blob (format name and version, config, generation
+        version, next seq, published-event count, widths d_s, d_a, d_z and
+        d_phi), then the `ARRAYS` blobs: the event table (`seq`, `length`) of
+        the published then the pending events; their rows, `s` (rows x d_s),
+        `a` (rows x d_a) and tail `returns`; and the generation, `z_s`
+        (n x d_z) and `phi` (n x d_phi). Row event seqs and step indices are
+        derived from the table on load, as `update` derives them.
         """
         tails, gen = list(self.events) + list(self.pending), self.records
         d_s, d_a = (tails[0].s.shape[1], tails[0].a.shape[1]) if tails else (0, 0)
-        cfg_json = json.dumps(self.cfg.to_dict(), sort_keys=True).encode("utf-8")
+        meta = {"format": self.FORMAT_NAME, "version": self.FORMAT_VERSION,
+                "config": self.cfg.to_dict(), "generation": self.version,
+                "next_seq": self.next_seq, "published": len(self.events),
+                "d_s": d_s, "d_a": d_a, "d_z": gen.z_s.shape[1], "d_phi": gen.phi.shape[1]}
         rows = [np.concatenate([getattr(t, k) for t in tails]) if tails else np.empty(0)
                 for k in ("s", "a", "returns")]
-        parts = [
-            self.MAGIC, struct.pack("<H4Id", self.FORMAT_VERSION, d_s, d_a,
-                                    gen.z_s.shape[1], gen.phi.shape[1], self.cfg.discount),
-            self.cfg.config_hash(), struct.pack("<I", len(cfg_json)), cfg_json,
-            struct.pack("<qQII", self.version, self.next_seq, len(self.events),
-                        len(self.pending)),
-            *(np.ascontiguousarray(x, "<i8") for x in _table(tails)),
-            *(np.ascontiguousarray(x, "<f8") for x in (*rows, gen.z_s, gen.phi)),
-        ]
-        crc = 0
-        for part in parts:
-            crc = zlib.crc32(part, crc)
-        return b"".join([*parts, struct.pack("<I", crc)])
+        arrays = zip(self.ARRAYS.items(), (*_table(tails), *rows, gen.z_s, gen.phi))
+        return serialize.seal({"meta": json.dumps(meta, sort_keys=True).encode("utf-8"),
+                               **{k: np.ascontiguousarray(x, dtype) for (k, dtype), x in arrays}})
 
     def snapshot(self, path) -> None:
         serialize.write_atomic(path, self.to_bytes())
 
     @classmethod
-    def from_bytes(cls, buf: bytes, rng: Optional[np.random.Generator] = None,
-                   expect_dims: Optional[dict] = None) -> "FailureMemory":
-        r = _Reader(buf)
-        magic, fmt = r.unpack("<4sH")
-        if magic != cls.MAGIC:
-            raise SerializationError("bad memory snapshot: missing FEMA magic")
-        if fmt != cls.FORMAT_VERSION:
-            raise SerializationError(f"unsupported memory format version {fmt}")
-        r.end -= 4  # the CRC32 trailer
-        if r.end < r.off or (zlib.crc32(r.buf[:r.end])
-                             != int.from_bytes(r.buf[r.end:], "little")):
-            raise SerializationError("memory snapshot fails its CRC32 check")
-        d_s, d_a, d_z, d_phi, gamma, stored_hash, cfg_len = r.unpack("<4Id32sI")
-        try:
-            cfg_dict = json.loads(str(r.take(cfg_len), "utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SerializationError(f"unreadable memory snapshot config: {exc}") from exc
-        cfg = FemaConfig.from_dict(cfg_dict)
-        if cfg.config_hash() != stored_hash:
-            raise SerializationError("memory snapshot config hash mismatch")
-        if gamma != cfg.discount:
-            raise SerializationError("memory snapshot header/config discount mismatch")
-        for name, want in (expect_dims or {}).items():
-            got = {"d_s": d_s, "d_a": d_a, "d_z": d_z, "d_phi": d_phi}[name]
-            if got not in (0, want):
-                raise CoherenceError(
-                    f"memory snapshot {name}={got} does not match expected {want}")
-        version, next_seq, n_events, n_pending = r.unpack("<qQII")
-        if max(n_events, n_pending) > cfg.capacity:
+    def from_bytes(cls, buf: bytes, rng: Optional[np.random.Generator] = None) -> "FailureMemory":
+        blobs = serialize.unseal(buf)
+        meta = serialize.read_meta(blobs, cls.FORMAT_NAME, cls.FORMAT_VERSION)
+        cfg = FemaConfig.from_dict(meta.get("config"))
+        ints = [meta.get(k) for k in ("generation", "next_seq", "published",
+                                      "d_s", "d_a", "d_z", "d_phi")]
+        # u32 counts and widths; only a generation that never published is -1
+        if any(type(v) is not int or not -1 <= v < 2**32 for v in ints) or -1 in ints[1:]:
+            raise SerializationError(f"memory snapshot counts out of range: {ints}")
+        version, next_seq, n_events, d_s, d_a, d_z, d_phi = ints
+
+        def array(name: str, *shape: int) -> np.ndarray:
+            """A copy of blob `name`, which must hold exactly `shape`."""
+            view = blobs.get(name)
+            if view is None or view.nbytes != 8 * math.prod(shape):
+                raise SerializationError(f"memory snapshot {name} blob does not hold {shape}")
+            return np.frombuffer(view, cls.ARRAYS[name]).reshape(shape).copy()
+
+        n = len(blobs.get("seq", b"")) // 8
+        seqs, lengths = array("seq", n), array("length", n)
+        if not n_events <= n or max(n_events, n - n_events) > cfg.capacity:
             raise SerializationError("memory snapshot holds more events than its capacity")
-        seqs, lengths = (r.array("<i8", n_events + n_pending) for _ in range(2))
         if np.any((lengths < 1) | (lengths > cfg.suffix_len)):
             raise SerializationError("memory snapshot tail length outside 1..suffix_len")
         if seqs.size and (seqs[0] < 0 or np.any(seqs[1:] <= seqs[:-1])
@@ -412,45 +391,16 @@ class FailureMemory:
             raise SerializationError("memory snapshot event seqs do not increase below next seq")
         bounds = list(itertools.accumulate(lengths.tolist(), initial=0))
         n_rows, n_pub = bounds[-1], bounds[n_events]
-        sizes = [n_rows * d_s, n_rows * d_a, n_rows, n_pub * d_z, n_pub * d_phi]
-        s, a, rets, z_s, phi = np.split(r.array("<f8", sum(sizes)), np.cumsum(sizes)[:-1])
-        r.done()
-        s, a = s.reshape(n_rows, d_s), a.reshape(n_rows, d_a)
+        s, a, rets = array("s", n_rows, d_s), array("a", n_rows, d_a), array("returns", n_rows)
         tails = [Tail(q, s[i:j], a[i:j], rets[i:j])
                  for q, i, j in zip(seqs.tolist(), bounds, bounds[1:])]
         mem = cls(cfg, rng=rng)
         mem.next_seq, mem.events = next_seq, tails[:n_events]
         mem.pending.extend(tails[n_events:])
         mem.records = _generation(seqs[:n_events], lengths[:n_events], rets[:n_pub],
-                                  z_s.reshape(n_pub, d_z), phi.reshape(n_pub, d_phi), version)
+                                  array("z_s", n_pub, d_z), array("phi", n_pub, d_phi), version)
         return mem
 
     @classmethod
-    def load(cls, path, rng: Optional[np.random.Generator] = None,
-             expect_dims: Optional[dict] = None) -> "FailureMemory":
-        return cls.from_bytes(serialize.read_bytes(path), rng=rng,
-                              expect_dims=expect_dims)
-
-
-class _Reader:
-    """Bounds-checked cursor over a byte buffer, up to `end`."""
-
-    def __init__(self, buf: bytes):
-        self.buf, self.off, self.end = memoryview(buf), 0, len(buf)
-
-    def take(self, n: int) -> memoryview:
-        if self.off + n > self.end:
-            raise SerializationError("truncated memory snapshot")
-        self.off += n
-        return self.buf[self.off - n:self.off]
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def array(self, dtype: str, n: int) -> np.ndarray:
-        """A copy of the next n values of `dtype`."""
-        return np.frombuffer(self.take(np.dtype(dtype).itemsize * n), dtype).copy()
-
-    def done(self) -> None:
-        if self.off != self.end:
-            raise SerializationError("trailing bytes after memory snapshot")
+    def load(cls, path, rng: Optional[np.random.Generator] = None) -> "FailureMemory":
+        return cls.from_bytes(serialize.read_bytes(path), rng=rng)

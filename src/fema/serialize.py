@@ -6,14 +6,19 @@ per layer (u32 in, u32 out, u8 act code) | the network's parameter vector
 
 Container format ("FEMC"): magic | u16 version | u32 count |
 per entry: u16 name length, name utf-8, u64 payload length, payload bytes.
-Used by checkpoints, policies and embedding stacks to bundle parameter
-blobs and metadata.
+A sealed file (`seal`, `unseal`) is one container and a u32 trailer, the
+`zlib.crc32` of every byte before it. `checkpoint.bin` (`save_blobs`) and
+the failure memory's `memory.bin` are sealed; the policy and embedding
+stack nest in a checkpoint as plain containers. A sealed file's JSON `meta`
+blob names its format and version (`read_meta`).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -75,18 +80,31 @@ def expect_widths(mlp: Mlp, in_dim, out_dim, what: str) -> None:
                                  f"expected {in_dim} -> {out_dim}")
 
 
-def blobs_to_bytes(blobs: dict) -> bytes:
+def _container(blobs: dict) -> list:
+    """The parts of the container of `blobs` (name -> bytes-like payload)."""
     parts = [CONTAINER_MAGIC, struct.pack("<HI", CONTAINER_VERSION, len(blobs))]
     for name, payload in blobs.items():
         enc = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(enc)))
-        parts.append(enc)
-        parts.append(struct.pack("<Q", len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
+        parts += [struct.pack("<H", len(enc)), enc,
+                  struct.pack("<Q", memoryview(payload).nbytes), payload]
+    return parts
 
 
-def blobs_from_bytes(buf: bytes) -> dict:
+def blobs_to_bytes(blobs: dict) -> bytes:
+    return b"".join(_container(blobs))
+
+
+def seal(blobs: dict) -> bytes:
+    """The container of `blobs` and its CRC32 trailer, joined in one copy."""
+    parts = _container(blobs)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, struct.pack("<I", crc)])
+
+
+def _views(buf: memoryview) -> dict:
+    """name -> a view of each payload of the container in `buf`."""
     if len(buf) < 10 or buf[:4] != CONTAINER_MAGIC:
         raise SerializationError("bad container: missing FEMC magic")
     version, count = struct.unpack_from("<HI", buf, 4)
@@ -95,34 +113,57 @@ def blobs_from_bytes(buf: bytes) -> dict:
     off = 10
     out = {}
     for _ in range(count):
-        if off + 2 > len(buf):
-            raise SerializationError("truncated container entry header")
-        (name_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
         try:
-            name = buf[off:off + name_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SerializationError(f"unreadable container entry name: {exc}") from exc
-        off += name_len
-        if off + 8 > len(buf):
-            raise SerializationError("truncated container entry size")
-        (size,) = struct.unpack_from("<Q", buf, off)
-        off += 8
+            (name_len,) = struct.unpack_from("<H", buf, off)
+            name = str(buf[off + 2:off + 2 + name_len], "utf-8")
+            (size,) = struct.unpack_from("<Q", buf, off + 2 + name_len)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise SerializationError(f"truncated or unreadable container entry: {exc}") from exc
+        off += 2 + name_len + 8
         if off + size > len(buf):
             raise SerializationError(f"truncated container payload for {name!r}")
         if name in out:
             raise SerializationError(f"duplicate container entry {name!r}")
-        out[name] = bytes(buf[off:off + size])
+        out[name] = buf[off:off + size]
         off += size
     if off != len(buf):
         raise SerializationError("trailing bytes after container payload")
     return out
 
 
+def blobs_from_bytes(buf) -> dict:
+    return {name: bytes(view) for name, view in _views(memoryview(buf)).items()}
+
+
+def unseal(buf) -> dict:
+    """name -> a view of each payload of a sealed file's bytes, after its
+    CRC32 trailer is checked."""
+    buf = memoryview(buf)
+    if len(buf) < 4 or zlib.crc32(buf[:-4]) != int.from_bytes(buf[-4:], "little"):
+        raise SerializationError("sealed file fails its CRC32 check")
+    return _views(buf[:-4])
+
+
+def read_meta(blobs: dict, fmt: str, version: int) -> dict:
+    """The JSON `meta` object of a sealed file; it must name `fmt` at `version`."""
+    kind = fmt.removeprefix("fema-")
+    try:
+        meta = json.loads(str(blobs["meta"], "utf-8"))
+    except (KeyError, ValueError) as exc:
+        raise SerializationError(f"unreadable {kind} metadata: {exc!r}") from exc
+    if not isinstance(meta, dict) or meta.get("format") != fmt:
+        raise SerializationError(f"not a {kind} file")
+    if meta.get("version") != version:
+        raise SerializationError(f"unsupported {kind} version {meta.get('version')!r}")
+    return meta
+
+
 def write_atomic(path, data: bytes) -> None:
     """Replace the file at `path` with `data`: write a temp file in the same
-    directory, flush and fsync it, then rename it over `path`. On error the
-    temp file is removed and any old file at `path` is left as it was."""
+    directory, flush and fsync it, rename it over `path`, then fsync the
+    directory so that the rename survives a crash. On an error before the
+    rename the temp file is removed and any old file at `path` is left as it
+    was."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -130,6 +171,12 @@ def write_atomic(path, data: bytes) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        if hasattr(os, "O_DIRECTORY"):  # make the rename itself durable
+            fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_DIRECTORY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -137,7 +184,7 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def save_blobs(path, blobs: dict):
-    write_atomic(path, blobs_to_bytes(blobs))
+    write_atomic(path, seal(blobs))
 
 
 def read_bytes(path) -> bytes:
@@ -150,4 +197,4 @@ def read_bytes(path) -> bytes:
 
 
 def load_blobs(path) -> dict:
-    return blobs_from_bytes(read_bytes(path))
+    return {name: bytes(view) for name, view in unseal(read_bytes(path)).items()}

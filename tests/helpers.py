@@ -1,13 +1,17 @@
-"""Test-only helpers built on the package: zero networks, an episode driver
-and a count of the transitions an agent still holds."""
+"""Test-only helpers built on the package: zero networks, an episode driver,
+a count of the transitions an agent still holds and the digest of a run's
+output files that pins compare."""
 
 import gc
+import hashlib
+import json
 import weakref
+import zlib
 
 import numpy as np
 
 from fema.envs.runner import EpisodeRecord
-from fema.memory import END_NONE, Transition
+from fema.memory import END_NONE, FailureMemory, Transition
 from fema.numeric import Mlp, default_acts
 
 
@@ -62,3 +66,30 @@ def held_transitions(agent, steps: int, workers: int = 2) -> int:
     del tr
     gc.collect()
     return sum(ref() is not None for ref in refs)
+
+
+def pin_digest(name: str, data: bytes) -> str:
+    """The 16-hex-digit sha256 prefix that pins the run output file `name`.
+
+    `metrics.jsonl` is hashed as is. A `checkpoint.bin` is hashed without
+    its 4-byte CRC32 trailer, which is checked, so the pin covers the
+    container body alone. A `memory.bin` is hashed by what it holds (config,
+    generation version, next seq, each tail's seq, states, actions and
+    returns, and the generation's arrays), so that the pin does not depend
+    on the snapshot format.
+    """
+    if name == "checkpoint.bin":
+        data, trailer = data[:-4], data[-4:]
+        assert zlib.crc32(data).to_bytes(4, "little") == trailer
+    elif name == "memory.bin":
+        mem = FailureMemory.from_bytes(data)
+        gen = mem.records
+        head = json.dumps([mem.cfg.to_dict(), mem.version, mem.next_seq], sort_keys=True)
+        parts = [head.encode("utf-8")]
+        for tail in [*mem.events, *mem.pending]:
+            parts += [np.int64(tail.seq).tobytes(), tail.s.tobytes(), tail.a.tobytes(),
+                      tail.returns.tobytes()]
+        parts += [x.tobytes() for x in (gen.z_s, gen.phi, gen.mc_return, gen.event_seq,
+                                        gen.step_idx)]
+        data = b"".join(parts)
+    return hashlib.sha256(data).hexdigest()[:16]

@@ -45,6 +45,8 @@ from fema.harness.report import (
 )
 from fema.harness.train import build_agent, cmd_train, run_config, run_seed
 
+from helpers import pin_digest
+
 MINIMAL = """\
 [run]
 agent = sac
@@ -516,8 +518,8 @@ class TestCheckpoint:
         with pytest.raises(SerializationError, match=message):
             checkpoint.load_checkpoint(path)
 
-    # sha256 prefixes of the files written below; they pin the checkpoint
-    # layout byte for byte
+    # `helpers.pin_digest` of the files written below; they pin the
+    # checkpoint's container body byte for byte
     LAYOUT_SHA256 = {
         ("tilt_pole", "ppo", False): "3e1de7a51c3bb443",
         ("tilt_pole", "ppo", True): "6f1a38123b2035c7",
@@ -546,8 +548,8 @@ class TestCheckpoint:
     @LAYOUTS
     def test_checkpoint_bytes_pinned(self, tmp_path, env_name, algo, fema):
         _, path = self.save_layout_agent(tmp_path, env_name, algo, fema)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest.startswith(self.LAYOUT_SHA256[env_name, algo, fema])
+        digest = pin_digest("checkpoint.bin", path.read_bytes())
+        assert digest == self.LAYOUT_SHA256[env_name, algo, fema]
 
     @LAYOUTS
     def test_learner_layout_round_trip(self, tmp_path, env_name, algo, fema):
@@ -889,7 +891,9 @@ class TestReportFiles:
 
     def test_failed_write_keeps_old_report(self, sac_run, tmp_path, monkeypatch):
         # Fail the k-th fsync of a sweep or report rewrite, for each k: every
-        # old file stays as it was and no temp file is left behind.
+        # old file stays as it was and no temp file is left behind. Each file
+        # takes two fsyncs where directories can be fsynced: its own, then
+        # its directory's after the rename (which rewrites the same bytes).
         import shutil
         from fema.harness import ablate
         sweep = tmp_path / "sweep"
@@ -901,12 +905,13 @@ class TestReportFiles:
         cmd_report(sweep)
         before = {p: p.read_bytes() for p in sweep.rglob("*") if p.is_file()}
         reports = [p for p in before if p.parent.name == "report"]
-        rewrites = [(lambda: cmd_ablate(path, "update_m", ["2", "4"]), 3),
-                    (lambda: cmd_report(sweep), len(reports))]
+        per_file = 2 if hasattr(os, "O_DIRECTORY") else 1
+        rewrites = [(lambda: cmd_ablate(path, "update_m", ["2", "4"]), 3 * per_file),
+                    (lambda: cmd_report(sweep), len(reports) * per_file)]
         real_fsync = os.fsync
-        for rewrite, n_files in rewrites:
-            for k in range(n_files + 1):
-                calls = iter(range(n_files + 1))
+        for rewrite, n_fsyncs in rewrites:
+            for k in range(n_fsyncs + 1):
+                calls = iter(range(n_fsyncs + 1))
 
                 def fsync(fd, k=k, calls=calls):
                     if next(calls) == k:
@@ -914,7 +919,7 @@ class TestReportFiles:
                     real_fsync(fd)
 
                 monkeypatch.setattr(os, "fsync", fsync)
-                if k < n_files:
+                if k < n_fsyncs:
                     with pytest.raises(OSError, match="no space"):
                         rewrite()
                 else:
@@ -1058,11 +1063,11 @@ class TestEval:
         assert rows_a == rows_b
         assert [r["episode"] for r in rows_a] == [0, 1, 2]
 
-    def test_zero_episodes_gives_header_only(self, sac_run):
+    def test_zero_episodes_refused(self, sac_run):
         ckpt = os.path.join(sac_run["out"], "seed0", "checkpoint.bin")
-        rows = cmd_eval(ckpt, "grid_hazard", 0, seed=1)
-        assert rows == []
-        assert format_table(rows) == "episode  return       length  end"
+        with pytest.raises(UsageError, match="at least 1 episode"):
+            cmd_eval(ckpt, "grid_hazard", 0, seed=1)
+        assert format_table([]) == "episode  return       length  end"
 
     def test_dim_mismatch_refused(self, sac_run):
         ckpt = os.path.join(sac_run["out"], "seed0", "checkpoint.bin")
@@ -1121,6 +1126,26 @@ class TestCli:
     def test_report_on_missing_directory(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "{run}", "--window", "0"],
+        ["report", "{run}", "--window", "-2"],
+        ["eval", "--ckpt", "{ckpt}", "--env", "grid_hazard",
+         "--episodes", "0", "--seed", "0"],
+        ["eval", "--ckpt", "{ckpt}", "--env", "grid_hazard",
+         "--episodes", "-1", "--seed", "0"],
+    ], ids=["report_window_0", "report_window_negative", "eval_episodes_0",
+            "eval_episodes_negative"])
+    def test_count_below_one_is_one_error_line(self, sac_run, capsys, argv):
+        paths = {"run": sac_run["out"],
+                 "ckpt": os.path.join(sac_run["out"], "seed0", "checkpoint.bin")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:") and "at least 1" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["train", "--config", "{missing}"],

@@ -6,7 +6,6 @@ surface a lane's failure in the caller, and leave no child process behind.
 any machine with os.fork.
 """
 
-import hashlib
 import os
 import threading
 
@@ -21,6 +20,8 @@ from fema.errors import FemaError
 from fema.harness.config import parse_text
 from fema.harness.train import run_seed
 from fema.memory import FemaConfig
+
+from helpers import pin_digest
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="lanes need os.fork")
@@ -53,27 +54,29 @@ n_candidates = 3
 max_matches = 2
 """
 
-# sha256 prefixes of metrics.jsonl, checkpoint.bin and memory.bin of seed 7,
-# written by the one-worker-at-a-time runner before lanes existed (x86-64,
-# numpy 2.4.6, scipy-openblas 0.3.31). A budget of 200 ends mid-phase; an
-# eval_every of 50 splits phases and the budget of 170 ends mid-phase too.
+# `helpers.pin_digest` of metrics.jsonl, checkpoint.bin and memory.bin of
+# seed 7, written by the one-worker-at-a-time runner before lanes existed
+# (x86-64, numpy 2.4.6, scipy-openblas 0.3.31); the memory column hashes the
+# snapshot's content, so it holds across snapshot formats. A budget of 200
+# ends mid-phase; an eval_every of 50 splits phases and the budget of 170
+# ends mid-phase too.
 PINNED = {
     ("grid_hazard", 2, 200, 0):
-        ("18626af3f1399961", "7a250fe78459bc67", "11798a8670dc4496"),
+        ("18626af3f1399961", "7a250fe78459bc67", "fefd8f28349de12c"),
     ("grid_hazard", 2, 170, 50):
-        ("035a2f43148f603f", "5816b8dc4ff5bbeb", "9c9bb5d7e224c5b2"),
+        ("035a2f43148f603f", "5816b8dc4ff5bbeb", "c3909ff86d9414cf"),
     ("grid_hazard", 3, 200, 0):
-        ("694fcf814a35b448", "a9fb6846596fbaef", "89c4edbf66d1423b"),
+        ("694fcf814a35b448", "a9fb6846596fbaef", "956dc0d7bc70ff25"),
     ("grid_hazard", 3, 170, 50):
-        ("d4e0ee18d5442309", "dc6f47ab263bb28f", "398a21539b286d9f"),
+        ("d4e0ee18d5442309", "dc6f47ab263bb28f", "2cce68012aaf773d"),
     ("cliff_corridor", 2, 200, 0):
-        ("7f67d2d122877d35", "a7abdec850f0536d", "dda02db0e4e16fea"),
+        ("7f67d2d122877d35", "a7abdec850f0536d", "61a4b53cbb3b776b"),
     ("cliff_corridor", 2, 170, 50):
-        ("d488866e5d9fb485", "9eaaf790e39a9197", "dda02db0e4e16fea"),
+        ("d488866e5d9fb485", "9eaaf790e39a9197", "61a4b53cbb3b776b"),
     ("cliff_corridor", 3, 200, 0):
-        ("517d4f28165abff8", "a77289c79a8d3004", "44213fd97f5f5986"),
+        ("517d4f28165abff8", "a77289c79a8d3004", "818af214e5481c58"),
     ("cliff_corridor", 3, 170, 50):
-        ("7f270e8b35413acc", "29a8c686297ee05b", "feac136b066720eb"),
+        ("7f270e8b35413acc", "29a8c686297ee05b", "13960acb71543600"),
 }
 
 
@@ -117,7 +120,7 @@ class TestLaneIdentity:
         rc = parse_text(LANE_RUN.format(env=env, workers=workers, total=total,
                                         eval_every=eval_every))
         run_seed(rc, 7, tmp_path)
-        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+        got = tuple(pin_digest(name, (tmp_path / name).read_bytes())
                     for name in ("metrics.jsonl", "checkpoint.bin", "memory.bin"))
         assert got == PINNED[case]
         assert_no_children()

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import struct
 import warnings
 import zlib
 
@@ -9,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fema import embedding, memory
+from fema import embedding, memory, serialize
 from fema.errors import (
-    CoherenceError,
     ConfigError,
     SerializationError,
     ShapeError,
@@ -78,10 +78,6 @@ class TestConfig:
         assert memory.FemaConfig.from_dict(cfg.to_dict()) == cfg
         with pytest.raises(ConfigError):
             memory.FemaConfig.from_dict({"bogus": 1})
-
-    def test_hash_tracks_content(self):
-        assert small_cfg().config_hash() == small_cfg().config_hash()
-        assert small_cfg().config_hash() != small_cfg(match_radius=0.9).config_hash()
 
 
 class TestTailReturns:
@@ -393,13 +389,29 @@ class TestSnapshot:
         mem, _ = self.build()
         assert mem.to_bytes() == mem.to_bytes()
 
-    def test_dim_mismatch_refused(self, tmp_path):
+    @staticmethod
+    def resealed(mem, meta=(), **arrays) -> bytes:
+        """The snapshot of `mem` with `meta` entries and array blobs
+        replaced, sealed again so that its CRC32 trailer holds."""
+        blobs = serialize.unseal(mem.to_bytes())
+        old_meta = json.loads(bytes(blobs["meta"]))
+        blobs["meta"] = json.dumps({**old_meta, **dict(meta)}).encode("utf-8")
+        blobs.update(arrays)
+        return serialize.seal(blobs)
+
+    def test_layout(self):
         mem, _ = self.build()
-        path = tmp_path / "mem.fema"
-        mem.snapshot(path)
-        with pytest.raises(CoherenceError):
-            memory.FailureMemory.load(path, expect_dims={"d_z": 9})
-        memory.FailureMemory.load(path, expect_dims={"d_z": 4, "d_s": 3})
+        blobs = serialize.unseal(mem.to_bytes())
+        assert list(blobs) == ["meta", *memory.FailureMemory.ARRAYS]
+        meta = json.loads(bytes(blobs["meta"]))
+        assert meta == {"format": "fema-memory", "version": 4,
+                        "config": mem.cfg.to_dict(), "generation": mem.version,
+                        "next_seq": 5, "published": 4,
+                        "d_s": 3, "d_a": 2, "d_z": 4, "d_phi": 5}
+        tails = [*mem.events, *mem.pending]
+        assert bytes(blobs["seq"]) == np.arange(5, dtype="<i8").tobytes()
+        assert bytes(blobs["s"]) == np.concatenate([t.s for t in tails]).tobytes()
+        assert bytes(blobs["phi"]) == mem.records.phi.tobytes()
 
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(SerializationError, match=r"nope\.fema"):
@@ -413,79 +425,97 @@ class TestSnapshot:
             memory.FailureMemory.from_bytes(bytes(blob))
 
     def test_format_version_1_refused(self):
-        blob = bytearray(self.build()[0].to_bytes())
-        blob[4:6] = (1).to_bytes(2, "little")
-        with pytest.raises(SerializationError, match="format version 1"):
-            memory.FailureMemory.from_bytes(bytes(blob))
+        blob = self.resealed(self.build()[0], meta={"version": 1})
+        with pytest.raises(SerializationError, match="memory version 1"):
+            memory.FailureMemory.from_bytes(blob)
 
     def test_format_version_2_refused(self):
-        blob = bytearray(self.build()[0].to_bytes())
-        blob[4:6] = (2).to_bytes(2, "little")
-        with pytest.raises(SerializationError, match="format version 2"):
-            memory.FailureMemory.from_bytes(bytes(blob))
+        blob = self.resealed(self.build()[0], meta={"version": 2})
+        with pytest.raises(SerializationError, match="memory version 2"):
+            memory.FailureMemory.from_bytes(blob)
+
+    def test_format_3_snapshot_refused(self):
+        # What format 3 wrote for a fresh memory: magic, header (version,
+        # widths, discount), config hash and JSON, generation version, next
+        # seq, event counts and a CRC32 trailer over all of it.
+        cfg = small_cfg()
+        cfg_json = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
+        body = b"".join([b"FEMA", struct.pack("<H4Id", 3, 0, 0, 0, 0, cfg.discount),
+                         hashlib.sha256(cfg_json).digest(),
+                         struct.pack("<I", len(cfg_json)), cfg_json,
+                         struct.pack("<qQII", -1, 0, 0, 0)])
+        blob = body + zlib.crc32(body).to_bytes(4, "little")
+        with pytest.raises(SerializationError, match="FEMC magic"):
+            memory.FailureMemory.from_bytes(blob)
+
+    def test_other_format_refused(self):
+        blob = self.resealed(self.build()[0], meta={"format": "fema-checkpoint"})
+        with pytest.raises(SerializationError, match="not a memory file"):
+            memory.FailureMemory.from_bytes(blob)
 
     @pytest.mark.parametrize("table, i, value, match", [
-        ("lengths", 1, 0, "tail length"),
-        ("lengths", 2, 5, "tail length"),     # suffix_len is 4
-        ("seqs", 3, 2, "increase"),           # repeats the seq before it
-        ("seqs", 4, 5, "next seq"),           # next_seq is 5
+        ("length", 1, 0, "tail length"),
+        ("length", 2, 5, "tail length"),     # suffix_len is 4
+        ("seq", 3, 2, "increase"),           # repeats the seq before it
+        ("seq", 4, 5, "next seq"),           # next_seq is 5
     ], ids=["zero_length", "length_over_suffix", "seq_repeats", "seq_at_next_seq"])
     def test_event_table_checked(self, table, i, value, match):
         mem, _ = self.build()
-        blob = bytearray(mem.to_bytes()[:-4])
-        off = 4 + 2 + 16 + 8 + 32  # through the config hash
-        cfg_len = int.from_bytes(blob[off:off + 4], "little")
-        off += 4 + cfg_len + 16 + 8  # config, version/next seq, event counts
-        n = len(mem.events) + len(mem.pending)
-        arrays = {"seqs": np.frombuffer(blob, "<i8", n, off).copy(),
-                  "lengths": np.frombuffer(blob, "<i8", n, off + 8 * n).copy()}
-        assert arrays["seqs"].tolist() == [0, 1, 2, 3, 4] and mem.next_seq == 5
-        assert arrays["lengths"].tolist() == [3] * 5 and mem.cfg.suffix_len == 4
+        blobs = serialize.unseal(mem.to_bytes())
+        arrays = {name: np.frombuffer(blobs[name], "<i8").copy()
+                  for name in ("seq", "length")}
+        assert arrays["seq"].tolist() == [0, 1, 2, 3, 4] and mem.next_seq == 5
+        assert arrays["length"].tolist() == [3] * 5 and mem.cfg.suffix_len == 4
         arrays[table][i] = value
-        blob[off:off + 16 * n] = arrays["seqs"].tobytes() + arrays["lengths"].tobytes()
-        blob += zlib.crc32(blob).to_bytes(4, "little")
         with pytest.raises(SerializationError, match=match):
-            memory.FailureMemory.from_bytes(bytes(blob))
+            memory.FailureMemory.from_bytes(self.resealed(mem, **arrays))
+
+    @pytest.mark.parametrize("meta, match", [
+        ({"published": 6}, "capacity"),       # only 5 events are stored
+        ({"published": 4.0}, "out of range"),
+        ({"next_seq": -1}, "out of range"),
+        ({"generation": -2}, "out of range"),
+        ({"d_z": True}, "out of range"),
+        ({"d_s": 2}, "s blob"),
+        ({"d_a": 3}, "a blob"),
+        ({"d_z": 5}, "z_s blob"),
+        ({"d_phi": 4}, "phi blob"),
+    ], ids=["published_over_stored", "published_float", "next_seq_negative",
+            "generation_below_cold", "d_z_bool", "d_s", "d_a", "d_z", "d_phi"])
+    def test_counts_and_widths_checked(self, meta, match):
+        blob = self.resealed(self.build()[0], meta=meta)
+        with pytest.raises(SerializationError, match=match):
+            memory.FailureMemory.from_bytes(blob)
+
+    @pytest.mark.parametrize("name", list(memory.FailureMemory.ARRAYS))
+    def test_blob_sizes_checked(self, name):
+        mem, _ = self.build()
+        view = serialize.unseal(mem.to_bytes())[name]
+        # the table's size comes from the seq blob; the length blob must match
+        match = " length blob" if name == "seq" else f" {name} blob"
+        with pytest.raises(SerializationError, match=match):
+            memory.FailureMemory.from_bytes(self.resealed(mem, **{name: view[:-8]}))
 
     def test_flipped_embedding_bit_refused(self):
         mem, _ = self.build()
         blob = bytearray(mem.to_bytes())
-        phi_start = len(blob) - 4 - mem.records.phi.nbytes
-        z_start = phi_start - mem.records.z_s.nbytes
-        assert blob[z_start:phi_start] == mem.records.z_s.tobytes()
-        blob[(z_start + phi_start) // 2] ^= 0x10
+        z_start = blob.index(mem.records.z_s.tobytes())
+        blob[z_start + mem.records.z_s.nbytes // 2] ^= 0x10
         with pytest.raises(SerializationError, match="CRC32"):
             memory.FailureMemory.from_bytes(bytes(blob))
 
     @pytest.mark.parametrize("value", ["4", None])
     def test_config_of_wrong_type_refused(self, value):
         mem, _ = self.build()
-        blob = mem.to_bytes()
-        off = 4 + 2 + 16 + 8  # through discount
-        cfg_len = int.from_bytes(blob[off + 32:off + 36], "little")
-        rest = blob[off + 36 + cfg_len:-4]
         cfg = dict(mem.cfg.to_dict(), suffix_len=value)
-        cfg_json = json.dumps(cfg, sort_keys=True).encode("utf-8")
-        crafted = (blob[:off] + hashlib.sha256(cfg_json).digest()
-                   + len(cfg_json).to_bytes(4, "little") + cfg_json + rest)
-        crafted += zlib.crc32(crafted).to_bytes(4, "little")
         with pytest.raises(ConfigError, match="suffix_len"):
-            memory.FailureMemory.from_bytes(crafted)
+            memory.FailureMemory.from_bytes(self.resealed(mem, meta={"config": cfg}))
 
     def test_truncation_refused(self):
         mem, _ = self.build()
         blob = mem.to_bytes()
         with pytest.raises(SerializationError):
             memory.FailureMemory.from_bytes(blob[:-5])
-
-    def test_config_hash_guard(self):
-        mem, _ = self.build()
-        blob = bytearray(mem.to_bytes())
-        # The config hash sits right after magic+version+dims+gamma.
-        off = 4 + 2 + 16 + 8
-        blob[off] ^= 0xFF
-        with pytest.raises(SerializationError):
-            memory.FailureMemory.from_bytes(bytes(blob))
 
 
 class TestListModel:

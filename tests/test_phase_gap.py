@@ -7,7 +7,6 @@ update in the caller, and leave no child process behind.
 on any machine with os.fork.
 """
 
-import hashlib
 import os
 import threading
 
@@ -23,6 +22,7 @@ from fema.harness.config import parse_text
 from fema.harness.train import run_seed
 from fema.memory import FemaConfig
 
+from helpers import pin_digest
 from test_lanes import LANE_RUN, PINNED, assert_no_children
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -88,7 +88,7 @@ class TestGapIdentity:
             files[cpus] = [(run_dir / name).read_bytes() for name in OUTPUTS]
             assert_no_children()
         assert files[8] == files[1]
-        got = tuple(hashlib.sha256(data).hexdigest()[:16] for data in files[8])
+        got = tuple(pin_digest(name, data) for name, data in zip(OUTPUTS, files[8]))
         assert got == PINNED[case]
 
     def test_adopts_what_the_update_changed(self, monkeypatch):

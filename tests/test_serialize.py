@@ -2,8 +2,10 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import struct
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -202,10 +204,57 @@ class TestMetaBlobs:
 
     @pytest.mark.parametrize("meta", [[], 5, "x"])
     def test_checkpoint_meta_must_be_object(self, meta):
-        blobs = serialize.blobs_from_bytes(_valid_blob("checkpoint"))
+        blobs = serialize.unseal(_valid_blob("checkpoint"))
         blobs["meta"] = json.dumps(meta).encode("utf-8")
         with pytest.raises(SerializationError, match="not a checkpoint"):
-            _load_checkpoint_bytes(serialize.blobs_to_bytes(blobs))
+            _load_checkpoint_bytes(serialize.seal(blobs))
+
+
+class TestSealed:
+    def test_seal_is_container_and_crc32(self):
+        blobs = {"meta": b"{}", "x": np.arange(3.0)}
+        sealed = serialize.seal(blobs)
+        body = serialize.blobs_to_bytes(blobs)
+        assert sealed == body + zlib.crc32(body).to_bytes(4, "little")
+        views = serialize.unseal(sealed)
+        assert list(views) == ["meta", "x"]
+        assert bytes(views["x"]) == np.arange(3.0).tobytes()
+
+    def test_file_is_sealed(self, tmp_path):
+        path = tmp_path / "bundle.femc"
+        serialize.save_blobs(path, {"x": b"abc"})
+        data = path.read_bytes()
+        assert data == serialize.seal({"x": b"abc"})
+
+    @pytest.mark.parametrize("buf", [b"", b"abc", b"\x00\x00\x00\x00"],
+                             ids=["empty", "short", "crc_of_nothing"])
+    def test_too_short_refused(self, buf):
+        with pytest.raises(SerializationError):
+            serialize.unseal(buf)
+
+    def test_checkpoint_written_before_the_trailer_refused(self):
+        # The body alone is the exact layout checkpoints had before sealing.
+        body = _valid_blob("checkpoint")[:-4]
+        assert serialize.blobs_from_bytes(body)["meta"].startswith(b"{")
+        with pytest.raises(SerializationError, match="CRC32"):
+            _load_checkpoint_bytes(body)
+
+    @pytest.mark.parametrize("meta, match", [
+        (b"\xff", "unreadable thing metadata"),
+        (b"[1]", "not a thing file"),
+        (b'{"format": "fema-other", "version": 1}', "not a thing file"),
+        (b'{"format": "fema-thing", "version": "1"}', "thing version '1'"),
+        (None, "unreadable thing metadata"),
+    ], ids=["not_utf8", "not_object", "other_format", "string_version", "missing"])
+    def test_read_meta_refuses(self, meta, match):
+        blobs = {} if meta is None else {"meta": meta}
+        with pytest.raises(SerializationError, match=match):
+            serialize.read_meta(blobs, "fema-thing", 1)
+
+    def test_read_meta_accepts(self):
+        meta = {"format": "fema-thing", "version": 2, "n": 1}
+        blobs = serialize.unseal(serialize.seal({"meta": json.dumps(meta).encode()}))
+        assert serialize.read_meta(blobs, "fema-thing", 2) == meta
 
 
 class TestWriteAtomic:
@@ -215,6 +264,18 @@ class TestWriteAtomic:
         serialize.write_atomic(path, b"new")
         assert path.read_bytes() == b"new"
         assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_fsyncs_the_file_then_its_directory(self, tmp_path, monkeypatch):
+        synced = []
+        fsync = os.fsync
+
+        def recorded(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recorded)
+        serialize.write_atomic(tmp_path / "out.bin", b"data")
+        assert synced == [False, True] if hasattr(os, "O_DIRECTORY") else [False]
 
     def test_failure_midway_leaves_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "out.bin"
@@ -318,13 +379,22 @@ def _corrupted(draw, blob: bytes) -> bytes:
     return blob + draw(st.binary(min_size=1, max_size=16))
 
 
+# the file formats: their CRC32 trailer refuses every corruption below
+SEALED = {"memory", "checkpoint"}
+
+
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_corrupt_input_raises_only_package_errors(fmt, data):
     """Truncated, bit-flipped or extended input either loads or raises a
-    FemaError; any other exception fails the test."""
+    FemaError; any other exception fails the test. Memory snapshots and
+    checkpoints never load: they raise a SerializationError."""
     bad = data.draw(_corrupted(_valid_blob(fmt)))
+    if fmt in SEALED:
+        with pytest.raises(SerializationError):
+            FORMATS[fmt][1](bad)
+        return
     try:
         FORMATS[fmt][1](bad)
     except FemaError:
