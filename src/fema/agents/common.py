@@ -93,10 +93,10 @@ class HookedAgent:
     constructor `(env_spec, AgentConfig, seed, fema_cfg=None)`, `algo` (its
     key in `fema.agents.AGENTS`), `n_workers` env workers, `phase_steps` env
     steps per collection phase (`None`: no phases), `end_phase()`, which
-    returns the losses to log, `saved_nets`/`saved_arrays`, the `Mlp` and
-    float64 array attributes its checkpoint stores, and `saved_widths`, the
-    layer widths of each saved net and the length of each saved array, which
-    the checkpoint loader checks. Networks come from `sub_seeds`; the
+    returns the losses to log, and `saved_widths`, which names each
+    attribute its checkpoint stores besides the policy: a list of layer
+    widths marks an `Mlp`, an int the length of a float64 array. The
+    checkpoint loader checks both. Networks come from `sub_seeds`; the
     embedding stack takes `sub_seeds[stack_slot]`.
 
     Phase-learner promise. A learner with phases (`phase_steps` set) makes
@@ -111,11 +111,11 @@ class HookedAgent:
       reads; it appends rows, stages failure tails and books the
       selector decision through `_count`.
 
-    In the gap between phases, `end_phase()` may run `update_phase()` in a
-    forked child while `between_phases()` publishes in this process, so
-    `update_phase` touches only the learner nets, their optimizers,
-    `learn_rng` and `_rows`, and `between_phases` touches only the memory
-    and the embedding stack.
+    In the gap between phases, PPO's `end_phase()` may run `update_phase()`
+    in a forked child while `between_phases()` publishes in this process,
+    so `update_phase` changes only `_rows`, `last_losses` and the attributes
+    named in `PpoAgent.LEARNED`, which this process rebinds to the child's,
+    and `between_phases` touches only the memory and the embedding stack.
 
     A learner without phases (SAC) learns between two acts and is always
     stepped one worker at a time.
@@ -125,13 +125,12 @@ class HookedAgent:
     stack_slot: int
     n_workers = 1
     phase_steps = None
-    saved_nets = ()
-    saved_arrays = ()
 
     @staticmethod
     def saved_widths(d_s: int, d_a: int, hidden: int) -> dict:
-        """Name -> layer widths of each saved net, or length of each saved
-        array, for env widths d_s, d_a and policy width `hidden`."""
+        """Name -> layer widths (a list) of each saved net, or length (an
+        int) of each saved float64 array, in checkpoint blob order, for env
+        widths d_s, d_a and policy width `hidden`."""
         return {}
 
     def __init__(self, env_spec, cfg: AgentConfig, seed: int,

@@ -12,7 +12,8 @@ from the policy surrogate via the importance-correction flag, since their
 behavior density is intractable; they always contribute to the value
 target. The memory publishes only in the gap between phases; while it
 does, the learner update runs in a forked child beside it, and this
-process adopts the nets, optimizer states and learner rng it returns.
+process rebinds the objects named in `PpoAgent.LEARNED` to the ones the
+child returns.
 """
 
 from __future__ import annotations
@@ -148,8 +149,9 @@ def approx_kl(policy: GaussianPolicy, s, a, logp_old) -> float:
 
 class PpoAgent(HookedAgent):
     algo = "ppo"
-    saved_nets = ("vnet",)
     stack_slot = 2
+    # what update_phase changes besides `_rows` and `last_losses`
+    LEARNED = ("policy", "vnet", "policy_adam", "value_adam", "learn_rng")
 
     @staticmethod
     def saved_widths(d_s: int, d_a: int, hidden: int) -> dict:
@@ -271,35 +273,19 @@ class PpoAgent(HookedAgent):
 
     def end_phase(self) -> dict:
         """update_phase(), then between_phases(). When a publish is due and
-        `forking.can_fork()`, the update runs in a forked child beside the
-        publish and this process adopts what it changed (the gap rule in
-        `HookedAgent` keeps the two apart)."""
+        `forking.processes(2)` allows two, the update runs in a forked child
+        beside the publish, and this process rebinds the `LEARNED` objects
+        to the child's (the gap rule in `HookedAgent` keeps the two apart)."""
         mem = self.memory
         if (mem is None or len(mem.pending) < mem.cfg.update_every
-                or not forking.can_fork()):
+                or forking.processes(2) < 2):
             losses = self.update_phase()
             self.between_phases()
             return losses
-        pid, fh = forking.fork(lambda: (self.update_phase(), self._learned()))
-        running = {pid: fh}
-        try:
-            self.between_phases()
-            losses, (arrays, steps, rng_state) = forking.collect(
-                pid, running.pop(pid), "PPO learner update")
-        finally:
-            forking.reap(running)
-        for mine, theirs in zip(self._learned()[0], arrays, strict=True):
-            mine[...] = theirs
-        self.policy_adam.t, self.value_adam.t = steps
-        self.learn_rng.bit_generator.state = rng_state
+        _, [(losses, learned)] = forking.beside(self.between_phases, {
+            "PPO learner update": lambda: (
+                self.update_phase(),
+                {name: getattr(self, name) for name in self.LEARNED})})
+        vars(self).update(learned)
         self._rows, self.last_losses = {}, losses
         return losses
-
-    def _learned(self) -> tuple:
-        """What update_phase changes besides `_rows` and `last_losses`: the
-        arrays it writes in place, both Adam step counts, the rng state."""
-        adams = (self.policy_adam, self.value_adam)
-        return ([*self.policy.params(), *self.vnet.params(),
-                 *(x for adam in adams for x in adam.m + adam.v)],
-                (self.policy_adam.t, self.value_adam.t),
-                self.learn_rng.bit_generator.state)

@@ -136,8 +136,6 @@ def polyak(src: numeric.Mlp, dst: numeric.Mlp, tau: float) -> None:
 
 class SacAgent(HookedAgent):
     algo = "sac"
-    saved_nets = ("q1", "q2", "q1t", "q2t")
-    saved_arrays = ("log_alpha",)
     stack_slot = 3
 
     @staticmethod

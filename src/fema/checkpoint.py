@@ -1,7 +1,7 @@
 """Training checkpoints: one sealed container per run.
 
 Bundles the policy, the networks and f8 arrays the learner class names in
-`saved_nets` and `saved_arrays`, and the embedding stack when the failure
+`saved_widths`, in its order, and the embedding stack when the failure
 memory is on, as blobs of a sealed container (see `serialize`), whose CRC32
 trailer is checked on load; a checkpoint written before files were sealed
 is refused. The loader refuses a saved net or array whose shape differs
@@ -34,8 +34,8 @@ class CheckpointData:
     step: int
     fema_on: bool
     policy: GaussianPolicy
-    nets: dict          # name -> Mlp, the learner's `saved_nets`
-    arrays: dict        # name -> float64 array, the learner's `saved_arrays`
+    nets: dict          # name -> Mlp, the learner's saved nets
+    arrays: dict        # name -> float64 array, the learner's saved arrays
     stack: Optional[embedding.EmbeddingStack]
 
 
@@ -53,11 +53,13 @@ def save_checkpoint(path, agent, env_name: str, step: int) -> None:
         "fema_on": agent.memory is not None,
     }
     blobs["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
-    blobs["policy"] = agent.policy.to_bytes()
-    for name in agent.saved_nets:
-        blobs[name] = serialize.mlp_to_bytes(getattr(agent, name))
-    for name in agent.saved_arrays:
-        blobs[name] = getattr(agent, name).astype("<f8").tobytes()
+    policy = agent.policy
+    blobs["policy"] = policy.to_bytes()
+    for name, widths in agent.saved_widths(policy.d_s, policy.d_a,
+                                           policy.trunk.out_dim).items():
+        value = getattr(agent, name)
+        blobs[name] = (serialize.mlp_to_bytes(value) if isinstance(widths, list)
+                       else value.astype("<f8").tobytes())
     if agent.stack is not None:
         blobs["stack"] = embedding.stack_to_bytes(agent.stack)
     serialize.save_blobs(path, blobs)
@@ -68,17 +70,18 @@ def load_checkpoint(path) -> CheckpointData:
     meta = serialize.read_meta(blobs, FORMAT_NAME, FORMAT_VERSION)
     try:
         _check_meta(meta, has_stack="stack" in blobs)
-        learner = AGENTS[meta["algo"]]
-        nets = {name: serialize.mlp_from_bytes(blobs[name])
-                for name in learner.saved_nets}
-        arrays = {name: np.frombuffer(blobs[name], dtype="<f8").copy()
-                  for name in learner.saved_arrays}
         policy = GaussianPolicy.from_bytes(blobs["policy"])
+        want = AGENTS[meta["algo"]].saved_widths(policy.d_s, policy.d_a,
+                                                 policy.trunk.out_dim)
+        nets = {name: serialize.mlp_from_bytes(blobs[name])
+                for name, widths in want.items() if isinstance(widths, list)}
+        arrays = {name: np.frombuffer(blobs[name], dtype="<f8").copy()
+                  for name, size in want.items() if isinstance(size, int)}
         stack = None
         if "stack" in blobs:
             stack = embedding.stack_from_bytes(blobs["stack"])
         _check_widths(meta, policy, stack)
-        _check_saved(learner, policy, nets, arrays)
+        _check_saved(want, nets, arrays)
         return CheckpointData(
             algo=meta["algo"],
             env=meta["env"],
@@ -128,11 +131,9 @@ def _check_widths(meta: dict, policy: GaussianPolicy, stack) -> None:
                     f"{key}={want}")
 
 
-def _check_saved(learner, policy: GaussianPolicy, nets: dict,
-                 arrays: dict) -> None:
+def _check_saved(want: dict, nets: dict, arrays: dict) -> None:
     """Refuse a saved net or array whose shape is not the one the learner
-    declares for the policy's widths."""
-    want = learner.saved_widths(policy.d_s, policy.d_a, policy.trunk.out_dim)
+    declares (`want`, its `saved_widths` for the policy's widths)."""
     for name, net in nets.items():
         if net.widths != want[name]:
             raise SerializationError(

@@ -9,14 +9,15 @@ Global step i belongs to worker i % W.
 Most agents are stepped one worker at a time, act_train then observe. A
 phase learner (`phase_steps` set) keeps the promise stated in
 `agents.common.HookedAgent`, so within one run() call each worker's steps
-depend only on its own env, action rng and state. run() then acts the block
-in P = min(W, usable CPUs) lanes: lane 0 in this process, lanes 1..P-1 in
-children forked at block start, which see the frozen agent copy-on-write.
-The parent then replays observe() and the episode bookkeeping in global
+depend only on its own env, action rng and state. When no two workers share
+an env or rng, run() then acts the block in P = `forking.processes(W)`
+lanes through one `forking.beside` call: lane 0 in this process, lanes
+1..P-1 in children forked at block start, which see the frozen agent
+copy-on-write. The parent adopts each worker's env, action rng and next
+state, then replays observe() and the episode bookkeeping in global
 round-robin order, so the agent and the log see exactly what one worker at
-a time would give them. The runner stays sequential where
-`forking.can_fork` refuses: os.fork or os.sched_getaffinity missing, one
-usable CPU, or other Python threads running.
+a time would give them. With P = 1 the block is stepped one worker at a
+time.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from functools import partial
 
 import numpy as np
 
+from .. import forking
 from ..errors import ConfigError
-from ..forking import can_fork, collect, reap, usable_cpus
-from ..forking import fork as _fork  # tests count lane forks through this name
 from ..memory import END_NONE, Transition
 
 
@@ -39,15 +39,6 @@ class EpisodeRecord:
     end: str
     end_step: int   # global step index at which the episode finished
     worker: int
-
-
-def lane_count(agent, n_workers: int, cpus: int) -> int:
-    """Lanes a block of `n_workers` workers is acted in: 1 (sequential)
-    unless the agent is a phase learner, else at most one per worker and
-    one per CPU."""
-    if getattr(agent, "phase_steps", None) is None:
-        return 1
-    return min(n_workers, cpus)
 
 
 class VecRunner:
@@ -67,17 +58,17 @@ class VecRunner:
         self.ep_return = [0.0] * len(envs)
         self.ep_length = [0] * len(envs)
         self.step_count = 0
-        # Lanes copy each worker's env and rng into a child process, which
-        # is only sound when no two workers share one.
-        self._disjoint = (len({id(e) for e in envs}) == len(envs)
-                          and len({id(r) for r in action_rngs}) == len(envs))
+        # Only a phase learner's workers act in lanes, and lanes copy each
+        # worker's env and rng into a child process, which is only sound
+        # when no two workers share one.
+        self._lanes = (getattr(agent, "phase_steps", None) is not None
+                       and len({id(e) for e in envs}) == len(envs)
+                       and len({id(r) for r in action_rngs}) == len(envs))
 
     def run(self, steps: int) -> list:
         """Advance the worker pool by exactly `steps` env steps."""
-        take = self._advance
-        n_lanes = lane_count(self.agent, len(self.envs), usable_cpus())
-        if n_lanes > 1 and self._disjoint and can_fork(n_lanes):
-            take = self._act_in_lanes(steps, n_lanes)
+        n_lanes = forking.processes(len(self.envs)) if self._lanes else 1
+        take = self._act_in_lanes(steps, n_lanes) if n_lanes > 1 else self._advance
         records = []
         for _ in range(steps):
             w = self.step_count % len(self.envs)
@@ -116,27 +107,18 @@ class VecRunner:
         counts = [len(range((w - self.step_count) % n, steps, n))
                   for w in range(n)]
         lanes = [range(k, n, n_lanes) for k in range(n_lanes)]
-        running = {}   # pid -> read end of the child's result pipe
-        forked = []    # (pid, workers of its lane)
-        try:
-            for workers in lanes[1:]:
-                if any(counts[w] for w in workers):
-                    pid, fh = _fork(partial(self._child_lane, workers, counts))
-                    running[pid] = fh
-                    forked.append((pid, workers))
-            taken = self._act_lane(lanes[0], counts)
-            for pid, workers in forked:
-                lane_taken, ends = collect(
-                    pid, running.pop(pid),
-                    f"rollout lane of workers {list(workers)}")
-                taken.update(lane_taken)
-                for w, (env, rng, state) in ends.items():
-                    vars(self.envs[w]).update(vars(env))
-                    self.rngs[w].bit_generator.state = rng.bit_generator.state
-                    self.states[w] = state
-        finally:
-            reap(running)
-        queues = {w: _unpack(packed) for w, packed in taken.items()}
+        away = {f"rollout lane of workers {list(workers)}":
+                partial(self._act_lane, workers, counts)
+                for workers in lanes[1:] if any(counts[w] for w in workers)}
+        here, there = forking.beside(partial(self._act_lane, lanes[0], counts),
+                                     away)
+        queues = {}
+        for lane in (here, *there):
+            for w, (packed, env, rng, state) in lane.items():
+                vars(self.envs[w]).update(vars(env))
+                self.rngs[w].bit_generator.state = rng.bit_generator.state
+                self.states[w] = state
+                queues[w] = _unpack(packed)
 
         def take(w: int) -> Transition:
             tr, self.agent.pending[w] = next(queues[w])
@@ -144,27 +126,20 @@ class VecRunner:
         return take
 
     def _act_lane(self, workers, counts) -> dict:
-        """worker -> its `counts[w]` steps, packed as arrays for `_unpack`:
-        (states, actions, next states), rewards, end tags and the per-step
-        records. Arrays pickle in one piece each, which keeps a child's
-        result cheap to send."""
-        taken = {}
+        """worker -> (its `counts[w]` steps packed as arrays for `_unpack`,
+        its env, action rng and next state). Arrays pickle in one piece
+        each, which keeps a child's result cheap to send."""
+        lane = {}
         for w in workers:
             trs, recs = [], []
             for _ in range(counts[w]):
                 trs.append(self._advance(w))
                 recs.append(self.agent.pending.pop(w))
-            taken[w] = ([np.array([getattr(tr, f) for tr in trs])
-                         for f in ("s", "a", "s_next")],
-                        [tr.r for tr in trs], [tr.end for tr in trs], recs)
-        return taken
-
-    def _child_lane(self, workers, counts):
-        """A forked lane's result: its steps, then each worker's env, action
-        rng and next state, which the parent adopts."""
-        taken = self._act_lane(workers, counts)
-        return taken, {w: (self.envs[w], self.rngs[w], self.states[w])
-                       for w in workers}
+            packed = ([np.array([getattr(tr, f) for tr in trs])
+                       for f in ("s", "a", "s_next")],
+                      [tr.r for tr in trs], [tr.end for tr in trs], recs)
+            lane[w] = (packed, self.envs[w], self.rngs[w], self.states[w])
+        return lane
 
 
 def _unpack(packed):

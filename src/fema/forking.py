@@ -1,6 +1,7 @@
 """Work run beside the caller in forked children that see its state
-copy-on-write. Each child is collected (its result returned, or its error
-re-raised with type and message) or reaped; none outlives its caller.
+copy-on-write: `processes` decides how many processes works may share, and
+`beside` runs them. Each child is collected (its result returned, or its
+error re-raised with type and message) or reaped; none outlives the call.
 """
 
 from __future__ import annotations
@@ -21,15 +22,31 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def can_fork(cpus: int | None = None) -> bool:
-    """True when os.fork exists, `cpus` (default: the usable CPUs) is at
-    least 2, and no other Python thread runs: a forked child holds only
-    the calling thread."""
-    return ((usable_cpus() if cpus is None else cpus) >= 2
-            and hasattr(os, "fork") and threading.active_count() == 1)
+def processes(parts: int) -> int:
+    """Processes that `parts` independent works may share: one per usable
+    CPU, at most one per work, and 1 without os.fork or while other Python
+    threads run, since a forked child holds only the calling thread."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(parts, usable_cpus())
 
 
-def fork(work) -> tuple:
+def beside(here, away: dict):
+    """(here(), [each child's result, in the order of `away`]): each callable
+    of `away` (work name -> callable) runs in a child forked before here()
+    starts in this process. A child's error is re-raised here, and a child
+    that leaves no result raises a FemaError naming its work."""
+    running = {}   # work name -> (pid, read end of its result pipe)
+    try:
+        for what, work in away.items():
+            running[what] = _fork(work)
+        mine = here()
+        return mine, [_collect(*running.pop(what), what) for what in away]
+    finally:
+        _reap(running)
+
+
+def _fork(work) -> tuple:
     """Run work() in a forked child; returns (pid, read end of its pipe).
 
     The child pickles ("ok", result) or ("error", exception) into the pipe
@@ -73,26 +90,27 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps(("error", FemaError(f"{type(exc).__name__}: {exc}")))
 
 
-def collect(pid: int, fh, what: str):
-    """Read and reap one child; returns its result or raises its error.
-    `what` names the child's work in the error raised when it died."""
+def _collect(pid: int, fh, what: str):
+    """Read and reap one child; returns its result or raises its error. A
+    missing or partial payload raises a FemaError naming `what`."""
     try:
         with fh:
             data = fh.read()
     finally:
         _, status = os.waitpid(pid, 0)
-    if not data:
+    try:
+        kind, value = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
         raise FemaError(f"{what} (process {pid}) exited without a result "
-                        f"(wait status {status})")
-    kind, value = pickle.loads(data)
+                        f"(wait status {status})") from None
     if kind == "error":
         raise value
     return value
 
 
-def reap(running: dict) -> None:
-    """Stop and wait for every child (pid -> pipe) not yet collected."""
-    for pid, fh in running.items():
+def _reap(running: dict) -> None:
+    """Stop and wait for every child (name -> (pid, pipe)) not collected."""
+    for pid, fh in running.values():
         fh.close()
         try:
             os.kill(pid, signal.SIGKILL)

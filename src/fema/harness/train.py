@@ -12,11 +12,12 @@ The learner owns this schedule: the harness steps `agent.n_workers` env
 workers and calls `agent.end_phase()` every `agent.phase_steps` steps.
 Each `runner.run` block ends at a phase or eval boundary, so a phase
 learner's policy and memory stay frozen within it, and `VecRunner` acts
-the block's workers in parallel forked lanes (one per usable CPU, at most
-one per worker) before it replays them in round-robin order. At a phase
-end where the memory publishes, PPO runs its learner update in a forked
-child beside the publish. Either way, the files a run writes are
-byte-identical to stepping one worker at a time, one step after another.
+the block's workers in `forking.processes(W)` parallel lanes before it
+replays them in round-robin order. At a phase end where the memory
+publishes, PPO runs its learner update in a forked child beside the
+publish. Both fork through `forking.beside`, and either way the files a
+run writes are byte-identical to stepping one worker at a time, one step
+after another.
 
 Random streams per seed: [seed, 0] agent init, [seed, 1, w] actions,
 [seed, 2, w] env noise, [seed, 3] learner batches, [seed, 4] memory

@@ -372,6 +372,9 @@ class FailureMemory:
         if any(type(v) is not int or not -1 <= v < 2**32 for v in ints) or -1 in ints[1:]:
             raise SerializationError(f"memory snapshot counts out of range: {ints}")
         version, next_seq, n_events, d_s, d_a, d_z, d_phi = ints
+        if (version == -1) != (n_events == 0):
+            raise SerializationError(f"memory snapshot generation {version} disagrees "
+                                     f"with its {n_events} published events")
 
         def array(name: str, *shape: int) -> np.ndarray:
             """A copy of blob `name`, which must hold exactly `shape`."""

@@ -61,6 +61,10 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.widths, self.acts, self.flat.copy())
 
+    def __reduce__(self):
+        """Pickle as (widths, acts, flat): unpickled `layers` view `flat`."""
+        return Mlp, (self.widths, self.acts, self.flat)
+
 
 @dataclass
 class ForwardCache:

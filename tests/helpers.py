@@ -1,15 +1,19 @@
 """Test-only helpers built on the package: zero networks, an episode driver,
-a count of the transitions an agent still holds and the digest of a run's
-output files that pins compare."""
+a count of the transitions an agent still holds, the digest of a run's
+output files that pins compare, and the one patch point through which
+tests choose the CPUs `fema.forking` sees and count what it forks."""
 
 import gc
 import hashlib
 import json
+import os
 import weakref
 import zlib
 
 import numpy as np
+import pytest
 
+from fema import forking
 from fema.envs.runner import EpisodeRecord
 from fema.memory import END_NONE, FailureMemory, Transition
 from fema.numeric import Mlp, default_acts
@@ -93,3 +97,25 @@ def pin_digest(name: str, data: bytes) -> str:
                                         gen.step_idx)]
         data = b"".join(parts)
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def count_forks(monkeypatch, cpus: int) -> list:
+    """Let `forking` see `cpus` usable CPUs, and record each
+    `forking.beside` call as the list of the work names it forks; returns
+    the list those records land in."""
+    forks = []
+    beside = forking.beside
+
+    def counted(here, away):
+        forks.append(list(away))
+        return beside(here, away)
+
+    monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(forking, "beside", counted)
+    return forks
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -554,18 +554,21 @@ class TestCheckpoint:
     @LAYOUTS
     def test_learner_layout_round_trip(self, tmp_path, env_name, algo, fema):
         agent, path = self.save_layout_agent(tmp_path, env_name, algo, fema)
+        saved = agent.saved_widths(agent.spec.d_s, agent.spec.d_a, 8)
+        nets = [name for name, widths in saved.items() if isinstance(widths, list)]
+        arrays = [name for name, size in saved.items() if isinstance(size, int)]
+        assert sorted(nets + arrays) == sorted(saved) and nets
         assert list(serialize.load_blobs(path)) == (
-            ["meta", "policy", *agent.saved_nets, *agent.saved_arrays]
-            + ["stack"] * fema)
+            ["meta", "policy", *saved] + ["stack"] * fema)
         data = checkpoint.load_checkpoint(path)
         assert (data.algo, data.env, data.step) == (algo, env_name, 11)
         assert data.policy.to_bytes() == agent.policy.to_bytes()
-        assert list(data.nets) == list(agent.saved_nets)
-        for name in agent.saved_nets:
+        assert list(data.nets) == nets
+        for name in nets:
             assert (serialize.mlp_to_bytes(data.nets[name])
                     == serialize.mlp_to_bytes(getattr(agent, name)))
-        assert list(data.arrays) == list(agent.saved_arrays)
-        for name in agent.saved_arrays:
+        assert list(data.arrays) == arrays
+        for name in arrays:
             assert data.arrays[name].dtype == np.float64
             assert data.arrays[name].tobytes() == getattr(agent, name).tobytes()
         assert (data.stack is not None) == fema

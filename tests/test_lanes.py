@@ -1,9 +1,10 @@
 """Rollout lanes: phase learners' workers acted in forked processes.
 
-The lane path must give the same bytes as stepping one worker at a time,
-surface a lane's failure in the caller, and leave no child process behind.
-`runner.usable_cpus` is patched so that these tests take the lane path on
-any machine with os.fork.
+The lane path, and PPO's phase gap beside it, must give the same bytes as
+stepping one worker at a time, surface a lane's failure in the caller, and
+leave no child process behind. `helpers.count_forks` sets the CPUs that
+`forking` sees, so that these tests take the forked paths on any machine
+with os.fork, or none of them.
 """
 
 import os
@@ -21,7 +22,7 @@ from fema.harness.config import parse_text
 from fema.harness.train import run_seed
 from fema.memory import FemaConfig
 
-from helpers import pin_digest
+from helpers import assert_no_children, count_forks, pin_digest
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="lanes need os.fork")
@@ -84,11 +85,6 @@ class LaneFault(RuntimeError):
     pass
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def ppo_runner(agent_cls, workers=2):
     envs = [make("grid_hazard", np.random.default_rng([0, 2, w]))
             for w in range(workers)]
@@ -98,16 +94,27 @@ def ppo_runner(agent_cls, workers=2):
     return runner.VecRunner(envs, agent, rngs)
 
 
+def lane_names(n_workers: int, n_lanes: int) -> list:
+    """The work names of the forked lanes 1..n_lanes-1 of one block."""
+    return [f"rollout lane of workers {list(range(k, n_workers, n_lanes))}"
+            for k in range(1, n_lanes)]
+
+
+@needs_fork
 class TestLaneCount:
     @pytest.mark.parametrize("workers", [1, 2, 5, 1000])
     @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_bounded_by_workers_and_cpus(self, workers, cpus):
-        spec = make("grid_hazard", np.random.default_rng(0)).spec
-        ppo = PpoAgent(spec, AgentConfig(hidden=4, n_workers=workers), seed=0)
-        sac = SacAgent(spec, AgentConfig(hidden=4), seed=0)
-        assert runner.lane_count(ppo, workers, cpus) == min(workers, cpus)
-        assert runner.lane_count(sac, workers, cpus) == 1
-        assert runner.lane_count(object(), workers, cpus) == 1
+    def test_bounded_by_workers_and_cpus(self, monkeypatch, workers, cpus):
+        forks = count_forks(monkeypatch, cpus)
+        ppo = ppo_runner(PpoAgent, workers)
+        ppo.run(16)   # every lane of a block holds one of the first 8 workers
+        n_lanes = min(workers, cpus)
+        assert forks == ([lane_names(workers, n_lanes)] if n_lanes > 1 else [])
+        assert ppo.agent.collected_steps() == 16
+        sac = SacAgent(ppo.envs[0].spec, AgentConfig(hidden=4), seed=0)
+        runner.VecRunner(ppo.envs, sac, ppo.rngs).run(16)
+        assert forks == ([lane_names(workers, n_lanes)] if n_lanes > 1 else [])
+        assert_no_children()
 
 
 @needs_fork
@@ -115,40 +122,36 @@ class TestLaneIdentity:
     @pytest.mark.parametrize("cpus", [1, 8], ids=["sequential", "lanes"])
     @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
     def test_outputs_match_round_robin(self, tmp_path, monkeypatch, case, cpus):
+        """At 8 CPUs both lanes and PPO's phase gap fork; at 1 nothing does,
+        and both give the pinned bytes."""
         env, workers, total, eval_every = case
-        monkeypatch.setattr(runner, "usable_cpus", lambda: cpus)
+        forks = count_forks(monkeypatch, cpus)
         rc = parse_text(LANE_RUN.format(env=env, workers=workers, total=total,
                                         eval_every=eval_every))
         run_seed(rc, 7, tmp_path)
         got = tuple(pin_digest(name, (tmp_path / name).read_bytes())
                     for name in ("metrics.jsonl", "checkpoint.bin", "memory.bin"))
         assert got == PINNED[case]
+        names = {name for names in forks for name in names}
+        if cpus == 1:
+            assert forks == []
+        else:
+            assert lane_names(workers, workers)[0] in names
+            assert "PPO learner update" in names
         assert_no_children()
 
-    def count_forks(self, monkeypatch):
-        forks = []
-        fork = runner._fork
-
-        def counted(work):
-            forks.append(work)
-            return fork(work)
-
-        monkeypatch.setattr(runner, "usable_cpus", lambda: 8)
-        monkeypatch.setattr(runner, "_fork", counted)
-        return forks
-
     def test_lanes_are_taken(self, monkeypatch):
-        forks = self.count_forks(monkeypatch)
+        forks = count_forks(monkeypatch, 8)
         vec = ppo_runner(PpoAgent, workers=3)
         vec.run(10)
-        assert len(forks) == 2
+        assert forks == [lane_names(3, 3)]
         assert vec.step_count == 10
         assert vec.agent.collected_steps() == 10
         assert vec.agent.pending == {}
         assert_no_children()
 
     def test_other_threads_keep_it_sequential(self, monkeypatch):
-        forks = self.count_forks(monkeypatch)
+        forks = count_forks(monkeypatch, 8)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
@@ -172,7 +175,7 @@ class TestLaneFailures:
                     raise LaneFault("worker 1 refused to act")
                 return super().act_train(s, rng, worker)
 
-        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        count_forks(monkeypatch, 2)
         with pytest.raises(LaneFault, match="worker 1 refused to act"):
             ppo_runner(Faulty).run(20)
         assert_no_children()
@@ -187,7 +190,7 @@ class TestLaneFailures:
                     raise LocalFault("not importable")
                 return super().act_train(s, rng, worker)
 
-        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        count_forks(monkeypatch, 2)
         with pytest.raises(FemaError, match="LocalFault: not importable"):
             ppo_runner(Faulty).run(20)
         assert_no_children()
@@ -199,7 +202,7 @@ class TestLaneFailures:
                     raise LaneFault("lane 0 failed")
                 return super().act_train(s, rng, worker)
 
-        monkeypatch.setattr(runner, "usable_cpus", lambda: 3)
+        count_forks(monkeypatch, 3)
         with pytest.raises(LaneFault, match="lane 0 failed"):
             ppo_runner(Faulty, workers=3).run(30)
         assert_no_children()
@@ -213,7 +216,7 @@ class TestLaneFailures:
                     os._exit(3)
                 return super().act_train(s, rng, worker)
 
-        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        count_forks(monkeypatch, 2)
         with pytest.raises(FemaError, match="without a result"):
             ppo_runner(Vanishing).run(20)
         assert_no_children()

@@ -487,6 +487,19 @@ class TestSnapshot:
         with pytest.raises(SerializationError, match=match):
             memory.FailureMemory.from_bytes(blob)
 
+    @pytest.mark.parametrize("publish, generation", [(True, -1), (False, 0)],
+                             ids=["cold_over_published", "warm_without_published"])
+    def test_generation_agrees_with_published_events(self, publish, generation):
+        mem = memory.FailureMemory(small_cfg(update_every=4, capacity=32))
+        stage_n(mem, 4, start_seed=7)
+        if publish:
+            mem.update(small_stack(seed=9))
+        assert (len(mem.events), mem.cold) == ((4, False) if publish else (0, True))
+        blob = self.resealed(mem, meta={"generation": generation})
+        with pytest.raises(SerializationError,
+                           match=f"generation {generation} disagrees"):
+            memory.FailureMemory.from_bytes(blob)
+
     @pytest.mark.parametrize("name", list(memory.FailureMemory.ARRAYS))
     def test_blob_sizes_checked(self, name):
         mem, _ = self.build()

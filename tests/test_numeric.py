@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,18 @@ class TestFlatLayout:
         m.layers[0].b[:] = -1.0
         assert m.flat[20 + 5 + 2] == 7.5
         np.testing.assert_array_equal(m.flat[15:20], -1.0)
+
+    def test_pickle_round_trip_keeps_views(self):
+        m = numeric.mlp_init([3, 5, 2], seed=4, acts=["tanh", "identity"])
+        back = pickle.loads(pickle.dumps(m, pickle.HIGHEST_PROTOCOL))
+        assert (back.widths, back.acts) == (m.widths, m.acts)
+        np.testing.assert_array_equal(back.flat, m.flat)
+        for layer in back.layers:
+            assert np.shares_memory(layer.w, back.flat)
+            assert np.shares_memory(layer.b, back.flat)
+        back.flat[:] = 2.0
+        assert all((layer.w == 2.0).all() and (layer.b == 2.0).all()
+                   for layer in back.layers)
 
     def test_wrong_size_flat_rejected(self):
         with pytest.raises(ShapeError):

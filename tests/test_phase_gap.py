@@ -1,10 +1,12 @@
 """PPO's phase gap: the learner update forked beside the memory publish.
 
-The overlapped gap must give the same bytes as the sequential one, stay
+The overlapped gap must give the same state as the sequential one, stay
 sequential where no publish is due or forking cannot pay, surface a failed
-update in the caller, and leave no child process behind.
-`forking.usable_cpus` is patched so that these tests take the forked path
-on any machine with os.fork.
+update in the caller, and leave no child process behind. The output bytes
+of whole runs, with and without the forked gap, are pinned in
+`test_lanes.TestLaneIdentity`. `helpers.count_forks` sets the CPUs that
+`forking` sees, so that these tests take the forked path on any machine
+with os.fork.
 """
 
 import os
@@ -13,40 +15,22 @@ import threading
 import numpy as np
 import pytest
 
-from fema import forking
 from fema.agents.common import AgentConfig
 from fema.agents.ppo import PpoAgent
 from fema.envs import make, runner
 from fema.errors import FemaError, TrainingError
-from fema.harness.config import parse_text
-from fema.harness.train import run_seed
 from fema.memory import FemaConfig
 
-from helpers import pin_digest
-from test_lanes import LANE_RUN, PINNED, assert_no_children
+from helpers import assert_no_children, count_forks
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the overlapped gap needs os.fork")
 
-OUTPUTS = ("metrics.jsonl", "checkpoint.bin", "memory.bin")
+GAP = [["PPO learner update"]]
 
 
 class GapFault(RuntimeError):
     pass
-
-
-def count_gap_forks(monkeypatch, cpus):
-    """Let the gap see `cpus` CPUs; returns the list its forks land in."""
-    forks = []
-    fork = forking.fork
-
-    def counted(work):
-        forks.append(work)
-        return fork(work)
-
-    monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(forking, "fork", counted)
-    return forks
 
 
 def collected_agent(agent_cls=PpoAgent, fema=True, update_every=2, seed=0):
@@ -74,34 +58,22 @@ def learner_state(agent):
 
 @needs_fork
 class TestGapIdentity:
-    @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
-    def test_outputs_match_sequential_gap(self, tmp_path, monkeypatch, case):
-        env, workers, total, eval_every = case
-        rc = parse_text(LANE_RUN.format(env=env, workers=workers, total=total,
-                                        eval_every=eval_every))
-        files = {}
-        for cpus in (1, 8):
-            forks = count_gap_forks(monkeypatch, cpus)
-            run_dir = tmp_path / f"cpus{cpus}"
-            run_seed(rc, 7, run_dir)
-            assert (len(forks) > 0) == (cpus > 1)
-            files[cpus] = [(run_dir / name).read_bytes() for name in OUTPUTS]
-            assert_no_children()
-        assert files[8] == files[1]
-        got = tuple(pin_digest(name, data) for name, data in zip(OUTPUTS, files[8]))
-        assert got == PINNED[case]
-
     def test_adopts_what_the_update_changed(self, monkeypatch):
         done = {}
         for cpus in (1, 8):
-            forks = count_gap_forks(monkeypatch, cpus)
             agent = collected_agent()
             assert len(agent.memory.pending) >= agent.fema_cfg.update_every
-            losses = agent.end_phase()
-            assert len(forks) == (cpus > 1)
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch, cpus)
+                losses = agent.end_phase()
+            assert forks == (GAP if cpus > 1 else [])
             assert agent.last_losses == losses
             done[cpus] = (losses, learner_state(agent),
                           agent.memory.to_bytes(), agent.stack.flat.tobytes())
+            # the rebound nets' layers still write through to their vectors
+            for net in (agent.vnet, agent.policy.trunk, agent.policy.mean_head):
+                assert all(np.shares_memory(layer.w, net.flat)
+                           for layer in net.layers)
         assert done[8] == done[1]
         assert done[8][1][3] == 0   # the collected rows were consumed
         assert_no_children()
@@ -110,30 +82,30 @@ class TestGapIdentity:
 @needs_fork
 class TestGapChoice:
     def test_no_fork_with_the_memory_off(self, monkeypatch):
-        forks = count_gap_forks(monkeypatch, 8)
         agent = collected_agent(fema=False)
+        forks = count_forks(monkeypatch, 8)
         agent.end_phase()
         assert forks == []
         assert agent.collected_steps() == 0
 
     def test_no_fork_when_no_publish_is_due(self, monkeypatch):
-        forks = count_gap_forks(monkeypatch, 8)
         agent = collected_agent(update_every=16)
+        forks = count_forks(monkeypatch, 8)
         assert len(agent.memory.pending) < 16
         agent.end_phase()
         assert forks == []
         assert agent.memory.version == -1
 
     def test_no_fork_on_one_cpu(self, monkeypatch):
-        forks = count_gap_forks(monkeypatch, 1)
         agent = collected_agent()
+        forks = count_forks(monkeypatch, 1)
         agent.end_phase()
         assert forks == []
         assert agent.memory.version == 1
 
     def test_other_threads_keep_it_sequential(self, monkeypatch):
-        forks = count_gap_forks(monkeypatch, 8)
         agent = collected_agent()
+        forks = count_forks(monkeypatch, 8)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
@@ -150,12 +122,12 @@ class TestGapChoice:
 @needs_fork
 class TestGapFailures:
     def test_non_finite_update_reraised(self, monkeypatch):
-        forks = count_gap_forks(monkeypatch, 8)
         agent = collected_agent()
+        forks = count_forks(monkeypatch, 8)
         agent.vnet.flat[:] = np.nan
         with pytest.raises(TrainingError, match="non-finite"):
             agent.end_phase()
-        assert len(forks) == 1
+        assert forks == GAP
         assert agent.memory.version == 1   # the publish beside it finished
         assert_no_children()
 
@@ -168,8 +140,8 @@ class TestGapFailures:
                     os._exit(3)
                 return super().update_phase()
 
-        count_gap_forks(monkeypatch, 8)
         agent = collected_agent(Vanishing)
+        count_forks(monkeypatch, 8)
         with pytest.raises(FemaError,
                            match="PPO learner update .* without a result"):
             agent.end_phase()
@@ -180,19 +152,14 @@ class TestGapFailures:
             def between_phases(self):
                 raise GapFault("publish failed")
 
-        count_gap_forks(monkeypatch, 8)
         agent = collected_agent(Faulty)
+        count_forks(monkeypatch, 8)
         with pytest.raises(GapFault, match="publish failed"):
             agent.end_phase()
         assert_no_children()
 
 
 class TestForking:
-    def test_can_fork_needs_two_cpus(self):
-        assert not forking.can_fork(1)
-        assert forking.can_fork(2) == (hasattr(os, "fork")
-                                       and threading.active_count() == 1)
-
     @needs_fork
     def test_dead_lane_is_named(self, monkeypatch):
         parent = os.getpid()
@@ -203,7 +170,7 @@ class TestForking:
                     os._exit(3)
                 return super().act_train(s, rng, worker)
 
-        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        count_forks(monkeypatch, 2)
         with pytest.raises(FemaError, match=r"rollout lane of workers \[1\]"):
             collected_agent(Vanishing)
         assert_no_children()
