@@ -3,14 +3,16 @@
 The overlapped gap must give the same state as the sequential one, stay
 sequential where no publish is due or forking cannot pay, surface a failed
 update in the caller, and leave no child process behind. The output bytes
-of whole runs, with and without the forked gap, are pinned in
-`test_lanes.TestLaneIdentity`. `helpers.count_forks` sets the CPUs that
-`forking` sees, so that these tests take the forked path on any machine
-with os.fork.
+of whole runs, with the gap forked alone and with nothing forked, are
+pinned here against `test_lanes.PINNED`; `test_lanes.TestLaneIdentity`
+pins the runs where lanes and the gap both fork. `helpers.count_forks`
+sets the CPUs that `forking` sees, so that these tests take the forked
+path on any machine with os.fork.
 """
 
 import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,14 +21,19 @@ from fema.agents.common import AgentConfig
 from fema.agents.ppo import PpoAgent
 from fema.envs import make, runner
 from fema.errors import FemaError, TrainingError
+from fema.harness.config import parse_text
+from fema.harness.train import run_seed
 from fema.memory import FemaConfig
 
-from helpers import assert_no_children, count_forks
+from helpers import assert_no_children, count_forks, pin_digest
+from test_lanes import LANE_RUN, PINNED
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the overlapped gap needs os.fork")
 
 GAP = [["PPO learner update"]]
+
+OUTPUTS = ("metrics.jsonl", "checkpoint.bin", "memory.bin")
 
 
 class GapFault(RuntimeError):
@@ -58,6 +65,29 @@ def learner_state(agent):
 
 @needs_fork
 class TestGapIdentity:
+    @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
+    def test_outputs_match_sequential_gap(self, tmp_path, monkeypatch, case):
+        """With the rollout lanes held to one process, forking the gap alone
+        gives the same bytes as the sequential gap, and the pinned ones."""
+        env, workers, total, eval_every = case
+        rc = parse_text(LANE_RUN.format(env=env, workers=workers, total=total,
+                                        eval_every=eval_every))
+        files = {}
+        for cpus in (1, 8):
+            run_dir = tmp_path / f"cpus{cpus}"
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch, cpus)
+                patch.setattr(runner, "forking",
+                              SimpleNamespace(processes=lambda parts: 1))
+                run_seed(rc, 7, run_dir)
+            assert forks == (GAP * len(forks) if cpus > 1 else [])
+            assert (len(forks) > 0) == (cpus > 1)
+            files[cpus] = [(run_dir / name).read_bytes() for name in OUTPUTS]
+            assert_no_children()
+        assert files[8] == files[1]
+        got = tuple(pin_digest(name, data) for name, data in zip(OUTPUTS, files[8]))
+        assert got == PINNED[case]
+
     def test_adopts_what_the_update_changed(self, monkeypatch):
         done = {}
         for cpus in (1, 8):
