@@ -13,15 +13,14 @@ the on-policy learner). Squashing conventions:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .. import numeric, serialize
-from ..errors import ConfigError, SerializationError, ShapeError
+from .. import numeric
+from ..errors import ConfigError, ShapeError
 
 LOGSTD_MIN = -5.0
 LOGSTD_MAX = 2.0
@@ -105,57 +104,6 @@ class GaussianPolicy:
                 axis=-1,
             )
         return float(out) if out.ndim == 0 else out
-
-    # -- persistence --------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        meta = {
-            "squash": self.squash,
-            "scale": list(self.scale),
-            "state_dependent_std": self.logstd_head is not None,
-        }
-        blobs = {
-            "meta": json.dumps(meta, sort_keys=True).encode("utf-8"),
-            "trunk": serialize.mlp_to_bytes(self.trunk),
-            "mean": serialize.mlp_to_bytes(self.mean_head),
-        }
-        if self.logstd_head is not None:
-            blobs["logstd"] = serialize.mlp_to_bytes(self.logstd_head)
-        else:
-            blobs["logstd_vec"] = self.logstd_vec.astype("<f8").tobytes()
-        return serialize.blobs_to_bytes(blobs)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "GaussianPolicy":
-        blobs = serialize.blobs_from_bytes(data)
-        try:
-            meta = json.loads(blobs["meta"].decode("utf-8"))
-            squash, state_dependent = meta["squash"], meta["state_dependent_std"]
-            std_blob = blobs["logstd" if state_dependent else "logstd_vec"]
-            policy = cls(
-                trunk=serialize.mlp_from_bytes(blobs["trunk"]),
-                mean_head=serialize.mlp_from_bytes(blobs["mean"]),
-                logstd_head=serialize.mlp_from_bytes(std_blob) if state_dependent else None,
-                logstd_vec=None if state_dependent else np.frombuffer(std_blob, "<f8").copy(),
-                squash=squash, scale=np.array(meta["scale"], dtype=np.float64),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(f"unreadable policy blob: {exc!r}") from exc
-        if squash not in SQUASHES:
-            raise SerializationError(f"unknown squashing convention {squash!r}")
-        width, d_a = policy.trunk.out_dim, policy.d_a
-        serialize.expect_widths(policy.mean_head, width, d_a, "policy mean head")
-        if state_dependent:
-            serialize.expect_widths(policy.logstd_head, width, d_a, "policy log-std head")
-        for name in ("scale", "logstd_vec"):
-            vec = getattr(policy, name)
-            if vec is not None and vec.shape != (d_a,):
-                raise SerializationError(f"policy {name} has shape {vec.shape}, "
-                                         f"expected ({d_a},)")
-        if not np.all(np.isfinite(policy.scale) & (policy.scale > 0)):
-            raise SerializationError(f"policy action scale must be positive and finite, "
-                                     f"got {list(policy.scale)}")
-        return policy
 
 
 def policy_init(

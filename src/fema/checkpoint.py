@@ -1,30 +1,41 @@
-"""Training checkpoints: one sealed container per run.
+"""Training checkpoints: one sealed file of parameter vectors per run.
 
-Bundles the policy, the networks and f8 arrays the learner class names in
-`saved_widths`, in its order, and the embedding stack when the failure
-memory is on, as blobs of a sealed container (see `serialize`), whose CRC32
-trailer is checked on load; a checkpoint written before files were sealed
-is refused. The loader refuses a saved net or array whose shape differs
-from the learner's `saved_widths` for the policy's widths, and ignores
-blobs the learner does not name. The failure memory snapshots to its own
-file next to the checkpoint; the metadata records whether one is expected.
+Format 2 is a sealed container (see `serialize`): a JSON `meta` blob and one
+`<f8` blob per parameter vector. The meta names the learner (`algo`), env,
+step and whether the failure memory is on (`fema_on`), and holds each width
+once: `d_s`, `d_a`, the policy width `hidden`, the policy's `squash`,
+`scale` and `state_dependent_std`, and with the memory on a `stack` object
+of the embedding stack's `d_z`, `d_z_a`, `d_phi`, `version` and Adam `lr`.
+The blobs are `policy.trunk`, `policy.mean`, `policy.logstd` (head or free
+vector), each name in the learner's `saved_widths` in its order, and with
+the memory on `stack.f`, `stack.g`, `stack.j`, `stack.h`.
+
+The loader rebuilds each net over its own blob, with the widths the meta
+and `saved_widths` give and the activations `policy_init`, `mlp_init` and
+`stack_init` use (agents build the stack at the policy's width), so a blob
+that does not fit is refused and no array is sized from the meta alone. It
+ignores blobs it does not name and refuses format 1. A loaded stack gets a
+fresh Adam state at the saved `lr`. The failure memory snapshots to its own
+file next to the checkpoint.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import embedding, serialize
+from . import embedding, numeric, serialize
 from .agents import AGENTS
-from .agents.policy import GaussianPolicy
-from .errors import CoherenceError, SerializationError
+from .agents.policy import SQUASHES, GaussianPolicy
+from .errors import CoherenceError, SerializationError, ShapeError
 
 FORMAT_NAME = "fema-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+STACK_NETS = ("f", "g", "j", "h")
 
 
 @dataclass
@@ -41,109 +52,131 @@ class CheckpointData:
 
 def save_checkpoint(path, agent, env_name: str, step: int) -> None:
     """Write the agent's learnable state to one file."""
-    blobs = {}
-    meta = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "algo": agent.algo,
-        "env": env_name,
-        "step": int(step),
-        "d_s": int(agent.spec.d_s),
-        "d_a": int(agent.spec.d_a),
-        "fema_on": agent.memory is not None,
-    }
-    blobs["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
-    policy = agent.policy
-    blobs["policy"] = policy.to_bytes()
+    policy, stack = agent.policy, agent.stack
+    meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "algo": agent.algo,
+            "env": env_name, "step": int(step), "fema_on": agent.memory is not None,
+            "d_s": policy.d_s, "d_a": policy.d_a, "hidden": policy.trunk.out_dim,
+            "squash": policy.squash, "scale": policy.scale.tolist(),
+            "state_dependent_std": policy.logstd_head is not None}
+    vectors = dict(zip(("policy.trunk", "policy.mean", "policy.logstd"),
+                       policy.params()))
     for name, widths in agent.saved_widths(policy.d_s, policy.d_a,
                                            policy.trunk.out_dim).items():
         value = getattr(agent, name)
-        blobs[name] = (serialize.mlp_to_bytes(value) if isinstance(widths, list)
-                       else value.astype("<f8").tobytes())
-    if agent.stack is not None:
-        blobs["stack"] = embedding.stack_to_bytes(agent.stack)
-    serialize.save_blobs(path, blobs)
+        vectors[name] = value.flat if isinstance(widths, list) else value
+    if stack is not None:
+        meta["stack"] = {"d_z": stack.d_z, "d_z_a": stack.d_z_a,
+                         "d_phi": stack.d_phi, "version": stack.version,
+                         "lr": stack.adam.lr}
+        vectors.update((f"stack.{name}", getattr(stack, name).flat)
+                       for name in STACK_NETS)
+    serialize.save_blobs(path, {
+        "meta": json.dumps(meta, sort_keys=True).encode("utf-8"),
+        **{name: np.ascontiguousarray(vec, "<f8") for name, vec in vectors.items()}})
 
 
 def load_checkpoint(path) -> CheckpointData:
     blobs = serialize.load_blobs(path)
     meta = serialize.read_meta(blobs, FORMAT_NAME, FORMAT_VERSION)
     try:
-        _check_meta(meta, has_stack="stack" in blobs)
-        policy = GaussianPolicy.from_bytes(blobs["policy"])
-        want = AGENTS[meta["algo"]].saved_widths(policy.d_s, policy.d_a,
-                                                 policy.trunk.out_dim)
-        nets = {name: serialize.mlp_from_bytes(blobs[name])
-                for name, widths in want.items() if isinstance(widths, list)}
-        arrays = {name: np.frombuffer(blobs[name], dtype="<f8").copy()
-                  for name, size in want.items() if isinstance(size, int)}
+        _check_meta(meta, any(f"stack.{name}" in blobs for name in STACK_NETS))
+        d_s, d_a, hidden = meta["d_s"], meta["d_a"], meta["hidden"]
+        dependent = meta["state_dependent_std"]
+        policy = GaussianPolicy(
+            trunk=_part(blobs, "policy.trunk", [d_s, hidden, hidden], ["tanh", "tanh"]),
+            mean_head=_part(blobs, "policy.mean", [hidden, d_a]),
+            logstd_head=_part(blobs, "policy.logstd", [hidden, d_a]) if dependent else None,
+            logstd_vec=None if dependent else _part(blobs, "policy.logstd", d_a),
+            squash=meta["squash"], scale=np.array(meta["scale"]))
+        want = AGENTS[meta["algo"]].saved_widths(d_s, d_a, hidden)
+        saved = {name: _part(blobs, name, widths) for name, widths in want.items()}
         stack = None
-        if "stack" in blobs:
-            stack = embedding.stack_from_bytes(blobs["stack"])
-        _check_widths(meta, policy, stack)
-        _check_saved(want, nets, arrays)
+        if meta["fema_on"]:
+            dims = meta["stack"]
+            widths = embedding.stack_widths(d_s, d_a, dims["d_z"], dims["d_z_a"],
+                                            dims["d_phi"], hidden)
+            stack = embedding.EmbeddingStack(
+                **{name: _part(blobs, f"stack.{name}", w) for name, w in widths.items()},
+                adam=None, d_s=d_s, d_a=d_a, d_z=dims["d_z"], d_z_a=dims["d_z_a"],
+                d_phi=dims["d_phi"], version=dims["version"])
+            stack.adam = numeric.adam_init(stack.params(), lr=dims["lr"])
         return CheckpointData(
-            algo=meta["algo"],
-            env=meta["env"],
-            step=meta["step"],
-            fema_on=meta["fema_on"],
-            policy=policy,
-            nets=nets,
-            arrays=arrays,
-            stack=stack,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SerializationError(
-            f"unreadable checkpoint metadata or blob: {exc!r}") from exc
+            algo=meta["algo"], env=meta["env"], step=meta["step"],
+            fema_on=meta["fema_on"], policy=policy,
+            nets={k: v for k, v in saved.items() if isinstance(want[k], list)},
+            arrays={k: v for k, v in saved.items() if isinstance(want[k], int)},
+            stack=stack)
+    except KeyError as exc:
+        raise SerializationError(f"checkpoint metadata lacks {exc}") from exc
 
 
 def _check_meta(meta: dict, has_stack: bool) -> None:
-    """Refuse metadata that describes no learner, step, env or memory state."""
-    algo, step, env, fema_on = (meta["algo"], meta["step"], meta["env"],
-                                meta["fema_on"])
+    """Refuse metadata that describes no learner, step, env, policy or
+    memory state."""
+    algo, env, fema_on = meta["algo"], meta["env"], meta["fema_on"]
     if not (isinstance(algo, str) and algo in AGENTS):
         raise SerializationError(
             f"checkpoint algo {algo!r} is not a learner; choices: {sorted(AGENTS)}")
-    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
-        raise SerializationError(
-            f"checkpoint step {step!r} is not a non-negative integer")
     if not isinstance(env, str):
         raise SerializationError(f"checkpoint env {env!r} is not a name")
-    if not isinstance(fema_on, bool):
-        raise SerializationError(f"checkpoint fema_on {fema_on!r} is not a bool")
+    _check_int(meta, "step", 0)
+    for key in ("d_s", "d_a", "hidden"):
+        _check_int(meta, key, 1)
+    if meta["squash"] not in SQUASHES:
+        raise SerializationError(
+            f"checkpoint squash {meta['squash']!r} is not a squashing convention")
+    scale, d_a = meta["scale"], meta["d_a"]
+    if not (isinstance(scale, list) and len(scale) == d_a
+            and all(type(x) is float and 0 < x < math.inf for x in scale)):
+        raise SerializationError(
+            f"checkpoint scale {scale!r} is not d_a={d_a} positive finite floats")
+    for key in ("fema_on", "state_dependent_std"):
+        if not isinstance(meta[key], bool):
+            raise SerializationError(f"checkpoint {key} {meta[key]!r} is not a bool")
     if fema_on != has_stack:
         raise SerializationError(
-            f"checkpoint fema_on={fema_on} disagrees with its stack blob "
+            f"checkpoint fema_on={fema_on} disagrees with its stack blobs "
             f"(present: {has_stack})")
-
-
-def _check_widths(meta: dict, policy: GaussianPolicy, stack) -> None:
-    """Refuse metadata or a stack whose env widths are not the policy's."""
-    for key in ("d_s", "d_a"):
-        want = getattr(policy, key)
-        found = [("meta", meta[key])]
-        if stack is not None:
-            found.append(("stack", getattr(stack, key)))
-        for part, width in found:
-            if type(width) is not int or width != want:
-                raise SerializationError(
-                    f"checkpoint {part} {key}={width!r} is not the policy's "
-                    f"{key}={want}")
-
-
-def _check_saved(want: dict, nets: dict, arrays: dict) -> None:
-    """Refuse a saved net or array whose shape is not the one the learner
-    declares (`want`, its `saved_widths` for the policy's widths)."""
-    for name, net in nets.items():
-        if net.widths != want[name]:
+    if fema_on:
+        dims = meta["stack"]
+        if not isinstance(dims, dict):
             raise SerializationError(
-                f"checkpoint {name} blob has widths {net.widths}, expected "
-                f"{want[name]}")
-    for name, arr in arrays.items():
-        if arr.shape != (want[name],):
+                f"checkpoint stack metadata is not an object: {dims!r}")
+        for key in ("d_z", "d_z_a", "d_phi"):
+            _check_int(dims, key, 1, "stack ")
+        _check_int(dims, "version", 0, "stack ")
+        lr = dims["lr"]
+        if type(lr) not in (int, float) or not 0 < lr < math.inf:
             raise SerializationError(
-                f"checkpoint {name} blob holds {arr.size} floats, expected "
-                f"{want[name]}")
+                f"checkpoint stack lr must be finite and positive, got {lr!r}")
+
+
+def _check_int(meta: dict, key: str, least: int, part: str = "") -> None:
+    value = meta[key]
+    if type(value) is not int or value < least:
+        raise SerializationError(
+            f"checkpoint {part}{key} {value!r} is not an integer >= {least}")
+
+
+def _part(blobs: dict, name: str, widths, acts=None):
+    """A copy of blob `name`: an `Mlp` over it for a list of layer `widths`
+    (activations `acts`, by default `numeric.default_acts`), or a float64
+    vector for an int, its length."""
+    data = blobs.get(name)
+    if data is None or len(data) % 8:
+        raise SerializationError(
+            f"checkpoint {name} blob is missing or not whole <f8 values")
+    vec = np.frombuffer(data, "<f8").astype(np.float64)
+    if isinstance(widths, int):
+        if vec.shape != (widths,):
+            raise SerializationError(
+                f"checkpoint {name} blob holds {vec.size} floats, expected {widths}")
+        return vec
+    try:
+        return numeric.Mlp(widths, acts or numeric.default_acts(len(widths) - 1), vec)
+    except ShapeError as exc:
+        raise SerializationError(
+            f"checkpoint {name} blob does not fit widths {widths}: {exc}") from exc
 
 
 def check_env_match(ckpt: CheckpointData, spec) -> None:

@@ -10,15 +10,13 @@ termination.
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numeric, serialize
-from .errors import SerializationError, ShapeError, TrainingError, UsageError
+from . import numeric
+from .errors import ShapeError, TrainingError, UsageError
 
 NORM_EPS = 1e-6
 
@@ -66,6 +64,14 @@ class EmbeddingStack:
         return views
 
 
+def stack_widths(d_s: int, d_a: int, d_z: int, d_z_a: int, d_phi: int,
+                 hidden: int) -> dict:
+    """Layer widths of each net f, g, j, h: two tanh hidden layers of width
+    `hidden`, then a linear output."""
+    return {"f": [d_s, hidden, hidden, d_z], "g": [d_a, hidden, hidden, d_z_a],
+            "j": [d_z + d_z_a, hidden, hidden, d_phi], "h": [d_phi, hidden, hidden, 1]}
+
+
 def stack_init(
     d_s: int,
     d_a: int,
@@ -76,12 +82,11 @@ def stack_init(
     hidden: int = 64,
     lr: float = 3e-4,
 ) -> EmbeddingStack:
-    """Build a fresh stack. Each net: two tanh hidden layers, linear output."""
-    f = numeric.mlp_init([d_s, hidden, hidden, d_z], seed=seed)
-    g = numeric.mlp_init([d_a, hidden, hidden, d_z_a], seed=seed + 1)
-    j = numeric.mlp_init([d_z + d_z_a, hidden, hidden, d_phi], seed=seed + 2)
-    h = numeric.mlp_init([d_phi, hidden, hidden, 1], seed=seed + 3)
-    stack = EmbeddingStack(f=f, g=g, j=j, h=h, adam=None, d_s=d_s, d_a=d_a,
+    """Build a fresh stack; net k of f, g, j, h draws from seed + k."""
+    widths = stack_widths(d_s, d_a, d_z, d_z_a, d_phi, hidden)
+    nets = {name: numeric.mlp_init(w, seed=seed + k)
+            for k, (name, w) in enumerate(widths.items())}
+    stack = EmbeddingStack(**nets, adam=None, d_s=d_s, d_a=d_a,
                            d_z=d_z, d_z_a=d_z_a, d_phi=d_phi)
     stack.adam = numeric.adam_init(stack.params(), lr=lr)
     return stack
@@ -214,47 +219,3 @@ def train_risk(
         final = float(np.mean(losses))
     stack.version += 1
     return final
-
-
-STACK_META_BLOB = "meta"
-_NET_BLOBS = ("f", "g", "j", "h")
-
-
-def stack_to_bytes(stack: EmbeddingStack) -> bytes:
-    meta = {
-        "d_s": stack.d_s, "d_a": stack.d_a, "d_z": stack.d_z,
-        "d_z_a": stack.d_z_a, "d_phi": stack.d_phi,
-        "version": stack.version, "lr": stack.adam.lr,
-    }
-    blobs = {STACK_META_BLOB: json.dumps(meta, sort_keys=True).encode("utf-8")}
-    for name in _NET_BLOBS:
-        blobs[name] = serialize.mlp_to_bytes(getattr(stack, name))
-    return serialize.blobs_to_bytes(blobs)
-
-
-def stack_from_bytes(data: bytes) -> EmbeddingStack:
-    """Rebuild a stack snapshot. Optimizer moments are not persisted; the
-    restored stack gets a fresh Adam state at the saved learning rate."""
-    blobs = serialize.blobs_from_bytes(data)
-    try:
-        meta = json.loads(blobs[STACK_META_BLOB].decode("utf-8"))
-        if not isinstance(meta, dict):
-            raise SerializationError(f"embedding stack metadata is not an object: {meta!r}")
-        dims = {k: meta[k] for k in ("d_s", "d_a", "d_z", "d_z_a", "d_phi", "version")}
-        lr = meta["lr"]
-        net_blobs = {name: blobs[name] for name in _NET_BLOBS}
-    except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"unreadable embedding stack: {exc!r}") from exc
-    if not all(type(v) is int for v in dims.values()):
-        raise SerializationError(f"non-integer embedding stack widths: {dims}")
-    if type(lr) not in (int, float) or not 0 < lr < math.inf:
-        raise SerializationError(f"embedding stack lr must be finite and positive, got {lr!r}")
-    nets = {name: serialize.mlp_from_bytes(b) for name, b in net_blobs.items()}
-    d_z, d_z_a, d_phi = dims["d_z"], dims["d_z_a"], dims["d_phi"]
-    for name, widths in (("f", (dims["d_s"], d_z)), ("g", (dims["d_a"], d_z_a)),
-                         ("j", (d_z + d_z_a, d_phi)), ("h", (d_phi, 1))):
-        serialize.expect_widths(nets[name], *widths, f"embedding net {name!r}")
-    stack = EmbeddingStack(f=nets["f"], g=nets["g"], j=nets["j"], h=nets["h"],
-                           adam=None, **dims)
-    stack.adam = numeric.adam_init(stack.params(), lr=lr)
-    return stack

@@ -1,9 +1,8 @@
 """Hazard-terminating toy environments and the worker-pool runner."""
 
-from .base import EnvSpec, StepResult
 from .cliff_corridor import CliffCorridor
 from .grid_hazard import GridHazard
-from .runner import EpisodeRecord, VecRunner
+from .runner import VecRunner
 from .tilt_pole import TiltPole
 from ..errors import ConfigError
 
@@ -12,6 +11,8 @@ REGISTRY = {
     "tilt_pole": TiltPole,
     "grid_hazard": GridHazard,
 }
+
+__all__ = ["REGISTRY", "VecRunner", "make"]
 
 
 def make(name: str, rng):

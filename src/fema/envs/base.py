@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..memory import END_HAZARD, END_NONE, END_TIME_LIMIT
+from ..memory import END_NONE
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Each axis value becomes one run directory named <axis>=<value> under the
 config's out_dir, trained for every seed, followed by a per-value aggregate
-curve CSV. Cells run sequentially in-process; every cell writes only to its
-own directory.
+curve CSV. Every value is parsed before any cell trains, and a value equal
+to an earlier one is refused. Cells run sequentially in-process; every cell
+writes only to its own directory.
 """
 
 from __future__ import annotations
@@ -59,19 +60,25 @@ def cmd_ablate(config_path, axis: str, values: list,
     if not rc.fema_enabled:
         raise ConfigError(f"axis {axis!r} tunes the failure memory; "
                           "the config has it disabled")
+    derived = {}    # parsed value -> (its spelling, its cell), before any training
+    for raw in map(str, values):
+        cell = derive_cell(rc, axis, raw)
+        value = getattr(cell.fema, AXES[axis][0])
+        if value in derived:
+            raise UsageError(f"axis {axis} values {derived[value][0]!r} and {raw!r} "
+                             "are the same value")
+        derived[value] = raw, cell
     sweep_dir = rc.out_dir
     os.makedirs(sweep_dir, exist_ok=True)
     cells = []
-    for raw in values:
-        cell = derive_cell(rc, axis, str(raw))
+    for raw, cell in derived.values():
         run_config(cell)
         _write_csv(
             os.path.join(sweep_dir, f"curve_{axis}={raw}.csv"),
             ["step", "mean_return", "std_return", "n_seeds"],
             curve_rows(load_run_dir(cell.out_dir), DEFAULT_WINDOW),
         )
-        cells.append({"value": str(raw),
-                      "dir": os.path.basename(cell.out_dir)})
+        cells.append({"value": raw, "dir": os.path.basename(cell.out_dir)})
     sweep = json.dumps({"axis": axis, "cells": cells, "seeds": list(rc.seeds)},
                        sort_keys=True, indent=2)
     serialize.write_atomic(os.path.join(sweep_dir, "sweep.json"),

@@ -173,6 +173,11 @@ def _table(tails) -> tuple:
             np.array([len(t.returns) for t in tails], dtype=np.int64))
 
 
+def _widths(tail: Tail) -> tuple:
+    """The state and action widths of a tail's rows."""
+    return (*tail.s.shape[1:], *tail.a.shape[1:])
+
+
 def _generation(seqs: np.ndarray, lengths: np.ndarray, mc_return: np.ndarray,
                 z_s: np.ndarray, phi: np.ndarray, version: int) -> Generation:
     """The generation of the events in the table (`seqs`, `lengths`) from
@@ -253,17 +258,22 @@ class FailureMemory:
 
     def stage(self, event: FailureEvent) -> int:
         """Queue one failure event as a `Tail` copy of its arrays, keeping no
-        reference to the event; nothing becomes searchable yet."""
+        reference to the event; nothing becomes searchable yet. Its state and
+        action widths must be those of the tails already held."""
         k = len(event.transitions)
         if not 1 <= k <= self.cfg.suffix_len or len(event.returns) != k:
             raise UsageError("a staged event needs 1..suffix_len transitions, one return each")
+        tail = Tail(self.next_seq,
+                    np.array([t.s for t in event.transitions], dtype=np.float64),
+                    np.array([t.a for t in event.transitions], dtype=np.float64),
+                    np.array(event.returns, dtype=np.float64))
+        held = self.events[:1] or list(itertools.islice(self.pending, 1))
+        if held and _widths(tail) != _widths(held[0]):
+            raise ShapeError(f"a staged tail of (d_s, d_a) widths {_widths(tail)} does "
+                             f"not match the held tails' {_widths(held[0])}")
         event.seq = self.next_seq
         self.next_seq += 1
-        self.pending.append(Tail(  # deque(maxlen) evicts oldest pending
-            event.seq,
-            np.array([t.s for t in event.transitions], dtype=np.float64),
-            np.array([t.a for t in event.transitions], dtype=np.float64),
-            np.array(event.returns, dtype=np.float64)))
+        self.pending.append(tail)  # deque(maxlen) evicts oldest pending
         return len(self.pending)
 
     def maybe_update(self, stack: embedding.EmbeddingStack) -> Optional[int]:

@@ -1,7 +1,7 @@
 """Minimal dense-network engine: MLPs with analytic gradients and Adam updates.
 
 A network's parameters are one float64 vector, `Mlp.flat`, laid out layer by
-layer as W (row-major) then b; this is also the FNET payload. Layer `w` and `b`
+layer as W (row-major) then b; a checkpoint stores it as is. Layer `w` and `b`
 are views into it, and backward() returns one gradient vector in the same
 layout. Forward/backward are purely functional over explicit parameter values.
 Adam mutates only the state object passed in, so concurrent workers are safe

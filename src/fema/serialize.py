@@ -1,16 +1,14 @@
-"""Flat binary layouts for network parameters and named-blob containers.
-
-MLP format ("FNET"): magic | u16 version | u16 n_layers |
-per layer (u32 in, u32 out, u8 act code) | the network's parameter vector
-`Mlp.flat` as little-endian f8 (layer by layer: W row-major then b).
+"""Named-blob containers sealed with a CRC32 trailer, and crash-safe writes.
 
 Container format ("FEMC"): magic | u16 version | u32 count |
 per entry: u16 name length, name utf-8, u64 payload length, payload bytes.
 A sealed file (`seal`, `unseal`) is one container and a u32 trailer, the
-`zlib.crc32` of every byte before it. `checkpoint.bin` (`save_blobs`) and
-the failure memory's `memory.bin` are sealed; the policy and embedding
-stack nest in a checkpoint as plain containers. A sealed file's JSON `meta`
-blob names its format and version (`read_meta`).
+`zlib.crc32` of every byte before it. Both run files are sealed:
+`checkpoint.bin` (format 2, see `checkpoint`; `save_blobs`, `load_blobs`)
+and the failure memory's `memory.bin` (format 4, see `memory`). In each, a
+JSON `meta` blob names the format and version (`read_meta`) and the other
+blobs are little-endian arrays, whose sizes the loader checks against the
+widths in the meta.
 """
 
 from __future__ import annotations
@@ -20,64 +18,10 @@ import os
 import struct
 import zlib
 
-import numpy as np
+from .errors import SerializationError
 
-from .errors import SerializationError, ShapeError
-from .numeric import ACTIVATIONS, Mlp
-
-MLP_MAGIC = b"FNET"
-MLP_VERSION = 1
 CONTAINER_MAGIC = b"FEMC"
 CONTAINER_VERSION = 1
-
-_ACT_CODE = {name: i for i, name in enumerate(ACTIVATIONS)}
-_CODE_ACT = {i: name for name, i in _ACT_CODE.items()}
-
-
-def mlp_to_bytes(mlp: Mlp) -> bytes:
-    head = [MLP_MAGIC, struct.pack("<HH", MLP_VERSION, len(mlp.layers))]
-    for n_in, n_out, act in zip(mlp.widths, mlp.widths[1:], mlp.acts):
-        head.append(struct.pack("<IIB", n_in, n_out, _ACT_CODE[act]))
-    return b"".join(head) + mlp.flat.astype("<f8").tobytes()
-
-
-def mlp_from_bytes(buf: bytes) -> Mlp:
-    if len(buf) < 8 or buf[:4] != MLP_MAGIC:
-        raise SerializationError("bad parameter blob: missing FNET magic")
-    version, n_layers = struct.unpack_from("<HH", buf, 4)
-    if version != MLP_VERSION:
-        raise SerializationError(f"unsupported FNET version {version}")
-    if n_layers == 0:
-        raise SerializationError("FNET network has no layers")
-    off = 8
-    widths, acts = [], []
-    for _ in range(n_layers):
-        if off + 9 > len(buf):
-            raise SerializationError("truncated FNET layer table")
-        in_d, out_d, code = struct.unpack_from("<IIB", buf, off)
-        off += 9
-        if code not in _CODE_ACT:
-            raise SerializationError(f"unknown activation code {code}")
-        if in_d == 0 or out_d == 0 or (widths and widths[-1] != in_d):
-            raise SerializationError("FNET layer widths are zero or do not chain")
-        if not widths:
-            widths.append(in_d)
-        widths.append(out_d)
-        acts.append(_CODE_ACT[code])
-
-    if (len(buf) - off) % 8:
-        raise SerializationError("FNET payload is not a whole number of f8 values")
-    try:
-        return Mlp(widths, acts, np.frombuffer(buf, dtype="<f8", offset=off).astype(np.float64))
-    except ShapeError as exc:
-        raise SerializationError(f"FNET payload does not fit its layer table: {exc}") from exc
-
-
-def expect_widths(mlp: Mlp, in_dim, out_dim, what: str) -> None:
-    """Reject a loaded network whose input or output width is not expected."""
-    if (mlp.in_dim, mlp.out_dim) != (in_dim, out_dim):
-        raise SerializationError(f"{what} maps {mlp.in_dim} -> {mlp.out_dim}, "
-                                 f"expected {in_dim} -> {out_dim}")
 
 
 def _container(blobs: dict) -> list:
@@ -88,10 +32,6 @@ def _container(blobs: dict) -> list:
         parts += [struct.pack("<H", len(enc)), enc,
                   struct.pack("<Q", memoryview(payload).nbytes), payload]
     return parts
-
-
-def blobs_to_bytes(blobs: dict) -> bytes:
-    return b"".join(_container(blobs))
 
 
 def seal(blobs: dict) -> bytes:
@@ -129,10 +69,6 @@ def _views(buf: memoryview) -> dict:
     if off != len(buf):
         raise SerializationError("trailing bytes after container payload")
     return out
-
-
-def blobs_from_bytes(buf) -> dict:
-    return {name: bytes(view) for name, view in _views(memoryview(buf)).items()}
 
 
 def unseal(buf) -> dict:

@@ -1,21 +1,25 @@
 """Test-only helpers built on the package: zero networks, an episode driver,
-a count of the transitions an agent still holds, the digest of a run's
-output files that pins compare, and the one patch point through which
-tests choose the CPUs `fema.forking` sees and count what it forks."""
+a count of the transitions an agent still holds, checkpoints of chosen
+state and their edited copies, the digest of a run's output files that pins
+compare, and the one patch point through which tests choose the CPUs
+`fema.forking` sees and count what it forks."""
 
 import gc
 import hashlib
 import json
 import os
+import tempfile
 import weakref
-import zlib
 
 import numpy as np
 import pytest
 
-from fema import forking
+from fema import forking, serialize
+from fema.agents import AGENTS, AgentConfig
+from fema.checkpoint import load_checkpoint, save_checkpoint
+from fema.envs.base import EnvSpec
 from fema.envs.runner import EpisodeRecord
-from fema.memory import END_NONE, FailureMemory, Transition
+from fema.memory import END_NONE, FailureMemory, FemaConfig, Transition
 from fema.numeric import Mlp, default_acts
 
 
@@ -72,19 +76,62 @@ def held_transitions(agent, steps: int, workers: int = 2) -> int:
     return sum(ref() is not None for ref in refs)
 
 
+def save_agent(path, algo: str, d_s: int, d_a: int, hidden: int, fema=False,
+               **state):
+    """Checkpoint a fresh `algo` agent, for an env of widths d_s and d_a at
+    policy width `hidden`, to `path` after setting the attributes in
+    `state` (a policy, a stack); returns the agent."""
+    spec = EnvSpec(name="probe", d_s=d_s, d_a=d_a, action_low=(-1.0,) * d_a,
+                   action_high=(1.0,) * d_a, max_steps=10, hazard="none")
+    agent = AGENTS[algo](spec, AgentConfig(hidden=hidden), seed=0,
+                         fema_cfg=FemaConfig() if fema else None)
+    for name, value in state.items():
+        setattr(agent, name, value)
+    save_checkpoint(path, agent, "probe", 0)
+    return agent
+
+
+def edit_checkpoint(path, meta=(), blobs=()) -> None:
+    """Seal the checkpoint at `path` again with the fields in `meta` set in
+    its meta blob and the blobs in `blobs` set (None: removed)."""
+    parts = serialize.load_blobs(path)
+    parts["meta"] = json.dumps({**json.loads(parts["meta"]), **dict(meta)}).encode()
+    parts.update(blobs)
+    serialize.save_blobs(path, {k: v for k, v in parts.items() if v is not None})
+
+
+def checkpoint_content(path) -> bytes:
+    """What the checkpoint at `path` holds, as `load_checkpoint` returns it:
+    its meta fields, then every parameter vector (the policy's, the
+    learner's saved nets and arrays in order, and the stack's)."""
+    ckpt = load_checkpoint(path)
+    policy, stack = ckpt.policy, ckpt.stack
+    head = [ckpt.algo, ckpt.env, ckpt.step, ckpt.fema_on, policy.d_s, policy.d_a,
+            policy.trunk.out_dim, policy.squash, policy.scale.tolist(),
+            policy.logstd_head is not None, list(ckpt.nets), list(ckpt.arrays)]
+    vectors = [*policy.params(), *(net.flat for net in ckpt.nets.values()),
+               *ckpt.arrays.values()]
+    if stack is not None:
+        head += [stack.d_z, stack.d_z_a, stack.d_phi, stack.version, stack.adam.lr]
+        vectors.append(stack.flat)
+    return json.dumps(head).encode("utf-8") + b"".join(v.tobytes() for v in vectors)
+
+
 def pin_digest(name: str, data: bytes) -> str:
     """The 16-hex-digit sha256 prefix that pins the run output file `name`.
 
-    `metrics.jsonl` is hashed as is. A `checkpoint.bin` is hashed without
-    its 4-byte CRC32 trailer, which is checked, so the pin covers the
-    container body alone. A `memory.bin` is hashed by what it holds (config,
+    `metrics.jsonl` is hashed as is. A `checkpoint.bin` is hashed by
+    `checkpoint_content`, and a `memory.bin` by what it holds (config,
     generation version, next seq, each tail's seq, states, actions and
-    returns, and the generation's arrays), so that the pin does not depend
-    on the snapshot format.
+    returns, and the generation's arrays), so that neither pin depends on
+    the file format.
     """
     if name == "checkpoint.bin":
-        data, trailer = data[:-4], data[-4:]
-        assert zlib.crc32(data).to_bytes(4, "little") == trailer
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            data = checkpoint_content(path)
     elif name == "memory.bin":
         mem = FailureMemory.from_bytes(data)
         gen = mem.records

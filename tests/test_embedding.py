@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from fema import embedding, numeric
+from fema import checkpoint, embedding, numeric
 from fema.errors import ShapeError, UsageError
+from helpers import save_agent
 from oracles import fd_grads, forward_oracle, max_rel_error, spearman
 
 
@@ -237,11 +238,17 @@ class TestRiskTraining:
             )
 
 
+def checkpoint_round_trip(path, st):
+    """`st` as a checkpoint of a SAC agent with the memory on gives it back."""
+    save_agent(path, "sac", st.d_s, st.d_a, st.f.widths[1], fema=True, stack=st)
+    return checkpoint.load_checkpoint(path).stack
+
+
 class TestStackSnapshot:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         st = small_stack(seed=17)
         st.version = 4
-        back = embedding.stack_from_bytes(embedding.stack_to_bytes(st))
+        back = checkpoint_round_trip(tmp_path / "ckpt.bin", st)
         assert (back.d_s, back.d_a, back.d_z, back.d_z_a, back.d_phi) == (3, 2, 4, 3, 5)
         assert back.version == 4
         s, a = np.ones(3), np.ones(2)
@@ -268,9 +275,8 @@ class TestStackVector:
     def test_views_after_init(self):
         self.assert_views(small_stack(seed=3))
 
-    def test_views_after_from_bytes(self):
-        st = small_stack(seed=3)
-        self.assert_views(embedding.stack_from_bytes(embedding.stack_to_bytes(st)))
+    def test_views_after_checkpoint_load(self, tmp_path):
+        self.assert_views(checkpoint_round_trip(tmp_path / "ckpt.bin", small_stack(seed=3)))
 
     def test_one_gradient_is_the_per_net_gradients_joined(self):
         st = small_stack(seed=8)
@@ -291,16 +297,17 @@ class TestStackVector:
         assert loss == float(np.mean(err * err))
         assert grad.tobytes() == np.concatenate([g_f, g_g, g_j, g_h]).tobytes()
 
-    # sha256 prefixes of stack_to_bytes, written while each net was its own
-    # vector (x86-64, numpy 2.4.6, scipy-openblas 0.3.31)
+    # sha256 prefixes of `flat`, derived from the two stacks whose serialized
+    # bytes were pinned here while each net was its own vector (x86-64,
+    # numpy 2.4.6, scipy-openblas 0.3.31)
     def test_bytes_pinned(self):
         st = embedding.stack_init(d_s=3, d_a=2, seed=5, d_z=4, d_z_a=3,
                                   d_phi=5, hidden=8)
-        digest = hashlib.sha256(embedding.stack_to_bytes(st)).hexdigest()[:16]
-        assert digest == "f33fc576f178b3c4"
+        digest = hashlib.sha256(st.flat.tobytes()).hexdigest()[:16]
+        assert digest == "2a69ccd25114dd9a"
         rng = np.random.default_rng(11)
         embedding.train_risk(st, rng.normal(size=(40, 3)),
                              rng.normal(size=(40, 2)), rng.normal(size=40),
                              epochs=3, batch_size=8, rng=np.random.default_rng(12))
-        digest = hashlib.sha256(embedding.stack_to_bytes(st)).hexdigest()[:16]
-        assert digest == "5c8963271ced1c56"
+        digest = hashlib.sha256(st.flat.tobytes()).hexdigest()[:16]
+        assert digest == "40b959f7933b8a05"

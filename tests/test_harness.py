@@ -45,7 +45,7 @@ from fema.harness.report import (
 )
 from fema.harness.train import build_agent, cmd_train, run_config, run_seed
 
-from helpers import pin_digest
+from helpers import edit_checkpoint, pin_digest
 
 MINIMAL = """\
 [run]
@@ -339,6 +339,18 @@ class TestJsonl:
             jsonl.read_records(path)
 
 
+# one JSON value of each kind, and edge values of the numeric ones
+ODD_JSON = [None, True, False, -1, 0, 1, 2**70, 1.5, float("nan"),
+            float("inf"), "x", [], {}, [1.0], {"d_z": 1}]
+
+
+def same_policy(a, b) -> bool:
+    """Two policies of one squash, scale, std kind and parameter vectors."""
+    return ((a.squash, a.scale.tobytes(), a.logstd_head is None)
+            == (b.squash, b.scale.tobytes(), b.logstd_head is None)
+            and [p.tobytes() for p in a.params()] == [p.tobytes() for p in b.params()])
+
+
 class TestCheckpoint:
     def make_agent(self, algo, fema=True):
         env = make("tilt_pole", np.random.default_rng(0))
@@ -357,14 +369,15 @@ class TestCheckpoint:
         data = checkpoint.load_checkpoint(path)
         assert (data.algo, data.env, data.step) == ("sac", "tilt_pole", 123)
         assert data.fema_on is True
-        assert data.policy.to_bytes() == agent.policy.to_bytes()
+        assert same_policy(data.policy, agent.policy)
         for name in ("q1", "q2", "q1t", "q2t"):
-            assert (serialize.mlp_to_bytes(data.nets[name])
-                    == serialize.mlp_to_bytes(getattr(agent, name)))
+            assert data.nets[name].widths == getattr(agent, name).widths
+            assert data.nets[name].flat.tobytes() == getattr(agent, name).flat.tobytes()
         np.testing.assert_array_equal(data.arrays["log_alpha"], agent.log_alpha)
-        from fema import embedding
-        assert (embedding.stack_to_bytes(data.stack)
-                == embedding.stack_to_bytes(agent.stack))
+        for key in ("d_s", "d_a", "d_z", "d_z_a", "d_phi", "version"):
+            assert getattr(data.stack, key) == getattr(agent.stack, key)
+        assert data.stack.adam.lr == agent.stack.adam.lr
+        assert data.stack.flat.tobytes() == agent.stack.flat.tobytes()
 
     def test_ppo_round_trip_without_memory(self, tmp_path):
         agent, _ = self.make_agent("ppo", fema=False)
@@ -376,8 +389,8 @@ class TestCheckpoint:
         assert data.arrays == {}
         assert data.stack is None
         assert set(data.nets) == {"vnet"}
-        assert (serialize.mlp_to_bytes(data.nets["vnet"])
-                == serialize.mlp_to_bytes(agent.vnet))
+        assert data.nets["vnet"].flat.tobytes() == agent.vnet.flat.tobytes()
+        assert same_policy(data.policy, agent.policy)
 
     def test_ppo_from_default_agent_config_round_trip(self, tmp_path):
         env = make("tilt_pole", np.random.default_rng(0))
@@ -386,20 +399,20 @@ class TestCheckpoint:
         checkpoint.save_checkpoint(path, agent, "tilt_pole", 0)
         data = checkpoint.load_checkpoint(path)
         assert data.algo == "ppo"
-        assert (serialize.mlp_to_bytes(data.nets["vnet"])
-                == serialize.mlp_to_bytes(agent.vnet))
+        assert data.nets["vnet"].flat.tobytes() == agent.vnet.flat.tobytes()
 
     def test_older_file_with_rng_blob_loads(self, tmp_path):
+        """Blobs the loader does not name are ignored."""
         agent, _ = self.make_agent("sac")
         path = tmp_path / "ckpt.bin"
         checkpoint.save_checkpoint(path, agent, "tilt_pole", 3)
-        blobs = serialize.load_blobs(path)
-        assert "rng" not in blobs
-        blobs["rng"] = b'{"learner": {"bit_generator": "PCG64"}}'
-        serialize.save_blobs(path, blobs)
+        assert "rng" not in serialize.load_blobs(path)
+        edit_checkpoint(path, blobs={
+            "rng": b'{"learner": {"bit_generator": "PCG64"}}',
+            "stack.x": b"\x00", "policy.extra": b"\x01"})
         data = checkpoint.load_checkpoint(path)
         assert data.step == 3
-        assert data.policy.to_bytes() == agent.policy.to_bytes()
+        assert same_policy(data.policy, agent.policy)
 
     def test_env_mismatch_refused(self, tmp_path):
         agent, _ = self.make_agent("sac", fema=False)
@@ -422,6 +435,17 @@ class TestCheckpoint:
         meta = json.dumps({"format": "fema-checkpoint", "version": 99})
         serialize.save_blobs(path, {"meta": meta.encode()})
         with pytest.raises(SerializationError, match="version 99"):
+            checkpoint.load_checkpoint(path)
+
+    def test_format_1_refused(self, tmp_path):
+        """A format-1 file (a policy and a stack blob nesting FNET nets) is
+        refused by its version."""
+        path = tmp_path / "format1.bin"
+        meta = {"format": "fema-checkpoint", "version": 1, "algo": "ppo",
+                "env": "tilt_pole", "step": 0, "d_s": 2, "d_a": 1, "fema_on": False}
+        serialize.save_blobs(path, {"meta": json.dumps(meta).encode(),
+                                    "policy": b"FEMC", "vnet": b"FNET"})
+        with pytest.raises(SerializationError, match="unsupported checkpoint version 1"):
             checkpoint.load_checkpoint(path)
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
@@ -450,85 +474,118 @@ class TestCheckpoint:
         with pytest.raises(SerializationError, match="metadata"):
             checkpoint.load_checkpoint(path)
 
-    @pytest.mark.parametrize("fema, key, value", [
-        (False, "algo", "dqn"),
-        (False, "algo", 7),
-        (False, "step", "x"),
-        (False, "step", -3),
-        (False, "step", True),
-        (False, "env", ["a"]),
-        (False, "env", 5),
-        (False, "fema_on", True),
-        (False, "fema_on", "yes"),
-        (True, "fema_on", False),
-        (False, "d_s", 7),
-        (False, "d_s", "x"),
-        (False, "d_s", None),
-        (False, "d_a", True),
-        (False, "d_a", 2),
+    # a width stored wrong in the meta makes the first blob it sizes not fit
+    @pytest.mark.parametrize("fema, key, value, match", [
+        (False, "algo", "dqn", "algo"),
+        (False, "algo", 7, "algo"),
+        (False, "step", "x", "step"),
+        (False, "step", -3, "step"),
+        (False, "step", True, "step"),
+        (False, "env", ["a"], "env"),
+        (False, "env", 5, "env"),
+        (False, "fema_on", True, "fema_on"),
+        (False, "fema_on", "yes", "fema_on"),
+        (True, "fema_on", False, "fema_on"),
+        (False, "d_s", 7, r"policy.trunk blob does not fit widths \[7, 16, 16\]"),
+        (False, "d_s", "x", "d_s"),
+        (False, "d_s", None, "d_s"),
+        (False, "d_a", True, "d_a"),
+        (False, "d_a", 2, r"scale \[4.0\] is not d_a=2 positive"),
+        (False, "hidden", 8, r"policy.trunk blob does not fit widths \[2, 8, 8\]"),
+        (False, "hidden", 0, "hidden"),
+        (False, "hidden", 16.0, "hidden"),
+        (False, "squash", None, "squash"),
+        (False, "state_dependent_std", True, r"policy.logstd blob does not fit"),
+        (False, "state_dependent_std", 0, "state_dependent_std"),
+        (True, "stack", None, "stack metadata"),
+        (True, "stack", {}, "lacks 'd_z'"),
+        (False, "algo", None, "algo"),
     ], ids=["algo_dqn", "algo_int", "step_str", "step_negative", "step_bool",
             "env_list", "env_int", "fema_on_without_stack", "fema_on_str",
             "stack_without_fema_on", "d_s_wrong", "d_s_str", "d_s_null",
-            "d_a_bool", "d_a_wrong"])
+            "d_a_bool", "d_a_wrong", "hidden_wrong", "hidden_zero",
+            "hidden_float", "squash_null", "std_flag_wrong", "std_flag_int",
+            "stack_null", "stack_empty", "algo_null"])
     def test_meta_that_describes_no_learner_refused(self, tmp_path, fema,
-                                                    key, value):
+                                                    key, value, match):
         agent, _ = self.make_agent("ppo", fema=fema)
         path = tmp_path / "ckpt.bin"
         checkpoint.save_checkpoint(path, agent, "tilt_pole", 5)
-        blobs = serialize.load_blobs(path)
-        meta = json.loads(blobs["meta"].decode("utf-8"))
-        meta[key] = value
-        blobs["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
-        serialize.save_blobs(path, blobs)
-        with pytest.raises(SerializationError, match=key):
+        edit_checkpoint(path, {key: value})
+        with pytest.raises(SerializationError, match=match):
             checkpoint.load_checkpoint(path)
+
+    @pytest.mark.parametrize("algo", ["sac", "ppo"])
+    def test_any_meta_value_loads_or_is_refused(self, tmp_path, algo):
+        """Each meta field, the stack's too, set to each kind of JSON value
+        either loads or raises a SerializationError, nothing else."""
+        agent, _ = self.make_agent(algo)
+        path = tmp_path / "ckpt.bin"
+        checkpoint.save_checkpoint(path, agent, "tilt_pole", 5)
+        good = path.read_bytes()
+        meta = json.loads(serialize.load_blobs(path)["meta"])
+        edits = [{key: value} for key in meta for value in ODD_JSON]
+        edits += [{"stack": {**meta["stack"], key: value}}
+                  for key in meta["stack"] for value in ODD_JSON]
+        for edit in edits:
+            path.write_bytes(good)
+            edit_checkpoint(path, edit)
+            try:
+                checkpoint.load_checkpoint(path)
+            except SerializationError:
+                pass
 
     @pytest.mark.parametrize("d_s, d_a, key", [(5, 3, "d_s"), (2, 3, "d_a")])
     def test_stack_widths_that_differ_from_policy_refused(self, tmp_path,
                                                           d_s, d_a, key):
+        """Stack blobs saved for other env widths do not fit the policy's."""
         from fema import embedding
         agent, _ = self.make_agent("sac")
         path = tmp_path / "ckpt.bin"
         checkpoint.save_checkpoint(path, agent, "tilt_pole", 5)
-        blobs = serialize.load_blobs(path)
-        blobs["stack"] = embedding.stack_to_bytes(
-            embedding.stack_init(d_s=d_s, d_a=d_a, seed=0, hidden=4))
-        serialize.save_blobs(path, blobs)
-        with pytest.raises(SerializationError, match=f"stack {key}="):
+        other = embedding.stack_init(d_s=d_s, d_a=d_a, seed=0, hidden=16)
+        edit_checkpoint(path, blobs={f"stack.{name}": getattr(other, name).flat.tobytes()
+                                     for name in "fgjh"})
+        net = {"d_s": "f", "d_a": "g"}[key]
+        with pytest.raises(SerializationError, match=f"stack.{net} blob does not fit"):
             checkpoint.load_checkpoint(path)
 
     @pytest.mark.parametrize("algo, name, blob, message", [
-        ("sac", "q1", lambda: serialize.mlp_to_bytes(
-            numeric.mlp_init([9, 16, 16, 1], seed=0)),
-         r"q1 blob has widths \[9, 16, 16, 1\], expected \[3, 16, 16, 1\]"),
+        ("sac", "q1", lambda: numeric.mlp_init([9, 16, 16, 1], seed=0).flat.tobytes(),
+         r"q1 blob does not fit widths \[3, 16, 16, 1\]"),
         ("sac", "log_alpha", lambda: np.zeros(3).astype("<f8").tobytes(),
          "log_alpha blob holds 3 floats, expected 1"),
-        ("ppo", "vnet", lambda: serialize.mlp_to_bytes(
-            numeric.mlp_init([2, 8, 8, 1], seed=0)),
-         r"vnet blob has widths \[2, 8, 8, 1\], expected \[2, 16, 16, 1\]"),
-    ], ids=["sac_q1_inputs", "sac_log_alpha_length", "ppo_vnet_width"])
+        ("ppo", "vnet", lambda: numeric.mlp_init([2, 8, 8, 1], seed=0).flat.tobytes(),
+         r"vnet blob does not fit widths \[2, 16, 16, 1\]"),
+        ("ppo", "policy.trunk", lambda: bytes(8 * 337),
+         r"policy.trunk blob does not fit widths \[2, 16, 16\]"),
+        ("sac", "q2t", lambda: bytes(12), "q2t blob is missing or not whole"),
+        ("sac", "q1t", lambda: None, "q1t blob is missing"),
+        ("sac", "stack.j", lambda: None, "stack.j blob is missing"),
+    ], ids=["sac_q1_inputs", "sac_log_alpha_length", "ppo_vnet_width",
+            "ppo_trunk_size", "sac_partial_float", "sac_missing_net",
+            "sac_missing_stack_net"])
     def test_saved_blob_of_wrong_shape_refused(self, tmp_path, algo, name,
                                                blob, message):
         agent, _ = self.make_agent(algo)
         path = tmp_path / "ckpt.bin"
         checkpoint.save_checkpoint(path, agent, "tilt_pole", 5)
-        blobs = serialize.load_blobs(path)
-        blobs[name] = blob()
-        serialize.save_blobs(path, blobs)
+        edit_checkpoint(path, blobs={name: blob()})
         with pytest.raises(SerializationError, match=message):
             checkpoint.load_checkpoint(path)
 
-    # `helpers.pin_digest` of the files written below; they pin the
-    # checkpoint's container body byte for byte
+    # `helpers.pin_digest` of the files written below: each hashes what the
+    # checkpoint holds, re-derived from the format-1 files that pinned the
+    # container body byte for byte, read with the format-1 loader
     LAYOUT_SHA256 = {
-        ("tilt_pole", "ppo", False): "3e1de7a51c3bb443",
-        ("tilt_pole", "ppo", True): "6f1a38123b2035c7",
-        ("tilt_pole", "sac", False): "89f0b8074006a97f",
-        ("tilt_pole", "sac", True): "3770f192a3d5591d",
-        ("grid_hazard", "ppo", False): "f6ab2de3bbc4faa3",
-        ("grid_hazard", "ppo", True): "9a66726050098ae6",
-        ("grid_hazard", "sac", False): "d3e566ff9fa96316",
-        ("grid_hazard", "sac", True): "2e95acab97a70d40",
+        ("tilt_pole", "ppo", False): "cef6f3b1a5311149",
+        ("tilt_pole", "ppo", True): "6d52d7d317f5a965",
+        ("tilt_pole", "sac", False): "5f077df90d80072c",
+        ("tilt_pole", "sac", True): "c8c0dee50679a3d4",
+        ("grid_hazard", "ppo", False): "760d8be0d14f5591",
+        ("grid_hazard", "ppo", True): "b989663815d257ff",
+        ("grid_hazard", "sac", False): "87e85401fdbc43fa",
+        ("grid_hazard", "sac", True): "b666991e65ad2b1a",
     }
 
     LAYOUTS = pytest.mark.parametrize(
@@ -558,15 +615,23 @@ class TestCheckpoint:
         nets = [name for name, widths in saved.items() if isinstance(widths, list)]
         arrays = [name for name, size in saved.items() if isinstance(size, int)]
         assert sorted(nets + arrays) == sorted(saved) and nets
-        assert list(serialize.load_blobs(path)) == (
-            ["meta", "policy", *saved] + ["stack"] * fema)
+        blobs = serialize.load_blobs(path)
+        assert list(blobs) == (
+            ["meta", "policy.trunk", "policy.mean", "policy.logstd", *saved]
+            + ["stack.f", "stack.g", "stack.j", "stack.h"] * fema)
+        vectors = [*agent.policy.params(), *(getattr(agent, name).flat for name in nets),
+                   *(getattr(agent, name) for name in arrays)]
+        if fema:
+            vectors.append(agent.stack.flat)
+        assert b"".join(list(blobs.values())[1:]) == b"".join(
+            v.astype("<f8").tobytes() for v in vectors)
         data = checkpoint.load_checkpoint(path)
         assert (data.algo, data.env, data.step) == (algo, env_name, 11)
-        assert data.policy.to_bytes() == agent.policy.to_bytes()
+        assert same_policy(data.policy, agent.policy)
         assert list(data.nets) == nets
         for name in nets:
-            assert (serialize.mlp_to_bytes(data.nets[name])
-                    == serialize.mlp_to_bytes(getattr(agent, name)))
+            assert data.nets[name].widths == saved[name]
+            assert data.nets[name].flat.tobytes() == getattr(agent, name).flat.tobytes()
         assert list(data.arrays) == arrays
         for name in arrays:
             assert data.arrays[name].dtype == np.float64
@@ -593,8 +658,7 @@ class TestCheckpoint:
         assert data.algo == "sac_alias"
         assert data.step == rc.total_steps
         for name in ("q1", "q2", "q1t", "q2t"):
-            assert (serialize.mlp_to_bytes(data.nets[name])
-                    == serialize.mlp_to_bytes(getattr(agent, name)))
+            assert data.nets[name].flat.tobytes() == getattr(agent, name).flat.tobytes()
         assert data.arrays["log_alpha"].tobytes() == agent.log_alpha.tobytes()
 
 
@@ -1022,6 +1086,23 @@ class TestAblate:
         path = write_config(tmp_path, TINY_SAC)
         with pytest.raises(UsageError, match="at least one"):
             cmd_ablate(path, "epsilon", [])
+
+    @pytest.mark.parametrize("axis, values, first, again", [
+        ("top_o", ["1", "1", "01"], "1", "1"),
+        ("top_o", ["1", "2", "01"], "1", "01"),
+        ("epsilon", ["0.05", "0.1", "5e-2"], "0.05", "5e-2"),
+        ("lambda_risk", ["0", "-0.0"], "0", "-0.0"),
+    ], ids=["same_spelling", "leading_zero", "exponent", "signed_zero"])
+    def test_repeated_value_refused_before_training(self, tmp_path, monkeypatch,
+                                                    axis, values, first, again):
+        from fema.harness import ablate
+        trained = []
+        monkeypatch.setattr(ablate, "run_config", trained.append)
+        path = write_config(tmp_path, TINY_SAC)
+        with pytest.raises(UsageError, match=f"values '{first}' and '{again}'"):
+            cmd_ablate(path, axis, values)
+        assert trained == []
+        assert not os.path.exists(tmp_path / "run")
 
     def test_fema_off_config_refused(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)

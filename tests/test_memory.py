@@ -205,7 +205,6 @@ class TestLifecycle:
         np.testing.assert_array_equal(first, mem.records.z_s[: len(first)])
 
     def test_staged_event_is_copied(self):
-        st = small_stack(seed=4)
         mems = [memory.FailureMemory(small_cfg(), rng=np.random.default_rng(1))
                 for _ in range(2)]
         for mem in mems:
@@ -216,7 +215,7 @@ class TestLifecycle:
                 t.a[:] = -1e6
             ev.returns[:] = 7.0
         for mem in mems:
-            mem.update(embedding.stack_from_bytes(embedding.stack_to_bytes(st)))
+            mem.update(small_stack(seed=4))
         a, b = mems[0].records, mems[1].records
         for name in ("z_s", "phi", "mc_return", "event_seq", "step_idx"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -232,6 +231,22 @@ class TestLifecycle:
             with pytest.raises(UsageError, match="suffix_len"):
                 mem.stage(ev)
         assert mem.next_seq == 0 and not mem.pending
+
+    @pytest.mark.parametrize("published", [False, True], ids=["pending", "published"])
+    @pytest.mark.parametrize("d_s, d_a, widths", [(4, 2, r"\(4, 2\).*\(3, 2\)"),
+                                                   (3, 1, r"\(3, 1\).*\(3, 2\)")],
+                             ids=["state", "action"])
+    def test_stage_refuses_other_widths(self, published, d_s, d_a, widths):
+        mem = memory.FailureMemory(small_cfg(update_every=1))
+        mem.stage(memory.capture_failure(make_episode([1.0, 2.0]), mem.cfg))
+        if published:
+            mem.update(small_stack())
+        other = memory.capture_failure(make_episode([1.0], d_s=d_s, d_a=d_a), mem.cfg)
+        with pytest.raises(ShapeError, match=widths):
+            mem.stage(other)
+        assert mem.next_seq == 1 and len(mem.pending) == (not published)
+        mem.stage(memory.capture_failure(make_episode([3.0], seed=1), mem.cfg))
+        assert mem.update(small_stack()) == 3
 
     def test_pending_eviction_fifo(self):
         mem = memory.FailureMemory(small_cfg(update_every=2, capacity=2))
@@ -255,9 +270,10 @@ class TestLifecycle:
             assert mem.update(small_stack()) == 0
 
     def test_publish_pinned(self):
-        # sha256 prefixes of z_s + phi and of the trained stack's bytes,
-        # written while each embedding net was its own vector (x86-64,
-        # numpy 2.4.6, scipy-openblas 0.3.31)
+        # sha256 prefixes of z_s + phi and of the trained stack's `flat`,
+        # derived from the run that pinned its serialized bytes while each
+        # embedding net was its own vector (x86-64, numpy 2.4.6,
+        # scipy-openblas 0.3.31)
         mem = memory.FailureMemory(small_cfg(update_every=2),
                                    rng=np.random.default_rng(1))
         st = small_stack(seed=3)
@@ -265,8 +281,7 @@ class TestLifecycle:
         mem.update(st)
         rows = mem.records.z_s.tobytes() + mem.records.phi.tobytes()
         assert hashlib.sha256(rows).hexdigest()[:16] == "5ac5b9103d7aa6cd"
-        stack = embedding.stack_to_bytes(st)
-        assert hashlib.sha256(stack).hexdigest()[:16] == "ba1850d831bb1acf"
+        assert hashlib.sha256(st.flat.tobytes()).hexdigest()[:16] == "3146ce20f4faeb5f"
 
 
 class TestRetrieve:

@@ -1,19 +1,17 @@
 """Gaussian policy: densities, sampling, squashing, persistence."""
 
-import json
-
 import numpy as np
 import pytest
 
-from fema import serialize
 from fema.agents.policy import (
     LOGSTD_MIN,
     SQUASH_EPS,
-    GaussianPolicy,
     policy_init,
 )
+from fema.checkpoint import load_checkpoint
 from fema.errors import ConfigError, SerializationError, ShapeError
 
+from helpers import edit_checkpoint, save_agent
 from oracles import gaussian_logpdf
 
 
@@ -133,19 +131,27 @@ class TestSampling:
 
 
 class TestLifecycle:
-    def test_round_trip_state_dependent(self):
+    @staticmethod
+    def saved(path, policy):
+        """Checkpoint an agent that carries `policy`."""
+        save_agent(path, "sac", policy.d_s, policy.d_a, policy.trunk.out_dim,
+                   policy=policy)
+        return path
+
+    def test_round_trip_state_dependent(self, tmp_path):
         policy = make_tanh_policy(seed=20)
-        back = GaussianPolicy.from_bytes(policy.to_bytes())
+        back = load_checkpoint(self.saved(tmp_path / "ckpt.bin", policy)).policy
         s = np.random.default_rng(0).standard_normal((4, 3))
         a = np.tanh(np.random.default_rng(1).standard_normal((4, 2)))
         np.testing.assert_allclose(back.log_prob(s, a), policy.log_prob(s, a),
                                    atol=0.0)
         assert back.squash == "tanh"
         assert back.logstd_head is not None
+        np.testing.assert_array_equal(back.scale, policy.scale)
 
-    def test_round_trip_shared_logstd(self):
+    def test_round_trip_shared_logstd(self, tmp_path):
         policy = make_clip_policy(seed=21, init_logstd=-0.7)
-        back = GaussianPolicy.from_bytes(policy.to_bytes())
+        back = load_checkpoint(self.saved(tmp_path / "ckpt.bin", policy)).policy
         np.testing.assert_allclose(back.logstd_vec, policy.logstd_vec, atol=0.0)
         assert back.logstd_head is None
         s = np.random.default_rng(2).standard_normal(3)
@@ -153,21 +159,17 @@ class TestLifecycle:
                                    atol=0.0)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_load_rejects_bad_scale(self, bad):
-        blobs = serialize.blobs_from_bytes(make_tanh_policy(seed=24).to_bytes())
-        meta = json.loads(blobs["meta"].decode("utf-8"))
-        meta["scale"][1] = bad
-        blobs["meta"] = json.dumps(meta).encode("utf-8")
+    def test_load_rejects_bad_scale(self, tmp_path, bad):
+        path = self.saved(tmp_path / "ckpt.bin", make_tanh_policy(seed=24))
+        edit_checkpoint(path, {"scale": [2.0, bad]})
         with pytest.raises(SerializationError, match="scale"):
-            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
+            load_checkpoint(path)
 
-    def test_load_rejects_unknown_squash(self):
-        blobs = serialize.blobs_from_bytes(make_clip_policy(seed=23).to_bytes())
-        meta = json.loads(blobs["meta"].decode("utf-8"))
-        meta["squash"] = "clap"
-        blobs["meta"] = json.dumps(meta).encode("utf-8")
+    def test_load_rejects_unknown_squash(self, tmp_path):
+        path = self.saved(tmp_path / "ckpt.bin", make_clip_policy(seed=23))
+        edit_checkpoint(path, {"squash": "clap"})
         with pytest.raises(SerializationError, match="clap"):
-            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
+            load_checkpoint(path)
 
     def test_params_order_and_count(self):
         shared = make_clip_policy()

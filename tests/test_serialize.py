@@ -1,5 +1,4 @@
 import functools
-import hashlib
 import json
 import os
 import stat
@@ -12,75 +11,90 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fema import checkpoint, embedding, memory, numeric, serialize
+from fema import checkpoint, embedding, memory, serialize
 from fema.agents.common import AgentConfig
-from fema.agents.policy import GaussianPolicy, policy_init
 from fema.agents.sac import SacAgent
 from fema.envs.tilt_pole import SPEC as TILT_POLE
 from fema.errors import FemaError, SerializationError
 
+from helpers import edit_checkpoint, save_agent
+
+
+def _agent_checkpoint(tmp_path, algo="sac", fema=True):
+    """(agent, path) of a small agent's checkpoint."""
+    path = tmp_path / "ckpt.bin"
+    return save_agent(path, algo, 3, 2, 4, fema=fema), path
+
+
+def _resealed(body: bytes) -> bytes:
+    """`body` closed by its valid CRC32 trailer."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
 
 class TestMlpRoundTrip:
-    def test_bytes_round_trip(self):
-        for widths, acts in (([4, 8, 8, 2], None), ([3, 6, 1], ["relu", "identity"])):
-            m = numeric.mlp_init(widths, seed=5, acts=acts)
-            blob = serialize.mlp_to_bytes(m)
-            back = serialize.mlp_from_bytes(blob)
-            assert [l.act for l in back.layers] == [l.act for l in m.layers]
-            for pa, pb in zip(m.params(), back.params()):
-                np.testing.assert_array_equal(pa, pb)
+    """Each net's parameter vector round-trips through its checkpoint blob."""
 
-    def test_payload_is_flat_vector(self):
-        # Pins FNET: this network's bytes are unchanged since format version 1.
-        m = numeric.mlp_init([3, 5, 2], seed=0, acts=["tanh", "identity"])
-        blob = serialize.mlp_to_bytes(m)
-        assert len(blob) == 282
-        assert hashlib.sha256(blob).hexdigest() == (
-            "b6a5f9f6158b45ac63671087f03d55a6f1604e86457c57f04cd97d39c452f699")
-        payload = b"".join(l.w.tobytes() + l.b.tobytes() for l in m.layers)
-        assert blob[8 + 9 * 2:] == payload == m.flat.astype("<f8").tobytes()
+    def test_bytes_round_trip(self, tmp_path):
+        """Every net comes back with its widths, activations and vector."""
+        for algo in ("sac", "ppo"):
+            agent, path = _agent_checkpoint(tmp_path, algo)
+            data = checkpoint.load_checkpoint(path)
+            pairs = [(data.policy.trunk, agent.policy.trunk),
+                     (data.policy.mean_head, agent.policy.mean_head),
+                     *((data.nets[name], getattr(agent, name)) for name in data.nets),
+                     *((getattr(data.stack, n), getattr(agent.stack, n)) for n in "fgjh")]
+            if algo == "sac":
+                pairs.append((data.policy.logstd_head, agent.policy.logstd_head))
+            for back, net in pairs:
+                assert (back.widths, back.acts) == (net.widths, net.acts)
+                assert back.flat.tobytes() == net.flat.tobytes()
 
-    def test_deterministic_bytes(self):
-        m = numeric.mlp_init([2, 4, 2], seed=1)
-        assert serialize.mlp_to_bytes(m) == serialize.mlp_to_bytes(m)
+    def test_payload_is_flat_vector(self, tmp_path):
+        agent, path = _agent_checkpoint(tmp_path)
+        blobs = serialize.load_blobs(path)
+        for name in ("q1", "q2t"):
+            payload = b"".join(l.w.tobytes() + l.b.tobytes()
+                               for l in getattr(agent, name).layers)
+            assert blobs[name] == payload == getattr(agent, name).flat.astype("<f8").tobytes()
+        assert blobs["stack.h"] == agent.stack.h.flat.astype("<f8").tobytes()
 
-    def test_bad_magic(self):
-        m = numeric.mlp_init([2, 3, 1], seed=0)
-        blob = bytearray(serialize.mlp_to_bytes(m))
-        blob[0] = ord(b"X")
-        with pytest.raises(SerializationError):
-            serialize.mlp_from_bytes(bytes(blob))
+    def test_deterministic_bytes(self, tmp_path):
+        agent, path = _agent_checkpoint(tmp_path)
+        checkpoint.save_checkpoint(tmp_path / "again.bin", agent, "probe", 0)
+        assert path.read_bytes() == (tmp_path / "again.bin").read_bytes()
 
-    def test_truncated(self):
-        m = numeric.mlp_init([2, 3, 1], seed=0)
-        blob = serialize.mlp_to_bytes(m)
-        with pytest.raises(SerializationError):
-            serialize.mlp_from_bytes(blob[: len(blob) - 7])
+    def test_truncated(self, tmp_path):
+        _, path = _agent_checkpoint(tmp_path)
+        blob = serialize.load_blobs(path)["q1"]
+        for cut in (7, 8):
+            edit_checkpoint(path, blobs={"q1": blob[:-cut]})
+            with pytest.raises(SerializationError, match="q1 blob"):
+                checkpoint.load_checkpoint(path)
 
-    def test_trailing_garbage(self):
-        m = numeric.mlp_init([2, 3, 1], seed=0)
-        blob = serialize.mlp_to_bytes(m) + b"\x00\x01"
-        with pytest.raises(SerializationError):
-            serialize.mlp_from_bytes(blob)
+    def test_trailing_garbage(self, tmp_path):
+        _, path = _agent_checkpoint(tmp_path)
+        blob = serialize.load_blobs(path)["stack.g"]
+        for extra in (2, 8):
+            edit_checkpoint(path, blobs={"stack.g": blob + bytes(extra)})
+            with pytest.raises(SerializationError, match="stack.g blob"):
+                checkpoint.load_checkpoint(path)
 
-    def test_bad_version(self):
-        m = numeric.mlp_init([2, 3, 1], seed=0)
-        blob = bytearray(serialize.mlp_to_bytes(m))
-        blob[4] = 99
-        with pytest.raises(SerializationError):
-            serialize.mlp_from_bytes(bytes(blob))
+    def test_bad_version(self, tmp_path):
+        _, path = _agent_checkpoint(tmp_path)
+        body = bytearray(path.read_bytes()[:-4])
+        body[4] = 99    # the container version
+        with pytest.raises(SerializationError, match="container version 99"):
+            _load_checkpoint_bytes(_resealed(bytes(body)))
 
 
 class TestBlobContainer:
     def test_round_trip(self):
         blobs = {"policy": b"\x01\x02", "meta": b"{}", "empty": b""}
-        data = serialize.blobs_to_bytes(blobs)
-        back = serialize.blobs_from_bytes(data)
-        assert back == blobs
+        back = serialize.unseal(serialize.seal(blobs))
+        assert {name: bytes(view) for name, view in back.items()} == blobs
 
     def test_order_preserved(self):
-        blobs = {"b": b"1", "a": b"2"}
-        back = serialize.blobs_from_bytes(serialize.blobs_to_bytes(blobs))
+        back = serialize.unseal(serialize.seal({"b": b"1", "a": b"2"}))
         assert list(back) == ["b", "a"]
 
     def test_file_round_trip(self, tmp_path):
@@ -89,118 +103,88 @@ class TestBlobContainer:
         assert serialize.load_blobs(path) == {"x": b"abc"}
 
     def test_rejects_duplicate_names(self):
-        data = serialize.blobs_to_bytes({"x": b"1"})
+        data = serialize.seal({"x": b"1"})[:-4]
         # Splice the single entry in twice.
         head, body = data[:10], data[10:]
         forged = head[:6] + (2).to_bytes(4, "little") + body + body
-        with pytest.raises(SerializationError):
-            serialize.blobs_from_bytes(forged)
+        with pytest.raises(SerializationError, match="duplicate"):
+            serialize.unseal(_resealed(forged))
 
     def test_truncated(self):
-        data = serialize.blobs_to_bytes({"x": b"abcdef"})
-        with pytest.raises(SerializationError):
-            serialize.blobs_from_bytes(data[:-3])
-
-
-def _fnet(widths) -> bytes:
-    """An FNET blob with the given (in, out) layer table and zero weights."""
-    head = [serialize.MLP_MAGIC, struct.pack("<HH", serialize.MLP_VERSION,
-                                             len(widths))]
-    n_floats = 0
-    for in_d, out_d in widths:
-        head.append(struct.pack("<IIB", in_d, out_d, 0))
-        n_floats += in_d * out_d + out_d
-    return b"".join(head) + bytes(8 * n_floats)
+        data = serialize.seal({"x": b"abcdef"})[:-4]
+        with pytest.raises(SerializationError, match="truncated"):
+            serialize.unseal(_resealed(data[:-3]))
 
 
 class TestMismatchedNetworks:
-    """Crafted blobs whose parts do not fit together are refused on load."""
-
-    @pytest.mark.parametrize("widths", [[], [(2, 0)], [(0, 3), (3, 1)],
-                                        [(2, 3), (4, 1)]],
-                             ids=["no-layers", "zero-out", "zero-in",
-                                  "unchained"])
-    def test_fnet_layer_table(self, widths):
-        with pytest.raises(SerializationError):
-            serialize.mlp_from_bytes(_fnet(widths))
-
-    def test_fnet_chained_table_loads(self):
-        net = serialize.mlp_from_bytes(_fnet([(2, 3), (3, 1)]))
-        assert (net.in_dim, net.out_dim) == (2, 1)
-
-    @staticmethod
-    def _policy_blobs(state_dependent):
-        policy = policy_init(3, 2, 1.0, "tanh" if state_dependent else "clip",
-                             state_dependent, seed=0, hidden=4)
-        blobs = serialize.blobs_from_bytes(policy.to_bytes())
-        return blobs, json.loads(blobs["meta"].decode("utf-8"))
+    """Checkpoint blobs that do not fit the widths in the meta are refused."""
 
     @pytest.mark.parametrize("scale", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
-    def test_policy_scale_length(self, scale):
-        blobs, meta = self._policy_blobs(False)
-        meta["scale"] = scale
-        blobs["meta"] = json.dumps(meta).encode("utf-8")
+    def test_policy_scale_length(self, tmp_path, scale):
+        _, path = _agent_checkpoint(tmp_path, "ppo", fema=False)
+        edit_checkpoint(path, {"scale": scale})
         with pytest.raises(SerializationError, match="scale"):
-            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
+            checkpoint.load_checkpoint(path)
 
     @pytest.mark.parametrize("n_bytes", [8, 24, 12, 0])
-    def test_policy_logstd_vec_length(self, n_bytes):
-        blobs, _ = self._policy_blobs(False)
-        blobs["logstd_vec"] = bytes(n_bytes)
-        with pytest.raises(SerializationError, match="logstd_vec|unreadable"):
-            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
+    def test_policy_logstd_vec_length(self, tmp_path, n_bytes):
+        _, path = _agent_checkpoint(tmp_path, "ppo", fema=False)
+        edit_checkpoint(path, blobs={"policy.logstd": bytes(n_bytes)})
+        with pytest.raises(SerializationError, match="policy.logstd blob"):
+            checkpoint.load_checkpoint(path)
 
     @pytest.mark.parametrize("name,widths", [("mean", [(5, 2)]),
                                              ("logstd", [(4, 3)])])
-    def test_policy_heads_must_fit_trunk(self, name, widths):
-        blobs, _ = self._policy_blobs(True)
-        blobs[name] = _fnet(widths)
-        with pytest.raises(SerializationError, match="head"):
-            GaussianPolicy.from_bytes(serialize.blobs_to_bytes(blobs))
+    def test_policy_heads_must_fit_trunk(self, tmp_path, name, widths):
+        _, path = _agent_checkpoint(tmp_path, "sac", fema=False)
+        n_floats = sum((n_in + 1) * n_out for n_in, n_out in widths)
+        edit_checkpoint(path, blobs={f"policy.{name}": bytes(8 * n_floats)})
+        with pytest.raises(SerializationError, match=f"policy.{name} blob does not fit"):
+            checkpoint.load_checkpoint(path)
 
     @pytest.mark.parametrize("name", ["f", "g", "j", "h"])
-    def test_stack_net_widths(self, name):
-        stack = embedding.stack_init(d_s=3, d_a=2, seed=0, d_z=4, d_z_a=3,
-                                     d_phi=5, hidden=4)
-        blobs = serialize.blobs_from_bytes(embedding.stack_to_bytes(stack))
-        blobs[name] = _fnet([(6, 4), (4, 6)])
-        with pytest.raises(SerializationError, match=f"net '{name}'"):
-            embedding.stack_from_bytes(serialize.blobs_to_bytes(blobs))
+    def test_stack_net_widths(self, tmp_path, name):
+        _, path = _agent_checkpoint(tmp_path)
+        net_6_4_6 = bytes(8 * (7 * 4 + 5 * 6))  # zeros for a 6 -> 4 -> 6 net
+        edit_checkpoint(path, blobs={f"stack.{name}": net_6_4_6})
+        with pytest.raises(SerializationError, match=f"stack.{name} blob does not fit"):
+            checkpoint.load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [("d_s", 4), ("d_phi", 6),
                                            ("d_z", "4"), ("d_a", None)])
-    def test_stack_meta_widths(self, key, value):
-        stack = embedding.stack_init(d_s=3, d_a=2, seed=0, d_z=4, d_z_a=3,
-                                     d_phi=5, hidden=4)
-        blobs = serialize.blobs_from_bytes(embedding.stack_to_bytes(stack))
-        meta = json.loads(blobs["meta"].decode("utf-8"))
-        meta[key] = value
-        blobs["meta"] = json.dumps(meta).encode("utf-8")
+    def test_stack_meta_widths(self, tmp_path, key, value):
+        _, path = _agent_checkpoint(tmp_path)
+        meta = json.loads(serialize.load_blobs(path)["meta"])
+        if key in meta["stack"]:
+            meta = {"stack": {**meta["stack"], key: value}}
+        else:
+            meta = {key: value}
+        edit_checkpoint(path, meta)
         with pytest.raises(SerializationError):
-            embedding.stack_from_bytes(serialize.blobs_to_bytes(blobs))
+            checkpoint.load_checkpoint(path)
 
 
 class TestMetaBlobs:
     """Meta blobs that are valid JSON but not what the loader expects."""
 
     @staticmethod
-    def _stack_with_meta(edit):
-        stack = embedding.stack_init(d_s=3, d_a=2, seed=0, hidden=4)
-        blobs = serialize.blobs_from_bytes(embedding.stack_to_bytes(stack))
-        blobs["meta"] = json.dumps(edit(json.loads(blobs["meta"]))).encode("utf-8")
-        return serialize.blobs_to_bytes(blobs)
+    def _stack_with_meta(tmp_path, edit):
+        _, path = _agent_checkpoint(tmp_path)
+        meta = json.loads(serialize.load_blobs(path)["meta"])
+        edit_checkpoint(path, {"stack": edit(meta["stack"])})
+        return path
 
     @pytest.mark.parametrize("meta", [[], 5, "x"])
-    def test_stack_meta_must_be_object(self, meta):
+    def test_stack_meta_must_be_object(self, tmp_path, meta):
         with pytest.raises(SerializationError, match="not an object"):
-            embedding.stack_from_bytes(self._stack_with_meta(lambda _: meta))
+            checkpoint.load_checkpoint(self._stack_with_meta(tmp_path, lambda _: meta))
 
     @pytest.mark.parametrize("lr", ["0.1", None, True, float("nan"),
                                     float("inf"), 0.0, -1e-3])
-    def test_stack_lr_must_be_finite_positive(self, lr):
-        blob = self._stack_with_meta(lambda m: {**m, "lr": lr})
+    def test_stack_lr_must_be_finite_positive(self, tmp_path, lr):
+        path = self._stack_with_meta(tmp_path, lambda m: {**m, "lr": lr})
         with pytest.raises(SerializationError, match="lr"):
-            embedding.stack_from_bytes(blob)
+            checkpoint.load_checkpoint(path)
 
     @pytest.mark.parametrize("meta", [[], 5, "x"])
     def test_checkpoint_meta_must_be_object(self, meta):
@@ -214,8 +198,11 @@ class TestSealed:
     def test_seal_is_container_and_crc32(self):
         blobs = {"meta": b"{}", "x": np.arange(3.0)}
         sealed = serialize.seal(blobs)
-        body = serialize.blobs_to_bytes(blobs)
-        assert sealed == body + zlib.crc32(body).to_bytes(4, "little")
+        body = b"".join([b"FEMC", struct.pack("<HI", 1, 2),
+                         struct.pack("<H", 4), b"meta", struct.pack("<Q", 2), b"{}",
+                         struct.pack("<H", 1), b"x", struct.pack("<Q", 24),
+                         np.arange(3.0).astype("<f8").tobytes()])
+        assert sealed == _resealed(body)
         views = serialize.unseal(sealed)
         assert list(views) == ["meta", "x"]
         assert bytes(views["x"]) == np.arange(3.0).tobytes()
@@ -235,7 +222,7 @@ class TestSealed:
     def test_checkpoint_written_before_the_trailer_refused(self):
         # The body alone is the exact layout checkpoints had before sealing.
         body = _valid_blob("checkpoint")[:-4]
-        assert serialize.blobs_from_bytes(body)["meta"].startswith(b"{")
+        assert body.startswith(serialize.CONTAINER_MAGIC)
         with pytest.raises(SerializationError, match="CRC32"):
             _load_checkpoint_bytes(body)
 
@@ -343,19 +330,11 @@ def _load_checkpoint_bytes(buf: bytes):
         return checkpoint.load_checkpoint(path)
 
 
-# format -> (build a valid blob, loader); small nets keep the headers and
-# metadata a large share of each blob
+# format -> (build a valid sealed file, loader); small nets keep the headers
+# and metadata a large share of each file
 FORMATS = {
-    "fnet": (lambda: serialize.mlp_to_bytes(numeric.mlp_init([2, 3, 1], seed=0)),
-             serialize.mlp_from_bytes),
-    "femc": (lambda: serialize.blobs_to_bytes({"meta": b'{"a": 1}', "x": b"ab"}),
-             serialize.blobs_from_bytes),
-    "policy": (lambda: policy_init(2, 1, 1.0, "tanh", True, seed=0,
-                                   hidden=2).to_bytes(),
-               GaussianPolicy.from_bytes),
-    "stack": (lambda: embedding.stack_to_bytes(embedding.stack_init(
-                  d_s=1, d_a=1, seed=0, d_z=1, d_z_a=1, d_phi=1, hidden=1)),
-              embedding.stack_from_bytes),
+    "femc": (lambda: serialize.seal({"meta": b'{"a": 1}', "x": b"ab"}),
+             serialize.unseal),
     "memory": (_memory_blob, memory.FailureMemory.from_bytes),
     "checkpoint": (_checkpoint_blob, _load_checkpoint_bytes),
 }
@@ -379,23 +358,26 @@ def _corrupted(draw, blob: bytes) -> bytes:
     return blob + draw(st.binary(min_size=1, max_size=16))
 
 
-# the file formats: their CRC32 trailer refuses every corruption below
-SEALED = {"memory", "checkpoint"}
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupt_input_raises_only_package_errors(fmt, data):
+    """A truncated, bit-flipped or extended sealed file never loads: its
+    CRC32 trailer makes the loader raise a SerializationError."""
+    bad = data.draw(_corrupted(_valid_blob(fmt)))
+    with pytest.raises(SerializationError):
+        FORMATS[fmt][1](bad)
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_corrupt_input_raises_only_package_errors(fmt, data):
-    """Truncated, bit-flipped or extended input either loads or raises a
-    FemaError; any other exception fails the test. Memory snapshots and
-    checkpoints never load: they raise a SerializationError."""
-    bad = data.draw(_corrupted(_valid_blob(fmt)))
-    if fmt in SEALED:
-        with pytest.raises(SerializationError):
-            FORMATS[fmt][1](bad)
-        return
+def test_resealed_corruption_raises_only_package_errors(fmt, data):
+    """A container body truncated, bit-flipped or extended, then sealed
+    again with a valid trailer, gets past the CRC32 check: the loader behind
+    it either loads it or raises a FemaError; any other exception fails."""
+    body = data.draw(_corrupted(_valid_blob(fmt)[:-4]))
     try:
-        FORMATS[fmt][1](bad)
+        FORMATS[fmt][1](_resealed(body))
     except FemaError:
         pass
