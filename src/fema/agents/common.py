@@ -160,7 +160,6 @@ class HookedAgent:
             self._tails = defaultdict(partial(deque, maxlen=fema_cfg.suffix_len))
 
         self.steps_seen = 0
-        self.episodes_seen = 0
         self.last_losses = {}
         self.fallback_steps = 0
         self.selected_steps = 0
@@ -185,7 +184,6 @@ class HookedAgent:
     def _track(self, tr, worker: int, step: int) -> bool:
         """Record one transition; True when it staged a failure event."""
         self.steps_seen = step
-        self.episodes_seen += tr.end != END_NONE
         if self.memory is None:
             return False
         tail = self._tails[worker]

@@ -5,10 +5,10 @@ on top. The log-std is either a second linear head (state-dependent, used by
 the off-policy learner) or a free learned vector (state-independent, used by
 the on-policy learner). Squashing conventions:
 
-  "tanh": actions are scale * tanh(u) for the Gaussian draw u, with the
-          matching change-of-variables term in the log-density;
-  "clip": raw Gaussian actions, clipped later by the environment, with the
-          plain Gaussian log-density.
+  "tanh": actions are scale * tanh(u) for the Gaussian draw u (the
+          off-policy learner computes their density in `sac._squashed_sample`);
+  "clip": raw Gaussian actions, clipped later by the environment; `log_prob`
+          is their plain Gaussian log-density.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .. import numeric
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, ShapeError, UsageError
 
 LOGSTD_MIN = -5.0
 LOGSTD_MAX = 2.0
@@ -86,23 +86,18 @@ class GaussianPolicy:
         return np.clip(mu, -self.scale, self.scale)
 
     def log_prob(self, s: np.ndarray, a: np.ndarray):
-        """Log-density of action a at state s (scalar for single inputs)."""
+        """Log-density of the unsquashed action a at state s (scalar for
+        single inputs); a "clip" policy only."""
+        if self.squash != "clip":
+            raise UsageError(f"log_prob is the density of a clip policy, not {self.squash!r}")
         mu, sigma = self.mean_std(s)
         a = np.asarray(a, dtype=np.float64)
         if a.shape != mu.shape:
             raise ShapeError(f"action shape {a.shape} does not match {mu.shape}")
-        if self.squash == "tanh":
-            ratio = np.clip(a / self.scale, -1.0 + 1e-12, 1.0 - 1e-12)
-            u = np.arctanh(ratio)
-            t = np.tanh(u)
-            base = -np.log(sigma) - 0.5 * LOG_2PI - 0.5 * ((u - mu) / sigma) ** 2
-            corr = np.log(self.scale * (1.0 - t * t) + SQUASH_EPS)
-            out = np.sum(base - corr, axis=-1)
-        else:
-            out = np.sum(
-                -np.log(sigma) - 0.5 * LOG_2PI - 0.5 * ((a - mu) / sigma) ** 2,
-                axis=-1,
-            )
+        out = np.sum(
+            -np.log(sigma) - 0.5 * LOG_2PI - 0.5 * ((a - mu) / sigma) ** 2,
+            axis=-1,
+        )
         return float(out) if out.ndim == 0 else out
 
 

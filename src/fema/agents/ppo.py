@@ -276,8 +276,7 @@ class PpoAgent(HookedAgent):
         `forking.processes(2)` allows two, the update runs in a forked child
         beside the publish, and this process rebinds the `LEARNED` objects
         to the child's (the gap rule in `HookedAgent` keeps the two apart)."""
-        mem = self.memory
-        if (mem is None or len(mem.pending) < mem.cfg.update_every
+        if (self.memory is None or not self.memory.publish_due()
                 or forking.processes(2) < 2):
             losses = self.update_phase()
             self.between_phases()

@@ -97,8 +97,7 @@ def load_checkpoint(path) -> CheckpointData:
                                             dims["d_phi"], hidden)
             stack = embedding.EmbeddingStack(
                 **{name: _part(blobs, f"stack.{name}", w) for name, w in widths.items()},
-                adam=None, d_s=d_s, d_a=d_a, d_z=dims["d_z"], d_z_a=dims["d_z_a"],
-                d_phi=dims["d_phi"], version=dims["version"])
+                adam=None, version=dims["version"])
             stack.adam = numeric.adam_init(stack.params(), lr=dims["lr"])
         return CheckpointData(
             algo=meta["algo"], env=meta["env"], step=meta["step"],

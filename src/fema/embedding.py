@@ -26,9 +26,10 @@ class EmbeddingStack:
     """State encoder, action encoder, joint embedder, risk head, shared Adam.
 
     The four nets become views of one parameter vector, `flat`, laid out f,
-    g, j, h, so the stack trains as one array. `version` counts completed
-    training rounds; consumers that cache embeddings compare it to decide
-    whether a re-encode is due.
+    g, j, h, so the stack trains as one array. The widths d_s, d_a, d_z,
+    d_z_a and d_phi are read from the nets f, g and j. `version` counts
+    completed training rounds; consumers that cache embeddings compare it
+    to decide whether a re-encode is due.
     """
 
     f: numeric.Mlp
@@ -36,13 +37,14 @@ class EmbeddingStack:
     j: numeric.Mlp
     h: numeric.Mlp
     adam: numeric.AdamState
-    d_s: int
-    d_a: int
-    d_z: int
-    d_z_a: int
-    d_phi: int
     version: int = 0
     flat: np.ndarray = field(init=False, repr=False)
+
+    d_s = property(lambda self: self.f.in_dim)
+    d_z = property(lambda self: self.f.out_dim)
+    d_a = property(lambda self: self.g.in_dim)
+    d_z_a = property(lambda self: self.g.out_dim)
+    d_phi = property(lambda self: self.j.out_dim)
 
     def __post_init__(self):
         nets = (self.f, self.g, self.j, self.h)
@@ -86,8 +88,7 @@ def stack_init(
     widths = stack_widths(d_s, d_a, d_z, d_z_a, d_phi, hidden)
     nets = {name: numeric.mlp_init(w, seed=seed + k)
             for k, (name, w) in enumerate(widths.items())}
-    stack = EmbeddingStack(**nets, adam=None, d_s=d_s, d_a=d_a,
-                           d_z=d_z, d_z_a=d_z_a, d_phi=d_phi)
+    stack = EmbeddingStack(**nets, adam=None)
     stack.adam = numeric.adam_init(stack.params(), lr=lr)
     return stack
 

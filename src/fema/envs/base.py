@@ -1,4 +1,4 @@
-"""Shared environment plumbing: specs, step results, termination tags."""
+"""Shared environment plumbing: specs, step results, the end-of-episode rule."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..memory import END_NONE
+from ..memory import END_HAZARD, END_NONE, END_TIME_LIMIT
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,13 @@ class StepResult:
     state: np.ndarray
     reward: float
     end: str = END_NONE
+
+
+def end_tag(hazard: bool, t: int, spec: EnvSpec) -> str:
+    """The end tag of step t: a hazard first, then the spec's step limit."""
+    if hazard:
+        return END_HAZARD
+    return END_TIME_LIMIT if t >= spec.max_steps else END_NONE
 
 
 def clip_action(action, spec: EnvSpec) -> np.ndarray:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..memory import END_HAZARD, END_NONE, END_TIME_LIMIT
-from .base import EnvSpec, StepResult, clip_action
+from .base import EnvSpec, StepResult, clip_action, end_tag
 
 DT = 0.05
 ACCEL = 8.0          # acceleration at |action| = 1
@@ -73,10 +72,5 @@ class CliffCorridor:
         reward = reward_of(nxt, action)
         self.state = nxt
         self.t += 1
-        if is_hazard(nxt):
-            end = END_HAZARD
-        elif self.t >= self.spec.max_steps:
-            end = END_TIME_LIMIT
-        else:
-            end = END_NONE
-        return StepResult(state=nxt.copy(), reward=reward, end=end)
+        return StepResult(state=nxt.copy(), reward=reward,
+                          end=end_tag(is_hazard(nxt), self.t, self.spec))

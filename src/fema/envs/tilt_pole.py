@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..memory import END_HAZARD, END_NONE, END_TIME_LIMIT
-from .base import EnvSpec, StepResult, clip_action
+from .base import EnvSpec, StepResult, clip_action, end_tag
 
 DT = 0.02
 GRAVITY = 9.8
@@ -61,10 +60,5 @@ class TiltPole:
         nxt = dynamics(self.state, float(action[0]))
         self.state = nxt
         self.t += 1
-        if abs(nxt[0]) >= THETA_FAIL:
-            end = END_HAZARD
-        elif self.t >= self.spec.max_steps:
-            end = END_TIME_LIMIT
-        else:
-            end = END_NONE
-        return StepResult(state=nxt.copy(), reward=reward_of(nxt), end=end)
+        return StepResult(state=nxt.copy(), reward=reward_of(nxt),
+                          end=end_tag(abs(nxt[0]) >= THETA_FAIL, self.t, self.spec))

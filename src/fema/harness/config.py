@@ -65,6 +65,8 @@ class RunConfig:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.total_steps < 1:
             raise ConfigError("total_steps must be >= 1")
         if self.loss_log_every < 1:

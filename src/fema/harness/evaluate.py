@@ -14,6 +14,8 @@ def cmd_eval(ckpt_path, env_name: str, episodes: int, seed: int) -> list:
     """Roll out the checkpointed policy; returns per-episode rows."""
     if episodes < 1:
         raise UsageError(f"eval needs at least 1 episode, got {episodes}")
+    if seed < 0:
+        raise UsageError(f"eval needs a seed >= 0, got {seed}")
     data = checkpoint.load_checkpoint(ckpt_path)
     env = make(env_name, np.random.default_rng([seed, 5]))
     checkpoint.check_env_match(data, env.spec)

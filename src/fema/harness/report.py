@@ -26,6 +26,7 @@ import numpy as np
 
 from .. import serialize
 from ..errors import SerializationError, UsageError
+from ..memory import END_NONE
 from . import jsonl
 from .config import parse_text
 
@@ -106,7 +107,7 @@ def load_seed_dir(path) -> SeedSeries:
     if rc.fema_enabled and (not ends or ends[-1]["memory_records"] == 0):
         warnings.warn(f"{path}: the failure memory is enabled but never "
                       "published (memory_records == 0 at the end of the run)")
-    episodes = [r for r in ends if r["end"] != "none"]
+    episodes = [r for r in ends if r["end"] != END_NONE]
     evals = [r for r in records if r["kind"] == "eval"]
     seed_name = os.path.basename(os.path.normpath(path))
     match = _SEED_DIR.match(seed_name)

@@ -3,7 +3,7 @@
 Log contents per run: one record per completed episode (kind "episode"),
 loss records (kind "loss") where a learner phase ends, or every
 loss_log_every steps for a learner without phases, optional deterministic
-evaluation records (kind "eval"), and one trailing "none"-ended episode
+evaluation records (kind "eval"), and one trailing END_NONE-ended episode
 record per worker still mid-episode when the step budget runs out, so
 episode lengths always sum to total_steps. A phase that the budget cut
 short is closed, and its losses logged, after the final eval.
@@ -37,6 +37,8 @@ from ..agents import AGENTS
 from ..agents.loop import eval_episode
 from ..envs import REGISTRY, make
 from ..envs.runner import VecRunner
+from ..errors import UsageError
+from ..memory import END_HAZARD, END_NONE
 from . import jsonl
 from .config import RunConfig, parse_config, render_config
 
@@ -85,7 +87,7 @@ class _RunLog:
 
     def episode(self, rec, agent) -> None:
         self.episodes += 1
-        self.hazards += rec.end == "hazard"
+        self.hazards += rec.end == END_HAZARD
         self.returns.append(rec.return_)
         self.lengths.append(rec.length)
         self._emit(rec.end_step, rec.worker, rec.return_, rec.length,
@@ -94,7 +96,7 @@ class _RunLog:
     def partial(self, step, worker, return_, length, agent) -> None:
         """Unfinished episode at budget end; excluded from rolling means."""
         self.episodes += 1
-        self._emit(step, worker, return_, length, "none", agent)
+        self._emit(step, worker, return_, length, END_NONE, agent)
 
     def loss(self, step: int, losses: dict) -> None:
         if not losses:
@@ -176,6 +178,9 @@ def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
 
 
 def run_config(rc: RunConfig, seed_offset: int = 0) -> str:
+    if min(rc.seeds) + seed_offset < 0:
+        raise UsageError(f"seed offset {seed_offset} makes seed "
+                         f"{min(rc.seeds) + seed_offset} negative")
     out_dir = rc.out_dir
     os.makedirs(out_dir, exist_ok=True)
     rows = []

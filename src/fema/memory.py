@@ -258,11 +258,23 @@ class FailureMemory:
 
     def stage(self, event: FailureEvent) -> int:
         """Queue one failure event as a `Tail` copy of its arrays, keeping no
-        reference to the event; nothing becomes searchable yet. Its state and
-        action widths must be those of the tails already held."""
+        reference to the event; nothing becomes searchable yet. Every state
+        and action must be 1-d with the shapes of the event's first
+        transition, its returns 1-d with one per transition, and its state
+        and action widths those of the tails already held."""
         k = len(event.transitions)
+        if np.ndim(event.returns) != 1:
+            raise ShapeError(f"a staged event's returns have shape "
+                             f"{np.shape(event.returns)}; they must be 1-d")
         if not 1 <= k <= self.cfg.suffix_len or len(event.returns) != k:
             raise UsageError("a staged event needs 1..suffix_len transitions, one return each")
+        first = (np.shape(event.transitions[0].s), np.shape(event.transitions[0].a))
+        for i, t in enumerate(event.transitions):
+            shapes = (np.shape(t.s), np.shape(t.a))
+            if shapes != first or len(first[0]) != 1 or len(first[1]) != 1:
+                raise ShapeError(f"transition {i} of a staged event has (state, action) "
+                                 f"shapes {shapes}; each must be 1-d and match "
+                                 f"transition 0's {first}")
         tail = Tail(self.next_seq,
                     np.array([t.s for t in event.transitions], dtype=np.float64),
                     np.array([t.a for t in event.transitions], dtype=np.float64),
@@ -276,9 +288,13 @@ class FailureMemory:
         self.pending.append(tail)  # deque(maxlen) evicts oldest pending
         return len(self.pending)
 
+    def publish_due(self) -> bool:
+        """Whether `update_every` events are pending: `maybe_update` publishes."""
+        return len(self.pending) >= self.cfg.update_every
+
     def maybe_update(self, stack: embedding.EmbeddingStack) -> Optional[int]:
-        """Run the periodic update once enough events are pending."""
-        if len(self.pending) >= self.cfg.update_every:
+        """Run the periodic update once it is due (`publish_due`)."""
+        if self.publish_due():
             return self.update(stack)
         return None
 

@@ -6,6 +6,8 @@ are views into it, and backward() returns one gradient vector in the same
 layout. Forward/backward are purely functional over explicit parameter values.
 Adam mutates only the state object passed in, so concurrent workers are safe
 as long as each owns its parameter copy (or reads an immutable snapshot).
+A layer's activation is tanh or identity; backward() takes only a batched
+forward pass. Adam's beta1, beta2 and eps are the constants ADAM_*.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError
 
-ACTIVATIONS = ("tanh", "relu", "identity")
+ACTIVATIONS = ("tanh", "identity")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -110,14 +115,6 @@ def mlp_init(widths: Sequence[int], seed, acts=None) -> Mlp:
     return Mlp(widths, acts, np.concatenate(parts))
 
 
-def _apply_act(z: np.ndarray, act: str) -> np.ndarray:
-    if act == "tanh":
-        return np.tanh(z)
-    if act == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
 def forward(mlp: Mlp, x: np.ndarray):
     """Run the network on a vector (d,) or batch (B, d).
 
@@ -134,30 +131,30 @@ def forward(mlp: Mlp, x: np.ndarray):
     inputs, outputs = [], []
     for layer in mlp.layers:
         inputs.append(h)
-        h = _apply_act(h @ layer.w.T + layer.b, layer.act)
+        h = h @ layer.w.T + layer.b
+        if layer.act == "tanh":
+            h = np.tanh(h)
         outputs.append(h)
     out = h[0] if single else h
     return out, ForwardCache(inputs, outputs, single, id(mlp))
 
 
 def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray, out=None):
-    """Backpropagate loss gradients through a cached forward pass.
+    """Backpropagate loss gradients through a cached batched forward pass.
 
     Returns (grads, input_grad) where grads is [one vector laid out like
     mlp.flat], matching mlp.params(); the vector is `out` when given.
     """
     if cache.mlp_id != id(mlp) or len(cache.inputs) != len(mlp.layers):
         raise UsageError("cache does not belong to this network's forward pass")
-    g = np.asarray(output_grad)
     if cache.single:
-        if g.shape != (mlp.out_dim,):
-            raise ShapeError(f"output_grad shape {g.shape} != ({mlp.out_dim},)")
-        g = g[None, :]
-    else:
-        if g.shape != cache.outputs[-1].shape:
-            raise ShapeError(
-                f"output_grad shape {g.shape} != forward output shape {cache.outputs[-1].shape}"
-            )
+        raise UsageError("backward needs a batched forward pass; pass a (1, d) batch "
+                         "for one sample")
+    g = np.asarray(output_grad)
+    if g.shape != cache.outputs[-1].shape:
+        raise ShapeError(
+            f"output_grad shape {g.shape} != forward output shape {cache.outputs[-1].shape}"
+        )
 
     grad = np.empty_like(mlp.flat) if out is None else out
     if grad.shape != mlp.flat.shape:
@@ -166,36 +163,30 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray, out=None):
     for layer, x_in, a in zip(mlp.layers[::-1], cache.inputs[::-1], cache.outputs[::-1]):
         if layer.act == "tanh":
             g = g * (1.0 - a * a)
-        elif layer.act == "relu":
-            g = g * (a > 0.0)
         n_out, n_in = layer.w.shape
         b_at, w_at = end - n_out, end - n_out - n_out * n_in
         np.add.reduce(g, axis=0, out=grad[b_at:end])
         np.matmul(g.T, x_in, out=grad[w_at:b_at].reshape(n_out, n_in))
         end = w_at
         g = g @ layer.w
-    return [grad], (g[0] if cache.single else g)
+    return [grad], g
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus step counter and hyperparameters."""
+    """First/second moment accumulators plus step counter and step size."""
 
     m: list
     v: list
     t: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
 
-def adam_init(params: Sequence[np.ndarray], lr: float = 3e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: Sequence[np.ndarray], lr: float = 3e-4) -> AdamState:
     return AdamState(
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
-        t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+        t=0, lr=lr,
     )
 
 
@@ -213,14 +204,13 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: 
             raise ShapeError(f"shape mismatch: param {p.shape}, grad {g.shape}, moment {m.shape}")
 
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params
 

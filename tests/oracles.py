@@ -19,8 +19,6 @@ def forward_oracle(layers, x):
         z = np.array([np.dot(row, h) for row in w]) + b
         if act == "tanh":
             h = np.tanh(z)
-        elif act == "relu":
-            h = np.where(z > 0, z, 0.0)
         elif act == "identity":
             h = z
         else:

@@ -197,6 +197,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="distinct"):
             parse_text(text)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        text = MINIMAL.format(out_dir=tmp_path).replace(
+            "seeds = 0", "seeds = 2, -1")
+        with pytest.raises(ConfigError, match="seeds must be >= 0, got -1"):
+            parse_text(text)
+
     def test_eval_cadence_needs_episodes(self, tmp_path):
         text = MINIMAL.format(out_dir=tmp_path).replace(
             "[fema]", "eval_every = 5\n\n[fema]")
@@ -1198,6 +1204,28 @@ class TestCli:
                      "--seed-offset", "7"]) == 0
         capsys.readouterr()
         assert os.path.isdir(tmp_path / "run" / "seed7")
+
+    @pytest.mark.parametrize("seeds, argv, match", [
+        ("-1", [], "seeds must be >= 0"),
+        ("0, 3", ["--seed-offset", "-1"], "makes seed -1 negative"),
+    ], ids=["negative_seed", "negative_offset_seed"])
+    def test_negative_train_seed_is_one_error_line(self, tmp_path, capsys,
+                                                   seeds, argv, match):
+        path = tmp_path / "config.txt"
+        path.write_text(TINY_PPO.format(out_dir=tmp_path / "run").replace(
+            "seeds = 0", f"seeds = {seeds}"))
+        assert main(["train", "--config", str(path), *argv]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and match in err
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_negative_eval_seed_is_one_error_line(self, sac_run, capsys):
+        ckpt = os.path.join(sac_run["out"], "seed0", "checkpoint.bin")
+        assert main(["eval", "--ckpt", ckpt, "--env", "grid_hazard",
+                     "--episodes", "1", "--seed", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eval needs a seed >= 0, got -3\n"
 
     def test_errors_exit_nonzero_on_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -18,6 +18,7 @@ from fema.agents.ppo import PpoAgent
 from fema.agents.sac import SacAgent
 from fema.envs import make, runner
 from fema.errors import FemaError
+from fema.harness import train
 from fema.harness.config import parse_text
 from fema.harness.train import run_seed
 from fema.memory import FemaConfig
@@ -149,6 +150,41 @@ class TestLaneIdentity:
         assert vec.step_count == 10
         assert vec.agent.collected_steps() == 10
         assert vec.agent.pending == {}
+        assert_no_children()
+
+    @pytest.mark.parametrize("shared", ["env", "rng"])
+    def test_shared_env_or_rng_is_stepped_in_turn(self, tmp_path, monkeypatch, shared):
+        """Two workers that share one env or one action rng make no lane
+        fork at 8 CPUs, and give the transitions and log of 1 CPU."""
+        outputs = []
+        for cpus in (8, 1):
+            seen = []
+
+            def shared_runner(envs, agent, rngs):
+                observe = agent.observe
+
+                def recorded(tr, worker=0, step=0):
+                    seen.append((worker, step, tr.s.tobytes(), tr.a.tobytes(), tr.r,
+                                 tr.s_next.tobytes(), tr.end))
+                    observe(tr, worker, step)
+                agent.observe = recorded
+                if shared == "env":
+                    envs = [envs[0]] * len(envs)
+                else:
+                    rngs = [rngs[0]] * len(rngs)
+                return runner.VecRunner(envs, agent, rngs)
+
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch, cpus)
+                patch.setattr(train, "VecRunner", shared_runner)
+                rc = parse_text(LANE_RUN.format(env="grid_hazard", workers=2,
+                                                total=200, eval_every=0))
+                run_seed(rc, 7, tmp_path / str(cpus))
+            assert not [name for names in forks for name in names
+                        if name.startswith("rollout lane")]
+            outputs.append((seen, (tmp_path / str(cpus) / "metrics.jsonl").read_bytes()))
+        assert len(outputs[0][0]) == 200
+        assert outputs[0] == outputs[1]
         assert_no_children()
 
     def test_other_threads_keep_it_sequential(self, monkeypatch):

@@ -248,6 +248,32 @@ class TestLifecycle:
         mem.stage(memory.capture_failure(make_episode([3.0], seed=1), mem.cfg))
         assert mem.update(small_stack()) == 3
 
+    @pytest.mark.parametrize("field, shape, match", [
+        ("s", (4,), r"transition 1 .*\(\(4,\), \(2,\)\).*\(\(3,\), \(2,\)\)"),
+        ("a", (3,), r"transition 1 .*\(\(3,\), \(3,\)\).*\(\(3,\), \(2,\)\)"),
+        ("s", (1, 3), r"transition 1 .*\(\(1, 3\), \(2,\)\)"),
+    ], ids=["state-width", "action-width", "2-d-state"])
+    def test_stage_refuses_transition_of_other_shape(self, field, shape, match):
+        mem = memory.FailureMemory(small_cfg())
+        event = memory.capture_failure(make_episode([1.0, 2.0]), mem.cfg)
+        setattr(event.transitions[1], field, np.zeros(shape))
+        with pytest.raises(ShapeError, match=match):
+            mem.stage(event)
+        assert mem.next_seq == 0 and not mem.pending
+
+    def test_stage_refuses_2d_first_transition_and_returns(self):
+        mem = memory.FailureMemory(small_cfg())
+        event = memory.capture_failure(make_episode([1.0, 2.0]), mem.cfg)
+        for t in event.transitions:
+            t.s = t.s[None, :]
+        with pytest.raises(ShapeError, match="1-d"):
+            mem.stage(event)
+        event = memory.capture_failure(make_episode([1.0, 2.0]), mem.cfg)
+        event.returns = event.returns[:, None]
+        with pytest.raises(ShapeError, match=r"\(2, 1\); they must be 1-d"):
+            mem.stage(event)
+        assert mem.next_seq == 0 and not mem.pending
+
     def test_pending_eviction_fifo(self):
         mem = memory.FailureMemory(small_cfg(update_every=2, capacity=2))
         events = stage_n(mem, 3)
