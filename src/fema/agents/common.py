@@ -164,14 +164,15 @@ class HookedAgent:
         self.fallback_steps = 0
         self.selected_steps = 0
 
-    def _act(self, s, rng):
-        """Training-time action: (action, overridden by the selector).
+    def _act(self, s, rng, policy):
+        """Training-time action drawn from `policy` (the policy, or its
+        `Gaussian` at s): (action, overridden by the selector).
 
         Changes no agent state; `_count` books the decision.
         """
         if self.memory is None:
-            return self.policy.sample(s, rng), False
-        a, trace = selection.select(s, self.policy, self.memory, self.stack,
+            return policy.sample(s, rng), False
+        a, trace = selection.select(s, policy, self.memory, self.stack,
                                     self.fema_cfg, rng)
         return a, not trace.fallback
 

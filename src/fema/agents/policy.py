@@ -7,15 +7,16 @@ the on-policy learner). Squashing conventions:
 
   "tanh": actions are scale * tanh(u) for the Gaussian draw u (the
           off-policy learner computes their density in `sac._squashed_sample`);
-  "clip": raw Gaussian actions, clipped later by the environment; `log_prob`
-          is their plain Gaussian log-density.
+  "clip": raw Gaussian actions, clipped later by the environment;
+          `Gaussian.density` is their plain Gaussian log-density, which
+          `log_prob` and the on-policy learner's act path both call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,9 +25,38 @@ from ..errors import ConfigError, ShapeError, UsageError
 
 LOGSTD_MIN = -5.0
 LOGSTD_MAX = 2.0
-SQUASH_EPS = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
 SQUASHES = ("tanh", "clip")
+
+
+class Gaussian(NamedTuple):
+    """The policy's action distribution at one state, from one forward pass;
+    `sample` ignores its state, so the selector draws from it as from the policy."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    squash: str
+    scale: np.ndarray
+
+    def sample(self, s, rng: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
+        """One action; with n, an (n, d_a) batch from one normal draw that
+        uses the random stream exactly as n single draws."""
+        return self._draw(rng, n)
+
+    def _draw(self, rng: np.random.Generator, n: Optional[int]) -> np.ndarray:
+        """The draw behind both `sample`s; a traced run sees one per draw."""
+        mu = self.mu
+        u = mu + self.sigma * rng.standard_normal(mu.shape if n is None else (n,) + mu.shape)
+        return self.scale * np.tanh(u) if self.squash == "tanh" else u
+
+    def density(self, a) -> float:
+        """Log-density of the unsquashed action a (scalar for one state)."""
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != self.mu.shape:
+            raise ShapeError(f"action shape {a.shape} does not match {self.mu.shape}")
+        out = np.sum(-np.log(self.sigma) - 0.5 * LOG_2PI
+                     - 0.5 * ((a - self.mu) / self.sigma) ** 2, axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -69,15 +99,14 @@ class GaussianPolicy:
         mu, ls, _ = self.heads(s)
         return mu, np.exp(np.clip(ls, LOGSTD_MIN, LOGSTD_MAX))
 
+    def at(self, s: np.ndarray) -> Gaussian:
+        """The action distribution at state s (or a batch of states)."""
+        return Gaussian(*self.mean_std(s), self.squash, self.scale)
+
     def sample(self, s: np.ndarray, rng: np.random.Generator,
                n: Optional[int] = None) -> np.ndarray:
-        """One action; with n, an (n, d_a) batch from one forward and one
-        normal draw that uses the random stream exactly as n single draws."""
-        mu, sigma = self.mean_std(s)
-        u = mu + sigma * rng.standard_normal(mu.shape if n is None else (n,) + mu.shape)
-        if self.squash == "tanh":
-            return self.scale * np.tanh(u)
-        return u
+        """One action; with n, an (n, d_a) batch (see `Gaussian.sample`)."""
+        return self.at(s)._draw(rng, n)
 
     def det_action(self, s: np.ndarray) -> np.ndarray:
         mu, _ = self.mean_std(s)
@@ -90,15 +119,7 @@ class GaussianPolicy:
         single inputs); a "clip" policy only."""
         if self.squash != "clip":
             raise UsageError(f"log_prob is the density of a clip policy, not {self.squash!r}")
-        mu, sigma = self.mean_std(s)
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != mu.shape:
-            raise ShapeError(f"action shape {a.shape} does not match {mu.shape}")
-        out = np.sum(
-            -np.log(sigma) - 0.5 * LOG_2PI - 0.5 * ((a - mu) / sigma) ** 2,
-            axis=-1,
-        )
-        return float(out) if out.ndim == 0 else out
+        return self.at(s).density(a)
 
 
 def policy_init(

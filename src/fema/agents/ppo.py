@@ -7,10 +7,12 @@ finite-difference checkable.
 
 The hook itself lives in `HookedAgent`. PPO stores the log-probability of
 the executed action, so the surrogate ratio stays well-defined when the
-selector overrides the plain draw. Overridden decisions can be excluded
-from the policy surrogate via the importance-correction flag, since their
-behavior density is intractable; they always contribute to the value
-target. The memory publishes only in the gap between phases; while it
+selector overrides the plain draw. A step runs the policy once: the plain
+draw or the selector's candidates come from `policy.at(s)`, whose
+`density` then gives the executed action's log-probability. Overridden
+decisions can be excluded from the policy surrogate via the
+importance-correction flag, since their behavior density is intractable;
+they always contribute to the value target. The memory publishes only in the gap between phases; while it
 does, the learner update runs in a forked child beside it, and this
 process rebinds the objects named in `PpoAgent.LEARNED` to the ones the
 child returns.
@@ -181,10 +183,12 @@ class PpoAgent(HookedAgent):
     # -- acting ------------------------------------------------------------
 
     def act_train(self, s, rng, worker: int = 0):
-        """Action for one step; its record waits in `pending[worker]`."""
-        a, overridden = self._act(s, rng)
-        logp = float(self.policy.log_prob(s, a))
-        self.pending[worker] = (logp, self.value_of(s), overridden)
+        """Action for one step; its record waits in `pending[worker]`. One
+        policy pass gives the distribution the action is drawn from, plain
+        or by the selector, and the action's log-density under it."""
+        dist = self.policy.at(s)
+        a, overridden = self._act(s, rng, dist)
+        self.pending[worker] = (dist.density(a), self.value_of(s), overridden)
         return a
 
     # -- collection ---------------------------------------------------------

@@ -26,10 +26,11 @@ from .policy import (
     LOG_2PI,
     LOGSTD_MAX,
     LOGSTD_MIN,
-    SQUASH_EPS,
     GaussianPolicy,
     policy_init,
 )
+
+SQUASH_EPS = 1e-6  # keeps the squashed density's log finite where tanh saturates
 
 
 def _squashed_sample(policy: GaussianPolicy, s: np.ndarray, noise: np.ndarray):
@@ -168,7 +169,7 @@ class SacAgent(HookedAgent):
     def act_train(self, s, rng, worker: int = 0):
         if self.steps_seen < self.cfg.warmup_steps:
             return rng.uniform(-1.0, 1.0, size=self.spec.d_a) * self.scale
-        a, overridden = self._act(s, rng)
+        a, overridden = self._act(s, rng, self.policy)
         self._count(overridden)
         return a
 

@@ -1,4 +1,8 @@
-"""Hazard-terminating toy environments and the worker-pool runner."""
+"""Hazard-terminating toy environments and the worker-pool runner.
+
+A step computes on Python floats (one `.tolist()` of its state, and
+`base.clip_action`): numpy's bits without its per-scalar cost. Only the
+cliff's `np.dot` and the pole's `np.sin` stay, whose bits Python differs from."""
 
 from .cliff_corridor import CliffCorridor
 from .grid_hazard import GridHazard

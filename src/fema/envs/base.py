@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ShapeError
 from ..memory import END_HAZARD, END_NONE, END_TIME_LIMIT
 
 
@@ -50,7 +50,11 @@ def end_tag(hazard: bool, t: int, spec: EnvSpec) -> str:
     return END_TIME_LIMIT if t >= spec.max_steps else END_NONE
 
 
-def clip_action(action, spec: EnvSpec) -> np.ndarray:
-    """Clip to spec bounds."""
+def clip_action(action, spec: EnvSpec) -> list:
+    """The action clipped to the spec's bounds, as Python floats (NaN stays
+    NaN, as under np.clip)."""
     action = np.asarray(action, dtype=np.float64)
-    return np.clip(action, np.asarray(spec.action_low), np.asarray(spec.action_high))
+    if action.shape != (spec.d_a,):
+        raise ShapeError(f"action shape {action.shape} does not match ({spec.d_a},)")
+    return [lo if a < lo else hi if a > hi else a
+            for a, lo, hi in zip(action.tolist(), spec.action_low, spec.action_high)]

@@ -32,22 +32,21 @@ SPEC = EnvSpec(
 )
 
 
-def dynamics(state: np.ndarray, action: np.ndarray, noise: float) -> np.ndarray:
+def dynamics(state, action, noise: float) -> list:
     """One explicit-Euler step; noise is the lateral velocity disturbance."""
     x, y, vx, vy = state
     ax, ay = ACCEL * action[0], ACCEL * action[1]
-    nx = x + DT * vx
-    ny = y + DT * vy
-    nvx = vx + DT * (ax - DRAG * vx)
-    nvy = vy + DT * (ay - DRAG * vy) + noise
-    return np.array([nx, ny, nvx, nvy])
+    return [x + DT * vx, y + DT * vy,
+            vx + DT * (ax - DRAG * vx), vy + DT * (ay - DRAG * vy) + noise]
 
 
-def reward_of(next_state: np.ndarray, action: np.ndarray) -> float:
-    return float(next_state[2] - CTRL_COST * np.dot(action, action))
+def reward_of(next_state, action: np.ndarray) -> float:
+    """Forward velocity minus the control cost; the cost stays numpy's dot,
+    whose last bit a0*a0 + a1*a1 does not always reproduce."""
+    return next_state[2] - CTRL_COST * float(action.dot(action))
 
 
-def is_hazard(state: np.ndarray) -> bool:
+def is_hazard(state) -> bool:
     return bool(abs(state[1]) >= EDGE_Y or state[0] < BACK_X)
 
 
@@ -67,10 +66,8 @@ class CliffCorridor:
 
     def step(self, action) -> StepResult:
         action = clip_action(action, self.spec)
-        noise = self.noise_std * self.rng.standard_normal()
-        nxt = dynamics(self.state, action, noise)
-        reward = reward_of(nxt, action)
-        self.state = nxt
+        nxt = dynamics(self.state.tolist(), action, self.noise_std * self.rng.standard_normal())
+        self.state = np.array(nxt)
         self.t += 1
-        return StepResult(state=nxt.copy(), reward=reward,
+        return StepResult(state=self.state.copy(), reward=reward_of(nxt, np.array(action)),
                           end=end_tag(is_hazard(nxt), self.t, self.spec))

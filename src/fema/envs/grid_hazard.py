@@ -36,9 +36,8 @@ def snap(action) -> tuple:
     """Continuous command to a 4-neighbor move (or (0, 0) for no move)."""
     ax, ay = float(action[0]), float(action[1])
     if abs(ax) >= abs(ay):
-        step = int(np.sign(ax))
-        return (step, 0)
-    return (0, int(np.sign(ay)))
+        return ((ax > 0) - (ax < 0), 0)
+    return (0, (ay > 0) - (ay < 0))
 
 
 def move(cell: tuple, action) -> tuple:
@@ -71,8 +70,7 @@ class GridHazard:
         return np.array(self.cell, dtype=np.float64)
 
     def step(self, action) -> StepResult:
-        action = clip_action(action, self.spec)
-        self.cell = move(self.cell, action)
+        self.cell = move(self.cell, clip_action(action, self.spec))
         self.t += 1
         reward, end = cell_outcome(self.cell)
         if end == END_NONE and self.t >= self.spec.max_steps:

@@ -31,14 +31,14 @@ SPEC = EnvSpec(
 )
 
 
-def dynamics(state: np.ndarray, torque: float) -> np.ndarray:
+def dynamics(state, torque: float) -> list:
     theta, omega = state
-    alpha = (GRAVITY / LENGTH) * np.sin(theta) \
+    alpha = (GRAVITY / LENGTH) * float(np.sin(theta)) \
         + torque / (MASS * LENGTH * LENGTH) - FRICTION * omega
-    return np.array([theta + DT * omega, omega + DT * alpha])
+    return [theta + DT * omega, omega + DT * alpha]
 
 
-def reward_of(next_state: np.ndarray) -> float:
+def reward_of(next_state) -> float:
     return float(1.0 - abs(next_state[0]) / THETA_FAIL)
 
 
@@ -56,9 +56,8 @@ class TiltPole:
         return self.state.copy()
 
     def step(self, action) -> StepResult:
-        action = clip_action(action, self.spec)
-        nxt = dynamics(self.state, float(action[0]))
-        self.state = nxt
+        nxt = dynamics(self.state.tolist(), clip_action(action, self.spec)[0])
+        self.state = np.array(nxt)
         self.t += 1
-        return StepResult(state=nxt.copy(), reward=reward_of(nxt),
+        return StepResult(state=self.state.copy(), reward=reward_of(nxt),
                           end=end_tag(abs(nxt[0]) >= THETA_FAIL, self.t, self.spec))

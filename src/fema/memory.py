@@ -23,6 +23,7 @@ import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -173,6 +174,16 @@ def _table(tails) -> tuple:
             np.array([len(t.returns) for t in tails], dtype=np.int64))
 
 
+def _shape(x, what: str, i: int = -1) -> tuple:
+    """np.shape(x); a ragged x is refused with a ShapeError naming `what`
+    (of transition i, when given)."""
+    try:
+        return np.shape(x)
+    except ValueError:
+        where = f"transition {i} of " if i >= 0 else ""
+        raise ShapeError(f"{where}a staged event has a ragged {what}") from None
+
+
 def _widths(tail: Tail) -> tuple:
     """The state and action widths of a tail's rows."""
     return (*tail.s.shape[1:], *tail.a.shape[1:])
@@ -194,8 +205,14 @@ def _generation(seqs: np.ndarray, lengths: np.ndarray, mc_return: np.ndarray,
 
 @dataclass
 class RetrievalResult:
-    records: Generation
+    gen: Generation    # the generation searched
+    rows: np.ndarray   # indices of the retrieved rows, in retrieval order
     cold: bool = False
+
+    @cached_property
+    def records(self) -> Generation:
+        """The retrieved rows as a sub-generation, built on first read."""
+        return self.gen.take(self.rows)
 
     def ids(self) -> list:
         return list(zip(self.records.event_seq.tolist(),
@@ -263,14 +280,15 @@ class FailureMemory:
         transition, its returns 1-d with one per transition, and its state
         and action widths those of the tails already held."""
         k = len(event.transitions)
-        if np.ndim(event.returns) != 1:
+        if len(_shape(event.returns, "return sequence")) != 1:
             raise ShapeError(f"a staged event's returns have shape "
                              f"{np.shape(event.returns)}; they must be 1-d")
         if not 1 <= k <= self.cfg.suffix_len or len(event.returns) != k:
             raise UsageError("a staged event needs 1..suffix_len transitions, one return each")
-        first = (np.shape(event.transitions[0].s), np.shape(event.transitions[0].a))
+        first = None
         for i, t in enumerate(event.transitions):
-            shapes = (np.shape(t.s), np.shape(t.a))
+            shapes = (_shape(t.s, "state", i), _shape(t.a, "action", i))
+            first = first or shapes
             if shapes != first or len(first[0]) != 1 or len(first[1]) != 1:
                 raise ShapeError(f"transition {i} of a staged event has (state, action) "
                                  f"shapes {shapes}; each must be 1-d and match "
@@ -332,8 +350,8 @@ class FailureMemory:
         return self.version < 0
 
     def retrieve(self, z_query: np.ndarray, cfg: Optional[FemaConfig] = None) -> RetrievalResult:
-        """Rows within the match radius, lowest tail returns first, as a
-        sub-generation.
+        """Rows within the match radius, lowest tail returns first, as row
+        indices into the published generation.
 
         Ties on the return break toward earlier insertion. A memory that has
         never published reports cold instead of merely empty. A query with a
@@ -345,14 +363,14 @@ class FailureMemory:
             raise UsageError("retrieval query has non-finite entries")
         gen = self.records
         if self.cold:
-            return RetrievalResult(records=gen, cold=True)
+            return RetrievalResult(gen, np.arange(0), cold=True)
         if z_query.shape != (gen.z_s.shape[1],):
             raise ShapeError(f"query width {z_query.shape} does not match stored "
                              f"embeddings ({gen.z_s.shape[1]},)")
         dist = np.sqrt(np.sum((gen.z_s - z_query) ** 2, axis=1))
         hits = np.flatnonzero(dist <= cfg.match_radius)
         order = np.lexsort((hits, gen.mc_return[hits]))
-        return RetrievalResult(records=gen.take(hits[order][: cfg.max_matches]))
+        return RetrievalResult(gen, hits[order][: cfg.max_matches])
 
     # -- persistence --------------------------------------------------------
 

@@ -77,8 +77,10 @@ class ForwardCache:
 
     inputs: list
     outputs: list
-    single: bool
     mlp_id: int
+
+
+SINGLE = ForwardCache((), (), -1)  # the cache of every 1-d forward pass
 
 
 def default_acts(n_layers: int) -> list:
@@ -118,25 +120,23 @@ def mlp_init(widths: Sequence[int], seed, acts=None) -> Mlp:
 def forward(mlp: Mlp, x: np.ndarray):
     """Run the network on a vector (d,) or batch (B, d).
 
-    Returns (output, cache); the cache feeds backward().
+    Returns (output, cache); a batch's cache feeds backward(). A vector runs
+    1-d products, bit-equal to row 0 of the (1, d) batch, and shares the
+    one `SINGLE` cache, which backward() refuses.
     """
     x = np.asarray(x)
     if x.ndim not in (1, 2):
         raise ShapeError(f"input must be 1-D or 2-D, got ndim={x.ndim}")
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    if h.shape[1] != mlp.in_dim:
-        raise ShapeError(f"input width {h.shape[1]} != network input width {mlp.in_dim}")
-
+    if x.shape[-1] != mlp.in_dim:
+        raise ShapeError(f"input width {x.shape[-1]} != network input width {mlp.in_dim}")
     inputs, outputs = [], []
     for layer in mlp.layers:
-        inputs.append(h)
-        h = h @ layer.w.T + layer.b
+        inputs.append(x)
+        x = x @ layer.w.T + layer.b
         if layer.act == "tanh":
-            h = np.tanh(h)
-        outputs.append(h)
-    out = h[0] if single else h
-    return out, ForwardCache(inputs, outputs, single, id(mlp))
+            x = np.tanh(x)
+        outputs.append(x)
+    return x, SINGLE if x.ndim == 1 else ForwardCache(inputs, outputs, id(mlp))
 
 
 def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray, out=None):
@@ -145,11 +145,11 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray, out=None):
     Returns (grads, input_grad) where grads is [one vector laid out like
     mlp.flat], matching mlp.params(); the vector is `out` when given.
     """
-    if cache.mlp_id != id(mlp) or len(cache.inputs) != len(mlp.layers):
-        raise UsageError("cache does not belong to this network's forward pass")
-    if cache.single:
+    if cache is SINGLE:
         raise UsageError("backward needs a batched forward pass; pass a (1, d) batch "
                          "for one sample")
+    if cache.mlp_id != id(mlp) or len(cache.inputs) != len(mlp.layers):
+        raise UsageError("cache does not belong to this network's forward pass")
     g = np.asarray(output_grad)
     if g.shape != cache.outputs[-1].shape:
         raise ShapeError(

@@ -1,18 +1,22 @@
 """Risk-aware action selection.
 
 Each decision encodes the state and retrieves the remembered failure rows
-near it. On a hit the policy runs once and draws a batch of candidate
-actions in one go; each candidate is scored by how far its joint embedding
-sits from the retrieved rows, minus a weighted risk estimate, and the
-top-scoring candidate is executed. When nothing relevant is remembered one
-plain policy draw passes through untouched, which keeps the agent
-bit-identical to its baseline away from known hazards. The batch uses the
-random stream exactly as the same number of plain draws would.
+near it, as row indices into the published generation. On a hit the policy
+draws a batch of candidate actions in one go; `candidate_scores` scores
+each by how far its joint embedding sits from the retrieved rows, minus a
+weighted risk estimate, on arrays, and the top-scoring candidate is
+executed. `ScoredCandidate` objects are built only where `score_candidates`
+is called or a `SelectionTrace`'s candidates are read. When nothing
+relevant is remembered one plain policy draw passes through untouched,
+which keeps the agent bit-identical to its baseline away from known
+hazards. The batch uses the random stream exactly as the same number of
+plain draws would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +33,42 @@ class ScoredCandidate:
     score: float      # distance - risk_weight * risk
 
 
+def _candidates(acts, dist, rho, score) -> list:
+    return [ScoredCandidate(*c) for c in
+            zip(acts, dist.tolist(), rho.tolist(), score.tolist())]
+
+
 @dataclass
 class SelectionTrace:
     """What one decision did."""
 
-    candidates: list  # ScoredCandidate per draw; empty on a fallback
     chosen: int       # index of the executed candidate (0 on a fallback)
     fallback: bool    # retrieval was empty, the plain draw passed through
     cold: bool        # nothing was published yet
+    scored: tuple = ()  # `candidate_scores` of the draws; () on a fallback
+
+    @cached_property
+    def candidates(self) -> list:
+        """ScoredCandidate per draw; empty on a fallback."""
+        return _candidates(*self.scored) if self.scored else []
+
+
+def candidate_scores(z_s, acts, phi, version, stack, risk_weight, aggregator) -> tuple:
+    """(acts, distance, risk, score) of candidate actions `acts` (n, d_a) at
+    a state of embedding z_s, against retrieved rows' joint embeddings
+    `phi`, which the stack made at `version`."""
+    if version != stack.version:
+        raise CoherenceError(f"record embedding version {version} does not match "
+                             f"stack version {stack.version}")
+    if aggregator not in AGGREGATORS:
+        raise UsageError(f"unknown aggregator {aggregator!r}")
+    z_a = embedding.encode_action(stack, acts)
+    joint = embedding.joint_embed(stack, np.tile(z_s, (len(acts), 1)), z_a)
+    rho = np.atleast_1d(embedding.risk(stack, joint))
+    # gaps[i, j]: l2 distance from candidate i to retrieved row j
+    gaps = np.sqrt(np.sum((phi[None, :, :] - joint[:, None, :]) ** 2, axis=2))
+    dist = getattr(gaps, aggregator)(axis=1)
+    return acts, dist, rho, dist - risk_weight * rho
 
 
 def score_candidates(
@@ -46,32 +78,14 @@ def score_candidates(
     stack: embedding.EmbeddingStack,
     risk_weight: float,
     aggregator: str = "mean",
-    z_s: np.ndarray | None = None,
 ) -> list:
     """Score candidate actions (a list, or an (n, d_a) array) against the
-    retrieved failure rows. `z_s` is the state's embedding when the caller
-    has it already; it is computed from `s` otherwise."""
+    retrieved failure rows."""
     if not records:
         raise UsageError("score_candidates requires a non-empty retrieval")
-    if records.version != stack.version:
-        raise CoherenceError(
-            f"record embedding version {records.version} does not match "
-            f"stack version {stack.version}"
-        )
-    if aggregator not in AGGREGATORS:
-        raise UsageError(f"unknown aggregator {aggregator!r}")
-    if z_s is None:
-        z_s = embedding.encode_state(stack, s)
-    acts = np.asarray(candidates, dtype=np.float64)
-    z_a = embedding.encode_action(stack, acts)
-    phi = embedding.joint_embed(stack, np.tile(z_s, (len(candidates), 1)), z_a)
-    rho = np.atleast_1d(embedding.risk(stack, phi))
-    # gaps[i, j]: l2 distance from candidate i to retrieved row j
-    gaps = np.sqrt(np.sum((records.phi[None, :, :] - phi[:, None, :]) ** 2, axis=2))
-    dist = getattr(gaps, aggregator)(axis=1)
-    score = dist - risk_weight * rho
-    return [ScoredCandidate(*c) for c in
-            zip(acts, dist.tolist(), rho.tolist(), score.tolist())]
+    return _candidates(*candidate_scores(
+        embedding.encode_state(stack, s), np.asarray(candidates, dtype=np.float64),
+        records.phi, records.version, stack, risk_weight, aggregator))
 
 
 def select(
@@ -90,12 +104,12 @@ def select(
     """
     z_s = embedding.encode_state(stack, s)
     result = mem.retrieve(z_s, cfg)
-    if not result.records:
-        return policy.sample(s, rng), SelectionTrace(
-            candidates=[], chosen=0, fallback=True, cold=result.cold)
-    scored = score_candidates(s, policy.sample(s, rng, cfg.n_candidates),
-                              result.records, stack, cfg.risk_weight,
-                              cfg.aggregator, z_s=z_s)
-    chosen = int(np.argmax([c.score for c in scored]))  # lowest index on ties
-    return scored[chosen].action, SelectionTrace(
-        candidates=scored, chosen=chosen, fallback=False, cold=False)
+    if not result.rows.size:
+        return policy.sample(s, rng), SelectionTrace(chosen=0, fallback=True,
+                                                     cold=result.cold)
+    acts = np.asarray(policy.sample(s, rng, cfg.n_candidates), dtype=np.float64)
+    scored = candidate_scores(z_s, acts, result.gen.phi[result.rows], result.gen.version,
+                              stack, cfg.risk_weight, cfg.aggregator)
+    chosen = int(np.argmax(scored[3]))  # lowest index on ties
+    return acts[chosen], SelectionTrace(chosen=chosen, fallback=False, cold=False,
+                                        scored=scored)

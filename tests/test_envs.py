@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from fema import envs, memory
 from fema.envs import cliff_corridor as cliff
 from fema.envs import grid_hazard as grid
 from fema.envs import tilt_pole as pole
-from fema.errors import ConfigError
+from fema.errors import ConfigError, ShapeError
 
 
 def cliff_oracle(state, action, noise):
@@ -247,6 +250,48 @@ class TestGridHazard:
             total += res.reward
         assert res.end == memory.END_TIME_LIMIT
         assert abs(total - best) < 1e-12
+
+
+class TestBitIdentity:
+    # sha256 of 2,000 steps per env, taken from the numpy-scalar
+    # implementation: the Python-float steps must give the same bytes. The
+    # oracle tests above compare at 1e-12 and would miss a last-bit drift,
+    # such as a0*a0 + a1*a1 in place of the cliff's np.dot control cost.
+    PINS = {
+        "cliff_corridor": "5da418f7abab0a539df9cd4f4c742984ed6b6230de7e3435bf8dc101dc061c44",
+        "grid_hazard": "3dfc51fdd411ed6f65cd3407038499ba69f301eea099592395a4d1333c3c5bf9",
+        "tilt_pole": "293223bfde483bf14af01b9c1a288f7cb7491cd919569af4f4146fbb9ccf8af0",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_rollout_bytes_pinned(self, name):
+        """Seeded actions up to 1.5x the bounds (every fifth one rounded to
+        a multiple of half the bound, to hit the bounds, zeros and the grid's
+        ties exactly); each step hashes its state bytes, reward and end tag,
+        and each reset its state."""
+        env = envs.make(name, np.random.default_rng([21, 1]))
+        arng = np.random.default_rng([21, 2])
+        hi = np.asarray(env.spec.action_high)
+        h = hashlib.sha256(env.reset().tobytes())
+        for i in range(2000):
+            a = arng.uniform(-1.5, 1.5, env.spec.d_a)
+            if i % 5 == 0:
+                a = np.round(2.0 * a) / 2.0
+            res = env.step(a * hi)
+            assert res.state.dtype == np.float64 and type(res.reward) is float
+            h.update(res.state.tobytes() + struct.pack("<d", res.reward)
+                     + res.end.encode())
+            if res.end != memory.END_NONE:
+                h.update(env.reset().tobytes())
+        assert h.hexdigest() == self.PINS[name]
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_wrong_width_action_refused(self, name):
+        env = envs.make(name, np.random.default_rng(0))
+        env.reset()
+        for width in (env.spec.d_a - 1, env.spec.d_a + 1):
+            with pytest.raises(ShapeError, match="action shape"):
+                env.step(np.zeros(width))
 
 
 class ScriptedAgent:

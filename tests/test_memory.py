@@ -261,6 +261,20 @@ class TestLifecycle:
             mem.stage(event)
         assert mem.next_seq == 0 and not mem.pending
 
+    @pytest.mark.parametrize("index,field,what", [
+        (0, "s", "transition 0 of a staged event has a ragged state"),
+        (1, "a", "transition 1 of a staged event has a ragged action"),
+        (0, "returns", "a staged event has a ragged return sequence"),
+    ], ids=["state", "action", "returns"])
+    def test_stage_refuses_ragged_nested_lists(self, index, field, what):
+        mem = memory.FailureMemory(small_cfg())
+        event = memory.capture_failure(make_episode([1.0, 2.0]), mem.cfg)
+        owner = event if field == "returns" else event.transitions[index]
+        setattr(owner, field, [[1.0, 2.0], [3.0]])
+        with pytest.raises(ShapeError, match=what):
+            mem.stage(event)
+        assert mem.next_seq == 0 and not mem.pending
+
     def test_stage_refuses_2d_first_transition_and_returns(self):
         mem = memory.FailureMemory(small_cfg())
         event = memory.capture_failure(make_episode([1.0, 2.0]), mem.cfg)

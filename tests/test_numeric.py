@@ -1,4 +1,7 @@
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,23 @@ from oracles import fd_grads, forward_oracle, max_rel_error
 
 def random_mlp(widths, seed, acts=None):
     return numeric.mlp_init(widths, seed=seed, acts=acts)
+
+
+def single_row_mismatches(n_nets: int, seed: int) -> int:
+    """How many of `n_nets` random nets (1-3 layers of widths 1-64, each
+    tanh or identity) give a 1-d forward that differs in any byte from row
+    0 of the (1, d) batch forward of the same input."""
+    rng = np.random.default_rng(seed)
+    bad = 0
+    for k in range(n_nets):
+        widths = rng.integers(1, 65, size=int(rng.integers(2, 5))).tolist()
+        acts = rng.choice(list(numeric.ACTIVATIONS), size=len(widths) - 1).tolist()
+        m = random_mlp(widths, seed=k, acts=acts)
+        x = rng.normal(size=widths[0]) * rng.choice([0.1, 1.0, 10.0])
+        one, _ = numeric.forward(m, x)
+        batch, _ = numeric.forward(m, x[None, :])
+        bad += one.shape != batch[0].shape or one.tobytes() != batch[0].tobytes()
+    return bad
 
 
 class TestInit:
@@ -129,6 +149,17 @@ class TestForward:
         for i in range(20):
             want = forward_oracle([(l.w, l.b, l.act) for l in m.layers], xb[i])
             np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+
+    def test_single_row_is_batch_row_bit_for_bit(self):
+        # in a fresh interpreter with BLAS, OpenMP and MKL on one thread
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([
+                       os.path.dirname(os.path.dirname(numeric.__file__)),
+                       os.path.dirname(__file__)]))
+        code = "import test_numeric as t; print(t.single_row_mismatches(3000, 17))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0"]
 
     def test_rejects_wrong_width(self):
         m = random_mlp([4, 8, 2], seed=0)

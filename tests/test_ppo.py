@@ -8,7 +8,7 @@ import pytest
 from fema import numeric
 from fema.agents import ppo
 from fema.agents.common import AgentConfig
-from fema.agents.policy import policy_init
+from fema.agents.policy import GaussianPolicy, policy_init
 from fema.agents.ppo import PpoAgent, _Row
 from fema.envs import make
 from fema.envs.base import EnvSpec
@@ -323,6 +323,36 @@ class TestAgent:
         # the selector executed a later candidate, not the first draw
         assert not np.array_equal(a, first_draw)
         assert row.logp == float(agent.policy.log_prob(s, a))
+
+    @pytest.mark.parametrize("case", ["memory off", "cold", "fallback", "scored"])
+    def test_one_policy_pass_per_step(self, monkeypatch, case):
+        """act_train runs the policy heads once per step, whether the plain
+        draw or the selector acts, and stores the exact log-density of the
+        executed action."""
+        fcfg = None if case == "memory off" else FemaConfig(
+            suffix_len=1, update_every=1, capacity=8, n_candidates=4, train_epochs=1,
+            match_radius=0.0 if case == "fallback" else float("inf"))
+        agent = PpoAgent(BANDIT_SPEC, bandit_cfg(), seed=3, fema_cfg=fcfg)
+        rng = np.random.default_rng(3)
+        s, s_fail = np.array([0.25]), np.array([-0.5])
+        if case in ("fallback", "scored"):
+            agent.act_train(s_fail, rng, 0)
+            agent.observe(Transition(s=s_fail, a=np.zeros(1), r=-1.0, s_next=s_fail,
+                                     end=END_HAZARD), 0, 1)
+            agent.between_phases()
+            assert len(agent.memory.records) == 1
+        calls = []
+        heads = GaussianPolicy.heads
+        monkeypatch.setattr(GaussianPolicy, "heads",
+                            lambda policy, x: calls.append(x) or heads(policy, x))
+        for step in range(1, 6):
+            a = agent.act_train(s, rng, 0)
+            assert len(calls) == step
+            logp, _, overridden = agent.pending.pop(0)
+            assert overridden == (case == "scored")
+            assert logp == agent.policy.log_prob(s, a)
+            del calls[step:]
+        assert case != "cold" or agent.memory.cold
 
     def test_correction_off_keeps_full_mask(self):
         cfg = bandit_cfg()

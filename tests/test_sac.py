@@ -8,8 +8,8 @@ import pytest
 from fema import numeric
 from fema.agents import sac
 from fema.agents.common import AgentConfig
-from fema.agents.policy import SQUASH_EPS, policy_init
-from fema.agents.sac import SacAgent
+from fema.agents.policy import policy_init
+from fema.agents.sac import SQUASH_EPS, SacAgent
 from fema.envs import make
 from fema.envs.base import EnvSpec
 from fema.errors import ConfigError, TrainingError

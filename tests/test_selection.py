@@ -139,16 +139,6 @@ class TestScoreCandidates:
         assert scored.distance - 0.5 * (scored.risk + 1.0) < scored.score
         assert (scored.distance + 1.0) - 0.5 * scored.risk > scored.score
 
-    def test_given_state_embedding_scores_the_same(self):
-        st, mem = self.setup_scene(seed=9)
-        s = np.array([0.3, -0.2, 0.1])
-        cands = np.random.default_rng(4).normal(size=(4, 2))
-        plain = selection.score_candidates(s, cands, mem.records, st, 0.5)
-        given = selection.score_candidates(s, cands, mem.records, st, 0.5,
-                                           z_s=embedding.encode_state(st, s))
-        assert ([(c.distance, c.risk, c.score) for c in given]
-                == [(c.distance, c.risk, c.score) for c in plain])
-
 
 class TestSelect:
     def test_one_state_encode_per_decision(self, monkeypatch):
