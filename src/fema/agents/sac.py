@@ -105,8 +105,8 @@ def actor_loss_and_grads(
 
     # Q path: d loss / d action via the active critic's input gradient.
     d_s = s.shape[1]
-    _, gin1 = numeric.backward(q1, ca1, (-take1.astype(np.float64) / batch)[:, None])
-    _, gin2 = numeric.backward(q2, ca2, (-(~take1).astype(np.float64) / batch)[:, None])
+    gin1 = numeric.input_grad(q1, ca1, (-take1.astype(np.float64) / batch)[:, None])
+    gin2 = numeric.input_grad(q2, ca2, (-(~take1).astype(np.float64) / batch)[:, None])
     d_a_grad = gin1[:, d_s:] + gin2[:, d_s:]
 
     one_m_t2 = 1.0 - t * t

@@ -194,11 +194,19 @@ def train_risk(
 
     Returns the mean loss of the final epoch, or None (with a warning) when
     called with no data. Targets are re-normalized within every minibatch.
+    Refuses `epochs` or `batch_size` below 1 and row counts that differ
+    before it changes the stack.
     """
+    if epochs < 1 or batch_size < 1:
+        raise UsageError(f"train_risk needs epochs >= 1 and batch_size >= 1, "
+                         f"got {epochs} and {batch_size}")
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     returns = np.asarray(returns, dtype=np.float64).reshape(-1)
     n = returns.shape[0]
+    if states.shape[:1] != (n,) or actions.shape[:1] != (n,):
+        raise ShapeError(f"train_risk needs one state and action row per return, got "
+                         f"states {states.shape}, actions {actions.shape}, {n} returns")
     if n == 0:
         warnings.warn("train_risk called with empty data; skipping", stacklevel=2)
         return None

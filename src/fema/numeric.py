@@ -4,10 +4,14 @@ A network's parameters are one float64 vector, `Mlp.flat`, laid out layer by
 layer as W (row-major) then b; a checkpoint stores it as is. Layer `w` and `b`
 are views into it, and backward() returns one gradient vector in the same
 layout. Forward/backward are purely functional over explicit parameter values.
-Adam mutates only the state object passed in, so concurrent workers are safe
-as long as each owns its parameter copy (or reads an immutable snapshot).
 A layer's activation is tanh or identity; backward() takes only a batched
 forward pass. Adam's beta1, beta2 and eps are the constants ADAM_*.
+
+forward(), backward() and input_grad() write only arrays they create (and
+backward()'s `out`), running each elementwise step in place with the bits of
+the plain expression, so a batched layer holds its input and one new array.
+adam_step() writes only the parameters and the state passed in, so
+concurrent workers are safe as long as each owns its parameter copy.
 """
 
 from __future__ import annotations
@@ -132,9 +136,10 @@ def forward(mlp: Mlp, x: np.ndarray):
     inputs, outputs = [], []
     for layer in mlp.layers:
         inputs.append(x)
-        x = x @ layer.w.T + layer.b
+        x = x @ layer.w.T
+        x += layer.b
         if layer.act == "tanh":
-            x = np.tanh(x)
+            np.tanh(x, out=x)
         outputs.append(x)
     return x, SINGLE if x.ndim == 1 else ForwardCache(inputs, outputs, id(mlp))
 
@@ -145,6 +150,18 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray, out=None):
     Returns (grads, input_grad) where grads is [one vector laid out like
     mlp.flat], matching mlp.params(); the vector is `out` when given.
     """
+    grad = np.empty_like(mlp.flat) if out is None else out
+    return [grad], _backprop(mlp, cache, output_grad, grad)
+
+
+def input_grad(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray) -> np.ndarray:
+    """backward()'s input gradient alone, bit-equal, skipping the parameter
+    gradient's products."""
+    return _backprop(mlp, cache, output_grad, None)
+
+
+def _backprop(mlp: Mlp, cache: ForwardCache, output_grad, grad) -> np.ndarray:
+    """Fills `grad` (unless None) and returns the input gradient."""
     if cache is SINGLE:
         raise UsageError("backward needs a batched forward pass; pass a (1, d) batch "
                          "for one sample")
@@ -155,21 +172,22 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray, out=None):
         raise ShapeError(
             f"output_grad shape {g.shape} != forward output shape {cache.outputs[-1].shape}"
         )
-
-    grad = np.empty_like(mlp.flat) if out is None else out
-    if grad.shape != mlp.flat.shape:
+    if grad is not None and grad.shape != mlp.flat.shape:
         raise ShapeError(f"gradient buffer shape {grad.shape} != {mlp.flat.shape}")
-    end = grad.size
+
+    end = mlp.flat.size
     for layer, x_in, a in zip(mlp.layers[::-1], cache.inputs[::-1], cache.outputs[::-1]):
-        if layer.act == "tanh":
-            g = g * (1.0 - a * a)
+        if layer.act == "tanh":  # g * (1.0 - a * a) in one temporary
+            d = a * a
+            g = np.multiply(g, np.subtract(1.0, d, out=d), out=d)
         n_out, n_in = layer.w.shape
         b_at, w_at = end - n_out, end - n_out - n_out * n_in
-        np.add.reduce(g, axis=0, out=grad[b_at:end])
-        np.matmul(g.T, x_in, out=grad[w_at:b_at].reshape(n_out, n_in))
+        if grad is not None:
+            np.add.reduce(g, axis=0, out=grad[b_at:end])
+            np.matmul(g.T, x_in, out=grad[w_at:b_at].reshape(n_out, n_in))
         end = w_at
         g = g @ layer.w
-    return [grad], g
+    return g
 
 
 @dataclass
@@ -207,10 +225,15 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: 
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), step by step in t and u
+        t, u = np.empty_like(p), np.empty_like(p)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=t)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=t), g, out=t)
+        np.multiply(state.lr, np.divide(m, c1, out=t), out=t)
+        np.sqrt(np.divide(v, c2, out=u), out=u)
+        u += ADAM_EPS
+        p -= np.divide(t, u, out=t)
     return params
 

@@ -26,6 +26,55 @@ def forward_oracle(layers, x):
     return h
 
 
+def forward_out_of_place(layers, x):
+    """The dense forward pass as plain out-of-place expressions.
+
+    layers: list of (w, b, act). Returns (output, inputs, outputs), the
+    per-layer inputs and post-activations that backward needs.
+    """
+    inputs, outputs = [], []
+    for w, b, act in layers:
+        inputs.append(x)
+        x = x @ w.T + b
+        if act == "tanh":
+            x = np.tanh(x)
+        outputs.append(x)
+    return x, inputs, outputs
+
+
+def backward_out_of_place(layers, inputs, outputs, g):
+    """Backpropagation of `g` as plain out-of-place expressions.
+
+    Returns (flat, input_grad): flat holds each layer's W gradient
+    (row-major) then its b gradient, first layer first.
+    """
+    parts = []
+    for (w, b, act), x_in, a in zip(layers[::-1], inputs[::-1], outputs[::-1]):
+        if act == "tanh":
+            g = g * (1.0 - a * a)
+        parts.append(np.add.reduce(g, axis=0))
+        parts.append((g.T @ x_in).ravel())
+        g = g @ w
+    return np.concatenate(parts[::-1]), g
+
+
+def adam_out_of_place(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t (1-based) as plain out-of-place expressions, on copies.
+
+    Returns (params, m, v) after the step.
+    """
+    params, m, v = ([a.copy() for a in arrays] for arrays in (params, m, v))
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for p, g, mk, vk in zip(params, grads, m, v):
+        mk *= beta1
+        mk += (1.0 - beta1) * g
+        vk *= beta2
+        vk += (1.0 - beta2) * g * g
+        p -= lr * (mk / c1) / (np.sqrt(vk / c2) + eps)
+    return params, m, v
+
+
 def fd_grads(fn, arrays, h=1e-5):
     """Central finite-difference gradients of scalar fn w.r.t. each array."""
     grads = []

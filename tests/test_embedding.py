@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,21 @@ class TestEncoders:
         np.testing.assert_allclose(z_a, z_a_o, rtol=0, atol=1e-12)
         np.testing.assert_allclose(phi, phi_o, rtol=0, atol=1e-12)
         assert abs(rho - rho_o) < 1e-12
+
+    def test_store_sized_encode_peak_memory(self):
+        # numpy reports its buffers to tracemalloc. A 64-wide layer of a
+        # 16,000-row batch needs its input and one new array (about 2.25 such
+        # arrays at the peak, with the 16-wide output); a layer that kept a
+        # third, the bias sum or tanh beside the product, would peak near 3.
+        st = embedding.stack_init(d_s=4, d_a=2, seed=0)
+        s = np.random.default_rng(0).normal(size=(16000, 4))
+        tracemalloc.start()
+        try:
+            embedding.encode_state(st, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16000 * 64 * 8
 
     def test_lipschitz_perturbation_bound(self):
         # tanh is 1-Lipschitz, so the product of layer spectral norms bounds
@@ -221,6 +237,28 @@ class TestRiskTraining:
         with pytest.warns(UserWarning):
             out = embedding.train_risk(st, np.zeros((0, 3)), np.zeros((0, 2)), [])
         assert out is None
+
+    @pytest.mark.parametrize("n_states,n_actions", [(100, 100), (50, 7)],
+                             ids=["fewer_returns", "fewer_actions"])
+    def test_unequal_row_counts_refused(self, n_states, n_actions):
+        st = small_stack(seed=9)
+        before = st.flat.copy()
+        rng = np.random.default_rng(14)
+        with pytest.raises(ShapeError, match="one state and action row per return"):
+            embedding.train_risk(st, rng.normal(size=(n_states, 3)),
+                                 rng.normal(size=(n_actions, 2)), rng.normal(size=50))
+        assert st.version == 0 and st.flat.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"epochs": 0}],
+                             ids=["batch_size", "epochs"])
+    def test_below_one_refused(self, kwargs):
+        st = small_stack(seed=9)
+        before = st.flat.copy()
+        rng = np.random.default_rng(14)
+        with pytest.raises(UsageError, match=">= 1"):
+            embedding.train_risk(st, rng.normal(size=(8, 3)), rng.normal(size=(8, 2)),
+                                 rng.normal(size=8), **kwargs)
+        assert st.version == 0 and st.flat.tobytes() == before.tobytes()
 
     def test_version_bumps_on_training(self):
         st = small_stack(seed=9)

@@ -9,7 +9,8 @@ import pytest
 from fema import numeric
 from fema.errors import ConfigError, ShapeError, UsageError
 from helpers import mlp_zeros
-from oracles import fd_grads, forward_oracle, max_rel_error
+from oracles import (adam_out_of_place, backward_out_of_place, fd_grads, forward_oracle,
+                     forward_out_of_place, max_rel_error)
 
 
 def random_mlp(widths, seed, acts=None):
@@ -254,6 +255,8 @@ class TestBackward:
         _, cache = numeric.forward(m, np.zeros(3))
         with pytest.raises(UsageError, match="batched"):
             numeric.backward(m, cache, np.array([1.0]))
+        with pytest.raises(UsageError, match="batched"):
+            numeric.input_grad(m, cache, np.array([1.0]))
 
     def test_stale_cache_rejected(self):
         m = random_mlp([3, 4, 1], seed=1)
@@ -294,3 +297,64 @@ class TestAdam:
             numeric.adam_step([w], [np.zeros(3)], state)
         with pytest.raises(ShapeError):
             numeric.adam_step([w, np.zeros(2)], [np.zeros(2), np.zeros(2)], state)
+
+
+def frozen(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def same_bits(got, want) -> bool:
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+class TestOutOfPlaceBits:
+    """numeric's in-place arithmetic against the plain out-of-place
+    expressions in `oracles`, byte for byte. Every array a caller passes is
+    read-only except backward's `out` and Adam's parameters and moments, so
+    a pass that wrote anything else would raise."""
+
+    def test_forward_backward_and_input_grad(self):
+        rng = np.random.default_rng(2026)
+        for k in range(600):
+            widths = rng.integers(1, 65, size=int(rng.integers(2, 5))).tolist()
+            acts = rng.choice(list(numeric.ACTIVATIONS), size=len(widths) - 1).tolist()
+            flat = random_mlp(widths, seed=k, acts=acts).flat
+            m = numeric.Mlp(widths, acts, frozen(flat))
+            layers = [(l.w, l.b, l.act) for l in m.layers]
+            scale = rng.choice([0.1, 1.0, 10.0])
+            shape = widths[:1] if k % 4 == 0 else [int(rng.integers(1, 33)), widths[0]]
+            x = frozen(rng.normal(size=shape) * scale)
+            out, cache = numeric.forward(m, x)
+            want, inputs, outputs = forward_out_of_place(layers, x)
+            assert same_bits(out, want), k
+            if x.ndim == 1:
+                continue
+            assert all(same_bits(a, b) for a, b in zip(cache.outputs, outputs)), k
+            g = frozen(np.zeros(out.shape) if k % 5 == 1 else rng.normal(size=out.shape))
+            want_flat, want_in = backward_out_of_place(layers, inputs, outputs, g)
+            buf = np.full(flat.shape, np.nan) if k % 2 else None
+            (grad,), got_in = numeric.backward(m, cache, g, out=buf)
+            assert buf is None or grad is buf
+            assert same_bits(grad, want_flat), k
+            assert same_bits(got_in, want_in), k
+            assert same_bits(numeric.input_grad(m, cache, g), want_in), k
+
+    def test_adam_one_and_two_arrays(self):
+        # Two arrays as SAC steps its critics: [q1.flat, q2.flat].
+        rng = np.random.default_rng(2027)
+        for k in range(400):
+            sizes = rng.integers(1, 400, size=1 + k % 2).tolist()
+            params = [rng.normal(size=n) for n in sizes]
+            lr = 0.0 if k % 7 == 0 else float(10.0 ** rng.uniform(-5, -1))
+            state = numeric.adam_init(params, lr=lr)
+            for _ in range(int(rng.integers(1, 4))):
+                grads = [frozen(np.zeros(n) if (k + j) % 5 == 0
+                                else rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3]))
+                         for j, n in enumerate(sizes)]
+                want = adam_out_of_place(params, grads, state.m, state.v, state.t + 1, lr)
+                numeric.adam_step(params, grads, state)
+                for got, exp in zip((params, state.m, state.v), want):
+                    assert all(same_bits(a, b) for a, b in zip(got, exp)), k
