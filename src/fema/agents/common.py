@@ -64,6 +64,9 @@ class AgentConfig:
                      "rollout_steps", "n_workers", "ppo_epochs", "minibatch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.buffer_capacity < self.batch_size:
+            raise ConfigError(f"buffer_capacity ({self.buffer_capacity}) must be "
+                              f">= batch_size ({self.batch_size})")
         if self.warmup_steps < 0 or self.ent_coef < 0 or self.kl_stop <= 0:
             raise ConfigError("warmup_steps/ent_coef must be >= 0, kl_stop > 0")
         return self
@@ -110,12 +113,6 @@ class HookedAgent:
     - `observe(transition, worker, step)` changes nothing `act_train`
       reads; it appends rows, stages failure tails and books the
       selector decision through `_count`.
-
-    In the gap between phases, PPO's `end_phase()` may run `update_phase()`
-    in a forked child while `between_phases()` publishes in this process,
-    so `update_phase` changes only `_rows`, `last_losses` and the attributes
-    named in `PpoAgent.LEARNED`, which this process rebinds to the child's,
-    and `between_phases` touches only the memory and the embedding stack.
 
     A learner without phases (SAC) learns between two acts and is always
     stepped one worker at a time.

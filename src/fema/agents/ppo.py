@@ -12,10 +12,9 @@ draw or the selector's candidates come from `policy.at(s)`, whose
 `density` then gives the executed action's log-probability. Overridden
 decisions can be excluded from the policy surrogate via the
 importance-correction flag, since their behavior density is intractable;
-they always contribute to the value target. The memory publishes only in the gap between phases; while it
-does, the learner update runs in a forked child beside it, and this
-process rebinds the objects named in `PpoAgent.LEARNED` to the ones the
-child returns.
+they always contribute to the value target. The runner's lanes act a
+phase's workers in parallel; in the gap between phases, this process runs
+the learner update and then the memory publish, the only time it publishes.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import forking, numeric
+from .. import numeric
 from ..errors import TrainingError, UsageError
 from ..memory import END_HAZARD, END_NONE, FemaConfig
 from .common import AgentConfig, HookedAgent
@@ -152,8 +151,6 @@ def approx_kl(policy: GaussianPolicy, s, a, logp_old) -> float:
 class PpoAgent(HookedAgent):
     algo = "ppo"
     stack_slot = 2
-    # what update_phase changes besides `_rows` and `last_losses`
-    LEARNED = ("policy", "vnet", "policy_adam", "value_adam", "learn_rng")
 
     @staticmethod
     def saved_widths(d_s: int, d_a: int, hidden: int) -> dict:
@@ -276,19 +273,7 @@ class PpoAgent(HookedAgent):
             self.memory.maybe_update(self.stack)
 
     def end_phase(self) -> dict:
-        """update_phase(), then between_phases(). When a publish is due and
-        `forking.processes(2)` allows two, the update runs in a forked child
-        beside the publish, and this process rebinds the `LEARNED` objects
-        to the child's (the gap rule in `HookedAgent` keeps the two apart)."""
-        if (self.memory is None or not self.memory.publish_due()
-                or forking.processes(2) < 2):
-            losses = self.update_phase()
-            self.between_phases()
-            return losses
-        _, [(losses, learned)] = forking.beside(self.between_phases, {
-            "PPO learner update": lambda: (
-                self.update_phase(),
-                {name: getattr(self, name) for name in self.LEARNED})})
-        vars(self).update(learned)
-        self._rows, self.last_losses = {}, losses
+        """update_phase(), then between_phases(); returns the losses."""
+        losses = self.update_phase()
+        self.between_phases()
         return losses

@@ -2,6 +2,7 @@
 copy-on-write: `processes` decides how many processes works may share, and
 `beside` runs them. Each child is collected (its result returned, or its
 error re-raised with type and message) or reaped; none outlives the call.
+The runner's rollout lanes (`envs.runner.VecRunner`) are the only caller.
 """
 
 from __future__ import annotations

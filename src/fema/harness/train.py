@@ -13,11 +13,9 @@ workers and calls `agent.end_phase()` every `agent.phase_steps` steps.
 Each `runner.run` block ends at a phase or eval boundary, so a phase
 learner's policy and memory stay frozen within it, and `VecRunner` acts
 the block's workers in `forking.processes(W)` parallel lanes before it
-replays them in round-robin order. At a phase end where the memory
-publishes, PPO runs its learner update in a forked child beside the
-publish. Both fork through `forking.beside`, and either way the files a
-run writes are byte-identical to stepping one worker at a time, one step
-after another.
+replays them in round-robin order. These lanes are the only work a run
+forks, and the files it writes are byte-identical to stepping one worker
+at a time, one step after another.
 
 Random streams per seed: [seed, 0] agent init, [seed, 1, w] actions,
 [seed, 2, w] env noise, [seed, 3] learner batches, [seed, 4] memory

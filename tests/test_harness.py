@@ -209,6 +209,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="eval_episodes"):
             parse_text(text)
 
+    def test_buffer_smaller_than_batch_rejected(self, tmp_path):
+        """A replay buffer that never holds one batch would never update."""
+        text = MINIMAL.format(out_dir=tmp_path).replace(
+            "[fema]", "[agent]\nbuffer_capacity = 10\n\n[fema]")
+        with pytest.raises(ConfigError,
+                           match=r"buffer_capacity \(10\) .* batch_size \(128\)"):
+            parse_text(text)
+
     def test_unknown_env_kind(self, tmp_path):
         text = MINIMAL.format(out_dir=tmp_path).replace(
             "env = grid_hazard", "env = lava_lake")

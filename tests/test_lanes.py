@@ -1,10 +1,9 @@
 """Rollout lanes: phase learners' workers acted in forked processes.
 
-The lane path, and PPO's phase gap beside it, must give the same bytes as
-stepping one worker at a time, surface a lane's failure in the caller, and
-leave no child process behind. `helpers.count_forks` sets the CPUs that
-`forking` sees, so that these tests take the forked paths on any machine
-with os.fork, or none of them.
+The lane path must give the same bytes as stepping one worker at a time,
+surface a lane's failure in the caller, and leave no child process behind.
+`helpers.count_forks` sets the CPUs that `forking` sees, so that these
+tests take the forked path on any machine with os.fork, or none of them.
 """
 
 import os
@@ -124,8 +123,8 @@ class TestLaneIdentity:
     @pytest.mark.parametrize("cpus", [1, 8], ids=["sequential", "lanes"])
     @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
     def test_outputs_match_round_robin(self, tmp_path, monkeypatch, case, cpus):
-        """At 8 CPUs both lanes and PPO's phase gap fork; at 1 nothing does,
-        and both give the pinned bytes."""
+        """At 8 CPUs the rollout lanes fork, and nothing else does; at 1
+        nothing does, and both give the pinned bytes."""
         env, workers, total, eval_every = case
         forks = count_forks(monkeypatch, cpus)
         rc = parse_text(LANE_RUN.format(env=env, workers=workers, total=total,
@@ -139,7 +138,7 @@ class TestLaneIdentity:
             assert forks == []
         else:
             assert lane_names(workers, workers)[0] in names
-            assert "PPO learner update" in names
+            assert all(name.startswith("rollout lane of workers ") for name in names)
         assert_no_children()
 
     def test_lanes_are_taken(self, monkeypatch):
@@ -254,6 +253,7 @@ class TestLaneFailures:
                 return super().act_train(s, rng, worker)
 
         count_forks(monkeypatch, 2)
-        with pytest.raises(FemaError, match="without a result"):
+        with pytest.raises(FemaError, match=r"rollout lane of workers \[1\] "
+                                            r"\(process \d+\) exited without a result"):
             ppo_runner(Vanishing).run(20)
         assert_no_children()

@@ -10,9 +10,9 @@ from fema.agents import ppo
 from fema.agents.common import AgentConfig
 from fema.agents.policy import GaussianPolicy, policy_init
 from fema.agents.ppo import PpoAgent, _Row
-from fema.envs import make
+from fema.envs import make, runner
 from fema.envs.base import EnvSpec
-from fema.errors import UsageError
+from fema.errors import TrainingError, UsageError
 from fema.memory import END_HAZARD, END_NONE, END_TIME_LIMIT, FemaConfig, Transition
 
 from helpers import held_transitions, run_episode
@@ -232,6 +232,20 @@ def drive_bandit(agent, seed, phases, rollout):
         agent.update_phase()
 
 
+def phase_agent(update_every):
+    """A two-worker PPO agent, memory on, after one 80-step phase on
+    grid_hazard."""
+    envs = [make("grid_hazard", np.random.default_rng([0, 2, w])) for w in range(2)]
+    cfg = AgentConfig(hidden=8, rollout_steps=80, n_workers=2, ppo_epochs=2,
+                      minibatch=16)
+    fcfg = FemaConfig(suffix_len=3, update_every=update_every, capacity=16,
+                      train_epochs=2, train_batch=8)
+    agent = PpoAgent(envs[0].spec, cfg, seed=0, fema_cfg=fcfg)
+    rngs = [np.random.default_rng([0, 1, w]) for w in range(2)]
+    runner.VecRunner(envs, agent, rngs).run(80)
+    return agent
+
+
 class TestAgent:
     def test_bandit_mean_approaches_optimum(self):
         agent = PpoAgent(BANDIT_SPEC, bandit_cfg(), seed=0)
@@ -385,6 +399,32 @@ class TestAgent:
         assert agent.memory.version >= 0
         assert len(agent.memory.pending) == 0
         assert len(agent.memory.records) >= 1
+
+    def test_end_phase_without_due_publish_keeps_memory_cold(self):
+        agent = phase_agent(update_every=16)
+        assert not agent.memory.publish_due()
+        losses = agent.end_phase()
+        assert agent.last_losses == losses
+        assert agent.collected_steps() == 0
+        assert agent.memory.version == -1
+
+    def test_end_phase_publishes_when_due(self):
+        agent = phase_agent(update_every=2)
+        assert agent.memory.publish_due()
+        losses = agent.end_phase()
+        assert agent.last_losses == losses
+        assert agent.collected_steps() == 0
+        assert agent.memory.version == 1
+
+    def test_non_finite_update_leaves_memory_unpublished(self):
+        """The update runs first, so its failure stops the gap before the
+        publish."""
+        agent = phase_agent(update_every=2)
+        assert agent.memory.publish_due()
+        agent.vnet.flat[:] = np.nan
+        with pytest.raises(TrainingError, match="non-finite"):
+            agent.end_phase()
+        assert agent.memory.version == -1
 
     @pytest.mark.parametrize("memory_on", [True, False])
     def test_agent_holds_only_open_tails(self, memory_on):
