@@ -109,7 +109,8 @@ class HookedAgent:
     - `act_train(s, rng, worker)` reads only state that is frozen for the
       phase (policy, value net, embedding stack, published generation)
       and writes only `pending[worker]`, the per-step record that the
-      matching `observe` consumes.
+      matching `observe` consumes, and a per-phase cache of pure
+      functions of that frozen state, which a lane may discard.
     - `observe(transition, worker, step)` changes nothing `act_train`
       reads; it appends rows, stages failure tails and books the
       selector decision through `_count`.
@@ -161,16 +162,17 @@ class HookedAgent:
         self.fallback_steps = 0
         self.selected_steps = 0
 
-    def _act(self, s, rng, policy):
+    def _act(self, s, rng, policy, found=None):
         """Training-time action drawn from `policy` (the policy, or its
-        `Gaussian` at s): (action, overridden by the selector).
+        `Gaussian` at s): (action, overridden by the selector). `found` is
+        the selector's `lookup` at s when the caller holds it.
 
         Changes no agent state; `_count` books the decision.
         """
         if self.memory is None:
             return policy.sample(s, rng), False
         a, trace = selection.select(s, policy, self.memory, self.stack,
-                                    self.fema_cfg, rng)
+                                    self.fema_cfg, rng, found)
         return a, not trace.fallback
 
     def _count(self, overridden: bool) -> None:

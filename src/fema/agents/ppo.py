@@ -7,8 +7,11 @@ finite-difference checkable.
 
 The hook itself lives in `HookedAgent`. PPO stores the log-probability of
 the executed action, so the surrogate ratio stays well-defined when the
-selector overrides the plain draw. A step runs the policy once: the plain
-draw or the selector's candidates come from `policy.at(s)`, whose
+selector overrides the plain draw. A step runs the policy once per
+distinct state per phase: the policy, value net, stack and published
+generation are frozen within a phase, so `act_train` keeps, per state,
+`policy.at(s)`, the state's value and the selector's `lookup`. The plain
+draw or the selector's candidates come from that `Gaussian`, whose
 `density` then gives the executed action's log-probability. Overridden
 decisions can be excluded from the policy surrogate via the
 importance-correction flag, since their behavior density is intractable;
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import numeric
+from .. import numeric, selection
 from ..errors import TrainingError, UsageError
 from ..memory import END_HAZARD, END_NONE, FemaConfig
 from .common import AgentConfig, HookedAgent
@@ -172,6 +175,8 @@ class PpoAgent(HookedAgent):
         self.value_adam = numeric.adam_init(self.vnet.params(), lr=cfg.critic_lr)
         self.pending = {}           # worker -> (logp, value, overridden)
         self._rows = {}             # worker -> rows of the current phase
+        self._memo = {}             # state bytes -> `_at` of that state
+        self._memo_version = None   # the memory version `_memo` was filled at
 
     def value_of(self, s) -> float:
         out, _ = numeric.forward(self.vnet, np.asarray(s, dtype=np.float64))
@@ -180,13 +185,28 @@ class PpoAgent(HookedAgent):
     # -- acting ------------------------------------------------------------
 
     def act_train(self, s, rng, worker: int = 0):
-        """Action for one step; its record waits in `pending[worker]`. One
-        policy pass gives the distribution the action is drawn from, plain
-        or by the selector, and the action's log-density under it."""
-        dist = self.policy.at(s)
-        a, overridden = self._act(s, rng, dist)
-        self.pending[worker] = (dist.density(a), self.value_of(s), overridden)
+        """Action for one step; its record waits in `pending[worker]`. The
+        distribution the action is drawn from, plain or by the selector,
+        also gives the action's log-density."""
+        s = np.asarray(s, dtype=np.float64)
+        dist, value, found = self._at(s)
+        a, overridden = self._act(s, rng, dist, found)
+        self.pending[worker] = (dist.density(a), value, overridden)
         return a
+
+    def _at(self, s: np.ndarray) -> tuple:
+        """(policy.at(s), value_of(s), the selector's lookup at s or None),
+        kept until `update_phase` or a publish changes what it reads. Every
+        repeat of s shares the same arrays, so nothing may write to them."""
+        version = None if self.memory is None else self.memory.version
+        if version != self._memo_version:
+            self._memo, self._memo_version = {}, version
+        key = s.tobytes()
+        if key not in self._memo:
+            found = None if self.memory is None else selection.lookup(
+                s, self.memory, self.stack, self.fema_cfg)
+            self._memo[key] = (self.policy.at(s), self.value_of(s), found)
+        return self._memo[key]
 
     # -- collection ---------------------------------------------------------
 
@@ -235,7 +255,7 @@ class PpoAgent(HookedAgent):
     def update_phase(self) -> dict:
         cfg = self.cfg
         batch = self.build_batch()
-        self._rows = {}
+        self._rows, self._memo = {}, {}   # the policy and value net change
         n = batch.s.shape[0]
         pi_loss = v_loss = kl = 0.0
         epochs_run = 0

@@ -1,16 +1,18 @@
 """Risk-aware action selection.
 
-Each decision encodes the state and retrieves the remembered failure rows
-near it, as row indices into the published generation. On a hit the policy
-draws a batch of candidate actions in one go; `candidate_scores` scores
-each by how far its joint embedding sits from the retrieved rows, minus a
-weighted risk estimate, on arrays, and the top-scoring candidate is
-executed. `ScoredCandidate` objects are built only where `score_candidates`
-is called or a `SelectionTrace`'s candidates are read. When nothing
-relevant is remembered one plain policy draw passes through untouched,
-which keeps the agent bit-identical to its baseline away from known
-hazards. The batch uses the random stream exactly as the same number of
-plain draws would.
+A decision has two halves. The lookup (`lookup`) encodes the state and
+retrieves the remembered failure rows near it, as row indices into the
+published generation. It depends only on the state, the stack and the
+generation, so a caller may keep it while those stay frozen and hand it
+back. The decision (`select`) draws and scores. On a hit the policy draws a
+batch of candidate actions in one go; `candidate_scores` scores each by how
+far its joint embedding sits from the retrieved rows, minus a weighted risk
+estimate, on arrays, and the top-scoring candidate is executed.
+`ScoredCandidate` objects are built only where `score_candidates` is called
+or a `SelectionTrace`'s candidates are read. When nothing relevant is
+remembered one plain policy draw passes through untouched, which keeps the
+agent bit-identical to its baseline away from known hazards. The batch uses
+the random stream exactly as the same number of plain draws would.
 """
 
 from __future__ import annotations
@@ -88,6 +90,15 @@ def score_candidates(
         records.phi, records.version, stack, risk_weight, aggregator))
 
 
+def lookup(s: np.ndarray, mem: FailureMemory, stack: embedding.EmbeddingStack,
+           cfg: FemaConfig) -> tuple:
+    """(z_s, RetrievalResult): the embedding of state s and the remembered
+    failure rows near it. A pure function of s, the stack and the published
+    generation."""
+    z_s = embedding.encode_state(stack, s)
+    return z_s, mem.retrieve(z_s, cfg)
+
+
 def select(
     s: np.ndarray,
     policy,
@@ -95,15 +106,17 @@ def select(
     stack: embedding.EmbeddingStack,
     cfg: FemaConfig,
     rng: np.random.Generator,
+    found: tuple | None = None,
 ):
     """Pick an action for state s, steering around remembered failures.
 
-    Returns (action, SelectionTrace). On a hit the best of one batch of
-    cfg.n_candidates policy draws is returned; with an empty or cold
-    retrieval the single plain policy draw is returned unscored (fallback).
+    `found` is `lookup(s, mem, stack, cfg)` when the caller already holds
+    it; otherwise select looks s up itself. Returns (action,
+    SelectionTrace). On a hit the best of one batch of cfg.n_candidates
+    policy draws is returned; with an empty or cold retrieval the single
+    plain policy draw is returned unscored (fallback).
     """
-    z_s = embedding.encode_state(stack, s)
-    result = mem.retrieve(z_s, cfg)
+    z_s, result = lookup(s, mem, stack, cfg) if found is None else found
     if not result.rows.size:
         return policy.sample(s, rng), SelectionTrace(chosen=0, fallback=True,
                                                      cold=result.cold)

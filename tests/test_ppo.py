@@ -340,33 +340,119 @@ class TestAgent:
 
     @pytest.mark.parametrize("case", ["memory off", "cold", "fallback", "scored"])
     def test_one_policy_pass_per_step(self, monkeypatch, case):
-        """act_train runs the policy heads once per step, whether the plain
-        draw or the selector acts, and stores the exact log-density of the
-        executed action."""
+        """act_train runs the policy heads once for each state new to the
+        phase and never for a repeated one, whether the plain draw or the
+        selector acts, runs them again once the update or a publish changes
+        what they read, and stores the exact log-density of the executed
+        action."""
         fcfg = None if case == "memory off" else FemaConfig(
             suffix_len=1, update_every=1, capacity=8, n_candidates=4, train_epochs=1,
             match_radius=0.0 if case == "fallback" else float("inf"))
         agent = PpoAgent(BANDIT_SPEC, bandit_cfg(), seed=3, fema_cfg=fcfg)
         rng = np.random.default_rng(3)
-        s, s_fail = np.array([0.25]), np.array([-0.5])
-        if case in ("fallback", "scored"):
-            agent.act_train(s_fail, rng, 0)
-            agent.observe(Transition(s=s_fail, a=np.zeros(1), r=-1.0, s_next=s_fail,
-                                     end=END_HAZARD), 0, 1)
-            agent.between_phases()
-            assert len(agent.memory.records) == 1
+        s, s_new, s_fail = np.array([0.25]), np.array([0.75]), np.array([-0.5])
+        steps = iter(range(1, 100))
         calls = []
         heads = GaussianPolicy.heads
         monkeypatch.setattr(GaussianPolicy, "heads",
                             lambda policy, x: calls.append(x) or heads(policy, x))
-        for step in range(1, 6):
-            a = agent.act_train(s, rng, 0)
-            assert len(calls) == step
-            logp, _, overridden = agent.pending.pop(0)
-            assert overridden == (case == "scored")
-            assert logp == agent.policy.log_prob(s, a)
-            del calls[step:]
+
+        def act(state, end=END_NONE):
+            """(heads passes, overridden) of one step at `state`."""
+            calls.clear()
+            a = agent.act_train(state, rng, 0)
+            passes = len(calls)
+            logp, _, overridden = agent.pending[0]
+            assert logp == agent.policy.log_prob(state, a)
+            agent.observe(Transition(s=state, a=a, r=-1.0, s_next=state, end=end),
+                          0, next(steps))
+            return passes, overridden
+
+        def publish():
+            act(s_fail, END_HAZARD)
+            agent.between_phases()
+            assert len(agent.memory.records) >= 1
+
+        if case in ("fallback", "scored"):
+            publish()
         assert case != "cold" or agent.memory.cold
+        taken = [act(x) for x in (s, s, s_new, s, s_new)]
+        assert [n for n, _ in taken] == [1, 0, 1, 0, 0]
+        assert {o for _, o in taken} == {case == "scored"}
+        agent.update_phase()
+        assert [act(s)[0] for _ in range(2)] == [1, 0]
+        if case == "memory off":
+            agent.between_phases()
+            assert act(s)[0] == 0
+        else:
+            publish()
+            assert [act(s)[0] for _ in range(2)] == [1, 0]
+
+    @pytest.mark.parametrize("publish", ["between_phases", "memory.update"])
+    def test_publish_refreshes_a_cold_lookup(self, publish):
+        """A state first acted on while the memory is cold is looked up
+        again once a publish makes it scoreable."""
+        fcfg = FemaConfig(suffix_len=1, update_every=1, capacity=8, n_candidates=4,
+                          train_epochs=1, match_radius=float("inf"))
+        agent = PpoAgent(BANDIT_SPEC, bandit_cfg(), seed=3, fema_cfg=fcfg)
+        rng = np.random.default_rng(3)
+        s = np.array([0.25])
+        a = agent.act_train(s, rng, 0)
+        assert agent.memory.cold and not agent.pending[0][2]
+        agent.observe(Transition(s=s, a=a, r=-1.0, s_next=s, end=END_HAZARD), 0, 1)
+        if publish == "between_phases":
+            agent.between_phases()
+        else:
+            agent.memory.update(agent.stack)
+        a = agent.act_train(s, rng, 0)
+        assert agent.pending[0][2]
+        assert agent.pending[0][0] == agent.policy.log_prob(s, a)
+
+    @pytest.mark.parametrize("memory_on", [False, True])
+    def test_update_refreshes_policy_and_value(self, memory_on):
+        """After update_phase a repeated state's record reads the updated
+        policy and value net."""
+        fcfg = FemaConfig(suffix_len=2, update_every=4, capacity=8)
+        agent = PpoAgent(BANDIT_SPEC, bandit_cfg(rollout_steps=32), seed=9,
+                         fema_cfg=fcfg if memory_on else None)
+        rng = np.random.default_rng(9)
+        s = np.zeros(1)
+        before = agent.act_train(s, rng, 0), agent.pending[0]
+        drive_bandit(agent, 9, 1, 32)   # acts at s throughout, then updates
+        a = agent.act_train(s, rng, 0)
+        logp, value, _ = agent.pending[0]
+        assert logp == agent.policy.log_prob(s, a)
+        assert value == agent.value_of(s)
+        assert agent.policy.log_prob(s, before[0]) != before[1][0]
+        assert value != before[1][1]
+
+    @pytest.mark.parametrize("memory_on", [False, True])
+    def test_list_and_array_states_agree(self, memory_on):
+        """A list state and the equal float64 array give the same actions
+        and records; a state 1e-9 away is a different state."""
+        fcfg = FemaConfig(suffix_len=1, update_every=1, capacity=8, n_candidates=4,
+                          train_epochs=1, match_radius=float("inf"))
+        runs = {}
+        for as_list in (False, True):
+            agent = PpoAgent(BANDIT_SPEC, bandit_cfg(), seed=5,
+                             fema_cfg=fcfg if memory_on else None)
+            rng = np.random.default_rng(5)
+            got = []
+            for step, x in enumerate([-0.5, 0.1, 0.1, 0.1 + 1e-9, 0.1, 0.1 + 1e-9]):
+                state = [x] if as_list else np.array([x])
+                a = agent.act_train(state, rng, 0)
+                logp, value, overridden = agent.pending[0]
+                assert logp == agent.policy.log_prob(np.array([x]), a)
+                assert value == agent.value_of([x])
+                assert overridden == (memory_on and step > 0)
+                got.append((a.tolist(), agent.pending[0]))
+                agent.observe(Transition(s=np.array([x]), a=a, r=-1.0,
+                                         s_next=np.array([x]),
+                                         end=END_NONE if step else END_HAZARD),
+                              0, step + 1)
+                agent.between_phases()   # publishes only the first step's tail
+            runs[as_list] = got
+        assert runs[True] == runs[False]
 
     def test_correction_off_keeps_full_mask(self):
         cfg = bandit_cfg()
