@@ -7,9 +7,8 @@ memory exactly when `fema_cfg` is given; `algo` names it; `n_workers` and
 `phase_steps` tell the harness how many env workers to step and how many
 steps a collection phase lasts (`None`: no phases); `end_phase()` closes a
 phase and returns the losses to log; `saved_widths` names what its
-checkpoint stores and gives their shapes. A learner with phases also keeps
-the phase-learner promise that lets the runner act its workers in parallel
-lanes. Adding a learner means adding one class here.
+checkpoint stores and gives their shapes. Adding a learner means adding
+one class here.
 """
 
 from .buffers import ReplayBuffer

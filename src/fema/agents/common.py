@@ -101,22 +101,6 @@ class HookedAgent:
     widths marks an `Mlp`, an int the length of a float64 array. The
     checkpoint loader checks both. Networks come from `sub_seeds`; the
     embedding stack takes `sub_seeds[stack_slot]`.
-
-    Phase-learner promise. A learner with phases (`phase_steps` set) makes
-    the runner act its workers in parallel lanes, so between two
-    `end_phase()` calls it keeps two rules:
-
-    - `act_train(s, rng, worker)` reads only state that is frozen for the
-      phase (policy, value net, embedding stack, published generation)
-      and writes only `pending[worker]`, the per-step record that the
-      matching `observe` consumes, and a per-phase cache of pure
-      functions of that frozen state, which a lane may discard.
-    - `observe(transition, worker, step)` changes nothing `act_train`
-      reads; it appends rows, stages failure tails and books the
-      selector decision through `_count`.
-
-    A learner without phases (SAC) learns between two acts and is always
-    stepped one worker at a time.
     """
 
     algo: str

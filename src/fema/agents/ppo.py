@@ -15,9 +15,9 @@ draw or the selector's candidates come from that `Gaussian`, whose
 `density` then gives the executed action's log-probability. Overridden
 decisions can be excluded from the policy surrogate via the
 importance-correction flag, since their behavior density is intractable;
-they always contribute to the value target. The runner's lanes act a
-phase's workers in parallel; in the gap between phases, this process runs
-the learner update and then the memory publish, the only time it publishes.
+they always contribute to the value target. In the gap between phases,
+`end_phase` runs the learner update and then the memory publish, the only
+time PPO publishes.
 """
 
 from __future__ import annotations

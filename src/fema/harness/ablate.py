@@ -3,8 +3,9 @@
 Each axis value becomes one run directory named <axis>=<value> under the
 config's out_dir, trained for every seed, followed by a per-value aggregate
 curve CSV. Every value is parsed before any cell trains, and a value equal
-to an earlier one is refused. Cells run sequentially in-process; every cell
-writes only to its own directory.
+to an earlier one is refused. Cells run one after another, each through
+`train.run_config`, which runs the cell's seeds in parallel processes;
+every cell writes only to its own directory.
 """
 
 from __future__ import annotations

@@ -9,13 +9,16 @@ episode lengths always sum to total_steps. A phase that the budget cut
 short is closed, and its losses logged, after the final eval.
 
 The learner owns this schedule: the harness steps `agent.n_workers` env
-workers and calls `agent.end_phase()` every `agent.phase_steps` steps.
-Each `runner.run` block ends at a phase or eval boundary, so a phase
-learner's policy and memory stay frozen within it, and `VecRunner` acts
-the block's workers in `forking.processes(W)` parallel lanes before it
-replays them in round-robin order. These lanes are the only work a run
-forks, and the files it writes are byte-identical to stepping one worker
-at a time, one step after another.
+workers round-robin and calls `agent.end_phase()` every
+`agent.phase_steps` steps. Each `runner.run` block ends at a phase or eval
+boundary.
+
+`run_config` runs a config's seeds in parallel: it deals them round-robin
+over `forking.processes(len(seeds))` processes, this one and children
+forked through one `forking.beside` call, and each process trains its
+seeds one after another. A seed draws only from its own streams, so each
+seed's files are byte-identical to a run of that seed alone, and
+`summary.json` lists the seeds in config order.
 
 Random streams per seed: [seed, 0] agent init, [seed, 1, w] actions,
 [seed, 2, w] env noise, [seed, 3] learner batches, [seed, 4] memory
@@ -27,10 +30,11 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
+from functools import partial
 
 import numpy as np
 
-from .. import checkpoint, serialize
+from .. import checkpoint, forking, serialize
 from ..agents import AGENTS
 from ..agents.loop import eval_episode
 from ..envs import REGISTRY, make
@@ -181,18 +185,25 @@ def run_config(rc: RunConfig, seed_offset: int = 0) -> str:
                          f"{min(rc.seeds) + seed_offset} negative")
     out_dir = rc.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for seed in rc.seeds:
-        shifted = seed + seed_offset
-        rows.append(run_seed(rc, shifted,
-                             os.path.join(out_dir, f"seed{shifted}")))
+    seeds = [seed + seed_offset for seed in rc.seeds]
+    n = forking.processes(len(seeds))
+    parts = [seeds[k::n] for k in range(n)]
+
+    def run_part(part: list) -> list:
+        return [run_seed(rc, seed, os.path.join(out_dir, f"seed{seed}"))
+                for seed in part]
+
+    here, there = forking.beside(
+        partial(run_part, parts[0]),
+        {f"seeds {part}": partial(run_part, part) for part in parts[1:]})
+    done = [here, *there]
     summary = {
         "agent": rc.agent_kind,
         "env": rc.env_kind,
         "fema_enabled": rc.fema_enabled,
         "total_steps": rc.total_steps,
         "seed_offset": seed_offset,
-        "runs": rows,
+        "runs": [done[i % n][i // n] for i in range(len(seeds))],
     }
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     serialize.write_atomic(os.path.join(out_dir, "summary.json"),

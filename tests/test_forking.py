@@ -114,3 +114,24 @@ class TestBeside:
                                             r"without a result \(wait status 0\)"):
             forking.beside(lambda: None, {"cut short": half_written})
         assert_no_children()
+
+
+@needs_fork
+class TestBlasThreads:
+    def test_one_blas_thread_while_children_run(self):
+        """Every process of a call that forks runs BLAS on one thread; the
+        caller gets its thread count back, and a call without children
+        leaves it alone."""
+        threads = forking._openblas_threads()
+        if threads is None:
+            pytest.skip("no OpenBLAS found in this process")
+        get, set_ = threads
+        before = get()
+        set_(2)
+        try:
+            assert forking.beside(get, {"child": get}) == (1, [1])
+            assert get() == 2
+            assert forking.beside(get, {}) == (2, [])
+        finally:
+            set_(before)
+        assert_no_children()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import time
 import warnings
 
 import numpy as np
@@ -16,10 +17,11 @@ from fema.envs import make
 from fema.errors import (
     CoherenceError,
     ConfigError,
+    FemaError,
     SerializationError,
     UsageError,
 )
-from fema.harness import jsonl
+from fema.harness import jsonl, train
 from fema.harness.ablate import cmd_ablate, derive_cell
 from fema.harness.cli import main
 from fema.harness.config import (
@@ -45,7 +47,7 @@ from fema.harness.report import (
 )
 from fema.harness.train import build_agent, cmd_train, run_config, run_seed
 
-from helpers import edit_checkpoint, pin_digest
+from helpers import assert_no_children, count_forks, edit_checkpoint, pin_digest
 
 MINIMAL = """\
 [run]
@@ -825,6 +827,127 @@ class TestTrain:
                                               "memory.bin"))
         assert len(mem.records) > 0
         assert mem.version >= 0
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the seed fork needs os.fork")
+
+
+class SeedFault(RuntimeError):
+    pass
+
+
+def run_files(out) -> dict:
+    """Relative path -> bytes of every file a run wrote under `out`."""
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def ppo_seeds(tmp_path, seeds: str) -> RunConfig:
+    """TINY_PPO with the given seeds, out_dir tmp_path/run."""
+    return parse_config(write_config(tmp_path, TINY_PPO.replace(
+        "seeds = 0", f"seeds = {seeds}")))
+
+
+def fail_seed(monkeypatch, failing: int, fault) -> None:
+    """Make `run_config`'s seed `failing` call fault(); other seeds train."""
+    real = train.run_seed
+
+    def run_seed_or_fail(rc, seed, run_dir):
+        if seed == failing:
+            fault()
+        return real(rc, seed, run_dir)
+
+    monkeypatch.setattr(train, "run_seed", run_seed_or_fail)
+
+
+@needs_fork
+class TestSeedFork:
+    """`run_config` deals its seeds round-robin over forked processes."""
+
+    @pytest.mark.parametrize("cpus, names", [
+        (8, ["seeds [0]", "seeds [2]"]),
+        (2, ["seeds [0]"]),
+    ], ids=["8cpus", "2cpus"])
+    def test_files_match_one_process(self, tmp_path, monkeypatch, cpus, names):
+        """Every seed's files and summary.json are the bytes of one process
+        training the seeds in turn; summary rows keep the config's order."""
+        import shutil
+        rc = ppo_seeds(tmp_path, "4, 0, 2")
+        outputs, recorded = [], []
+        for n in (cpus, 1):
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch, n)
+                run_config(rc)
+            outputs.append(run_files(tmp_path / "run"))
+            recorded.append(forks)
+            shutil.rmtree(tmp_path / "run")
+        assert outputs[0] == outputs[1]
+        assert {"seed4/metrics.jsonl", "seed0/memory.bin", "seed2/checkpoint.bin",
+                "summary.json"} <= set(outputs[0])
+        summary = json.loads(outputs[0]["summary.json"])
+        assert [row["seed"] for row in summary["runs"]] == [4, 0, 2]
+        assert recorded == [[names], [[]]]
+        assert_no_children()
+
+    def test_child_error_reraised_with_type_and_message(self, tmp_path,
+                                                        monkeypatch):
+        def fault():
+            raise SeedFault("seed 1 refused to train")
+
+        fail_seed(monkeypatch, 1, fault)
+        count_forks(monkeypatch, 2)
+        rc = ppo_seeds(tmp_path, "0, 1")
+        with pytest.raises(SeedFault, match="seed 1 refused to train"):
+            run_config(rc)
+        assert not os.path.exists(tmp_path / "run" / "summary.json")
+        assert_no_children()
+
+    def test_unpicklable_error_becomes_fema_error(self, tmp_path, monkeypatch):
+        class LocalFault(Exception):
+            pass
+
+        def fault():
+            raise LocalFault("not importable")
+
+        fail_seed(monkeypatch, 1, fault)
+        count_forks(monkeypatch, 2)
+        rc = ppo_seeds(tmp_path, "0, 1")
+        with pytest.raises(FemaError, match="LocalFault: not importable"):
+            run_config(rc)
+        assert_no_children()
+
+    def test_parent_seed_error_reaps_children(self, tmp_path, monkeypatch):
+        """A failing seed of this process's own share kills the children."""
+        def fault_or_hang(rc, seed, run_dir):
+            if seed == 0:
+                raise SeedFault("seed 0 failed here")
+            time.sleep(60)
+
+        monkeypatch.setattr(train, "run_seed", fault_or_hang)
+        count_forks(monkeypatch, 3)
+        rc = ppo_seeds(tmp_path, "0, 1, 2")
+        start = time.monotonic()
+        with pytest.raises(SeedFault, match="seed 0 failed here"):
+            run_config(rc)
+        assert time.monotonic() - start < 30   # killed, not waited for
+        assert_no_children()
+
+    def test_child_without_result_raises(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def vanish():
+            if os.getpid() == parent:
+                raise SeedFault("seed 3 trained in the calling process")
+            os._exit(3)
+
+        fail_seed(monkeypatch, 3, vanish)
+        count_forks(monkeypatch, 2)
+        rc = ppo_seeds(tmp_path, "0, 1, 2, 3")
+        with pytest.raises(FemaError, match=r"seeds \[1, 3\] \(process \d+\) "
+                                            r"exited without a result"):
+            run_config(rc)
+        assert_no_children()
 
 
 def synth_series(seed, steps, returns, lengths=None, total=100,
