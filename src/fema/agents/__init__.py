@@ -6,7 +6,8 @@ class keeps the learner contract of `common.HookedAgent`: it is built as
 memory exactly when `fema_cfg` is given; `algo` names it; `n_workers` and
 `phase_steps` tell the harness how many env workers to step and how many
 steps a collection phase lasts (`None`: no phases); `end_phase()` closes a
-phase and returns the losses to log; `saved_widths` names what its
+phase and returns the losses to log, and with phases `update_phase()` closes
+the last one without a publish; `saved_widths` names what its
 checkpoint stores and gives their shapes. Adding a learner means adding
 one class here.
 """

@@ -86,7 +86,7 @@ class HookedAgent:
       transitions of its open episode. When an episode ends in a hazard,
       `capture_failure` turns that tail into an event and the memory stages
       it. Staged events become searchable only when the learner publishes:
-      SAC right after a stage, PPO in the gap between phases.
+      SAC right after a stage, PPO in each gap that another phase follows.
     - The memory and the learner draw from separate random streams
       ([seed, 4] and [seed, 3]), so an inert hook (cold memory, zero
       radius, single candidate) leaves the action sequence bit-identical
@@ -96,7 +96,8 @@ class HookedAgent:
     constructor `(env_spec, AgentConfig, seed, fema_cfg=None)`, `algo` (its
     key in `fema.agents.AGENTS`), `n_workers` env workers, `phase_steps` env
     steps per collection phase (`None`: no phases), `end_phase()`, which
-    returns the losses to log, and `saved_widths`, which names each
+    returns the losses to log, with phases also `update_phase()`, the run's
+    last gap without the publish, and `saved_widths`, which names each
     attribute its checkpoint stores besides the policy: a list of layer
     widths marks an `Mlp`, an int the length of a float64 array. The
     checkpoint loader checks both. Networks come from `sub_seeds`; the

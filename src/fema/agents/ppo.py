@@ -17,7 +17,8 @@ decisions can be excluded from the policy surrogate via the
 importance-correction flag, since their behavior density is intractable;
 they always contribute to the value target. In the gap between phases,
 `end_phase` runs the learner update and then the memory publish, the only
-time PPO publishes.
+time PPO publishes. A run's last gap is `update_phase` alone: no decision
+would read a generation published after it.
 """
 
 from __future__ import annotations
@@ -288,12 +289,14 @@ class PpoAgent(HookedAgent):
         return losses
 
     def between_phases(self) -> None:
-        """Memory generation swap, allowed only in the collection gap."""
+        """Memory generation swap, allowed only in the collection gap that
+        another phase follows."""
         if self.memory is not None:
             self.memory.maybe_update(self.stack)
 
     def end_phase(self) -> dict:
-        """update_phase(), then between_phases(); returns the losses."""
+        """update_phase(), then between_phases(); returns the losses. The
+        harness runs update_phase() alone at a run's last gap."""
         losses = self.update_phase()
         self.between_phases()
         return losses

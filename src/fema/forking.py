@@ -2,8 +2,8 @@
 copy-on-write: `processes` decides how many processes works may share, and
 `beside` runs them. Each child is collected (its result returned, or its
 error re-raised with type and message) or reaped; none outlives the call.
-`harness.train.run_config`, which runs a config's seeds in parallel, is
-the only caller.
+`harness.train.run_seeds`, which trains the runs of a config or of a whole
+sweep in parallel, is the only caller.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import ctypes
 import gc
 import os
 import pickle
+import select
 import signal
 import threading
 from contextlib import contextmanager, nullcontext
@@ -36,18 +37,30 @@ def processes(parts: int) -> int:
 
 
 def beside(here, away: dict):
-    """(here(), [each child's result, in the order of `away`]): each callable
-    of `away` (work name -> callable) runs in a child forked before here()
-    starts in this process. A child's error is re-raised here, and a child
-    that leaves no result raises a FemaError naming its work. While any
-    child runs, every process of the call runs BLAS on one thread."""
+    """(here(check), [each child's result, in the order of `away`]): each
+    callable of `away` (work name -> callable) runs in a child forked
+    before here starts in this process. A child's error is re-raised here,
+    and a child that leaves no result raises a FemaError naming its work.
+    `check()` collects every child that has finished, so here can call it
+    between units of its own work to stop at a failed child's error instead
+    of after its last unit. While any child runs, every process of the call
+    runs BLAS on one thread."""
     running = {}   # work name -> (pid, read end of its result pipe)
+    results = {}   # work name -> result of a collected child
+
+    def check():
+        ready = select.select([fh for _, fh in running.values()], [], [], 0)[0]
+        for what in [what for what, (_, fh) in running.items() if fh in ready]:
+            results[what] = _collect(*running.pop(what), what)
+
     with _one_blas_thread() if away else nullcontext():
         try:
             for what, work in away.items():
                 running[what] = _fork(work)
-            mine = here()
-            return mine, [_collect(*running.pop(what), what) for what in away]
+            mine = here(check)
+            for what in list(running):
+                results[what] = _collect(*running.pop(what), what)
+            return mine, [results[what] for what in away]
         finally:
             _reap(running)
 

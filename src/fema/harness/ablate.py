@@ -3,9 +3,9 @@
 Each axis value becomes one run directory named <axis>=<value> under the
 config's out_dir, trained for every seed, followed by a per-value aggregate
 curve CSV. Every value is parsed before any cell trains, and a value equal
-to an earlier one is refused. Cells run one after another, each through
-`train.run_config`, which runs the cell's seeds in parallel processes;
-every cell writes only to its own directory.
+to an earlier one is refused. All cells' seeds train as one list through
+`train.run_seeds`, in parallel processes; every cell writes only to its own
+directory, and its summary and curve are written once every run is done.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .. import serialize
 from ..errors import ConfigError, UsageError
 from .config import RunConfig, parse_config
 from .report import DEFAULT_WINDOW, curve_rows, load_run_dir, _write_csv
-from .train import run_config
+from .train import run_seeds, write_summary
 
 # axis name -> (FemaConfig field, parser)
 AXES = {
@@ -71,9 +71,11 @@ def cmd_ablate(config_path, axis: str, values: list,
         derived[value] = raw, cell
     sweep_dir = rc.out_dir
     os.makedirs(sweep_dir, exist_ok=True)
+    rows = run_seeds(sweep_dir, [(cell, seed) for _, cell in derived.values()
+                                 for seed in cell.seeds])
     cells = []
-    for raw, cell in derived.values():
-        run_config(cell)
+    for i, (raw, cell) in enumerate(derived.values()):
+        write_summary(cell, rows[i * len(rc.seeds):(i + 1) * len(rc.seeds)])
         _write_csv(
             os.path.join(sweep_dir, f"curve_{axis}={raw}.csv"),
             ["step", "mean_return", "std_return", "n_seeds"],

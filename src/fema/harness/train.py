@@ -11,14 +11,17 @@ short is closed, and its losses logged, after the final eval.
 The learner owns this schedule: the harness steps `agent.n_workers` env
 workers round-robin and calls `agent.end_phase()` every
 `agent.phase_steps` steps. Each `runner.run` block ends at a phase or eval
-boundary.
+boundary. The run's last phase gap runs `agent.update_phase()` instead: it
+logs the losses but publishes no memory generation, which no decision would
+read, so the last phase's failures stay pending in memory.bin.
 
-`run_config` runs a config's seeds in parallel: it deals them round-robin
-over `forking.processes(len(seeds))` processes, this one and children
-forked through one `forking.beside` call, and each process trains its
-seeds one after another. A seed draws only from its own streams, so each
-seed's files are byte-identical to a run of that seed alone, and
-`summary.json` lists the seeds in config order.
+`run_seeds` trains (config, seed) runs in parallel: it deals them
+round-robin over `forking.processes(len(runs))` processes, this one and
+children forked through one `forking.beside` call; each process trains its
+runs one after another and, before each, re-raises a failed child's error.
+A seed draws only from its own streams, so each seed's files are
+byte-identical to a run of that seed alone. `run_config` runs a config's
+seeds so, and `summary.json` lists them in config order.
 
 Random streams per seed: [seed, 0] agent init, [seed, 1, w] actions,
 [seed, 2, w] env noise, [seed, 3] learner batches, [seed, 4] memory
@@ -149,13 +152,14 @@ def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
                 log.episode(rec, agent)
             done = target
             if done % period == 0:
-                log.loss(done, agent.end_phase())
+                last = agent.phase_steps and done == rc.total_steps
+                log.loss(done, agent.update_phase() if last else agent.end_phase())
             if rc.eval_every > 0 and done % rc.eval_every == 0:
                 evals = [eval_episode(agent.policy, eval_env)
                          for _ in range(rc.eval_episodes)]
                 log.eval(done, evals)
         if agent.phase_steps and done % period:
-            log.loss(done, agent.end_phase())
+            log.loss(done, agent.update_phase())
         for w in range(agent.n_workers):
             if runner.ep_length[w] > 0:
                 log.partial(rc.total_steps, w, runner.ep_return[w],
@@ -179,36 +183,54 @@ def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
     }
 
 
-def run_config(rc: RunConfig, seed_offset: int = 0) -> str:
-    if min(rc.seeds) + seed_offset < 0:
-        raise UsageError(f"seed offset {seed_offset} makes seed "
-                         f"{min(rc.seeds) + seed_offset} negative")
-    out_dir = rc.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    seeds = [seed + seed_offset for seed in rc.seeds]
-    n = forking.processes(len(seeds))
-    parts = [seeds[k::n] for k in range(n)]
+def run_seeds(root: str, runs: list) -> list:
+    """Train each (RunConfig, seed) of `runs` into <out_dir>/seed<seed>;
+    returns their summary rows in `runs` order. A child is named by its
+    runs' directories relative to `root`."""
+    runs = [(rc, seed, os.path.join(rc.out_dir, f"seed{seed}")) for rc, seed in runs]
+    n = forking.processes(len(runs))
+    parts = [runs[k::n] for k in range(n)]
 
-    def run_part(part: list) -> list:
-        return [run_seed(rc, seed, os.path.join(out_dir, f"seed{seed}"))
-                for seed in part]
+    def run_part(part: list, check=lambda: None) -> list:
+        rows = []
+        for run in part:
+            check()
+            rows.append(run_seed(*run))
+        return rows
+
+    def name(part: list) -> str:
+        return f"runs [{', '.join(os.path.relpath(d, root) for *_, d in part)}]"
 
     here, there = forking.beside(
         partial(run_part, parts[0]),
-        {f"seeds {part}": partial(run_part, part) for part in parts[1:]})
+        {name(part): partial(run_part, part) for part in parts[1:]})
     done = [here, *there]
+    return [done[i % n][i // n] for i in range(len(runs))]
+
+
+def write_summary(rc: RunConfig, rows: list, seed_offset: int = 0) -> None:
+    """<out_dir>/summary.json of a config whose seeds gave `rows`."""
     summary = {
         "agent": rc.agent_kind,
         "env": rc.env_kind,
         "fema_enabled": rc.fema_enabled,
         "total_steps": rc.total_steps,
         "seed_offset": seed_offset,
-        "runs": [done[i % n][i // n] for i in range(len(seeds))],
+        "runs": rows,
     }
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    serialize.write_atomic(os.path.join(out_dir, "summary.json"),
+    serialize.write_atomic(os.path.join(rc.out_dir, "summary.json"),
                            text.encode("utf-8"))
-    return out_dir
+
+
+def run_config(rc: RunConfig, seed_offset: int = 0) -> str:
+    if min(rc.seeds) + seed_offset < 0:
+        raise UsageError(f"seed offset {seed_offset} makes seed "
+                         f"{min(rc.seeds) + seed_offset} negative")
+    os.makedirs(rc.out_dir, exist_ok=True)
+    rows = run_seeds(rc.out_dir, [(rc, seed + seed_offset) for seed in rc.seeds])
+    write_summary(rc, rows, seed_offset)
+    return rc.out_dir
 
 
 def cmd_train(config_path, seed_offset: int = 0,

@@ -61,7 +61,7 @@ class TestBeside:
     def test_results_in_order(self):
         parent = os.getpid()
         here, there = forking.beside(
-            lambda: ("here", os.getpid()),
+            lambda check: ("here", os.getpid()),
             {"c": lambda: ("c", os.getpid()), "a": lambda: ("a", os.getpid()),
              "b": lambda: [2.5]})
         assert here == ("here", parent)
@@ -71,12 +71,12 @@ class TestBeside:
         assert_no_children()
 
     def test_nothing_away(self):
-        assert forking.beside(lambda: 7, {}) == (7, [])
+        assert forking.beside(lambda check: 7, {}) == (7, [])
 
     def test_here_error_reaps_every_child(self):
         start = time.monotonic()
         with pytest.raises(WorkFault, match="here failed"):
-            forking.beside(lambda: fail("here failed"),
+            forking.beside(lambda check: fail("here failed"),
                            {"first": wait_long, "second": wait_long})
         assert time.monotonic() - start < 30   # killed, not waited for
         assert_no_children()
@@ -84,7 +84,7 @@ class TestBeside:
     def test_child_error_reraised_and_others_reaped(self):
         start = time.monotonic()
         with pytest.raises(WorkFault, match="away failed"):
-            forking.beside(lambda: None,
+            forking.beside(lambda check: None,
                            {"failing": lambda: fail("away failed"),
                             "waiting": wait_long})
         assert time.monotonic() - start < 30
@@ -93,9 +93,44 @@ class TestBeside:
     def test_dead_child_is_named(self):
         with pytest.raises(FemaError, match=r"doomed work \(process \d+\) "
                                             r"exited without a result"):
-            forking.beside(lambda: None,
+            forking.beside(lambda check: None,
                            {"fine": lambda: 1, "doomed work": lambda: os._exit(3)})
         assert_no_children()
+
+    def test_check_reraises_a_finished_childs_error(self):
+        """check() stops here at a child's error as soon as the child has
+        failed, and the other children are reaped."""
+        done = []
+
+        def here(check):
+            for unit in range(2):
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:   # until the child failed
+                    check()
+                    time.sleep(0.01)
+                done.append(unit)
+
+        start = time.monotonic()
+        with pytest.raises(WorkFault, match="away failed"):
+            forking.beside(here, {"waiting": wait_long,
+                                  "failing": lambda: fail("away failed")})
+        assert done == [] and time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_check_keeps_a_finished_childs_result(self):
+        """Children that check() collected give their results in order."""
+        def here(check):
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                check()
+                try:   # peek, without reaping, whether any child is left
+                    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                except ChildProcessError:
+                    return "here"
+                time.sleep(0.01)
+
+        assert forking.beside(here, {"a": lambda: [1], "b": lambda: {"b": 2}}) \
+            == ("here", [[1], {"b": 2}])
 
     @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99],
                              ids=["empty", "first_bytes", "half", "all_but_last"])
@@ -112,7 +147,7 @@ class TestBeside:
 
         with pytest.raises(FemaError, match=r"cut short \(process \d+\) exited "
                                             r"without a result \(wait status 0\)"):
-            forking.beside(lambda: None, {"cut short": half_written})
+            forking.beside(lambda check: None, {"cut short": half_written})
         assert_no_children()
 
 
@@ -129,9 +164,9 @@ class TestBlasThreads:
         before = get()
         set_(2)
         try:
-            assert forking.beside(get, {"child": get}) == (1, [1])
+            assert forking.beside(lambda check: get(), {"child": get}) == (1, [1])
             assert get() == 2
-            assert forking.beside(get, {}) == (2, [])
+            assert forking.beside(lambda check: get(), {}) == (2, [])
         finally:
             set_(before)
         assert_no_children()

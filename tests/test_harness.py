@@ -866,8 +866,8 @@ class TestSeedFork:
     """`run_config` deals its seeds round-robin over forked processes."""
 
     @pytest.mark.parametrize("cpus, names", [
-        (8, ["seeds [0]", "seeds [2]"]),
-        (2, ["seeds [0]"]),
+        (8, ["runs [seed0]", "runs [seed2]"]),
+        (2, ["runs [seed0]"]),
     ], ids=["8cpus", "2cpus"])
     def test_files_match_one_process(self, tmp_path, monkeypatch, cpus, names):
         """Every seed's files and summary.json are the bytes of one process
@@ -901,6 +901,28 @@ class TestSeedFork:
         with pytest.raises(SeedFault, match="seed 1 refused to train"):
             run_config(rc)
         assert not os.path.exists(tmp_path / "run" / "summary.json")
+        assert_no_children()
+
+    def test_child_error_stops_parent_before_its_next_seed(self, tmp_path,
+                                                          monkeypatch):
+        """A child whose seed fails at once is re-raised before this process
+        trains its second seed."""
+        real, started = train.run_seed, []
+
+        def run_seed(rc, seed, run_dir):
+            if seed == 1:
+                raise SeedFault("seed 1 failed at once")
+            started.append(seed)
+            time.sleep(0.5)   # the child fails meanwhile
+            return real(rc, seed, run_dir)
+
+        monkeypatch.setattr(train, "run_seed", run_seed)
+        count_forks(monkeypatch, 2)
+        rc = ppo_seeds(tmp_path, "0, 1, 2")
+        with pytest.raises(SeedFault, match="seed 1 failed at once"):
+            run_config(rc)
+        assert started == [0]
+        assert not os.path.exists(tmp_path / "run" / "seed2")
         assert_no_children()
 
     def test_unpicklable_error_becomes_fema_error(self, tmp_path, monkeypatch):
@@ -944,9 +966,37 @@ class TestSeedFork:
         fail_seed(monkeypatch, 3, vanish)
         count_forks(monkeypatch, 2)
         rc = ppo_seeds(tmp_path, "0, 1, 2, 3")
-        with pytest.raises(FemaError, match=r"seeds \[1, 3\] \(process \d+\) "
-                                            r"exited without a result"):
+        with pytest.raises(FemaError, match=r"runs \[seed1, seed3\] \(process "
+                                            r"\d+\) exited without a result"):
             run_config(rc)
+        assert_no_children()
+
+
+@needs_fork
+class TestSweepFork:
+    @pytest.mark.parametrize("cpus, names", [
+        (8, ["runs [update_m=2/seed1]", "runs [update_m=4/seed0]",
+             "runs [update_m=4/seed1]"]),
+        (2, ["runs [update_m=2/seed1, update_m=4/seed1]"]),
+    ], ids=["8cpus", "2cpus"])
+    def test_files_match_one_process(self, tmp_path, monkeypatch, cpus, names):
+        """A sweep trains its cells x seeds through one fork; every file,
+        summaries, curves and sweep.json included, is the bytes of one
+        process training the runs in turn."""
+        import shutil
+        path = write_config(tmp_path, TINY_PPO.replace("seeds = 0", "seeds = 0, 1"))
+        outputs, recorded = [], []
+        for n in (cpus, 1):
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch, n)
+                cmd_ablate(path, "update_m", ["2", "4"])
+            outputs.append(run_files(tmp_path / "run"))
+            recorded.append(forks)
+            shutil.rmtree(tmp_path / "run")
+        assert outputs[0] == outputs[1]
+        assert {"sweep.json", "curve_update_m=4.csv", "update_m=2/summary.json",
+                "update_m=4/seed1/metrics.jsonl"} <= set(outputs[0])
+        assert recorded == [[names], [[]]]
         assert_no_children()
 
 
@@ -1104,13 +1154,15 @@ class TestReportFiles:
         for value in ("2", "4"):
             shutil.copytree(sac_run["out"], sweep / f"update_m={value}")
         path = write_config(tmp_path, TINY_SAC, out_name="sweep")
-        monkeypatch.setattr(ablate, "run_config", lambda cell: None)
+        with open(os.path.join(sac_run["out"], "summary.json")) as fh:
+            rows = json.load(fh)["runs"]
+        monkeypatch.setattr(ablate, "run_seeds", lambda root, runs: 2 * rows)
         cmd_ablate(path, "update_m", ["2", "4"])
         cmd_report(sweep)
         before = {p: p.read_bytes() for p in sweep.rglob("*") if p.is_file()}
         reports = [p for p in before if p.parent.name == "report"]
         per_file = 2 if hasattr(os, "O_DIRECTORY") else 1
-        rewrites = [(lambda: cmd_ablate(path, "update_m", ["2", "4"]), 3 * per_file),
+        rewrites = [(lambda: cmd_ablate(path, "update_m", ["2", "4"]), 5 * per_file),
                     (lambda: cmd_report(sweep), len(reports) * per_file)]
         real_fsync = os.fsync
         for rewrite, n_fsyncs in rewrites:
@@ -1234,7 +1286,8 @@ class TestAblate:
                                                     axis, values, first, again):
         from fema.harness import ablate
         trained = []
-        monkeypatch.setattr(ablate, "run_config", trained.append)
+        monkeypatch.setattr(ablate, "run_seeds",
+                            lambda root, runs: trained.append(runs))
         path = write_config(tmp_path, TINY_SAC)
         with pytest.raises(UsageError, match=f"values '{first}' and '{again}'"):
             cmd_ablate(path, axis, values)

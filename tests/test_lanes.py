@@ -3,13 +3,18 @@
 A PPO run steps its workers one at a time, round-robin, in the calling
 process, and forks nothing, whatever the CPUs that `forking` sees
 (`helpers.count_forks` sets them). Its output files must keep the bytes
-pinned below.
+pinned below. The run's last phase gap trains no memory generation.
 """
+
+import hashlib
+import json
 
 import pytest
 
+from fema.agents.ppo import PpoAgent
 from fema.harness.config import parse_text
 from fema.harness.train import run_seed
+from fema.memory import FailureMemory
 
 from helpers import count_forks, pin_digest
 
@@ -47,25 +52,50 @@ max_matches = 2
 # hash the files' content, so they hold across file formats (the checkpoint
 # column was re-derived from the format-1 files, read with the format-1
 # loader). A budget of 200 ends mid-phase; an eval_every of 50
-# splits phases and the budget of 170 ends mid-phase too.
+# splits phases and the budget of 170 ends mid-phase too. The first three
+# columns were re-pinned when the last phase gap stopped publishing; the
+# fourth, `settled_digest` of metrics.jsonl, was taken while it still
+# published, and holds because only the trailing mid-episode records (their
+# memory fields) changed.
 PINNED = {
     ("grid_hazard", 2, 200, 0):
-        ("18626af3f1399961", "f96a844889301e82", "fefd8f28349de12c"),
+        ("7b958c691f2a59c2", "e0f7dc428779d3ba", "fecb0b0297bfe4d5",
+         "7e7dbf8bc9efdcb8"),
     ("grid_hazard", 2, 170, 50):
-        ("035a2f43148f603f", "ddbe10c0fc910a27", "c3909ff86d9414cf"),
+        ("cb99a3a2918f4bb0", "2efd8d8b382d448b", "22fd79f23c833982",
+         "3fece554aa67ba3a"),
     ("grid_hazard", 3, 200, 0):
-        ("694fcf814a35b448", "893fa99d3db2aed4", "956dc0d7bc70ff25"),
+        ("fa97a29623c65606", "c30c66b4a23079d1", "f3ce3e6d14243780",
+         "91eea4f4444afe6f"),
     ("grid_hazard", 3, 170, 50):
-        ("d4e0ee18d5442309", "c1ed564a250ffc5d", "2cce68012aaf773d"),
+        ("9f17a9ad9f425ff3", "a5036c14a29521d1", "f0a85232440293cb",
+         "2a376cd57d1c117d"),
     ("cliff_corridor", 2, 200, 0):
-        ("7f67d2d122877d35", "04246900ed196c3b", "61a4b53cbb3b776b"),
+        ("7f67d2d122877d35", "04246900ed196c3b", "61a4b53cbb3b776b",
+         "39b5ada8b5db95bc"),
     ("cliff_corridor", 2, 170, 50):
-        ("d488866e5d9fb485", "cb0745551ea89858", "61a4b53cbb3b776b"),
+        ("d3b04d11a0a27876", "d30f96d99273b9e4", "0c6dd6d714d0f895",
+         "a1b89ea0ee06a5bc"),
     ("cliff_corridor", 3, 200, 0):
-        ("517d4f28165abff8", "993bba3ec237e6d5", "818af214e5481c58"),
+        ("517d4f28165abff8", "993bba3ec237e6d5", "818af214e5481c58",
+         "809b9a8c242e9fec"),
     ("cliff_corridor", 3, 170, 50):
-        ("7f270e8b35413acc", "1223fe422a074867", "13960acb71543600"),
+        ("b4414d7f9483bed4", "e1f3a7a7e7fde4d7", "3dd47f8e0711ce84",
+         "2cdc9fb667277f6b"),
 }
+
+
+def settled_digest(metrics: bytes) -> str:
+    """16-hex-digit sha256 prefix of metrics.jsonl without the trailing
+    records of episodes the budget cut off (end "none")."""
+    kept = b"".join(line for line in metrics.splitlines(keepends=True)
+                    if json.loads(line).get("end") != "none")
+    return hashlib.sha256(kept).hexdigest()[:16]
+
+
+def ppo_run(env="grid_hazard", workers=2, total=200, eval_every=0):
+    return parse_text(PPO_RUN.format(env=env, workers=workers, total=total,
+                                     eval_every=eval_every))
 
 
 class TestLaneIdentity:
@@ -77,10 +107,38 @@ class TestLaneIdentity:
         bytes."""
         env, workers, total, eval_every = case
         forks = count_forks(monkeypatch, cpus)
-        rc = parse_text(PPO_RUN.format(env=env, workers=workers, total=total,
-                                       eval_every=eval_every))
-        run_seed(rc, 7, tmp_path)
+        run_seed(ppo_run(env, workers, total, eval_every), 7, tmp_path)
         got = tuple(pin_digest(name, (tmp_path / name).read_bytes())
                     for name in ("metrics.jsonl", "checkpoint.bin", "memory.bin"))
-        assert got == PINNED[case]
+        settled = settled_digest((tmp_path / "metrics.jsonl").read_bytes())
+        assert (*got, settled) == PINNED[case]
         assert forks == []
+
+
+class TestLastGap:
+    # 180 ends on a phase gap, 200 cuts the fourth phase short.
+    @pytest.mark.parametrize("total, n_gaps", [(180, 3), (200, 4)])
+    def test_publishes_at_every_due_gap_but_the_last(self, tmp_path,
+                                                     monkeypatch, total, n_gaps):
+        """Each gap but the last publishes exactly when a publish is due;
+        the last gap, due here too, publishes nothing."""
+        events = []
+        update, update_phase = FailureMemory.update, PpoAgent.update_phase
+
+        def counted_update(memory, stack):
+            events.append("publish")
+            return update(memory, stack)
+
+        def counted_gap(agent):
+            events.append(("gap", agent.memory.publish_due()))
+            return update_phase(agent)
+
+        monkeypatch.setattr(FailureMemory, "update", counted_update)
+        monkeypatch.setattr(PpoAgent, "update_phase", counted_gap)
+        run_seed(ppo_run(total=total), 7, tmp_path)
+        gaps = [due for event, due in (e for e in events if e != "publish")]
+        want = []
+        for due in gaps[:-1]:
+            want += [("gap", due)] + ["publish"] * due
+        assert events == want + [("gap", gaps[-1])]
+        assert len(gaps) == n_gaps and gaps[-1] and sum(gaps[:-1]) >= 2
