@@ -2,8 +2,13 @@
 copy-on-write: `processes` decides how many processes works may share, and
 `beside` runs them. Each child is collected (its result returned, or its
 error re-raised with type and message) or reaped; none outlives the call.
-`harness.train.run_seeds`, which trains the runs of a config or of a whole
-sweep in parallel, is the only caller.
+
+Two callers: `harness.train.run_seeds` trains the runs of a config or of a
+whole sweep in parallel, and `embedding.train_risk` splits each minibatch
+step of a large enough risk fit with one helper. The CPUs are shared, not
+stacked: inside a child of `beside`, and in its caller while children run,
+`processes` divides the usable CPUs by the processes that share them, so a
+seed process on a 2-CPU host forks no risk helper beside its sibling.
 """
 
 from __future__ import annotations
@@ -27,13 +32,18 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+_sharing = 1   # processes that share the usable CPUs: this one and its siblings
+
+
 def processes(parts: int) -> int:
-    """Processes that `parts` independent works may share: one per usable
-    CPU, at most one per work, and 1 without os.fork or while other Python
-    threads run, since a forked child holds only the calling thread."""
+    """Processes that `parts` independent works may share: at most one per
+    work, one per usable CPU left to this process (the usable CPUs divided
+    by the processes of the `beside` calls that share them, at least 1),
+    and 1 without os.fork or while other Python threads run, since a forked
+    child holds only the calling thread."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return min(parts, usable_cpus())
+    return min(parts, max(1, usable_cpus() // _sharing))
 
 
 def beside(here, away: dict):
@@ -44,17 +54,24 @@ def beside(here, away: dict):
     `check()` collects every child that has finished, so here can call it
     between units of its own work to stop at a failed child's error instead
     of after its last unit. While any child runs, every process of the call
-    runs BLAS on one thread."""
+    runs BLAS on one thread, and `processes` counts every process of the
+    call, in a child, and in this process until its children are collected,
+    as sharing the CPUs."""
+    global _sharing
+    outer = _sharing
     running = {}   # work name -> (pid, read end of its result pipe)
     results = {}   # work name -> result of a collected child
 
     def check():
+        global _sharing
         ready = select.select([fh for _, fh in running.values()], [], [], 0)[0]
         for what in [what for what, (_, fh) in running.items() if fh in ready]:
             results[what] = _collect(*running.pop(what), what)
+        _sharing = outer * (1 + len(running))
 
     with _one_blas_thread() if away else nullcontext():
         try:
+            _sharing = outer * (1 + len(away))
             for what, work in away.items():
                 running[what] = _fork(work)
             mine = here(check)
@@ -62,6 +79,7 @@ def beside(here, away: dict):
                 results[what] = _collect(*running.pop(what), what)
             return mine, [results[what] for what in away]
         finally:
+            _sharing = outer
             _reap(running)
 
 

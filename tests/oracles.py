@@ -75,6 +75,45 @@ def adam_out_of_place(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e
     return params, m, v
 
 
+def train_risk_one_loop(stack, states, actions, returns, epochs, batch_size, rng):
+    """`embedding.train_risk` as one process ran it before it split its
+    steps: per minibatch, the whole loss-and-gradient pass, then one Adam
+    step on the whole vector. It runs on the package's `numeric` engine,
+    which the oracles above pin, so it checks the step's split and order,
+    not the engine. Returns the final epoch's mean loss."""
+    from fema import embedding, numeric
+    from fema.errors import TrainingError
+
+    n = returns.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            y = (embedding.normalize_returns(returns[idx]) if idx.size > 1
+                 else np.zeros(idx.size))
+            z_s, cache_f = numeric.forward(stack.f, states[idx])
+            z_a, cache_g = numeric.forward(stack.g, actions[idx])
+            phi, cache_j = numeric.forward(stack.j, np.concatenate([z_s, z_a], axis=1))
+            pred, cache_h = numeric.forward(stack.h, phi)
+            err = pred[:, 0] - y
+            loss = float(np.mean(err * err))
+            grad = np.empty_like(stack.flat)
+            out_f, out_g, out_j, out_h = stack.split(grad)
+            _, d_phi = numeric.backward(stack.h, cache_h, (2.0 / idx.size) * err[:, None],
+                                        out=out_h)
+            _, d_cat = numeric.backward(stack.j, cache_j, d_phi, out=out_j)
+            numeric.backward(stack.f, cache_f, d_cat[:, :stack.d_z], out=out_f)
+            numeric.backward(stack.g, cache_g, d_cat[:, stack.d_z:], out=out_g)
+            if not np.isfinite(loss):
+                raise TrainingError("risk loss diverged to NaN/Inf")
+            numeric.adam_step(stack.params(), [grad], stack.adam)
+            losses.append(loss)
+        final = float(np.mean(losses))
+    stack.version += 1
+    return final
+
+
 def fd_grads(fn, arrays, h=1e-5):
     """Central finite-difference gradients of scalar fn w.r.t. each array."""
     grads = []

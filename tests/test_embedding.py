@@ -1,13 +1,21 @@
+import copy
 import hashlib
+import os
+import pickle
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fema import checkpoint, embedding, numeric
-from fema.errors import ShapeError, UsageError
-from helpers import save_agent
-from oracles import fd_grads, forward_oracle, max_rel_error, spearman
+from fema.errors import ShapeError, TrainingError, UsageError
+from helpers import assert_no_children, count_forks, save_agent
+from oracles import (fd_grads, forward_oracle, max_rel_error, spearman,
+                     train_risk_one_loop)
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not embedding.STORES_IN_ORDER,
+                                reason="the risk helper needs os.fork on x86")
 
 
 def small_stack(seed=0, lr=3e-4):
@@ -316,6 +324,27 @@ class TestStackVector:
     def test_views_after_checkpoint_load(self, tmp_path):
         self.assert_views(checkpoint_round_trip(tmp_path / "ckpt.bin", small_stack(seed=3)))
 
+    @pytest.mark.parametrize("copier", [copy.deepcopy,
+                                        lambda st: pickle.loads(pickle.dumps(st))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_trains_its_own_nets(self, copier):
+        """A copied stack's nets are views of its own vector, so training
+        it moves what it encodes, and leaves the original alone."""
+        st = small_stack(seed=3)
+        st.version = 2
+        back = copier(st)
+        assert back.flat.tobytes() == st.flat.tobytes() and back.version == 2
+        assert not np.shares_memory(back.flat, st.flat)
+        s = np.array([0.3, -0.1, 0.7])
+        before = embedding.encode_state(back, s)
+        rng = np.random.default_rng(2)
+        embedding.train_risk(back, rng.normal(size=(16, 3)), rng.normal(size=(16, 2)),
+                             rng.normal(size=16), epochs=2)
+        assert embedding.encode_state(back, s).tobytes() != before.tobytes()
+        assert embedding.encode_state(st, s).tobytes() == before.tobytes()
+        assert back.adam.t == 2 and st.adam.t == 0   # one minibatch per epoch
+        self.assert_views(back)
+
     def test_one_gradient_is_the_per_net_gradients_joined(self):
         st = small_stack(seed=8)
         rng = np.random.default_rng(9)
@@ -349,3 +378,123 @@ class TestStackVector:
                              epochs=3, batch_size=8, rng=np.random.default_rng(12))
         digest = hashlib.sha256(st.flat.tobytes()).hexdigest()[:16]
         assert digest == "40b959f7933b8a05"
+
+
+class RiskFault(RuntimeError):
+    pass
+
+
+def fit_data(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 3)), rng.normal(size=(n, 2)), rng.normal(size=n)
+
+
+def fit_state(st):
+    """Every value train_risk may change in a stack."""
+    return (st.flat.tobytes(), st.adam.m[0].tobytes(), st.adam.v[0].tobytes(),
+            st.adam.t, st.version)
+
+
+class TestTwoProcessFit:
+    """`train_risk` at 1 CPU and with its helper at 2 CPUs gives the bits
+    of the one-process loop in `oracles.train_risk_one_loop`."""
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+    @pytest.mark.parametrize("n, batch, epochs", [(40, 64, 3), (129, 64, 2), (300, 32, 4)],
+                             ids=["n_below_batch", "one_row_left", "epochs"])
+    @pytest.mark.parametrize("hidden", [16, 32, 64])
+    def test_matches_one_loop(self, monkeypatch, hidden, n, batch, epochs, cpus):
+        monkeypatch.setattr(embedding, "FORK_STEPS", 1)
+        s, a, r = fit_data(n)
+        st = embedding.stack_init(3, 2, seed=4, hidden=hidden)
+        train_risk_one_loop(st, s, a, r, 1, batch, np.random.default_rng(6))  # warm Adam
+        ref, ref_rng, rng = copy.deepcopy(st), np.random.default_rng(7), np.random.default_rng(7)
+        want = train_risk_one_loop(ref, s, a, r, epochs, batch, ref_rng)
+        forks = count_forks(monkeypatch, cpus)
+        got = embedding.train_risk(st, s, a, r, epochs, batch, rng)
+        assert got == want
+        assert fit_state(st) == fit_state(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert forks == ([["risk helper"]] if cpus == 2 else [])
+        TestStackVector().assert_views(st)
+        assert_no_children()
+
+    @needs_fork
+    def test_forks_from_fork_steps(self, monkeypatch):
+        """A fit of FORK_STEPS minibatch steps forks its helper; one step
+        fewer does not."""
+        forks = count_forks(monkeypatch, 2)
+        s, a, r = fit_data(64)
+        epochs = -(-embedding.FORK_STEPS // 8)
+        embedding.train_risk(small_stack(), s, a, r, epochs=epochs - 1, batch_size=8)
+        assert forks == []
+        embedding.train_risk(small_stack(), s, a, r, epochs=epochs, batch_size=8)
+        assert forks == [["risk helper"]]
+        assert_no_children()
+
+    @needs_fork
+    def test_helper_error_reraised(self, monkeypatch):
+        def fault(self, d_z_a):   # only the helper runs the action half
+            raise RiskFault("helper refused its step")
+
+        monkeypatch.setattr(embedding._ActionHalf, "backward", fault)
+        monkeypatch.setattr(embedding, "FORK_STEPS", 1)
+        forks = count_forks(monkeypatch, 2)
+        st = small_stack(seed=2)
+        start = time.monotonic()
+        with pytest.raises(RiskFault, match="helper refused its step"):
+            embedding.train_risk(st, *fit_data(64), epochs=3, batch_size=8)
+        assert time.monotonic() - start < 30
+        assert forks == [["risk helper"]] and st.version == 0
+        TestStackVector().assert_views(st)
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+    def test_nan_loss_raises_training_error(self, monkeypatch, cpus):
+        """The fit stops at the step whose loss is NaN, before that step's
+        Adam update, as the one-process loop does."""
+        monkeypatch.setattr(embedding, "FORK_STEPS", 1)
+        s, a, r = fit_data(64)
+        r[np.random.default_rng(1).permutation(64)[8 * 5]] = np.nan   # in step 6
+        st = small_stack(seed=2)
+        ref = copy.deepcopy(st)
+        with pytest.raises(TrainingError):
+            train_risk_one_loop(ref, s, a, r, 3, 8, np.random.default_rng(1))
+        forks = count_forks(monkeypatch, cpus)
+        start = time.monotonic()
+        with pytest.raises(TrainingError, match="NaN"):
+            embedding.train_risk(st, s, a, r, epochs=3, batch_size=8,
+                                 rng=np.random.default_rng(1))
+        assert time.monotonic() - start < 30
+        assert fit_state(st) == fit_state(ref) and st.adam.t == 5
+        assert forks == ([["risk helper"]] if cpus == 2 else [])
+        assert_no_children()
+
+    @needs_fork
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_one_real_cpu_does_not_stall(self, monkeypatch):
+        """Told of 2 CPUs while this process may run on one, the forking
+        fit finishes within a few times the one-process fit, since a
+        waiting side yields the CPU, and the two processes, switched on one
+        CPU, still leave the one-process bits."""
+        monkeypatch.setattr(embedding, "FORK_STEPS", 1)
+        s, a, r = fit_data(512)
+        cpus = os.sched_getaffinity(0)
+        took, states = {1: [], 2: []}, set()
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            for n in (1, 2, 1, 2):
+                with monkeypatch.context() as patch:
+                    forks = count_forks(patch, n)
+                    st = embedding.stack_init(3, 2, seed=1, hidden=32)
+                    start = time.perf_counter()
+                    embedding.train_risk(st, s, a, r, epochs=4, batch_size=16)
+                    took[n].append(time.perf_counter() - start)
+                assert forks == ([["risk helper"]] if n == 2 else [])
+                states.add(fit_state(st))
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert min(took[2]) < 4 * min(took[1])
+        assert len(states) == 1
+        assert_no_children()

@@ -1,5 +1,6 @@
-"""`forking`: how many processes works may share, and the fork-join that
-runs them beside the caller."""
+"""`forking`: how many processes works may share, also while a call's
+children share the CPUs, and the fork-join that runs them beside the
+caller."""
 
 import os
 import pickle
@@ -54,6 +55,61 @@ class TestProcesses:
             other.join(30)
         assert not other.is_alive()
         assert forking.processes(4) == (4 if hasattr(os, "fork") else 1)
+
+
+@needs_fork
+class TestSharedCpus:
+    """Inside a child of `beside`, and in its caller until the children are
+    collected, `processes` divides the usable CPUs by the processes of the
+    call."""
+
+    @pytest.mark.parametrize("cpus, away, want", [(8, 1, 4), (8, 3, 2), (2, 1, 1),
+                                                  (3, 1, 1), (5, 2, 1)])
+    def test_divides_the_cpus(self, monkeypatch, cpus, away, want):
+        monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+
+        def share():
+            return forking.processes(8)
+
+        works = {f"w{k}": share for k in range(away)}
+        assert forking.beside(lambda check: share(), works) == (want, [want] * away)
+        assert forking.processes(8) == cpus
+        assert_no_children()
+
+    def test_nested_calls_divide_again(self, monkeypatch):
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 8)
+
+        def share():
+            return forking.processes(8)
+
+        def nested():
+            return forking.beside(lambda check: share(), {"inner": share})
+
+        assert forking.beside(lambda check: share(), {"outer": nested}) \
+            == (4, [(2, [2])])
+        assert_no_children()
+
+    def test_collected_children_free_their_cpus(self, monkeypatch):
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 4)
+
+        def here(check):
+            during = forking.processes(4)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and forking.processes(4) < 4:
+                check()
+                time.sleep(0.01)
+            return during, forking.processes(4)
+
+        assert forking.beside(here, {"a": lambda: 1, "b": lambda: 2, "c": lambda: 3}) \
+            == ((1, 4), [1, 2, 3])
+        assert_no_children()
+
+    def test_error_gives_the_cpus_back(self, monkeypatch):
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 8)
+        with pytest.raises(WorkFault, match="here failed"):
+            forking.beside(lambda check: fail("here failed"), {"waiting": wait_long})
+        assert forking.processes(8) == 8
+        assert_no_children()
 
 
 @needs_fork

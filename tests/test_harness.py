@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fema import checkpoint, numeric, serialize
+from fema import checkpoint, embedding, numeric, serialize
 from fema.agents import AGENTS
 from fema.agents.common import AgentConfig
 from fema.agents.ppo import PpoAgent
@@ -888,6 +888,38 @@ class TestSeedFork:
         summary = json.loads(outputs[0]["summary.json"])
         assert [row["seed"] for row in summary["runs"]] == [4, 0, 2]
         assert recorded == [[names], [[]]]
+        assert_no_children()
+
+    @pytest.mark.parametrize("seeds, names", [
+        pytest.param("0, 1", [["runs [seed1]"]], id="two_seeds"),
+        pytest.param("0", [[], ["risk helper"]], id="one_seed",
+                     marks=pytest.mark.skipif(not embedding.STORES_IN_ORDER,
+                                              reason="the risk helper runs on x86")),
+    ])
+    def test_risk_helper_only_on_a_free_cpu(self, tmp_path, monkeypatch, seeds, names):
+        """At 2 CPUs a 2-seed run forks its second seed and, in neither
+        process, a risk helper; a 1-seed run forks the helper for its
+        publish, which is big enough for one. Every file is the bytes of a
+        1-CPU run."""
+        import shutil
+        epochs = -(-embedding.FORK_STEPS // 2)   # the publish has 2 minibatches
+        rc = parse_config(write_config(tmp_path, TINY_PPO.replace(
+            "seeds = 0", f"seeds = {seeds}").replace(
+            "train_epochs = 2", f"train_epochs = {epochs}")))
+        outputs, recorded = [], []
+        for n in (2, 1):
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch, n)
+                if len(rc.seeds) == 2:
+                    def helper_forked(*args):
+                        raise SeedFault("a risk helper forked beside a seed")
+                    patch.setattr(embedding, "_fit_beside", helper_forked)
+                run_config(rc)
+            outputs.append(run_files(tmp_path / "run"))
+            recorded.append(forks)
+            shutil.rmtree(tmp_path / "run")
+        assert outputs[0] == outputs[1]
+        assert recorded == [names, [[]]]
         assert_no_children()
 
     def test_child_error_reraised_with_type_and_message(self, tmp_path,

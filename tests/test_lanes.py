@@ -1,22 +1,28 @@
 """PPO's run bytes: pinned digests of whole `run_seed` runs.
 
 A PPO run steps its workers one at a time, round-robin, in the calling
-process, and forks nothing, whatever the CPUs that `forking` sees
-(`helpers.count_forks` sets them). Its output files must keep the bytes
-pinned below. The run's last phase gap trains no memory generation.
+process, whatever the CPUs that `forking` sees (`helpers.count_forks` sets
+them). A publish forks a risk helper only where a CPU is free and it trains
+for `embedding.FORK_STEPS` minibatch steps or more; the pinned runs'
+publishes are smaller, so they fork nothing. Their output files must keep
+the bytes pinned below, and a run whose publishes fork must give the bytes
+of the same run at 1 CPU. The run's last phase gap trains no memory
+generation.
 """
 
 import hashlib
 import json
+import os
 
 import pytest
 
+from fema import embedding
 from fema.agents.ppo import PpoAgent
 from fema.harness.config import parse_text
 from fema.harness.train import run_seed
 from fema.memory import FailureMemory
 
-from helpers import count_forks, pin_digest
+from helpers import assert_no_children, count_forks, pin_digest
 
 PPO_RUN = """\
 [run]
@@ -40,7 +46,7 @@ enabled = true
 suffix_len = 3
 update_every = 3
 capacity = 16
-train_epochs = 2
+train_epochs = {epochs}
 train_batch = 8
 n_candidates = 3
 max_matches = 2
@@ -93,9 +99,9 @@ def settled_digest(metrics: bytes) -> str:
     return hashlib.sha256(kept).hexdigest()[:16]
 
 
-def ppo_run(env="grid_hazard", workers=2, total=200, eval_every=0):
+def ppo_run(env="grid_hazard", workers=2, total=200, eval_every=0, epochs=2):
     return parse_text(PPO_RUN.format(env=env, workers=workers, total=total,
-                                     eval_every=eval_every))
+                                     eval_every=eval_every, epochs=epochs))
 
 
 class TestLaneIdentity:
@@ -103,8 +109,8 @@ class TestLaneIdentity:
     @pytest.mark.parametrize("cpus", [1, 8], ids=["sequential", "lanes"])
     @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
     def test_outputs_match_round_robin(self, tmp_path, monkeypatch, case, cpus):
-        """At 1 and at 8 CPUs the run forks nothing and gives the pinned
-        bytes."""
+        """At 1 and at 8 CPUs the run gives the pinned bytes, and its
+        publishes, below the fork size, fork nothing."""
         env, workers, total, eval_every = case
         forks = count_forks(monkeypatch, cpus)
         run_seed(ppo_run(env, workers, total, eval_every), 7, tmp_path)
@@ -113,6 +119,27 @@ class TestLaneIdentity:
         settled = settled_digest((tmp_path / "metrics.jsonl").read_bytes())
         assert (*got, settled) == PINNED[case]
         assert forks == []
+
+
+class TestRiskHelper:
+    @pytest.mark.skipif(not hasattr(os, "fork") or not embedding.STORES_IN_ORDER,
+                        reason="the risk helper needs os.fork on x86")
+    def test_forking_publishes_keep_the_bytes(self, tmp_path, monkeypatch):
+        """With 16 times the pinned runs' training epochs, the last two of
+        the three publishes reach the fork size and fork the risk helper at
+        2 CPUs, and the three files are the bytes of the run at 1 CPU."""
+        rc = ppo_run(epochs=32)
+        files, recorded = [], []
+        for cpus in (2, 1):
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch, cpus)
+                run_seed(rc, 7, tmp_path / str(cpus))
+            files.append([(tmp_path / str(cpus) / name).read_bytes()
+                          for name in ("metrics.jsonl", "checkpoint.bin", "memory.bin")])
+            recorded.append(forks)
+        assert files[0] == files[1]
+        assert recorded == [[["risk helper"]] * 2, []]
+        assert_no_children()
 
 
 class TestLastGap:
