@@ -101,7 +101,11 @@ class HookedAgent:
     attribute its checkpoint stores besides the policy: a list of layer
     widths marks an `Mlp`, an int the length of a float64 array. The
     checkpoint loader checks both. Networks come from `sub_seeds`; the
-    embedding stack takes `sub_seeds[stack_slot]`.
+    embedding stack takes `sub_seeds[stack_slot]`. The harness runs its
+    step loop through `run_beside(loop, steps)`, which returns loop()'s
+    result; a learner may run helper processes beside the loop there (SAC
+    hands its second critic to one), as long as the agent holds its own
+    arrays again when it returns.
     """
 
     algo: str
@@ -183,6 +187,11 @@ class HookedAgent:
 
     def end_phase(self) -> dict:
         return self.last_losses
+
+    def run_beside(self, loop, steps: int):
+        """loop(), which runs the first `steps` env steps of training; this
+        learner runs no helper beside it."""
+        return loop()
 
     def fallback_rate(self) -> float:
         """Share of selector decisions that fell back to the plain draw."""

@@ -5,6 +5,18 @@ and a learned entropy temperature. All gradients are assembled by hand on
 top of the dense-network engine, so every loss here is checkable against
 finite differences.
 
+An update is composed from per-critic shares (`_Critic`): each critic runs
+its own target forward, its own loss, backward, Adam step (on its slice of
+the critic moments) and Polyak step, and its own pass at the actor's
+actions. The twins meet only where their outputs meet: at the target's
+min, at the actor's min and in the actor's action gradient. In one process
+the second critic's share (`_Second`) runs in line at each meeting;
+`SacAgent.run_beside` hands it to a helper process for a whole run where
+the batch size pays for one and a second CPU is free. Each side runs the
+array operations of the one-process update on the same operands, and Adam
+is elementwise, so every parameter, moment, loss and output byte is the
+same either way.
+
 The hook itself lives in `HookedAgent`. SAC adds uniform warmup actions
 and publishes the memory as soon as a staged failure fills its update
 quota.
@@ -13,11 +25,12 @@ quota.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
-from .. import numeric
-from ..errors import TrainingError
+from .. import forking, numeric
+from ..errors import FemaError, TrainingError
 # The benchmark's tracer self-test looks the capture function up here.
 from ..memory import END_HAZARD, FemaConfig, capture_failure  # noqa: F401
 from .buffers import ReplayBuffer
@@ -31,6 +44,11 @@ from .policy import (
 )
 
 SQUASH_EPS = 1e-6  # keeps the squashed density's log finite where tanh saturates
+# Smallest batch_size whose runs hand the second critic to a helper process
+# (`SacAgent.run_beside`). On a 2-core x86 VM an update in two processes ran
+# 1.13-1.42x as fast as in one at batch 64-256 and widths 16-64, and
+# 0.87-1.05x at batch 16-32.
+FORK_BATCH = 64
 
 
 def _squashed_sample(policy: GaussianPolicy, s: np.ndarray, noise: np.ndarray):
@@ -47,6 +65,24 @@ def _squashed_sample(policy: GaussianPolicy, s: np.ndarray, noise: np.ndarray):
     return a, u, t, ls_raw, ls, sigma, base - corr, caches
 
 
+def _value(q: numeric.Mlp, x: np.ndarray) -> np.ndarray:
+    out, _ = numeric.forward(q, x)
+    return out[:, 0]
+
+
+def _target_input(policy: GaussianPolicy, s_next: np.ndarray, noise_next: np.ndarray):
+    """(the target critics' input [s', a'] for the policy's draw a' at the
+    next states, log pi(a'|s'))."""
+    a2, *_, logp2, _ = _squashed_sample(policy, s_next, noise_next)
+    return np.concatenate([s_next, a2], axis=1), logp2
+
+
+def _backup(batch: dict, gamma: float, q1v, q2v, alpha: float, logp2) -> np.ndarray:
+    """Soft Bellman backup from the two target critics' values."""
+    qmin = np.minimum(q1v, q2v)
+    return batch["r"] + gamma * (1.0 - batch["done"]) * (qmin - alpha * logp2)
+
+
 def compute_targets(
     policy: GaussianPolicy,
     q1t: numeric.Mlp,
@@ -57,28 +93,54 @@ def compute_targets(
     noise_next: np.ndarray,
 ) -> np.ndarray:
     """Soft Bellman backup values; no gradients flow from here."""
-    a2, *_, logp2, _ = _squashed_sample(policy, batch["s_next"], noise_next)
-    x2 = np.concatenate([batch["s_next"], a2], axis=1)
-    q1v, _ = numeric.forward(q1t, x2)
-    q2v, _ = numeric.forward(q2t, x2)
-    qmin = np.minimum(q1v[:, 0], q2v[:, 0])
-    alpha = math.exp(float(log_alpha[0]))
-    return batch["r"] + gamma * (1.0 - batch["done"]) * (qmin - alpha * logp2)
+    x2, logp2 = _target_input(policy, batch["s_next"], noise_next)
+    return _backup(batch, gamma, _value(q1t, x2), _value(q2t, x2),
+                   math.exp(float(log_alpha[0])), logp2)
+
+
+def _critic_loss(q: numeric.Mlp, x: np.ndarray, y: np.ndarray):
+    """One critic's MSE against fixed targets, and its gradient [vector]."""
+    qv, cache = numeric.forward(q, x)
+    e = qv[:, 0] - y
+    grad, _ = numeric.backward(q, cache, (2.0 / x.shape[0]) * e[:, None])
+    return float(np.mean(e * e)), grad
 
 
 def critic_loss_and_grads(q1: numeric.Mlp, q2: numeric.Mlp, s, a, y):
     """Summed twin MSE against fixed targets; grads follow q1 then q2 params."""
     x = np.concatenate([s, a], axis=1)
-    batch = x.shape[0]
-    q1v, c1 = numeric.forward(q1, x)
-    q2v, c2 = numeric.forward(q2, x)
-    e1 = q1v[:, 0] - y
-    e2 = q2v[:, 0] - y
-    l1 = float(np.mean(e1 * e1))
-    l2 = float(np.mean(e2 * e2))
-    g1, _ = numeric.backward(q1, c1, (2.0 / batch) * e1[:, None])
-    g2, _ = numeric.backward(q2, c2, (2.0 / batch) * e2[:, None])
+    l1, g1 = _critic_loss(q1, x, y)
+    l2, g2 = _critic_loss(q2, x, y)
     return l1, l2, g1 + g2
+
+
+def _min_weights(take1: np.ndarray) -> tuple:
+    """Per-row weights of each critic's value in -mean(min Q), given where
+    q1 is the min: d loss / d Q for q1, then for q2."""
+    batch = take1.shape[0]
+    return -take1.astype(np.float64) / batch, -(~take1).astype(np.float64) / batch
+
+
+def _actor_step(policy: GaussianPolicy, draw: tuple, noise: np.ndarray, alpha: float,
+                qmin: np.ndarray, d_a_grad: np.ndarray):
+    """The actor's loss mean(alpha*logp - min Q) and its policy gradients,
+    from its squashed draw and the critics' min value and action gradient."""
+    a, u, t, ls_raw, ls, sigma, logp, caches = draw
+    cache_t, cache_m, cache_l = caches
+    batch = a.shape[0]
+    loss = float(np.mean(alpha * logp - qmin))
+
+    one_m_t2 = 1.0 - t * t
+    dlogp_du = 2.0 * policy.scale * t * one_m_t2 / (policy.scale * one_m_t2 + SQUASH_EPS)
+    d_u = (alpha / batch) * dlogp_du + d_a_grad * policy.scale * one_m_t2
+    d_mu = d_u
+    d_ls = d_u * sigma * noise - (alpha / batch)
+    d_ls = d_ls * ((ls_raw > LOGSTD_MIN) & (ls_raw < LOGSTD_MAX))
+
+    g_mean, d_feat_m = numeric.backward(policy.mean_head, cache_m, d_mu)
+    g_ls, d_feat_l = numeric.backward(policy.logstd_head, cache_l, d_ls)
+    g_trunk, _ = numeric.backward(policy.trunk, cache_t, d_feat_m + d_feat_l)
+    return loss, g_trunk + g_mean + g_ls
 
 
 def actor_loss_and_grads(
@@ -91,35 +153,16 @@ def actor_loss_and_grads(
 ):
     """Reparameterized actor objective mean(alpha*logp - min Q) and its
     gradients w.r.t. policy parameters (critics and temperature frozen)."""
-    a, u, t, ls_raw, ls, sigma, logp, caches = _squashed_sample(policy, s, noise)
-    cache_t, cache_m, cache_l = caches
-    batch = s.shape[0]
-    alpha = math.exp(float(log_alpha[0]))
-
-    x = np.concatenate([s, a], axis=1)
-    qa1, ca1 = numeric.forward(q1, x)
-    qa2, ca2 = numeric.forward(q2, x)
-    take1 = qa1[:, 0] <= qa2[:, 0]
-    qmin = np.where(take1, qa1[:, 0], qa2[:, 0])
-    loss = float(np.mean(alpha * logp - qmin))
-
-    # Q path: d loss / d action via the active critic's input gradient.
-    d_s = s.shape[1]
-    gin1 = numeric.input_grad(q1, ca1, (-take1.astype(np.float64) / batch)[:, None])
-    gin2 = numeric.input_grad(q2, ca2, (-(~take1).astype(np.float64) / batch)[:, None])
-    d_a_grad = gin1[:, d_s:] + gin2[:, d_s:]
-
-    one_m_t2 = 1.0 - t * t
-    dlogp_du = 2.0 * policy.scale * t * one_m_t2 / (policy.scale * one_m_t2 + SQUASH_EPS)
-    d_u = (alpha / batch) * dlogp_du + d_a_grad * policy.scale * one_m_t2
-    d_mu = d_u
-    d_ls = d_u * sigma * noise - (alpha / batch)
-    d_ls = d_ls * ((ls_raw > LOGSTD_MIN) & (ls_raw < LOGSTD_MAX))
-
-    g_mean, d_feat_m = numeric.backward(policy.mean_head, cache_m, d_mu)
-    g_ls, d_feat_l = numeric.backward(policy.logstd_head, cache_l, d_ls)
-    g_trunk, _ = numeric.backward(policy.trunk, cache_t, d_feat_m + d_feat_l)
-    return loss, g_trunk + g_mean + g_ls, logp
+    draw = _squashed_sample(policy, s, noise)
+    x = np.concatenate([s, draw[0]], axis=1)
+    c1, c2 = _Critic(q1, s.shape[1]), _Critic(q2, s.shape[1])
+    qa1, qa2 = c1.value(x), c2.value(x)
+    take1 = qa1 <= qa2
+    w1, w2 = _min_weights(take1)
+    loss, grads = _actor_step(policy, draw, noise, math.exp(float(log_alpha[0])),
+                              np.where(take1, qa1, qa2),
+                              c1.action_grad(w1) + c2.action_grad(w2))
+    return loss, grads, draw[6]
 
 
 def temperature_loss_and_grad(log_alpha: np.ndarray, logp: np.ndarray,
@@ -133,6 +176,148 @@ def temperature_loss_and_grad(log_alpha: np.ndarray, logp: np.ndarray,
 def polyak(src: numeric.Mlp, dst: numeric.Mlp, tau: float) -> None:
     dst.flat *= 1.0 - tau
     dst.flat += tau * src.flat
+
+
+class _Critic:
+    """One critic of the twin pair, for input [s, a] with d_s state
+    columns; with its target qt and its slices m, v of the critic Adam
+    moments (step size lr), it can also `fit`."""
+
+    def __init__(self, q: numeric.Mlp, d_s: int, qt=None, m=None, v=None, lr=None):
+        self.q, self.d_s, self.qt, self.m, self.v, self.lr = q, d_s, qt, m, v, lr
+
+    def target(self, x2: np.ndarray) -> np.ndarray:
+        """The target critic's values at the backup's input."""
+        return _value(self.qt, x2)
+
+    def fit(self, x: np.ndarray, y: np.ndarray, t: int, tau: float) -> float:
+        """Loss against the backup y, backward, critic Adam step t on this
+        critic's slice, then Polyak into its target; returns the loss."""
+        loss, grad = _critic_loss(self.q, x, y)
+        numeric.adam_step(self.q.params(), grad,
+                          numeric.AdamState([self.m], [self.v], t - 1, self.lr))
+        polyak(self.q, self.qt, tau)
+        return loss
+
+    def value(self, xa: np.ndarray) -> np.ndarray:
+        """Values at the actor's input, kept for `action_grad`."""
+        qa, self.cache = numeric.forward(self.q, xa)
+        return qa[:, 0]
+
+    def action_grad(self, weights: np.ndarray) -> np.ndarray:
+        """d sum(weights * values) / d action, at the last `value` pass."""
+        return numeric.input_grad(self.q, self.cache, weights[:, None])[:, self.d_s:]
+
+
+class _Second:
+    """The second critic's share of each update, as three meetings with
+    the first side (`_MEETINGS`): each step takes what the first side posts
+    and returns what it posts back. It counts the critic Adam steps from t.
+    Run in this process, a post runs its meeting's step at once, and take
+    returns what the step gave."""
+
+    def __init__(self, critic: _Critic, t: int, tau: float):
+        self.critic, self.t, self.tau = critic, t, tau
+
+    def post(self, meeting: int, *arrays) -> None:
+        self.out = getattr(self, _MEETINGS[meeting][0])(*arrays)
+
+    def take(self, meeting: int) -> tuple:
+        return self.out
+
+    def targets(self, x2: np.ndarray, x: np.ndarray) -> tuple:
+        self.x = x
+        return (self.critic.target(x2),)
+
+    def values(self, y: np.ndarray, xa: np.ndarray) -> tuple:
+        self.t += 1
+        loss = self.critic.fit(self.x, y, self.t, self.tau)
+        return self.critic.value(xa), np.full(1, loss)
+
+    def grads(self, weights: np.ndarray) -> tuple:
+        return (self.critic.action_grad(weights),)
+
+
+# An update's meetings, in order: the `_Second` step, the `Shared` slots of
+# what the first side posts to it, and of what it posts back.
+_MEETINGS = (("targets", ("x2", "x"), ("q2v",)),
+             ("values", ("y", "xa"), ("qa2", "l2")),
+             ("grads", ("w2",), ("gin2",)))
+_TARGETS, _VALUES, _GRADS = range(3)
+# Counters of `Shared.ready`: posts and answered meetings (a cache line
+# apart); the stop flag, which the first side sets before its last post; and
+# the number of the last post that parks the helper.
+_POSTED, _ANSWERED, _STOP, _PARK = 0, 8, 9, 10
+
+
+class _Away:
+    """The second critic's share run by the helper (`_help`), with the
+    `_Second` interface: a post writes the meeting's inputs to the shared
+    mapping and posts a counter, and take waits for the helper's answer,
+    calling check() (the `forking.beside` call's) while it waits. `wake` is
+    the write end of the pipe that a parked helper blocks on."""
+
+    def __init__(self, shared: forking.Shared, check, wake: int):
+        self.shared, self.check, self.wake = shared, check, wake
+        self.posted, self.parked = 0, False
+
+    def post(self, meeting: int, *arrays) -> None:
+        for name, array in zip(_MEETINGS[meeting][1], arrays):
+            getattr(self.shared, name)[:] = array
+        self._post()
+
+    def _post(self) -> None:
+        if self.parked:
+            self.parked = False
+            self.check.block(-1)
+            os.write(self.wake, b"w")
+        self.posted += 1
+        self.shared.ready[_POSTED] = self.posted
+
+    def take(self, meeting: int) -> tuple:
+        forking.wait(self.shared.ready, _ANSWERED, self.posted, self.check)
+        return tuple(getattr(self.shared, name) for name in _MEETINGS[meeting][2])
+
+    def stop(self) -> None:
+        self.shared.ready[_STOP] = 1
+        self._post()
+
+    def park(self) -> None:
+        """Block the helper on the wake pipe, instead of polling, until the
+        next post, and count it out of `forking.processes` meanwhile, so
+        that a publish trains the risk stack with a helper of its own."""
+        if not self.parked:
+            self.shared.ready[_PARK] = self.posted + 1
+            self._post()
+            self.check.block(1)
+            self.parked = True
+
+
+def _help(second: _Second, shared: forking.Shared, caller: int, wake: int) -> None:
+    """The helper's side of `SacAgent.run_beside`: answer each posted
+    meeting with its `_Second` step until the caller posts the stop, and on
+    a post that parks, block until a byte (or the caller's exit) arrives on
+    the pipe whose read end is `wake`."""
+    def check():
+        if os.getppid() != caller:
+            raise FemaError("the process training SAC exited")
+
+    posts = meetings = 0
+    while True:
+        posts += 1
+        forking.wait(shared.ready, _POSTED, posts, check)
+        if shared.ready[_STOP]:
+            return
+        if shared.ready[_PARK] == posts:
+            if not os.read(wake, 1):
+                raise FemaError("the process training SAC exited")
+            continue
+        step, ins, outs = _MEETINGS[meetings % 3]
+        answer = getattr(second, step)(*(getattr(shared, name) for name in ins))
+        for name, array in zip(outs, answer):
+            getattr(shared, name)[:] = array
+        meetings += 1
+        shared.ready[_ANSWERED] = posts
 
 
 class SacAgent(HookedAgent):
@@ -163,6 +348,7 @@ class SacAgent(HookedAgent):
         self.temp_adam = numeric.adam_init([self.log_alpha], lr=cfg.temp_lr)
         self.target_entropy = -float(d_a)
         self.buffer = ReplayBuffer(cfg.buffer_capacity, d_s, d_a)
+        self._away = None   # the helper's side of the second critic, in run_beside
 
     # -- acting ------------------------------------------------------------
 
@@ -177,30 +363,51 @@ class SacAgent(HookedAgent):
 
     def observe(self, tr, worker: int = 0, step: int = 0) -> None:
         self.buffer.add(tr.s, tr.a, tr.r, tr.s_next, tr.end == END_HAZARD)
-        if self._track(tr, worker, step):
-            self.memory.maybe_update(self.stack)
+        if self._track(tr, worker, step) and self.memory.publish_due():
+            if self._away:
+                self._away.park()
+            self.memory.update(self.stack)
         ready = (self.steps_seen >= self.cfg.warmup_steps
                  and len(self.buffer) >= self.cfg.batch_size)
         if ready and step % self.cfg.update_interval == 0:
             self.update()
 
     def update(self) -> dict:
+        """One gradient round on a replay batch: the critics, the actor, the
+        temperature. The second critic's share runs here, or in the helper
+        while `run_beside` runs one."""
         cfg = self.cfg
         batch = self.buffer.sample(cfg.batch_size, self.learn_rng)
         d_a = self.spec.d_a
         noise_next = self.learn_rng.standard_normal((cfg.batch_size, d_a))
         noise_actor = self.learn_rng.standard_normal((cfg.batch_size, d_a))
+        alpha = math.exp(float(self.log_alpha[0]))
+        first = self._critic(0)
+        second = self._away or _Second(self._critic(1), self.critic_adam.t, cfg.tau)
 
-        y = compute_targets(self.policy, self.q1t, self.q2t, self.log_alpha,
-                            batch, cfg.discount, noise_next)
-        l1, l2, g_critic = critic_loss_and_grads(self.q1, self.q2,
-                                                 batch["s"], batch["a"], y)
-        numeric.adam_step(self.q1.params() + self.q2.params(), g_critic,
-                          self.critic_adam)
+        x2, logp2 = _target_input(self.policy, batch["s_next"], noise_next)
+        x = np.concatenate([batch["s"], batch["a"]], axis=1)
+        second.post(_TARGETS, x2, x)
+        draw = _squashed_sample(self.policy, batch["s"], noise_actor)
+        xa = np.concatenate([batch["s"], draw[0]], axis=1)
+        q1v = first.target(x2)
+        (q2v,) = second.take(_TARGETS)
+        y = _backup(batch, cfg.discount, q1v, q2v, alpha, logp2)
 
-        l_actor, g_actor, logp = actor_loss_and_grads(
-            self.policy, self.q1, self.q2, self.log_alpha, batch["s"], noise_actor
-        )
+        second.post(_VALUES, y, xa)
+        self.critic_adam.t += 1
+        l1 = first.fit(x, y, self.critic_adam.t, cfg.tau)
+        qa1 = first.value(xa)
+        qa2, l2 = second.take(_VALUES)
+        take1 = qa1 <= qa2
+        w1, w2 = _min_weights(take1)
+        second.post(_GRADS, w2)
+        gin1 = first.action_grad(w1)
+        (gin2,) = second.take(_GRADS)
+
+        logp = draw[6]
+        l_actor, g_actor = _actor_step(self.policy, draw, noise_actor, alpha,
+                                       np.where(take1, qa1, qa2), gin1 + gin2)
         numeric.adam_step(self.policy.params(), g_actor, self.policy_adam)
 
         l_temp = 0.0
@@ -210,11 +417,8 @@ class SacAgent(HookedAgent):
             )
             numeric.adam_step([self.log_alpha], [g_temp], self.temp_adam)
 
-        polyak(self.q1, self.q1t, cfg.tau)
-        polyak(self.q2, self.q2t, cfg.tau)
-
         losses = {
-            "q1_loss": l1, "q2_loss": l2, "actor_loss": l_actor,
+            "q1_loss": l1, "q2_loss": float(l2[0]), "actor_loss": l_actor,
             "temp_loss": l_temp, "alpha": math.exp(float(self.log_alpha[0])),
             "entropy_est": -float(np.mean(logp)),
         }
@@ -225,3 +429,74 @@ class SacAgent(HookedAgent):
                 )
         self.last_losses = losses
         return losses
+
+    def _critic(self, k: int) -> _Critic:
+        """Critic k (0: q1, 1: q2) with its target and Adam slice."""
+        adam = self.critic_adam
+        q, qt = (self.q1, self.q1t) if k == 0 else (self.q2, self.q2t)
+        return _Critic(q, self.spec.d_s, qt, adam.m[k], adam.v[k], adam.lr)
+
+    def run_beside(self, loop, steps: int):
+        """loop(), the run's first `steps` env steps, with the second
+        critic's share of every update in one helper forked through
+        `forking.beside`: where the run updates (steps > warmup_steps), its
+        batches hold FORK_BATCH rows or more, and `forking.can_pair()`.
+
+        The helper owns q2, q2t and their slices of the critic Adam moments
+        on a `forking.Shared` mapping; this process keeps learn_rng, the
+        batch draw, q1, q1t, the policy, the temperature and the losses.
+        They meet three times an update (`_MEETINGS`): the backup's input,
+        answered with q2t's values; the backup and the actor's input,
+        answered after q2's Adam and Polyak steps with its loss and its
+        values there; and q2's weights in the actor's min, answered with
+        its action gradient. Until the first update, and from each publish
+        to the next update, the helper waits parked, blocked on a pipe, so
+        that a publish forks its own risk helper. q2, q2t and their moments
+        are copied back into the agent's own arrays after the loop, also on
+        an error."""
+        cfg = self.cfg
+        if (steps <= cfg.warmup_steps or cfg.batch_size < FORK_BATCH
+                or not forking.can_pair()):
+            return loop()
+        b, d_x = cfg.batch_size, self.spec.d_s + self.spec.d_a
+        p = self.q2.flat.size
+        shared = forking.Shared(q=(p,), qt=(p,), m=(p,), v=(p,), x2=(b, d_x), x=(b, d_x),
+                                q2v=(b,), y=(b,), xa=(b, d_x), qa2=(b,), l2=(1,),
+                                w2=(b,), gin2=(b, self.spec.d_a))
+        adam = self.critic_adam
+        own = (self.q2.flat, self.q2t.flat, adam.m[1], adam.v[1])
+        away = (shared.q, shared.qt, shared.m, shared.v)
+        for dst, src in zip(away, own):
+            dst[:] = src
+        net = self.q2
+        second = _Second(_Critic(numeric.Mlp(net.widths, net.acts, shared.q), self.spec.d_s,
+                                 numeric.Mlp(net.widths, net.acts, shared.qt),
+                                 shared.m, shared.v, adam.lr), adam.t, cfg.tau)
+        caller = os.getpid()
+        rfd, wfd = os.pipe()   # the wake pipe of a parked helper
+        fds = {rfd, wfd}       # those still open here
+
+        def lead(check):
+            os.close(rfd)
+            fds.remove(rfd)
+            self._away = _Away(shared, check, wfd)
+            self._away.park()   # until the first update
+            try:
+                done = loop()
+                self._away.stop()
+                return done
+            finally:
+                self._away = None
+
+        def help_():
+            os.close(wfd)
+            return _help(second, shared, caller, rfd)
+
+        try:
+            done, _ = forking.beside(lead, {"critic helper": help_})
+        finally:
+            for fd in fds:
+                os.close(fd)
+            for dst, src in zip(own, away):
+                dst[:] = src
+        return done

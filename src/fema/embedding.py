@@ -10,18 +10,17 @@ termination.
 A training step has two shares: the state encoder, joint embedder and risk
 head, and the action share (the minibatch's targets and the action
 encoder). `train_risk` runs both in the calling process, or, for a fit of
-FORK_STEPS minibatch steps or more where `forking.processes(2)` leaves it a
-second CPU, hands the action share and Adam on the action encoder and joint
-embedder to a helper forked beside it. Each side runs the array operations
-of the one-process step on the same operands, and Adam is elementwise, so
-parameters, moments, losses and every output byte are the same either way.
+FORK_STEPS minibatch steps or more where `forking.can_pair()` (a second CPU
+on x86), hands the action share and Adam on the action encoder and joint
+embedder to a helper forked beside it; the two meet on a `forking.Shared`
+mapping. Each side runs the array operations of the one-process step on
+the same operands, and Adam is elementwise, so parameters, moments, losses
+and every output byte are the same either way.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
-import platform
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,16 +28,14 @@ import numpy as np
 
 from . import forking, numeric
 from .errors import FemaError, ShapeError, TrainingError, UsageError
+# Whether the risk helper can run at all (it meets on plain stores: x86).
+from .forking import STORES_IN_ORDER  # noqa: F401
 
 NORM_EPS = 1e-6
 # Fewest minibatch steps of a train_risk call that forks its helper. On a
 # 2-core x86 VM the fork paid for itself from about 64 steps at width 64 and
 # 128 at width 32; an 8-step fit ran at 0.58x and 0.44x.
 FORK_STEPS = 128
-SPIN = 1000   # polls of a step counter before a waiting side yields its CPU
-# The helper's step counters order the shared arrays only where stores become
-# visible in program order (x86); elsewhere train_risk runs in one process.
-STORES_IN_ORDER = platform.machine().lower() in ("x86_64", "amd64", "i386", "i686")
 
 
 @dataclass
@@ -251,7 +248,7 @@ def train_risk(
         rng = np.random.default_rng(0)
 
     steps = epochs * -(-n // batch_size)
-    if steps < FORK_STEPS or not STORES_IN_ORDER or forking.processes(2) < 2:
+    if steps < FORK_STEPS or not forking.can_pair():
         grad = np.empty_like(stack.flat)
         final = _fit(stack, states, _minibatches(rng, n, epochs, batch_size),
                      _ActionHalf(stack, actions, returns, stack.split(grad)),
@@ -339,7 +336,9 @@ def _fit_beside(stack, states, actions, returns, epochs, batch_size: int) -> flo
     this process posts after its joint pass. The helper works out the next
     targets during the joint pass. The stack gets its own arrays back,
     trained, also on an error."""
-    shared = _Shared(stack.flat.size, batch_size, stack.d_z_a)
+    p, d_z_a = stack.flat.size, stack.d_z_a
+    shared = forking.Shared(flat=(p,), m=(p,), v=(p,), grad=(p,), z_a=(batch_size, d_z_a),
+                            d_z_a=(batch_size, d_z_a), y=(batch_size,))
     flat, adam = stack.flat, stack.adam
     shared.flat[:], shared.m[:], shared.v[:] = flat, adam.m[0], adam.v[0]
     stack._bind(shared.flat)
@@ -365,12 +364,12 @@ class _Beside:
     """`_fit`'s `acts` while the helper runs them: forward waits for the
     helper's z_a and targets, backward posts d z_a to it."""
 
-    def __init__(self, shared: "_Shared", t: int, check):
+    def __init__(self, shared: forking.Shared, t: int, check):
         self.shared, self.t, self.check = shared, t, check
 
     def forward(self, idx: np.ndarray) -> tuple:
         self.t += 1
-        _wait(self.shared.ready, _Z_A, self.t, self.check)
+        forking.wait(self.shared.ready, _Z_A, self.t, self.check)
         return self.shared.z_a[:idx.size], self.shared.y[:idx.size]
 
     def backward(self, d_z_a: np.ndarray) -> None:
@@ -378,7 +377,7 @@ class _Beside:
         self.shared.ready[_D_Z_A] = self.t
 
 
-def _help(stack, actions, returns, epochs, shared: "_Shared", own: tuple,
+def _help(stack, actions, returns, epochs, shared: forking.Shared, own: tuple,
           caller: int) -> None:
     """The helper's side of `_fit_beside`. For each step: post z_a and the
     targets, work out the next step's targets, wait for d z_a, then
@@ -398,39 +397,10 @@ def _help(stack, actions, returns, epochs, shared: "_Shared", own: tuple,
         after = next(steps, None)
         if after is not None:
             y = _targets(returns, after)
-        _wait(shared.ready, _D_Z_A, t, check)
+        forking.wait(shared.ready, _D_Z_A, t, check)
         acts.backward(shared.d_z_a[:idx.size])
         _adam(stack, shared.grad, own, t)
         idx = after
 
 
 _Z_A, _D_Z_A = 0, 8   # the two step counters, a cache line apart
-
-
-class _Shared:
-    """One anonymous shared mapping, made before the fork: the step
-    counters (the Adam step whose z_a, or d z_a, is posted), the stack's
-    vector, Adam's m and v, the gradient, and one step's z_a, d z_a and
-    targets."""
-
-    def __init__(self, p: int, batch: int, d_z_a: int):
-        shapes = [(p,)] * 4 + [(batch, d_z_a)] * 2 + [(batch,)]
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        self.buf = mmap.mmap(-1, 128 + 8 * sum(sizes))
-        self.ready = memoryview(self.buf)[:128].cast("q")
-        offsets = 128 + 8 * np.cumsum([0] + sizes[:-1])
-        self.flat, self.m, self.v, self.grad, self.z_a, self.d_z_a, self.y = (
-            np.frombuffer(self.buf, np.float64, size, int(off)).reshape(shape)
-            for shape, size, off in zip(shapes, sizes, offsets))
-
-
-def _wait(ready: memoryview, at: int, t: int, check) -> None:
-    """Return once counter `at` reaches t. Poll SPIN times, then yield the
-    CPU between polls and call check(), which raises if the other side is
-    gone."""
-    spins = 0
-    while ready[at] < t:
-        spins += 1
-        if spins > SPIN:
-            os.sched_yield()
-            check()

@@ -3,26 +3,45 @@ copy-on-write: `processes` decides how many processes works may share, and
 `beside` runs them. Each child is collected (its result returned, or its
 error re-raised with type and message) or reaped; none outlives the call.
 
-Two callers: `harness.train.run_seeds` trains the runs of a config or of a
-whole sweep in parallel, and `embedding.train_risk` splits each minibatch
-step of a large enough risk fit with one helper. The CPUs are shared, not
-stacked: inside a child of `beside`, and in its caller while children run,
-`processes` divides the usable CPUs by the processes that share them, so a
-seed process on a 2-CPU host forks no risk helper beside its sibling.
+Three callers: `harness.train.run_seeds` trains the runs of a config or of
+a whole sweep in parallel; `embedding.train_risk` splits each minibatch
+step of a large enough risk fit with one helper; and `SacAgent.run_beside`
+hands the second critic's share of every update of a run to one helper.
+The CPUs are shared, not stacked: inside a child of `beside`, and in its
+caller while children run, `processes` divides the usable CPUs by the
+processes that share them, so a seed process on a 2-CPU host forks no
+helper beside its sibling, and a SAC run with its critic helper fits its
+risk stack in one process.
+
+A helper and its caller that split one computation meet on a `Shared`
+mapping made before the fork: each side writes its arrays, then posts a
+step counter, and the other side `wait`s for the counter. That orders the
+arrays only where stores become visible in program order, so `can_pair`
+allows such a split on x86 alone.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import gc
+import mmap
 import os
 import pickle
+import platform
 import select
 import signal
 import threading
 from contextlib import contextmanager, nullcontext
 
+import numpy as np
+
 from .errors import FemaError
+
+SPIN = 1000   # polls of a step counter before a waiting side yields its CPU
+# A helper's step counters order the shared arrays only where stores become
+# visible in program order (x86); elsewhere its caller runs the work alone.
+STORES_IN_ORDER = platform.machine().lower() in ("x86_64", "amd64", "i386", "i686")
 
 
 def usable_cpus() -> int:
@@ -46,6 +65,12 @@ def processes(parts: int) -> int:
     return min(parts, max(1, usable_cpus() // _sharing))
 
 
+def can_pair() -> bool:
+    """Whether a helper that meets its caller on a `Shared` mapping may be
+    forked: on x86, where `processes(2)` leaves it a CPU of its own."""
+    return STORES_IN_ORDER and processes(2) >= 2
+
+
 def beside(here, away: dict):
     """(here(check), [each child's result, in the order of `away`]): each
     callable of `away` (work name -> callable) runs in a child forked
@@ -56,31 +81,51 @@ def beside(here, away: dict):
     of after its last unit. While any child runs, every process of the call
     runs BLAS on one thread, and `processes` counts every process of the
     call, in a child, and in this process until its children are collected,
-    as sharing the CPUs."""
+    as sharing the CPUs, except children that here blocks and counts out
+    with `check.block(n)`."""
     global _sharing
-    outer = _sharing
-    running = {}   # work name -> (pid, read end of its result pipe)
-    results = {}   # work name -> result of a collected child
-
-    def check():
-        global _sharing
-        ready = select.select([fh for _, fh in running.values()], [], [], 0)[0]
-        for what in [what for what, (_, fh) in running.items() if fh in ready]:
-            results[what] = _collect(*running.pop(what), what)
-        _sharing = outer * (1 + len(running))
-
+    children = _Children(_sharing)
     with _one_blas_thread() if away else nullcontext():
         try:
-            _sharing = outer * (1 + len(away))
+            _sharing = children.outer * (1 + len(away))
             for what, work in away.items():
-                running[what] = _fork(work)
-            mine = here(check)
-            for what in list(running):
-                results[what] = _collect(*running.pop(what), what)
-            return mine, [results[what] for what in away]
+                children.running[what] = _fork(work)
+            mine = here(children)
+            for what in list(children.running):
+                children.collect(what)
+            return mine, [children.results[what] for what in away]
         finally:
-            _sharing = outer
-            _reap(running)
+            _sharing = children.outer
+            _reap(children.running)
+
+
+class _Children:
+    """The children of one `beside` call; calling it is the call's check()."""
+
+    def __init__(self, outer: int):
+        self.outer = outer    # processes sharing the CPUs outside the call
+        self.running = {}     # work name -> (pid, read end of its result pipe)
+        self.results = {}     # work name -> result of a collected child
+        self.blocked = 0      # running children that here keeps blocked
+
+    def __call__(self) -> None:
+        ready = select.select([fh for _, fh in self.running.values()], [], [], 0)[0]
+        for what in [what for what, (_, fh) in self.running.items() if fh in ready]:
+            self.collect(what)
+        self._share()
+
+    def collect(self, what: str) -> None:
+        self.results[what] = _collect(*self.running.pop(what), what)
+
+    def block(self, n: int) -> None:
+        """Count n more running children (n < 0: fewer), which here keeps
+        blocked, out of `processes`."""
+        self.blocked += n
+        self._share()
+
+    def _share(self) -> None:
+        global _sharing
+        _sharing = self.outer * max(1, 1 + len(self.running) - self.blocked)
 
 
 @contextmanager
@@ -105,9 +150,12 @@ def _one_blas_thread():
         set_(before)
 
 
+@functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS mapped into this
-    process, under any of the names its builds export; None if none is."""
+    process, under any of the names its builds export; None if none is.
+    Looked up once per process (a forked child inherits the answer): numpy
+    maps its BLAS at import, and the lookup reads /proc/self/maps."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
@@ -200,3 +248,33 @@ def _reap(running: dict) -> None:
         except ProcessLookupError:
             pass
         os.waitpid(pid, 0)
+
+
+class Shared:
+    """One anonymous shared mapping, made before a fork so that both sides
+    see it: `ready`, 16 int64 step counters (two cache lines; the two sides
+    post on counters a cache line apart), then one zeroed float64 array per
+    keyword, `name=shape`, set as the attribute `name`. Each array starts
+    on a cache line of its own, so no line holds what both sides write."""
+
+    def __init__(self, **shapes):
+        sizes = [int(np.prod(shape)) for shape in shapes.values()]
+        lines = [-(-8 * size // 64) for size in sizes]
+        self.buf = mmap.mmap(-1, 128 + 64 * sum(lines))
+        self.ready = memoryview(self.buf)[:128].cast("q")
+        offsets = 128 + 64 * np.cumsum([0] + lines[:-1])
+        for (name, shape), size, off in zip(shapes.items(), sizes, offsets):
+            setattr(self, name, np.frombuffer(self.buf, np.float64, size,
+                                              int(off)).reshape(shape))
+
+
+def wait(ready: memoryview, at: int, t: int, check) -> None:
+    """Return once counter `at` of `ready` reaches t. Poll SPIN times, then
+    yield the CPU between polls and call check(), which raises if the other
+    side is gone."""
+    spins = 0
+    while ready[at] < t:
+        spins += 1
+        if spins > SPIN:
+            os.sched_yield()
+            check()

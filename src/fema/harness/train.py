@@ -13,7 +13,10 @@ workers round-robin and calls `agent.end_phase()` every
 `agent.phase_steps` steps. Each `runner.run` block ends at a phase or eval
 boundary. The run's last phase gap runs `agent.update_phase()` instead: it
 logs the losses but publishes no memory generation, which no decision would
-read, so the last phase's failures stay pending in memory.bin.
+read, so the last phase's failures stay pending in memory.bin. The step
+loop runs through `agent.run_beside`, beside whatever helper process the
+learner offers (SAC's second critic, where a CPU is free; PPO none), and
+the checkpoint is saved after it returns, from the agent's own arrays.
 
 `run_seeds` trains (config, seed) runs in parallel: it deals them
 round-robin over `forking.processes(len(runs))` processes, this one and
@@ -144,22 +147,26 @@ def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
     metrics_path = os.path.join(run_dir, "metrics.jsonl")
     with open(metrics_path, "w", encoding="utf-8") as fh:
         log = _RunLog(fh)
-        done = 0
-        while done < rc.total_steps:
-            target = min(rc.total_steps,
-                         *((done // c + 1) * c for c in cadences))
-            for rec in runner.run(target - done):
-                log.episode(rec, agent)
-            done = target
-            if done % period == 0:
-                last = agent.phase_steps and done == rc.total_steps
-                log.loss(done, agent.update_phase() if last else agent.end_phase())
-            if rc.eval_every > 0 and done % rc.eval_every == 0:
-                evals = [eval_episode(agent.policy, eval_env)
-                         for _ in range(rc.eval_episodes)]
-                log.eval(done, evals)
-        if agent.phase_steps and done % period:
-            log.loss(done, agent.update_phase())
+
+        def loop() -> None:
+            done = 0
+            while done < rc.total_steps:
+                target = min(rc.total_steps,
+                             *((done // c + 1) * c for c in cadences))
+                for rec in runner.run(target - done):
+                    log.episode(rec, agent)
+                done = target
+                if done % period == 0:
+                    last = agent.phase_steps and done == rc.total_steps
+                    log.loss(done, agent.update_phase() if last else agent.end_phase())
+                if rc.eval_every > 0 and done % rc.eval_every == 0:
+                    evals = [eval_episode(agent.policy, eval_env)
+                             for _ in range(rc.eval_episodes)]
+                    log.eval(done, evals)
+            if agent.phase_steps and done % period:
+                log.loss(done, agent.update_phase())
+
+        agent.run_beside(loop, rc.total_steps)
         for w in range(agent.n_workers):
             if runner.ep_length[w] > 0:
                 log.partial(rc.total_steps, w, runner.ep_return[w],

@@ -114,6 +114,54 @@ def train_risk_one_loop(stack, states, actions, returns, epochs, batch_size, rng
     return final
 
 
+def sac_update_one_loop(agent):
+    """`SacAgent.update` as one process ran it before it split the twin
+    critics into shares: the targets, the summed twin critic loss and one
+    Adam step on both critics, the actor, the temperature, then both Polyak
+    steps. It runs on the public `sac` functions, so it checks the split
+    and order of the update, not those functions. Returns the losses."""
+    from fema import numeric
+    from fema.agents import sac
+    from fema.errors import TrainingError
+
+    cfg = agent.cfg
+    batch = agent.buffer.sample(cfg.batch_size, agent.learn_rng)
+    d_a = agent.spec.d_a
+    noise_next = agent.learn_rng.standard_normal((cfg.batch_size, d_a))
+    noise_actor = agent.learn_rng.standard_normal((cfg.batch_size, d_a))
+
+    y = sac.compute_targets(agent.policy, agent.q1t, agent.q2t, agent.log_alpha,
+                            batch, cfg.discount, noise_next)
+    l1, l2, g_critic = sac.critic_loss_and_grads(agent.q1, agent.q2,
+                                                 batch["s"], batch["a"], y)
+    numeric.adam_step(agent.q1.params() + agent.q2.params(), g_critic,
+                      agent.critic_adam)
+
+    l_actor, g_actor, logp = sac.actor_loss_and_grads(
+        agent.policy, agent.q1, agent.q2, agent.log_alpha, batch["s"], noise_actor)
+    numeric.adam_step(agent.policy.params(), g_actor, agent.policy_adam)
+
+    l_temp = 0.0
+    if cfg.learn_temp:
+        l_temp, g_temp = sac.temperature_loss_and_grad(agent.log_alpha, logp,
+                                                       agent.target_entropy)
+        numeric.adam_step([agent.log_alpha], [g_temp], agent.temp_adam)
+
+    sac.polyak(agent.q1, agent.q1t, cfg.tau)
+    sac.polyak(agent.q2, agent.q2t, cfg.tau)
+
+    losses = {
+        "q1_loss": l1, "q2_loss": l2, "actor_loss": l_actor,
+        "temp_loss": l_temp, "alpha": math.exp(float(agent.log_alpha[0])),
+        "entropy_est": -float(np.mean(logp)),
+    }
+    for name, val in losses.items():
+        if not math.isfinite(val):
+            raise TrainingError(f"non-finite {name} at step {agent.steps_seen}: {losses}")
+    agent.last_losses = losses
+    return losses
+
+
 def fd_grads(fn, arrays, h=1e-5):
     """Central finite-difference gradients of scalar fn w.r.t. each array."""
     grads = []

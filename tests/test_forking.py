@@ -7,6 +7,7 @@ import pickle
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from fema import forking
@@ -102,6 +103,23 @@ class TestSharedCpus:
 
         assert forking.beside(here, {"a": lambda: 1, "b": lambda: 2, "c": lambda: 3}) \
             == ((1, 4), [1, 2, 3])
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus, away, idle, want", [(4, 1, 1, 4), (4, 2, 1, 2),
+                                                        (8, 3, 2, 4), (2, 1, 1, 2)])
+    def test_blocked_children_free_their_cpus(self, monkeypatch, cpus, away, idle, want):
+        """While here keeps children blocked, check.block counts them out."""
+        monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+
+        def here(check):
+            check.block(idle)
+            during = forking.processes(8)
+            check.block(-idle)
+            return during, forking.processes(8)
+
+        works = {f"w{k}": lambda: None for k in range(away)}
+        assert forking.beside(here, works) == ((want, cpus // (1 + away)), [None] * away)
+        assert forking.processes(8) == cpus
         assert_no_children()
 
     def test_error_gives_the_cpus_back(self, monkeypatch):
@@ -225,4 +243,53 @@ class TestBlasThreads:
             assert forking.beside(lambda check: get(), {}) == (2, [])
         finally:
             set_(before)
+        assert_no_children()
+
+    def test_blas_looked_up_once(self, monkeypatch):
+        """Two calls that fork read /proc/self/maps once between them."""
+        reads = []
+
+        def counted_open(path, *args, **kwargs):
+            reads.append(path)
+            return open(path, *args, **kwargs)
+
+        forking._openblas_threads.cache_clear()
+        monkeypatch.setattr(forking, "open", counted_open, raising=False)
+        for _ in range(2):
+            assert forking.beside(lambda check: 1, {"child": lambda: 2}) == (1, [2])
+        assert reads == ["/proc/self/maps"]
+        assert_no_children()
+
+
+@needs_fork
+class TestShared:
+    def test_arrays_on_their_own_cache_lines(self):
+        shared = forking.Shared(a=(3,), b=(2, 5), c=(1,))
+        starts = [np.frombuffer(shared.buf, np.uint8).ctypes.data]
+        for arr in (shared.a, shared.b, shared.c):
+            assert arr.dtype == np.float64 and not arr.any()
+            assert (arr.ctypes.data - starts[0]) % 64 == 0
+        assert shared.b.shape == (2, 5)
+        assert shared.b.ctypes.data - shared.a.ctypes.data == 64
+        assert shared.c.ctypes.data - shared.b.ctypes.data == 128
+        assert len(shared.ready) == 16
+
+    def test_both_sides_see_posts(self):
+        """A child's writes and counter post reach the caller's wait, and
+        the caller's reach the child."""
+        shared = forking.Shared(x=(4,))
+
+        def child():
+            forking.wait(shared.ready, 0, 1, lambda: None)
+            shared.x[:] = shared.x * 2
+            shared.ready[8] = 1
+            return "done"
+
+        def here(check):
+            shared.x[:] = [1, 2, 3, 4]
+            shared.ready[0] = 1
+            forking.wait(shared.ready, 8, 1, check)
+            return shared.x.tolist()
+
+        assert forking.beside(here, {"child": child}) == ([2, 4, 6, 8], ["done"])
         assert_no_children()

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fema import checkpoint, embedding, numeric, serialize
-from fema.agents import AGENTS
+from fema import checkpoint, embedding, forking, numeric, serialize
+from fema.agents import AGENTS, sac
 from fema.agents.common import AgentConfig
 from fema.agents.ppo import PpoAgent
 from fema.agents.sac import SacAgent
@@ -1001,6 +1001,72 @@ class TestSeedFork:
         with pytest.raises(FemaError, match=r"runs \[seed1, seed3\] \(process "
                                             r"\d+\) exited without a result"):
             run_config(rc)
+        assert_no_children()
+
+
+def sac_seeds(tmp_path, seeds: str, memory: bool = True) -> RunConfig:
+    """TINY_SAC with the given seeds, the memory on or off, out_dir
+    tmp_path/run."""
+    text = TINY_SAC.replace("seeds = 0, 1", f"seeds = {seeds}")
+    if not memory:
+        text = text[:text.index("[fema]")] + "[fema]\nn_candidates = 1\n"
+    return parse_config(write_config(tmp_path, text))
+
+
+@needs_fork
+class TestCriticHelper:
+    """A SAC run forks the helper of its second critic where a CPU is free
+    and its batch holds FORK_BATCH rows, and writes the bytes of a run
+    without it."""
+
+    @pytest.mark.skipif(not forking.STORES_IN_ORDER, reason="the critic helper runs on x86")
+    @pytest.mark.parametrize("memory", [True, False], ids=["memory", "plain"])
+    def test_one_seed_files_match_one_process(self, tmp_path, monkeypatch, memory):
+        """At 2 CPUs the run forks its critic helper, and each publish,
+        also after updates began, parks that helper and forks a risk
+        helper."""
+        import shutil
+        rc = sac_seeds(tmp_path, "0", memory)
+        rc.agent.warmup_steps = rc.agent.batch_size   # updates from step 16
+        outputs, recorded = [], []
+        for n in (2, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(sac, "FORK_BATCH", rc.agent.batch_size)
+                patch.setattr(embedding, "FORK_STEPS", 1)
+                forks = count_forks(patch, n)
+                run_config(rc)
+            outputs.append(run_files(tmp_path / "run"))
+            recorded.append(forks)
+            shutil.rmtree(tmp_path / "run")
+        assert outputs[0] == outputs[1]
+        assert {"seed0/metrics.jsonl", "seed0/checkpoint.bin"} <= set(outputs[0])
+        assert ("seed0/memory.bin" in outputs[0]) == memory
+        publishes = recorded[0][2:]
+        assert recorded[0][:2] == [[], ["critic helper"]] and recorded[1] == [[]]
+        assert publishes == [["risk helper"]] * len(publishes)
+        assert bool(publishes) == memory
+        assert_no_children()
+
+    def test_two_seeds_fork_only_the_seed(self, tmp_path, monkeypatch):
+        """At 2 CPUs a 2-seed run forks its second seed, and neither seed
+        process forks a critic helper."""
+        def helper_forked(*args):
+            raise SeedFault("a critic helper forked beside a seed")
+
+        rc = sac_seeds(tmp_path, "0, 1")
+        monkeypatch.setattr(sac, "FORK_BATCH", rc.agent.batch_size)
+        monkeypatch.setattr(sac, "_help", helper_forked)
+        forks = count_forks(monkeypatch, 2)
+        run_config(rc)
+        assert forks == [["runs [seed1]"]]
+        assert_no_children()
+
+    def test_small_batch_forks_nothing(self, tmp_path, monkeypatch):
+        rc = sac_seeds(tmp_path, "0")
+        assert rc.agent.batch_size < sac.FORK_BATCH
+        forks = count_forks(monkeypatch, 2)
+        run_config(rc)
+        assert forks == [[]]
         assert_no_children()
 
 

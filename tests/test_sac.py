@@ -1,22 +1,38 @@
 """Off-policy learner: gradient checks, targets, and training behavior."""
 
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from fema import numeric
+from fema import forking, numeric
 from fema.agents import sac
 from fema.agents.common import AgentConfig
 from fema.agents.policy import policy_init
 from fema.agents.sac import SQUASH_EPS, SacAgent
 from fema.envs import make
 from fema.envs.base import EnvSpec
+from fema.envs.cliff_corridor import SPEC as CLIFF_SPEC
 from fema.errors import ConfigError, TrainingError
-from fema.memory import END_HAZARD, FemaConfig, Transition
+from fema.memory import END_HAZARD, END_NONE, FemaConfig, Transition
 
-from helpers import held_transitions, mlp_zeros, run_episode
-from oracles import fd_grads, forward_oracle, gaussian_logpdf, max_rel_error
+from helpers import (
+    assert_no_children,
+    count_forks,
+    held_transitions,
+    mlp_zeros,
+    run_episode,
+)
+from oracles import (
+    fd_grads,
+    forward_oracle,
+    gaussian_logpdf,
+    max_rel_error,
+    sac_update_one_loop,
+)
 
 BANDIT_SPEC = EnvSpec(name="bandit", d_s=1, d_a=1, action_low=(-1.0,),
                       action_high=(1.0,), max_steps=1, hazard="target miss")
@@ -281,3 +297,237 @@ class TestTraining:
                 assert agent.fallback_steps > 0
                 assert agent.selected_steps == 0
         np.testing.assert_array_equal(actions[True], actions[False])
+
+
+needs_pair = pytest.mark.skipif(not hasattr(os, "fork") or not forking.STORES_IN_ORDER,
+                                reason="the critic helper needs os.fork on x86")
+
+
+class SacFault(RuntimeError):
+    pass
+
+
+def cliff_agent(batch, hidden=16, warmup=0, interval=2, rows=300):
+    """A SAC agent for the cliff corridor with `rows` random transitions in
+    its replay buffer."""
+    cfg = small_cfg(hidden=hidden, batch_size=batch, warmup_steps=warmup,
+                    update_interval=interval)
+    agent = SacAgent(CLIFF_SPEC, cfg, seed=3)
+    TestAgentMechanics().fill_buffer(agent, rows, seed=4)
+    return agent
+
+
+def update_state(agent) -> tuple:
+    """Every value an update may change: the four critics, the policy, the
+    temperature, each Adam state, the buffer, the losses and the batch
+    stream."""
+    arrays = [agent.q1.flat, agent.q2.flat, agent.q1t.flat, agent.q2t.flat,
+              *agent.policy.params(), agent.log_alpha]
+    for adam in (agent.critic_adam, agent.policy_adam, agent.temp_adam):
+        arrays += adam.m + adam.v
+    buf = agent.buffer
+    arrays += [buf.s, buf.a, buf.r, buf.s_next, buf.done]
+    return (b"".join(a.tobytes() for a in arrays),
+            [adam.t for adam in (agent.critic_adam, agent.policy_adam, agent.temp_adam)],
+            agent.last_losses, agent.learn_rng.bit_generator.state)
+
+
+def drive(agent, steps: int) -> None:
+    """`steps` cliff-corridor env steps of training, one worker."""
+    env = make("cliff_corridor", np.random.default_rng([3, 2, 0]))
+    rng = np.random.default_rng([3, 1, 0])
+    s = env.reset()
+    for step in range(1, steps + 1):
+        a = np.asarray(agent.act_train(s, rng, 0), dtype=np.float64)
+        res = env.step(a)
+        agent.observe(Transition(s=np.asarray(s, float), a=a, r=float(res.reward),
+                                 s_next=np.asarray(res.state, float), end=res.end), 0, step)
+        s = env.reset() if res.end != END_NONE else res.state
+
+
+class TestTwoProcessUpdate:
+    """Updates run in one process, and with the second critic's share in
+    the helper of `run_beside` at 2 CPUs, give the bits of the one-process
+    update in `oracles.sac_update_one_loop`."""
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_pair)])
+    @pytest.mark.parametrize("below", [True, False], ids=["below_fork", "fork"])
+    def test_updates_match_one_loop(self, monkeypatch, cpus, below):
+        batch = sac.FORK_BATCH - below
+        ref, agent = cliff_agent(batch), cliff_agent(batch)
+        for ag in (ref, agent):   # warm every Adam state
+            sac_update_one_loop(ag)
+        want = [sac_update_one_loop(ref) for _ in range(6)]
+        forks = count_forks(monkeypatch, cpus)
+        got = agent.run_beside(lambda: [agent.update() for _ in range(6)], 12)
+        assert got == want
+        assert update_state(agent) == update_state(ref)
+        assert forks == ([["critic helper"]] if cpus == 2 and not below else [])
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_pair)])
+    @pytest.mark.parametrize("steps", [sac.FORK_BATCH + 13, sac.FORK_BATCH + 52],
+                             ids=["ends_in_warmup", "ends_mid_interval"])
+    def test_run_matches_one_loop(self, monkeypatch, cpus, steps):
+        """A run of env steps that ends during warmup, or one step into an
+        update interval of 3, at batch FORK_BATCH."""
+        warmup = sac.FORK_BATCH + 20
+        ref = cliff_agent(sac.FORK_BATCH, warmup=warmup, interval=3, rows=0)
+        agent = cliff_agent(sac.FORK_BATCH, warmup=warmup, interval=3, rows=0)
+        ref.update = lambda: sac_update_one_loop(ref)
+        drive(ref, steps)
+        forks = count_forks(monkeypatch, cpus)
+        agent.run_beside(lambda: drive(agent, steps), steps)
+        assert update_state(agent) == update_state(ref)
+        assert (ref.critic_adam.t > 0) == (steps > warmup)
+        assert forks == ([["critic helper"]] if cpus == 2 and steps > warmup else [])
+        assert_no_children()
+
+    @needs_pair
+    def test_helper_error_reraised(self, monkeypatch):
+        def fault(self, y, xa):   # only the helper runs the second critic's steps
+            raise SacFault("helper refused its update")
+
+        monkeypatch.setattr(sac._Second, "values", fault)
+        forks = count_forks(monkeypatch, 2)
+        agent = cliff_agent(sac.FORK_BATCH)
+        own, before = agent.q2.flat, agent.q2.flat.copy()
+        start = time.monotonic()
+        with pytest.raises(SacFault, match="helper refused its update"):
+            agent.run_beside(lambda: [agent.update() for _ in range(3)], 6)
+        assert time.monotonic() - start < 30
+        assert forks == [["critic helper"]]
+        assert agent.q2.flat is own and np.array_equal(own, before)
+        assert agent._away is None
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_pair)])
+    def test_non_finite_loss_raises_training_error(self, monkeypatch, cpus):
+        """The run stops at the update whose loss is NaN, after that whole
+        update, as the one-process update does; the helper is reaped."""
+        ref, agent = cliff_agent(sac.FORK_BATCH), cliff_agent(sac.FORK_BATCH)
+        for ag in (ref, agent):
+            ag.buffer.r[123] = np.nan
+        done = 0
+        with pytest.raises(TrainingError):
+            for done in range(1, 50):
+                sac_update_one_loop(ref)
+        assert done > 1   # some updates passed before the NaN row was drawn
+        forks = count_forks(monkeypatch, cpus)
+        start = time.monotonic()
+        with pytest.raises(TrainingError, match="non-finite"):
+            agent.run_beside(lambda: [agent.update() for _ in range(50)], 100)
+        assert time.monotonic() - start < 30
+        assert update_state(agent) == update_state(ref)
+        assert forks == ([["critic helper"]] if cpus == 2 else [])
+        assert_no_children()
+
+    @needs_pair
+    def test_parked_helper_blocks(self, monkeypatch):
+        """The helper waits parked until the first update and after each
+        park until the next update: it takes no CPU time and counts out of
+        `forking.processes` meanwhile, and the run keeps the one-process
+        bits."""
+        import resource
+
+        ref, agent = cliff_agent(sac.FORK_BATCH), cliff_agent(sac.FORK_BATCH)
+        for _ in range(2):
+            sac_update_one_loop(ref)
+        count_forks(monkeypatch, 2)
+        seen = []
+
+        def loop():
+            seen.append(forking.processes(2))
+            time.sleep(0.5)
+            for _ in range(2):
+                agent.update()
+                seen.append(forking.processes(2))
+                agent._away.park()
+                agent._away.park()   # parking a parked helper changes nothing
+                seen.append(forking.processes(2))
+                time.sleep(0.5)
+
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        agent.run_beside(loop, 8)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert seen == [2, 1, 2, 1, 2]
+        assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 0.75
+        assert update_state(agent) == update_state(ref)
+        assert_no_children()
+
+    @needs_pair
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    @pytest.mark.parametrize("parked", [False, True], ids=["polling", "parked"])
+    def test_helper_exits_when_its_parent_is_gone(self, parked):
+        """A run killed while its helper waits, polling or parked, leaves
+        no helper running."""
+        rfd, wfd = os.pipe()
+        pid = os.fork()
+        if pid == 0:   # the training process: report the helper, then wait
+            try:
+                os.close(rfd)
+                real = forking._fork
+
+                def fork(work):
+                    child, fh = real(work)
+                    os.write(wfd, b"%d\n" % child)
+                    return child, fh
+
+                forking._fork = fork
+                forking.usable_cpus = lambda: 2
+                agent = cliff_agent(sac.FORK_BATCH)
+
+                def loop():
+                    agent.update()   # wakes the helper, which then polls
+                    if parked:
+                        agent._away.park()
+                    time.sleep(60)
+
+                agent.run_beside(loop, 6)
+            finally:
+                os._exit(0)
+        os.close(wfd)
+        with os.fdopen(rfd, "rb") as fh:
+            helper = int(fh.readline())
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and _running(helper):
+            time.sleep(0.01)
+        assert not _running(helper)
+        assert_no_children()
+
+    @needs_pair
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_one_real_cpu_does_not_stall(self, monkeypatch):
+        """Told of 2 CPUs while this process may run on one, a run with the
+        helper finishes within a few times the one-process run, since a
+        waiting side yields the CPU, and leaves the one-process bits."""
+        cpus = os.sched_getaffinity(0)
+        took, states = {1: [], 2: []}, set()
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            for n in (1, 2, 1, 2):
+                with monkeypatch.context() as patch:
+                    forks = count_forks(patch, n)
+                    agent = cliff_agent(sac.FORK_BATCH)
+                    start = time.perf_counter()
+                    agent.run_beside(lambda: [agent.update() for _ in range(40)], 80)
+                    took[n].append(time.perf_counter() - start)
+                assert forks == ([["critic helper"]] if n == 2 else [])
+                states.add(update_state(agent)[0])
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert min(took[2]) < 4 * min(took[1])
+        assert len(states) == 1
+        assert_no_children()
+
+
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
