@@ -9,13 +9,16 @@ An update is composed from per-critic shares (`_Critic`): each critic runs
 its own target forward, its own loss, backward, Adam step (on its slice of
 the critic moments) and Polyak step, and its own pass at the actor's
 actions. The twins meet only where their outputs meet: at the target's
-min, at the actor's min and in the actor's action gradient. In one process
-the second critic's share (`_Second`) runs in line at each meeting;
-`SacAgent.run_beside` hands it to a helper process for a whole run where
-the batch size pays for one and a second CPU is free. Each side runs the
-array operations of the one-process update on the same operands, and Adam
-is elementwise, so every parameter, moment, loss and output byte is the
-same either way.
+min, at the actor's min and in the actor's action gradient. The second
+side's share (`_Second`) also draws the target actions, the policy's draw
+at the next states that both target critics read, while the first side
+draws the actor's. In one process that share runs in line at each
+meeting; `SacAgent.run_beside` hands it to a helper process for a whole
+run where the batch size pays for one and a second CPU is free, with the
+policy's parameters on the mapping that both sides read. Each side runs
+the array operations of the one-process update on the same operands, and
+Adam is elementwise, so every parameter, moment, loss and output byte is
+the same either way.
 
 The hook itself lives in `HookedAgent`. SAC adds uniform warmup actions
 and publishes the memory as soon as a staged failure fills its update
@@ -44,11 +47,13 @@ from .policy import (
 )
 
 SQUASH_EPS = 1e-6  # keeps the squashed density's log finite where tanh saturates
-# Smallest batch_size whose runs hand the second critic to a helper process
-# (`SacAgent.run_beside`). On a 2-core x86 VM an update in two processes ran
-# 1.13-1.42x as fast as in one at batch 64-256 and widths 16-64, and
-# 0.87-1.05x at batch 16-32.
-FORK_BATCH = 64
+# Smallest batch_size whose runs hand the second side of each update to a
+# helper process (`SacAgent.run_beside`). On a 2-core x86 VM an update in two
+# processes ran 1.2-1.4x as fast as in one at batch 32-128 and widths 16-64
+# (medians of 5-7 runs), and 1.2-1.3x at batch 16, where it saves about 100
+# us; below 32 that does not buy the second core that a helper keeps busy
+# for the whole run.
+FORK_BATCH = 32
 
 
 def _squashed_sample(policy: GaussianPolicy, s: np.ndarray, noise: np.ndarray):
@@ -210,24 +215,29 @@ class _Critic:
 
 
 class _Second:
-    """The second critic's share of each update, as three meetings with
-    the first side (`_MEETINGS`): each step takes what the first side posts
-    and returns what it posts back. It counts the critic Adam steps from t.
-    Run in this process, a post runs its meeting's step at once, and take
-    returns what the step gave."""
+    """The second side's share of each update: the policy's draw at the
+    next states, and the second critic's steps. It meets the first side as
+    `_MEETINGS` lists: each step takes what the first side posts and gives
+    an answer. It counts the critic Adam steps from t. Run in this process,
+    a post holds the meeting's inputs and take runs its step."""
 
-    def __init__(self, critic: _Critic, t: int, tau: float):
-        self.critic, self.t, self.tau = critic, t, tau
+    def __init__(self, policy: GaussianPolicy, critic: _Critic, t: int, tau: float):
+        self.policy, self.critic, self.t, self.tau = policy, critic, t, tau
 
     def post(self, meeting: int, *arrays) -> None:
-        self.out = getattr(self, _MEETINGS[meeting][0])(*arrays)
+        self.ins = arrays
 
     def take(self, meeting: int) -> tuple:
-        return self.out
+        ins, self.ins = self.ins, ()
+        return getattr(self, _MEETINGS[meeting][0])(*ins)
 
-    def targets(self, x2: np.ndarray, x: np.ndarray) -> tuple:
+    def draw(self, s_next: np.ndarray, noise_next: np.ndarray, x: np.ndarray) -> tuple:
         self.x = x
-        return (self.critic.target(x2),)
+        self.x2, logp2 = _target_input(self.policy, s_next, noise_next)
+        return self.x2, logp2
+
+    def targets(self) -> tuple:
+        return (self.critic.target(self.x2),)
 
     def values(self, y: np.ndarray, xa: np.ndarray) -> tuple:
         self.t += 1
@@ -239,27 +249,30 @@ class _Second:
 
 
 # An update's meetings, in order: the `_Second` step, the `Shared` slots of
-# what the first side posts to it, and of what it posts back.
-_MEETINGS = (("targets", ("x2", "x"), ("q2v",)),
+# what the first side posts to it, and of the answer it gives back. The
+# target values follow the draw without a post of their own, so the second
+# side answers the draw at once and goes on to them.
+_MEETINGS = (("draw", ("s_next", "noise_next", "x"), ("x2", "logp2")),
+             ("targets", (), ("q2v",)),
              ("values", ("y", "xa"), ("qa2", "l2")),
              ("grads", ("w2",), ("gin2",)))
-_TARGETS, _VALUES, _GRADS = range(3)
-# Counters of `Shared.ready`: posts and answered meetings (a cache line
-# apart); the stop flag, which the first side sets before its last post; and
-# the number of the last post that parks the helper.
+_DRAW, _TARGETS, _VALUES, _GRADS = range(4)
+# Counters of `Shared.ready`: posts and answers (a cache line apart); the
+# stop flag, which the first side sets before its last post; and the number
+# of the last post that parks the helper.
 _POSTED, _ANSWERED, _STOP, _PARK = 0, 8, 9, 10
 
 
 class _Away:
-    """The second critic's share run by the helper (`_help`), with the
+    """The second side's share run by the helper (`_help`), with the
     `_Second` interface: a post writes the meeting's inputs to the shared
-    mapping and posts a counter, and take waits for the helper's answer,
+    mapping and posts a counter, and take waits for the helper's next answer,
     calling check() (the `forking.beside` call's) while it waits. `wake` is
     the write end of the pipe that a parked helper blocks on."""
 
     def __init__(self, shared: forking.Shared, check, wake: int):
         self.shared, self.check, self.wake = shared, check, wake
-        self.posted, self.parked = 0, False
+        self.posted, self.taken, self.parked = 0, 0, False
 
     def post(self, meeting: int, *arrays) -> None:
         for name, array in zip(_MEETINGS[meeting][1], arrays):
@@ -275,7 +288,8 @@ class _Away:
         self.shared.ready[_POSTED] = self.posted
 
     def take(self, meeting: int) -> tuple:
-        forking.wait(self.shared.ready, _ANSWERED, self.posted, self.check)
+        self.taken += 1
+        forking.wait(self.shared.ready, _ANSWERED, self.taken, self.check)
         return tuple(getattr(self.shared, name) for name in _MEETINGS[meeting][2])
 
     def stop(self) -> None:
@@ -294,30 +308,31 @@ class _Away:
 
 
 def _help(second: _Second, shared: forking.Shared, caller: int, wake: int) -> None:
-    """The helper's side of `SacAgent.run_beside`: answer each posted
-    meeting with its `_Second` step until the caller posts the stop, and on
-    a post that parks, block until a byte (or the caller's exit) arrives on
-    the pipe whose read end is `wake`."""
+    """The helper's side of `SacAgent.run_beside`: answer each meeting
+    with its `_Second` step, after its post where it has one, until the
+    caller posts the stop, and on a post that parks, block until a byte
+    (or the caller's exit) arrives on the pipe whose read end is `wake`."""
     def check():
         if os.getppid() != caller:
             raise FemaError("the process training SAC exited")
 
-    posts = meetings = 0
+    posts = answers = 0
     while True:
-        posts += 1
-        forking.wait(shared.ready, _POSTED, posts, check)
-        if shared.ready[_STOP]:
-            return
-        if shared.ready[_PARK] == posts:
-            if not os.read(wake, 1):
-                raise FemaError("the process training SAC exited")
-            continue
-        step, ins, outs = _MEETINGS[meetings % 3]
+        step, ins, outs = _MEETINGS[answers % len(_MEETINGS)]
+        if ins:
+            posts += 1
+            forking.wait(shared.ready, _POSTED, posts, check)
+            if shared.ready[_STOP]:
+                return
+            if shared.ready[_PARK] == posts:
+                if not os.read(wake, 1):
+                    raise FemaError("the process training SAC exited")
+                continue
         answer = getattr(second, step)(*(getattr(shared, name) for name in ins))
         for name, array in zip(outs, answer):
             getattr(shared, name)[:] = array
-        meetings += 1
-        shared.ready[_ANSWERED] = posts
+        answers += 1
+        shared.ready[_ANSWERED] = answers
 
 
 class SacAgent(HookedAgent):
@@ -374,8 +389,9 @@ class SacAgent(HookedAgent):
 
     def update(self) -> dict:
         """One gradient round on a replay batch: the critics, the actor, the
-        temperature. The second critic's share runs here, or in the helper
-        while `run_beside` runs one."""
+        temperature. The second side's share (the target draw and the
+        second critic) runs here, or in the helper while `run_beside` runs
+        one."""
         cfg = self.cfg
         batch = self.buffer.sample(cfg.batch_size, self.learn_rng)
         d_a = self.spec.d_a
@@ -383,13 +399,14 @@ class SacAgent(HookedAgent):
         noise_actor = self.learn_rng.standard_normal((cfg.batch_size, d_a))
         alpha = math.exp(float(self.log_alpha[0]))
         first = self._critic(0)
-        second = self._away or _Second(self._critic(1), self.critic_adam.t, cfg.tau)
+        second = self._away or _Second(self.policy, self._critic(1),
+                                       self.critic_adam.t, cfg.tau)
 
-        x2, logp2 = _target_input(self.policy, batch["s_next"], noise_next)
         x = np.concatenate([batch["s"], batch["a"]], axis=1)
-        second.post(_TARGETS, x2, x)
+        second.post(_DRAW, batch["s_next"], noise_next, x)
         draw = _squashed_sample(self.policy, batch["s"], noise_actor)
         xa = np.concatenate([batch["s"], draw[0]], axis=1)
+        x2, logp2 = second.take(_DRAW)
         q1v = first.target(x2)
         (q2v,) = second.take(_TARGETS)
         y = _backup(batch, cfg.discount, q1v, q2v, alpha, logp2)
@@ -437,41 +454,50 @@ class SacAgent(HookedAgent):
         return _Critic(q, self.spec.d_s, qt, adam.m[k], adam.v[k], adam.lr)
 
     def run_beside(self, loop, steps: int):
-        """loop(), the run's first `steps` env steps, with the second
-        critic's share of every update in one helper forked through
+        """loop(), the run's first `steps` env steps, with the second side's
+        share of every update in one helper forked through
         `forking.beside`: where the run updates (steps > warmup_steps), its
         batches hold FORK_BATCH rows or more, and `forking.can_pair()`.
 
         The helper owns q2, q2t and their slices of the critic Adam moments
         on a `forking.Shared` mapping; this process keeps learn_rng, the
-        batch draw, q1, q1t, the policy, the temperature and the losses.
-        They meet three times an update (`_MEETINGS`): the backup's input,
-        answered with q2t's values; the backup and the actor's input,
-        answered after q2's Adam and Polyak steps with its loss and its
-        values there; and q2's weights in the actor's min, answered with
-        its action gradient. Until the first update, and from each publish
-        to the next update, the helper waits parked, blocked on a pipe, so
-        that a publish forks its own risk helper. q2, q2t and their moments
-        are copied back into the agent's own arrays after the loop, also on
-        an error."""
+        batch draw, q1, q1t, the temperature and the losses. The policy's
+        parameters are bound onto the mapping for the loop, so that the
+        helper draws with the weights of this process's last Adam step.
+        They meet four times an update (`_MEETINGS`): the next states and
+        their noise, answered with the policy's draw there (the backup's
+        input and log-density); then, with no post, q2t's values at that
+        input; the backup and the actor's input, answered after q2's Adam
+        and Polyak steps with its loss and its values there; and q2's
+        weights in the actor's min, answered with its action gradient.
+        Until the first update, and from each publish to the next update,
+        the helper waits parked, blocked on a pipe, so that a publish forks
+        its own risk helper. q2, q2t, their moments and the policy's
+        parameters are copied back into the agent's own arrays after the
+        loop, also on an error."""
         cfg = self.cfg
         if (steps <= cfg.warmup_steps or cfg.batch_size < FORK_BATCH
                 or not forking.can_pair()):
             return loop()
-        b, d_x = cfg.batch_size, self.spec.d_s + self.spec.d_a
-        p = self.q2.flat.size
-        shared = forking.Shared(q=(p,), qt=(p,), m=(p,), v=(p,), x2=(b, d_x), x=(b, d_x),
+        b, d_s, d_a = cfg.batch_size, self.spec.d_s, self.spec.d_a
+        d_x, p = d_s + d_a, self.q2.flat.size
+        pol = self.policy
+        nets = (pol.trunk, pol.mean_head, pol.logstd_head)
+        trunk, mean, logstd = (net.flat.size for net in nets)
+        shared = forking.Shared(q=(p,), qt=(p,), m=(p,), v=(p,), trunk=(trunk,),
+                                mean=(mean,), logstd=(logstd,), s_next=(b, d_s),
+                                noise_next=(b, d_a), x=(b, d_x), x2=(b, d_x), logp2=(b,),
                                 q2v=(b,), y=(b,), xa=(b, d_x), qa2=(b,), l2=(1,),
-                                w2=(b,), gin2=(b, self.spec.d_a))
+                                w2=(b,), gin2=(b, d_a))
         adam = self.critic_adam
-        own = (self.q2.flat, self.q2t.flat, adam.m[1], adam.v[1])
-        away = (shared.q, shared.qt, shared.m, shared.v)
+        own = (self.q2.flat, self.q2t.flat, adam.m[1], adam.v[1], *pol.params())
+        away = (shared.q, shared.qt, shared.m, shared.v,
+                shared.trunk, shared.mean, shared.logstd)
         for dst, src in zip(away, own):
             dst[:] = src
-        net = self.q2
-        second = _Second(_Critic(numeric.Mlp(net.widths, net.acts, shared.q), self.spec.d_s,
-                                 numeric.Mlp(net.widths, net.acts, shared.qt),
-                                 shared.m, shared.v, adam.lr), adam.t, cfg.tau)
+        q, qt = _on((self.q2, self.q2t), away[:2])
+        second = _Second(pol, _Critic(q, d_s, qt, shared.m, shared.v, adam.lr),
+                         adam.t, cfg.tau)
         caller = os.getpid()
         rfd, wfd = os.pipe()   # the wake pipe of a parked helper
         fds = {rfd, wfd}       # those still open here
@@ -492,6 +518,7 @@ class SacAgent(HookedAgent):
             os.close(wfd)
             return _help(second, shared, caller, rfd)
 
+        pol.trunk, pol.mean_head, pol.logstd_head = _on(nets, away[4:])
         try:
             done, _ = forking.beside(lead, {"critic helper": help_})
         finally:
@@ -499,4 +526,10 @@ class SacAgent(HookedAgent):
                 os.close(fd)
             for dst, src in zip(own, away):
                 dst[:] = src
+            pol.trunk, pol.mean_head, pol.logstd_head = nets
         return done
+
+
+def _on(nets, arrays) -> list:
+    """Networks shaped as `nets`, over the parameter vectors `arrays`."""
+    return [numeric.Mlp(net.widths, net.acts, flat) for net, flat in zip(nets, arrays)]

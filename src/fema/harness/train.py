@@ -17,6 +17,9 @@ read, so the last phase's failures stay pending in memory.bin. The step
 loop runs through `agent.run_beside`, beside whatever helper process the
 learner offers (SAC's second critic, where a CPU is free; PPO none), and
 the checkpoint is saved after it returns, from the agent's own arrays.
+Before it trains, `run_seed` has the process keep its freed heap mapped
+(`forking.keep_freed_heap`), which spares each SAC update the page faults
+of a heap top handed back to the kernel after the last one.
 
 `run_seeds` trains (config, seed) runs in parallel: it deals them
 round-robin over `forking.processes(len(runs))` processes, this one and
@@ -125,6 +128,7 @@ class _RunLog:
 
 def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
     """Train one seed to completion; returns the run's summary row."""
+    forking.keep_freed_heap()
     os.makedirs(run_dir, exist_ok=True)
     spec = REGISTRY[rc.env_kind].spec
     serialize.write_atomic(

@@ -1070,6 +1070,14 @@ class TestCriticHelper:
         assert_no_children()
 
 
+def test_run_seed_keeps_freed_heap(tmp_path, monkeypatch):
+    """A run makes the process keep its freed heap mapped before it trains."""
+    calls = []
+    monkeypatch.setattr(forking, "keep_freed_heap", lambda: calls.append(1))
+    run_config(sac_seeds(tmp_path, "0"))
+    assert calls == [1]
+
+
 @needs_fork
 class TestSweepFork:
     @pytest.mark.parametrize("cpus, names", [

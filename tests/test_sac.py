@@ -2,13 +2,14 @@
 
 import math
 import os
+import pickle
 import signal
 import time
 
 import numpy as np
 import pytest
 
-from fema import forking, numeric
+from fema import checkpoint, forking, numeric
 from fema.agents import sac
 from fema.agents.common import AgentConfig
 from fema.agents.policy import policy_init
@@ -392,13 +393,37 @@ class TestTwoProcessUpdate:
         forks = count_forks(monkeypatch, 2)
         agent = cliff_agent(sac.FORK_BATCH)
         own, before = agent.q2.flat, agent.q2.flat.copy()
+        policy = agent.policy.params()
+        policy_before = [p.copy() for p in policy]
         start = time.monotonic()
         with pytest.raises(SacFault, match="helper refused its update"):
             agent.run_beside(lambda: [agent.update() for _ in range(3)], 6)
         assert time.monotonic() - start < 30
         assert forks == [["critic helper"]]
         assert agent.q2.flat is own and np.array_equal(own, before)
+        # the policy is bound back onto its own arrays; the failed update
+        # stopped before the policy's Adam step
+        assert all(p is q for p, q in zip(agent.policy.params(), policy))
+        assert all(np.array_equal(p, q) for p, q in zip(policy, policy_before))
         assert agent._away is None
+        assert_no_children()
+
+    @needs_pair
+    def test_saved_agent_matches_one_process(self, monkeypatch, tmp_path):
+        """After a run with the helper, the checkpoint bytes and a pickle
+        round trip of the agent are those of the one-process run."""
+        saved = []
+        for cpus in (1, 2):
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch, cpus)
+                agent = cliff_agent(sac.FORK_BATCH)
+                agent.run_beside(lambda: [agent.update() for _ in range(6)], 12)
+            assert forks == ([["critic helper"]] if cpus == 2 else [])
+            path = tmp_path / f"checkpoint{cpus}.bin"
+            checkpoint.save_checkpoint(path, agent, "cliff_corridor", 12)
+            copy = pickle.loads(pickle.dumps(agent))
+            saved.append((path.read_bytes(), pickle.dumps(agent), update_state(copy)))
+        assert saved[0] == saved[1]
         assert_no_children()
 
     @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_pair)])
@@ -522,6 +547,28 @@ class TestTwoProcessUpdate:
         assert min(took[2]) < 4 * min(took[1])
         assert len(states) == 1
         assert_no_children()
+
+
+class TestHeap:
+    def test_update_keeps_its_heap(self):
+        """With freed heap kept mapped, a one-process update at batch 128,
+        width 64 reuses its temporaries' pages instead of faulting fresh
+        ones in (about 170-210 minor faults an update where glibc trims
+        the heap top after each update)."""
+        import resource
+
+        if not forking.keep_freed_heap():
+            pytest.skip("needs glibc's mallopt")
+        agent = SacAgent(CLIFF_SPEC, AgentConfig(warmup_steps=0), seed=3)
+        assert (agent.cfg.batch_size, agent.cfg.hidden) == (128, 64)
+        TestAgentMechanics().fill_buffer(agent, 300, seed=4)
+        for _ in range(10):   # the first updates size the heap
+            agent.update()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(200):
+            agent.update()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 200 < 10
 
 
 def _running(pid: int) -> bool:
