@@ -10,38 +10,27 @@ from ..errors import UsageError
 class ReplayBuffer:
     """Fixed-capacity ring buffer with uniform sampling.
 
-    `done` marks hazard terminations only; time-limit cutoffs are stored as
+    Each transition is one row of `table`: s, a, r, s_next, done. `done`
+    marks hazard terminations only; time-limit cutoffs are stored as
     non-terminal so the critic still bootstraps through them.
     """
 
     def __init__(self, capacity: int, d_s: int, d_a: int):
-        self.capacity = capacity
-        self.s = np.zeros((capacity, d_s))
-        self.a = np.zeros((capacity, d_a))
-        self.r = np.zeros(capacity)
-        self.s_next = np.zeros((capacity, d_s))
-        self.done = np.zeros(capacity)
+        self.capacity, self.d_s, self.d_a = capacity, d_s, d_a
+        self.table = np.zeros((capacity, 2 * d_s + d_a + 2))
         self.size = 0
         self.cursor = 0
 
-    def __len__(self) -> int:
-        return self.size
-
     def add(self, s, a, r, s_next, done: bool) -> None:
-        i = self.cursor
-        self.s[i] = s
-        self.a[i] = a
-        self.r[i] = r
-        self.s_next[i] = s_next
-        self.done[i] = 1.0 if done else 0.0
-        self.cursor = (i + 1) % self.capacity
+        self.table[self.cursor] = np.concatenate([s, a, [r], s_next, [1.0 if done else 0.0]])
+        self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch: int, rng: np.random.Generator) -> dict:
+        """A batch of uniformly drawn rows: one gather, returned as column views."""
         if self.size < batch:
             raise UsageError(f"buffer holds {self.size} < batch {batch}")
-        idx = rng.integers(0, self.size, size=batch)
-        return {
-            "s": self.s[idx], "a": self.a[idx], "r": self.r[idx],
-            "s_next": self.s_next[idx], "done": self.done[idx],
-        }
+        rows = self.table[rng.integers(0, self.size, size=batch)]
+        r = self.d_s + self.d_a   # the reward's column
+        return {"s": rows[:, :self.d_s], "a": rows[:, self.d_s:r], "r": rows[:, r],
+                "s_next": rows[:, r + 1:-1], "done": rows[:, -1]}

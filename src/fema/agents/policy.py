@@ -3,7 +3,9 @@
 The trunk maps the state to a tanh feature vector; a linear mean head sits
 on top. The log-std is either a second linear head (state-dependent, used by
 the off-policy learner) or a free learned vector (state-independent, used by
-the on-policy learner). Squashing conventions:
+the on-policy learner). The parts are views of one parameter vector,
+`flat`, laid out trunk, mean head, log-std head or vector, so a learner
+steps the policy as one array. Squashing conventions:
 
   "tanh": actions are scale * tanh(u) for the Gaussian draw u (the
           off-policy learner computes their density in `sac._squashed_sample`);
@@ -60,13 +62,16 @@ class Gaussian(NamedTuple):
 
 
 @dataclass
-class GaussianPolicy:
+class GaussianPolicy(numeric.OneVector):
     trunk: numeric.Mlp
     mean_head: numeric.Mlp
     logstd_head: Optional[numeric.Mlp]
     logstd_vec: Optional[np.ndarray]
     squash: str
     scale: np.ndarray
+
+    def _part_names(self) -> tuple:
+        return "trunk", "mean_head", "logstd_head" if self.logstd_vec is None else "logstd_vec"
 
     @property
     def d_s(self) -> int:
@@ -75,11 +80,6 @@ class GaussianPolicy:
     @property
     def d_a(self) -> int:
         return self.mean_head.out_dim
-
-    def params(self) -> list:
-        """[trunk, mean head, log-std head or vector]: one array each."""
-        tail = self.logstd_vec if self.logstd_head is None else self.logstd_head.flat
-        return [self.trunk.flat, self.mean_head.flat, tail]
 
     # -- forward ----------------------------------------------------------
 

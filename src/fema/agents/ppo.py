@@ -119,7 +119,7 @@ def surrogate_loss_and_grads(
     cache_t, cache_m, _ = caches
     n_eff = float(mask.sum())
     if n_eff == 0.0:
-        return 0.0, [np.zeros_like(p) for p in policy.params()], lp
+        return 0.0, np.zeros_like(policy.flat), lp
     ratio = np.exp(lp - logp_old)
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv
@@ -134,17 +134,20 @@ def surrogate_loss_and_grads(
     d_ls = d_lp[:, None] * (z * z - 1.0) - (ent_coef / n_eff) * mask[:, None]
     d_ls = d_ls * ((ls_raw > LOGSTD_MIN) & (ls_raw < LOGSTD_MAX))
 
-    g_mean, d_feat = numeric.backward(policy.mean_head, cache_m, d_mu)
-    g_trunk, _ = numeric.backward(policy.trunk, cache_t, d_feat)
-    return loss, g_trunk + g_mean + [d_ls.sum(axis=0)], lp
+    grad = np.empty_like(policy.flat)
+    g_trunk, g_mean, g_ls = policy.split(grad)
+    _, d_feat = numeric.backward(policy.mean_head, cache_m, d_mu, out=g_mean)
+    numeric.backward(policy.trunk, cache_t, d_feat, out=g_trunk)
+    d_ls.sum(axis=0, out=g_ls)
+    return loss, grad, lp
 
 
 def value_loss_and_grads(vnet: numeric.Mlp, s: np.ndarray, ret: np.ndarray):
     out, cache = numeric.forward(vnet, s)
     err = out[:, 0] - ret
     loss = float(np.mean(err * err))
-    grads, _ = numeric.backward(vnet, cache, (2.0 / s.shape[0]) * err[:, None])
-    return loss, grads
+    grad, _ = numeric.backward(vnet, cache, (2.0 / s.shape[0]) * err[:, None])
+    return loss, grad
 
 
 def approx_kl(policy: GaussianPolicy, s, a, logp_old) -> float:
@@ -172,8 +175,8 @@ class PpoAgent(HookedAgent):
                                   init_logstd=cfg.init_logstd)
         self.vnet = numeric.mlp_init(self.saved_widths(d_s, d_a, h)["vnet"],
                                      seed=int(sub[1]))
-        self.policy_adam = numeric.adam_init(self.policy.params(), lr=cfg.policy_lr)
-        self.value_adam = numeric.adam_init(self.vnet.params(), lr=cfg.critic_lr)
+        self.policy_adam = numeric.adam_init(self.policy.flat, lr=cfg.policy_lr)
+        self.value_adam = numeric.adam_init(self.vnet.flat, lr=cfg.critic_lr)
         self.pending = {}           # worker -> (logp, value, overridden)
         self._rows = {}             # worker -> rows of the current phase
         self._memo = {}             # state bytes -> `_at` of that state
@@ -269,10 +272,10 @@ class PpoAgent(HookedAgent):
                     batch.logp_old[idx], batch.adv[idx], batch.mask[idx],
                     cfg.clip_ratio, cfg.ent_coef,
                 )
-                numeric.adam_step(self.policy.params(), g_pi, self.policy_adam)
+                numeric.adam_step(self.policy.flat, g_pi, self.policy_adam)
                 v_loss, g_v = value_loss_and_grads(self.vnet, batch.s[idx],
                                                    batch.ret[idx])
-                numeric.adam_step(self.vnet.params(), g_v, self.value_adam)
+                numeric.adam_step(self.vnet.flat, g_v, self.value_adam)
             epochs_run += 1
             kl = approx_kl(self.policy, batch.s, batch.a, batch.logp_old)
             if kl > cfg.kl_stop:

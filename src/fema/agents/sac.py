@@ -104,7 +104,7 @@ def compute_targets(
 
 
 def _critic_loss(q: numeric.Mlp, x: np.ndarray, y: np.ndarray):
-    """One critic's MSE against fixed targets, and its gradient [vector]."""
+    """One critic's MSE against fixed targets, and its gradient vector."""
     qv, cache = numeric.forward(q, x)
     e = qv[:, 0] - y
     grad, _ = numeric.backward(q, cache, (2.0 / x.shape[0]) * e[:, None])
@@ -112,11 +112,11 @@ def _critic_loss(q: numeric.Mlp, x: np.ndarray, y: np.ndarray):
 
 
 def critic_loss_and_grads(q1: numeric.Mlp, q2: numeric.Mlp, s, a, y):
-    """Summed twin MSE against fixed targets; grads follow q1 then q2 params."""
+    """Each twin's MSE against fixed targets, and their gradients (q1's, q2's)."""
     x = np.concatenate([s, a], axis=1)
     l1, g1 = _critic_loss(q1, x, y)
     l2, g2 = _critic_loss(q2, x, y)
-    return l1, l2, g1 + g2
+    return l1, l2, (g1, g2)
 
 
 def _min_weights(take1: np.ndarray) -> tuple:
@@ -128,7 +128,7 @@ def _min_weights(take1: np.ndarray) -> tuple:
 
 def _actor_step(policy: GaussianPolicy, draw: tuple, noise: np.ndarray, alpha: float,
                 qmin: np.ndarray, d_a_grad: np.ndarray):
-    """The actor's loss mean(alpha*logp - min Q) and its policy gradients,
+    """The actor's loss mean(alpha*logp - min Q) and its policy gradient,
     from its squashed draw and the critics' min value and action gradient."""
     a, u, t, ls_raw, ls, sigma, logp, caches = draw
     cache_t, cache_m, cache_l = caches
@@ -142,10 +142,12 @@ def _actor_step(policy: GaussianPolicy, draw: tuple, noise: np.ndarray, alpha: f
     d_ls = d_u * sigma * noise - (alpha / batch)
     d_ls = d_ls * ((ls_raw > LOGSTD_MIN) & (ls_raw < LOGSTD_MAX))
 
-    g_mean, d_feat_m = numeric.backward(policy.mean_head, cache_m, d_mu)
-    g_ls, d_feat_l = numeric.backward(policy.logstd_head, cache_l, d_ls)
-    g_trunk, _ = numeric.backward(policy.trunk, cache_t, d_feat_m + d_feat_l)
-    return loss, g_trunk + g_mean + g_ls
+    grad = np.empty_like(policy.flat)
+    g_trunk, g_mean, g_ls = policy.split(grad)
+    _, d_feat_m = numeric.backward(policy.mean_head, cache_m, d_mu, out=g_mean)
+    _, d_feat_l = numeric.backward(policy.logstd_head, cache_l, d_ls, out=g_ls)
+    numeric.backward(policy.trunk, cache_t, d_feat_m + d_feat_l, out=g_trunk)
+    return loss, grad
 
 
 def actor_loss_and_grads(
@@ -157,7 +159,7 @@ def actor_loss_and_grads(
     noise: np.ndarray,
 ):
     """Reparameterized actor objective mean(alpha*logp - min Q) and its
-    gradients w.r.t. policy parameters (critics and temperature frozen)."""
+    gradient w.r.t. policy.flat (critics and temperature frozen)."""
     draw = _squashed_sample(policy, s, noise)
     x = np.concatenate([s, draw[0]], axis=1)
     c1, c2 = _Critic(q1, s.shape[1]), _Critic(q2, s.shape[1])
@@ -199,8 +201,7 @@ class _Critic:
         """Loss against the backup y, backward, critic Adam step t on this
         critic's slice, then Polyak into its target; returns the loss."""
         loss, grad = _critic_loss(self.q, x, y)
-        numeric.adam_step(self.q.params(), grad,
-                          numeric.AdamState([self.m], [self.v], t - 1, self.lr))
+        numeric.adam_step(self.q.flat, grad, numeric.AdamState(self.m, self.v, t - 1, self.lr))
         polyak(self.q, self.qt, tau)
         return loss
 
@@ -357,10 +358,10 @@ class SacAgent(HookedAgent):
         self.q1t = self.q1.copy()
         self.q2t = self.q2.copy()
         self.log_alpha = np.array([math.log(cfg.init_temp)])
-        self.policy_adam = numeric.adam_init(self.policy.params(), lr=cfg.policy_lr)
-        self.critic_adam = numeric.adam_init(self.q1.params() + self.q2.params(),
-                                             lr=cfg.critic_lr)
-        self.temp_adam = numeric.adam_init([self.log_alpha], lr=cfg.temp_lr)
+        self.policy_adam = numeric.adam_init(self.policy.flat, lr=cfg.policy_lr)
+        self.critic_adam = numeric.adam_init(np.concatenate([self.q1.flat, self.q2.flat]),
+                                             lr=cfg.critic_lr)   # sliced per critic
+        self.temp_adam = numeric.adam_init(self.log_alpha, lr=cfg.temp_lr)
         self.target_entropy = -float(d_a)
         self.buffer = ReplayBuffer(cfg.buffer_capacity, d_s, d_a)
         self._away = None   # the helper's side of the second critic, in run_beside
@@ -383,7 +384,7 @@ class SacAgent(HookedAgent):
                 self._away.park()
             self.memory.update(self.stack)
         ready = (self.steps_seen >= self.cfg.warmup_steps
-                 and len(self.buffer) >= self.cfg.batch_size)
+                 and self.buffer.size >= self.cfg.batch_size)
         if ready and step % self.cfg.update_interval == 0:
             self.update()
 
@@ -425,14 +426,14 @@ class SacAgent(HookedAgent):
         logp = draw[6]
         l_actor, g_actor = _actor_step(self.policy, draw, noise_actor, alpha,
                                        np.where(take1, qa1, qa2), gin1 + gin2)
-        numeric.adam_step(self.policy.params(), g_actor, self.policy_adam)
+        numeric.adam_step(self.policy.flat, g_actor, self.policy_adam)
 
         l_temp = 0.0
         if cfg.learn_temp:
             l_temp, g_temp = temperature_loss_and_grad(
                 self.log_alpha, logp, self.target_entropy
             )
-            numeric.adam_step([self.log_alpha], [g_temp], self.temp_adam)
+            numeric.adam_step(self.log_alpha, g_temp, self.temp_adam)
 
         losses = {
             "q1_loss": l1, "q2_loss": float(l2[0]), "actor_loss": l_actor,
@@ -451,7 +452,8 @@ class SacAgent(HookedAgent):
         """Critic k (0: q1, 1: q2) with its target and Adam slice."""
         adam = self.critic_adam
         q, qt = (self.q1, self.q1t) if k == 0 else (self.q2, self.q2t)
-        return _Critic(q, self.spec.d_s, qt, adam.m[k], adam.v[k], adam.lr)
+        part = slice(k * q.flat.size, (k + 1) * q.flat.size)
+        return _Critic(q, self.spec.d_s, qt, adam.m[part], adam.v[part], adam.lr)
 
     def run_beside(self, loop, steps: int):
         """loop(), the run's first `steps` env steps, with the second side's
@@ -462,7 +464,7 @@ class SacAgent(HookedAgent):
         The helper owns q2, q2t and their slices of the critic Adam moments
         on a `forking.Shared` mapping; this process keeps learn_rng, the
         batch draw, q1, q1t, the temperature and the losses. The policy's
-        parameters are bound onto the mapping for the loop, so that the
+        vector is bound onto a slot of the mapping for the loop, so that the
         helper draws with the weights of this process's last Adam step.
         They meet four times an update (`_MEETINGS`): the next states and
         their noise, answered with the policy's draw there (the backup's
@@ -473,7 +475,7 @@ class SacAgent(HookedAgent):
         Until the first update, and from each publish to the next update,
         the helper waits parked, blocked on a pipe, so that a publish forks
         its own risk helper. q2, q2t, their moments and the policy's
-        parameters are copied back into the agent's own arrays after the
+        vector are copied back into the agent's own arrays after the
         loop, also on an error."""
         cfg = self.cfg
         if (steps <= cfg.warmup_steps or cfg.batch_size < FORK_BATCH
@@ -481,21 +483,17 @@ class SacAgent(HookedAgent):
             return loop()
         b, d_s, d_a = cfg.batch_size, self.spec.d_s, self.spec.d_a
         d_x, p = d_s + d_a, self.q2.flat.size
-        pol = self.policy
-        nets = (pol.trunk, pol.mean_head, pol.logstd_head)
-        trunk, mean, logstd = (net.flat.size for net in nets)
-        shared = forking.Shared(q=(p,), qt=(p,), m=(p,), v=(p,), trunk=(trunk,),
-                                mean=(mean,), logstd=(logstd,), s_next=(b, d_s),
-                                noise_next=(b, d_a), x=(b, d_x), x2=(b, d_x), logp2=(b,),
-                                q2v=(b,), y=(b,), xa=(b, d_x), qa2=(b,), l2=(1,),
-                                w2=(b,), gin2=(b, d_a))
+        pol, flat = self.policy, self.policy.flat
+        shared = forking.Shared(q=(2 * p,), m=(p,), v=(p,), policy=flat.shape,
+                                s_next=(b, d_s), noise_next=(b, d_a), x=(b, d_x),
+                                x2=(b, d_x), logp2=(b,), q2v=(b,), y=(b,), xa=(b, d_x),
+                                qa2=(b,), l2=(1,), w2=(b,), gin2=(b, d_a))
         adam = self.critic_adam
-        own = (self.q2.flat, self.q2t.flat, adam.m[1], adam.v[1], *pol.params())
-        away = (shared.q, shared.qt, shared.m, shared.v,
-                shared.trunk, shared.mean, shared.logstd)
+        q, qt = numeric.bind((self.q2, self.q2t), shared.q)
+        own = (self.q2.flat, self.q2t.flat, adam.m[p:], adam.v[p:], flat)
+        away = (q.flat, qt.flat, shared.m, shared.v, shared.policy)
         for dst, src in zip(away, own):
             dst[:] = src
-        q, qt = _on((self.q2, self.q2t), away[:2])
         second = _Second(pol, _Critic(q, d_s, qt, shared.m, shared.v, adam.lr),
                          adam.t, cfg.tau)
         caller = os.getpid()
@@ -518,7 +516,7 @@ class SacAgent(HookedAgent):
             os.close(wfd)
             return _help(second, shared, caller, rfd)
 
-        pol.trunk, pol.mean_head, pol.logstd_head = _on(nets, away[4:])
+        pol.bind(shared.policy)
         try:
             done, _ = forking.beside(lead, {"critic helper": help_})
         finally:
@@ -526,10 +524,5 @@ class SacAgent(HookedAgent):
                 os.close(fd)
             for dst, src in zip(own, away):
                 dst[:] = src
-            pol.trunk, pol.mean_head, pol.logstd_head = nets
+            pol.bind(flat)
         return done
-
-
-def _on(nets, arrays) -> list:
-    """Networks shaped as `nets`, over the parameter vectors `arrays`."""
-    return [numeric.Mlp(net.widths, net.acts, flat) for net, flat in zip(nets, arrays)]

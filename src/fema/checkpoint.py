@@ -8,7 +8,8 @@ once: `d_s`, `d_a`, the policy width `hidden`, the policy's `squash`,
 of the embedding stack's `d_z`, `d_z_a`, `d_phi`, `version` and Adam `lr`.
 The blobs are `policy.trunk`, `policy.mean`, `policy.logstd` (head or free
 vector), each name in the learner's `saved_widths` in its order, and with
-the memory on `stack.f`, `stack.g`, `stack.j`, `stack.h`.
+the memory on `stack.f`, `stack.g`, `stack.j`, `stack.h`; the policy's and
+the stack's blobs are the views of their one parameter vectors.
 
 The loader rebuilds each net over its own blob, with the widths the meta
 and `saved_widths` give and the activations `policy_init`, `mlp_init` and
@@ -59,7 +60,7 @@ def save_checkpoint(path, agent, env_name: str, step: int) -> None:
             "squash": policy.squash, "scale": policy.scale.tolist(),
             "state_dependent_std": policy.logstd_head is not None}
     vectors = dict(zip(("policy.trunk", "policy.mean", "policy.logstd"),
-                       policy.params()))
+                       policy.split(policy.flat)))
     for name, widths in agent.saved_widths(policy.d_s, policy.d_a,
                                            policy.trunk.out_dim).items():
         value = getattr(agent, name)
@@ -98,7 +99,7 @@ def load_checkpoint(path) -> CheckpointData:
             stack = embedding.EmbeddingStack(
                 **{name: _part(blobs, f"stack.{name}", w) for name, w in widths.items()},
                 adam=None, version=dims["version"])
-            stack.adam = numeric.adam_init(stack.params(), lr=dims["lr"])
+            stack.adam = numeric.adam_init(stack.flat, lr=dims["lr"])
         return CheckpointData(
             algo=meta["algo"], env=meta["env"], step=meta["step"],
             fema_on=meta["fema_on"], policy=policy,

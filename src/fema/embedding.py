@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import forking, numeric
 from .errors import FemaError, ShapeError, TrainingError, UsageError
-# Whether the risk helper can run at all (it meets on plain stores: x86).
-from .forking import STORES_IN_ORDER  # noqa: F401
 
 NORM_EPS = 1e-6
 # Fewest minibatch steps of a train_risk call that forks its helper. On a
@@ -39,7 +37,7 @@ FORK_STEPS = 128
 
 
 @dataclass
-class EmbeddingStack:
+class EmbeddingStack(numeric.OneVector):
     """State encoder, action encoder, joint embedder, risk head, shared Adam.
 
     The four nets become views of one parameter vector, `flat`, laid out f,
@@ -55,7 +53,6 @@ class EmbeddingStack:
     h: numeric.Mlp
     adam: numeric.AdamState
     version: int = 0
-    flat: np.ndarray = field(init=False, repr=False)
 
     d_s = property(lambda self: self.f.in_dim)
     d_z = property(lambda self: self.f.out_dim)
@@ -63,34 +60,8 @@ class EmbeddingStack:
     d_z_a = property(lambda self: self.g.out_dim)
     d_phi = property(lambda self: self.j.out_dim)
 
-    def __post_init__(self):
-        self._bind(np.concatenate([net.flat for net in (self.f, self.g, self.j, self.h)]))
-
-    def __reduce__(self):
-        """Pickle (and deep-copy) as the nets, Adam state and version, so
-        that the nets of the copy are views of its own `flat`."""
-        return EmbeddingStack, (self.f, self.g, self.j, self.h, self.adam, self.version)
-
-    def _bind(self, flat: np.ndarray) -> None:
-        """Make `flat` (laid out f, g, j, h) the parameter vector, and the
-        four nets views of it."""
-        nets = (self.f, self.g, self.j, self.h)
-        self.f, self.g, self.j, self.h = (
-            numeric.Mlp(net.widths, net.acts, view)
-            for net, view in zip(nets, self.split(flat)))
-        self.flat = flat
-
-    def params(self) -> list:
-        """[flat]: the one parameter array (the vector itself, not a copy)."""
-        return [self.flat]
-
-    def split(self, vec: np.ndarray) -> list:
-        """Views of `vec`, laid out like `flat`, one per net f, g, j, h."""
-        views, off = [], 0
-        for net in (self.f, self.g, self.j, self.h):
-            views.append(vec[off:off + net.flat.size])
-            off += net.flat.size
-        return views
+    def _part_names(self) -> tuple:
+        return "f", "g", "j", "h"
 
 
 def stack_widths(d_s: int, d_a: int, d_z: int, d_z_a: int, d_phi: int,
@@ -116,7 +87,7 @@ def stack_init(
     nets = {name: numeric.mlp_init(w, seed=seed + k)
             for k, (name, w) in enumerate(widths.items())}
     stack = EmbeddingStack(**nets, adam=None)
-    stack.adam = numeric.adam_init(stack.params(), lr=lr)
+    stack.adam = numeric.adam_init(stack.flat, lr=lr)
     return stack
 
 
@@ -179,8 +150,7 @@ def risk_loss_and_grads(stack: EmbeddingStack, states, actions, targets):
     """Mean squared error of the risk head and its end-to-end gradients.
 
     Gradients flow through the head into the joint embedder and both
-    encoders; the returned list, [one vector laid out like stack.flat],
-    lines up with stack.params().
+    encoders; the returned gradient is one vector laid out like stack.flat.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -196,7 +166,7 @@ def risk_loss_and_grads(stack: EmbeddingStack, states, actions, targets):
     loss, d_cat = _joint(stack, z_s, z_a, targets, outs)
     numeric.backward(stack.f, cache_f, d_cat[:, : stack.d_z], out=outs[0])
     numeric.backward(stack.g, cache_g, d_cat[:, stack.d_z:], out=outs[1])
-    return loss, [grad]
+    return loss, grad
 
 
 def _joint(stack: EmbeddingStack, z_s, z_a, targets, outs: list):
@@ -298,8 +268,8 @@ def _adam(stack: EmbeddingStack, grad: np.ndarray, parts: tuple, t: int) -> None
     bit for bit."""
     adam = stack.adam
     for part in parts:
-        state = numeric.AdamState([adam.m[0][part]], [adam.v[0][part]], t - 1, adam.lr)
-        numeric.adam_step([stack.flat[part]], [grad[part]], state)
+        state = numeric.AdamState(adam.m[part], adam.v[part], t - 1, adam.lr)
+        numeric.adam_step(stack.flat[part], grad[part], state)
 
 
 def _fit(stack: EmbeddingStack, states, epochs, acts, grad, own: tuple) -> float:
@@ -340,9 +310,9 @@ def _fit_beside(stack, states, actions, returns, epochs, batch_size: int) -> flo
     shared = forking.Shared(flat=(p,), m=(p,), v=(p,), grad=(p,), z_a=(batch_size, d_z_a),
                             d_z_a=(batch_size, d_z_a), y=(batch_size,))
     flat, adam = stack.flat, stack.adam
-    shared.flat[:], shared.m[:], shared.v[:] = flat, adam.m[0], adam.v[0]
-    stack._bind(shared.flat)
-    stack.adam = numeric.AdamState([shared.m], [shared.v], adam.t, adam.lr)
+    shared.flat[:], shared.m[:], shared.v[:] = flat, adam.m, adam.v
+    stack.bind(shared.flat)
+    stack.adam = numeric.AdamState(shared.m, shared.v, adam.t, adam.lr)
     g_at = stack.f.flat.size
     h_at = g_at + stack.g.flat.size + stack.j.flat.size
     caller = os.getpid()
@@ -353,9 +323,9 @@ def _fit_beside(stack, states, actions, returns, epochs, batch_size: int) -> flo
             {"risk helper": lambda: _help(stack, actions, returns, epochs, shared,
                                           (slice(g_at, h_at),), caller)})
     finally:
-        flat[:], adam.m[0][:], adam.v[0][:] = shared.flat, shared.m, shared.v
+        flat[:], adam.m[:], adam.v[:] = shared.flat, shared.m, shared.v
         adam.t = stack.adam.t
-        stack._bind(flat)
+        stack.bind(flat)
         stack.adam = adam
     return final
 

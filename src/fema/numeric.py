@@ -5,7 +5,10 @@ layer as W (row-major) then b; a checkpoint stores it as is. Layer `w` and `b`
 are views into it, and backward() returns one gradient vector in the same
 layout. Forward/backward are purely functional over explicit parameter values.
 A layer's activation is tanh or identity; backward() takes only a batched
-forward pass. Adam's beta1, beta2 and eps are the constants ADAM_*.
+forward pass. A learner of several parts keeps them as views of one
+vector (split, bind; `OneVector`). Adam steps one array; it is
+elementwise, so a step on a vector equals steps on its slices, bit for
+bit. Adam's beta1, beta2 and eps are the constants ADAM_*.
 
 forward(), backward() and input_grad() write only arrays they create (and
 backward()'s `out`), running each elementwise step in place with the bits of
@@ -16,7 +19,8 @@ concurrent workers are safe as long as each owns its parameter copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -63,10 +67,6 @@ class Mlp:
     def out_dim(self) -> int:
         return self.widths[-1]
 
-    def params(self) -> list:
-        """[flat]: the one parameter array (the vector itself, not a copy)."""
-        return [self.flat]
-
     def copy(self) -> "Mlp":
         return Mlp(self.widths, self.acts, self.flat.copy())
 
@@ -85,6 +85,51 @@ class ForwardCache:
 
 
 SINGLE = ForwardCache((), (), -1)  # the cache of every 1-d forward pass
+
+
+def _values(part) -> np.ndarray:
+    return part.flat if isinstance(part, Mlp) else part
+
+
+def split(vec: np.ndarray, parts: Sequence) -> list:
+    """Consecutive views of `vec`, one per part (a network or a plain
+    vector), each of the part's size."""
+    sizes = [_values(part).size for part in parts]
+    return [vec[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+
+
+def bind(parts: Sequence, flat: np.ndarray) -> list:
+    """`parts` remade over their views of `flat`: a network as an `Mlp`
+    over its view, a plain vector as the view itself."""
+    return [Mlp(part.widths, part.acts, view) if isinstance(part, Mlp) else view
+            for part, view in zip(parts, split(flat, parts))]
+
+
+class OneVector:
+    """Mixin of a dataclass whose parts, the attributes that _part_names()
+    names (networks and plain vectors), are views of one parameter vector,
+    `flat`, laid out in that order."""
+
+    def __post_init__(self):
+        self.bind(np.concatenate([_values(part) for part in self._parts()]))
+
+    def __reduce__(self):
+        """Pickle (and deep-copy) as the fields, so that the parts of the
+        copy are views of its own `flat`."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def _parts(self) -> list:
+        return [getattr(self, name) for name in self._part_names()]
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Make `flat` the parameter vector, and the parts views of it."""
+        for name, part in zip(self._part_names(), bind(self._parts(), flat)):
+            setattr(self, name, part)
+        self.flat = flat
+
+    def split(self, vec: np.ndarray) -> list:
+        """Views of `vec`, laid out like `flat`: one per part."""
+        return split(vec, self._parts())
 
 
 def default_acts(n_layers: int) -> list:
@@ -147,11 +192,11 @@ def forward(mlp: Mlp, x: np.ndarray):
 def backward(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray, out=None):
     """Backpropagate loss gradients through a cached batched forward pass.
 
-    Returns (grads, input_grad) where grads is [one vector laid out like
-    mlp.flat], matching mlp.params(); the vector is `out` when given.
+    Returns (grad, input_grad) where grad is one vector laid out like
+    mlp.flat: `out` when given.
     """
     grad = np.empty_like(mlp.flat) if out is None else out
-    return [grad], _backprop(mlp, cache, output_grad, grad)
+    return grad, _backprop(mlp, cache, output_grad, grad)
 
 
 def input_grad(mlp: Mlp, cache: ForwardCache, output_grad: np.ndarray) -> np.ndarray:
@@ -192,48 +237,38 @@ def _backprop(mlp: Mlp, cache: ForwardCache, output_grad, grad) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus step counter and step size."""
+    """First/second moment vectors plus step counter and step size."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int
     lr: float
 
 
-def adam_init(params: Sequence[np.ndarray], lr: float = 3e-4) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        t=0, lr=lr,
-    )
+def adam_init(params: np.ndarray, lr: float = 3e-4) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), t=0, lr=lr)
 
 
-def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState):
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
     """One Adam update, applied in place to params and state.
 
     Zero gradients leave parameters unchanged (bias-corrected moments stay zero).
     """
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ShapeError(
-            f"param/grad/state length mismatch: {len(params)}/{len(grads)}/{len(state.m)}"
-        )
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(f"shape mismatch: param {p.shape}, grad {g.shape}, moment {m.shape}")
-
+    if params.shape != grad.shape or params.shape != state.m.shape:
+        raise ShapeError(f"shape mismatch: param {params.shape}, grad {grad.shape}, "
+                         f"moment {state.m.shape}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), step by step in t and u
-        t, u = np.empty_like(p), np.empty_like(p)
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=t)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=t), g, out=t)
-        np.multiply(state.lr, np.divide(m, c1, out=t), out=t)
-        np.sqrt(np.divide(v, c2, out=u), out=u)
-        u += ADAM_EPS
-        p -= np.divide(t, u, out=t)
+    m, v = state.m, state.v
+    # params -= lr * (m / c1) / (sqrt(v / c2) + eps), step by step in t and u
+    t, u = np.empty_like(params), np.empty_like(params)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=t)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=t), grad, out=t)
+    np.multiply(state.lr, np.divide(m, c1, out=t), out=t)
+    np.sqrt(np.divide(v, c2, out=u), out=u)
+    u += ADAM_EPS
+    params -= np.divide(t, u, out=t)
     return params
-

@@ -109,7 +109,7 @@ def checkpoint_content(path) -> bytes:
     head = [ckpt.algo, ckpt.env, ckpt.step, ckpt.fema_on, policy.d_s, policy.d_a,
             policy.trunk.out_dim, policy.squash, policy.scale.tolist(),
             policy.logstd_head is not None, list(ckpt.nets), list(ckpt.arrays)]
-    vectors = [*policy.params(), *(net.flat for net in ckpt.nets.values()),
+    vectors = [policy.flat, *(net.flat for net in ckpt.nets.values()),
                *ckpt.arrays.values()]
     if stack is not None:
         head += [stack.d_z, stack.d_z_a, stack.d_phi, stack.version, stack.adam.lr]

@@ -107,7 +107,7 @@ def train_risk_one_loop(stack, states, actions, returns, epochs, batch_size, rng
             numeric.backward(stack.g, cache_g, d_cat[:, stack.d_z:], out=out_g)
             if not np.isfinite(loss):
                 raise TrainingError("risk loss diverged to NaN/Inf")
-            numeric.adam_step(stack.params(), [grad], stack.adam)
+            numeric.adam_step(stack.flat, grad, stack.adam)
             losses.append(loss)
         final = float(np.mean(losses))
     stack.version += 1
@@ -134,18 +134,19 @@ def sac_update_one_loop(agent):
                             batch, cfg.discount, noise_next)
     l1, l2, g_critic = sac.critic_loss_and_grads(agent.q1, agent.q2,
                                                  batch["s"], batch["a"], y)
-    numeric.adam_step(agent.q1.params() + agent.q2.params(), g_critic,
-                      agent.critic_adam)
+    critics = np.concatenate([agent.q1.flat, agent.q2.flat])
+    numeric.adam_step(critics, np.concatenate(g_critic), agent.critic_adam)
+    agent.q1.flat[:], agent.q2.flat[:] = np.split(critics, [agent.q1.flat.size])
 
     l_actor, g_actor, logp = sac.actor_loss_and_grads(
         agent.policy, agent.q1, agent.q2, agent.log_alpha, batch["s"], noise_actor)
-    numeric.adam_step(agent.policy.params(), g_actor, agent.policy_adam)
+    numeric.adam_step(agent.policy.flat, g_actor, agent.policy_adam)
 
     l_temp = 0.0
     if cfg.learn_temp:
         l_temp, g_temp = sac.temperature_loss_and_grad(agent.log_alpha, logp,
                                                        agent.target_entropy)
-        numeric.adam_step([agent.log_alpha], [g_temp], agent.temp_adam)
+        numeric.adam_step(agent.log_alpha, g_temp, agent.temp_adam)
 
     sac.polyak(agent.q1, agent.q1t, cfg.tau)
     sac.polyak(agent.q2, agent.q2t, cfg.tau)

@@ -112,8 +112,8 @@ class TestCriterion3:
             _, analytic = embedding.risk_loss_and_grads(st, s, a, y)
             num = fd_grads(
                 lambda: embedding.risk_loss_and_grads(st, s, a, y)[0],
-                st.params(), h=1e-5)
-            worst = max(worst, max_rel_error(analytic, num))
+                [st.flat], h=1e-5)
+            worst = max(worst, max_rel_error([analytic], num))
             n_params += 1
 
         # off-policy learner: critic pair, squashed actor, temperature
@@ -128,7 +128,7 @@ class TestCriterion3:
             num = fd_grads(
                 lambda: sac_mod.critic_loss_and_grads(q1, q2, s, a, yt)[0]
                 + sac_mod.critic_loss_and_grads(q1, q2, s, a, yt)[1],
-                q1.params() + q2.params(), h=1e-5)
+                [q1.flat, q2.flat], h=1e-5)
             worst = max(worst, max_rel_error(grads, num))
             n_params += 1
 
@@ -142,8 +142,8 @@ class TestCriterion3:
             num = fd_grads(
                 lambda: sac_mod.actor_loss_and_grads(
                     pol, q1, q2, log_alpha, s, noise)[0],
-                pol.params(), h=1e-5)
-            worst = max(worst, max_rel_error(agrads, num))
+                [pol.flat], h=1e-5)
+            worst = max(worst, max_rel_error([agrads], num))
             n_params += 1
 
         # on-policy learner: clipped surrogate and value regression
@@ -163,8 +163,8 @@ class TestCriterion3:
             num = fd_grads(
                 lambda: ppo_mod.surrogate_loss_and_grads(
                     pol, s, a, lp, adv, mask, 0.2, 0.01)[0],
-                pol.params(), h=1e-5)
-            worst = max(worst, max_rel_error(grads, num))
+                [pol.flat], h=1e-5)
+            worst = max(worst, max_rel_error([grads], num))
             n_params += 1
 
             vnet = numeric.mlp_init([3, 8, 8, 1], seed=95 + seed)
@@ -172,8 +172,8 @@ class TestCriterion3:
             _, vgrads = ppo_mod.value_loss_and_grads(vnet, s, ret)
             num = fd_grads(
                 lambda: ppo_mod.value_loss_and_grads(vnet, s, ret)[0],
-                vnet.params(), h=1e-5)
-            worst = max(worst, max_rel_error(vgrads, num))
+                [vnet.flat], h=1e-5)
+            worst = max(worst, max_rel_error([vgrads], num))
             n_params += 1
 
         ok = worst < 1e-4 and n_params >= 20

@@ -8,13 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fema import checkpoint, embedding, numeric
+from fema import checkpoint, embedding, forking, numeric
 from fema.errors import ShapeError, TrainingError, UsageError
 from helpers import assert_no_children, count_forks, save_agent
 from oracles import (fd_grads, forward_oracle, max_rel_error, spearman,
                      train_risk_one_loop)
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not embedding.STORES_IN_ORDER,
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not forking.STORES_IN_ORDER,
                                 reason="the risk helper needs os.fork on x86")
 
 
@@ -24,8 +24,7 @@ def small_stack(seed=0, lr=3e-4):
 
 
 def zero_all(stack):
-    for p in stack.params():
-        p[:] = 0.0
+    stack.flat[:] = 0.0
     return stack
 
 
@@ -180,8 +179,8 @@ class TestRiskTraining:
             return l
 
         _, analytic = embedding.risk_loss_and_grads(st, states, actions, targets)
-        numeric_g = fd_grads(loss, st.params(), h=1e-5)
-        assert max_rel_error(analytic, numeric_g) < 1e-4
+        numeric_g = fd_grads(loss, [st.flat], h=1e-5)
+        assert max_rel_error([analytic], numeric_g) < 1e-4
 
     def test_zero_lr_frozen(self):
         st = small_stack(seed=1, lr=0.0)
@@ -189,19 +188,17 @@ class TestRiskTraining:
         states = rng.normal(size=(16, 3))
         actions = rng.normal(size=(16, 2))
         rets = rng.normal(size=16)
-        before = [p.copy() for p in st.params()]
+        before = st.flat.copy()
         first, _ = embedding.risk_loss_and_grads(
             st, states, actions, embedding.normalize_returns(rets)
         )
         final = embedding.train_risk(st, states, actions, rets, epochs=3, batch_size=16)
-        for p, b in zip(st.params(), before):
-            np.testing.assert_array_equal(p, b)
+        np.testing.assert_array_equal(st.flat, before)
         assert final == pytest.approx(first, abs=1e-12)
 
     def test_zero_head_constant_batch_zero_loss(self):
         st = small_stack(seed=4)
-        for p in st.h.params():
-            p[:] = 0.0
+        st.h.flat[:] = 0.0
         states = np.tile(np.array([0.5, -0.5, 1.0]), (8, 1))
         actions = np.tile(np.array([0.2, 0.2]), (8, 1))
         rets = np.full(8, 3.0)
@@ -309,7 +306,6 @@ class TestStackVector:
         return (st.f, st.g, st.j, st.h)
 
     def assert_views(self, st):
-        assert st.params() == [st.flat] and st.params()[0] is st.flat
         assert sum(net.flat.size for net in self.nets(st)) == st.flat.size
         for net in self.nets(st):
             assert net.flat.base is st.flat
@@ -351,16 +347,16 @@ class TestStackVector:
         s = rng.normal(size=(6, 3))
         a = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
-        loss, (grad,) = embedding.risk_loss_and_grads(st, s, a, y)
+        loss, grad = embedding.risk_loss_and_grads(st, s, a, y)
         z_s, c_f = numeric.forward(st.f, s)
         z_a, c_g = numeric.forward(st.g, a)
         phi, c_j = numeric.forward(st.j, np.concatenate([z_s, z_a], axis=1))
         pred, c_h = numeric.forward(st.h, phi)
         err = pred[:, 0] - y
-        (g_h,), d_phi = numeric.backward(st.h, c_h, (2.0 / 6) * err[:, None])
-        (g_j,), d_cat = numeric.backward(st.j, c_j, d_phi)
-        (g_f,), _ = numeric.backward(st.f, c_f, d_cat[:, :4])
-        (g_g,), _ = numeric.backward(st.g, c_g, d_cat[:, 4:])
+        g_h, d_phi = numeric.backward(st.h, c_h, (2.0 / 6) * err[:, None])
+        g_j, d_cat = numeric.backward(st.j, c_j, d_phi)
+        g_f, _ = numeric.backward(st.f, c_f, d_cat[:, :4])
+        g_g, _ = numeric.backward(st.g, c_g, d_cat[:, 4:])
         assert loss == float(np.mean(err * err))
         assert grad.tobytes() == np.concatenate([g_f, g_g, g_j, g_h]).tobytes()
 
@@ -391,7 +387,7 @@ def fit_data(n, seed=0):
 
 def fit_state(st):
     """Every value train_risk may change in a stack."""
-    return (st.flat.tobytes(), st.adam.m[0].tobytes(), st.adam.v[0].tobytes(),
+    return (st.flat.tobytes(), st.adam.m.tobytes(), st.adam.v.tobytes(),
             st.adam.t, st.version)
 
 

@@ -364,7 +364,7 @@ def same_policy(a, b) -> bool:
     """Two policies of one squash, scale, std kind and parameter vectors."""
     return ((a.squash, a.scale.tobytes(), a.logstd_head is None)
             == (b.squash, b.scale.tobytes(), b.logstd_head is None)
-            and [p.tobytes() for p in a.params()] == [p.tobytes() for p in b.params()])
+            and a.flat.tobytes() == b.flat.tobytes())
 
 
 class TestCheckpoint:
@@ -635,7 +635,7 @@ class TestCheckpoint:
         assert list(blobs) == (
             ["meta", "policy.trunk", "policy.mean", "policy.logstd", *saved]
             + ["stack.f", "stack.g", "stack.j", "stack.h"] * fema)
-        vectors = [*agent.policy.params(), *(getattr(agent, name).flat for name in nets),
+        vectors = [agent.policy.flat, *(getattr(agent, name).flat for name in nets),
                    *(getattr(agent, name) for name in arrays)]
         if fema:
             vectors.append(agent.stack.flat)
@@ -893,7 +893,7 @@ class TestSeedFork:
     @pytest.mark.parametrize("seeds, names", [
         pytest.param("0, 1", [["runs [seed1]"]], id="two_seeds"),
         pytest.param("0", [[], ["risk helper"]], id="one_seed",
-                     marks=pytest.mark.skipif(not embedding.STORES_IN_ORDER,
+                     marks=pytest.mark.skipif(not forking.STORES_IN_ORDER,
                                               reason="the risk helper runs on x86")),
     ])
     def test_risk_helper_only_on_a_free_cpu(self, tmp_path, monkeypatch, seeds, names):

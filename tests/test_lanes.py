@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from fema import embedding
+from fema import forking
 from fema.agents.ppo import PpoAgent
 from fema.harness.config import parse_text
 from fema.harness.train import run_seed
@@ -122,7 +122,7 @@ class TestLaneIdentity:
 
 
 class TestRiskHelper:
-    @pytest.mark.skipif(not hasattr(os, "fork") or not embedding.STORES_IN_ORDER,
+    @pytest.mark.skipif(not hasattr(os, "fork") or not forking.STORES_IN_ORDER,
                         reason="the risk helper needs os.fork on x86")
     def test_forking_publishes_keep_the_bytes(self, tmp_path, monkeypatch):
         """With 16 times the pinned runs' training epochs, the last two of

@@ -38,13 +38,12 @@ class TestInit:
     def test_deterministic(self):
         a = numeric.mlp_init([4, 64, 64, 16], seed=7)
         b = numeric.mlp_init([4, 64, 64, 16], seed=7)
-        for pa, pb in zip(a.params(), b.params()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_seed_changes_params(self):
         a = numeric.mlp_init([3, 8, 2], seed=0)
         b = numeric.mlp_init([3, 8, 2], seed=1)
-        assert any(np.any(pa != pb) for pa, pb in zip(a.params(), b.params()))
+        assert np.any(a.flat != b.flat)
 
     def test_shapes_and_default_acts(self):
         m = numeric.mlp_init([5, 64, 64, 3], seed=2)
@@ -76,7 +75,6 @@ class TestInit:
 class TestFlatLayout:
     def test_layers_are_views_into_flat(self):
         m = numeric.mlp_init([3, 5, 2], seed=0, acts=["tanh", "identity"])
-        assert len(m.params()) == 1 and m.params()[0] is m.flat
         assert m.flat.shape == (4 * 5 + 6 * 2,)
         np.testing.assert_array_equal(
             m.flat, np.concatenate([a.ravel() for l in m.layers for a in (l.w, l.b)]))
@@ -176,11 +174,11 @@ class TestBackward:
         m = mlp_zeros([3, 1], acts=["identity"])
         x = np.array([[1.0, 2.0, -4.0]])
         _, cache = numeric.forward(m, x)
-        grads, gin = numeric.backward(m, cache, np.array([[2.0]]))
+        grad, gin = numeric.backward(m, cache, np.array([[2.0]]))
         # one flat gradient laid out like m.flat: W (1x3) row-major, then b
-        assert len(grads) == 1 and grads[0].shape == m.flat.shape
-        np.testing.assert_array_equal(grads[0][:3], 2.0 * x[0])
-        np.testing.assert_array_equal(grads[0][3:], [2.0])
+        assert grad.shape == m.flat.shape
+        np.testing.assert_array_equal(grad[:3], 2.0 * x[0])
+        np.testing.assert_array_equal(grad[3:], [2.0])
         np.testing.assert_array_equal(gin, np.zeros((1, 3)))
 
     def test_fd_agreement_scalar_loss(self):
@@ -199,8 +197,8 @@ class TestBackward:
 
             _, cache = numeric.forward(m, xb)
             analytic, _ = numeric.backward(m, cache, c)
-            numeric_g = fd_grads(loss, m.params(), h=1e-5)
-            assert max_rel_error(analytic, numeric_g) < 1e-4
+            numeric_g = fd_grads(loss, [m.flat], h=1e-5)
+            assert max_rel_error([analytic], numeric_g) < 1e-4
 
     def test_input_grad_fd(self):
         rng = np.random.default_rng(13)
@@ -225,7 +223,7 @@ class TestBackward:
         x = rng.normal(size=(6, 5))
         c = rng.normal(size=(6, 3))
         _, cache = numeric.forward(m, x)
-        (grad,), _ = numeric.backward(m, cache, c)
+        grad, _ = numeric.backward(m, cache, c)
         g_out = c
         h = cache.outputs[0]
         g_hid = (g_out @ m.layers[1].w) * (1.0 - h * h)
@@ -239,10 +237,10 @@ class TestBackward:
         x = rng.normal(size=(5, 4))
         c = rng.normal(size=(5, 2))
         _, cache = numeric.forward(m, x)
-        (want,), want_in = numeric.backward(m, cache, c)
+        want, want_in = numeric.backward(m, cache, c)
         buf = np.full(m.flat.size + 3, np.nan)
         view = buf[2:-1]
-        (got,), got_in = numeric.backward(m, cache, c, out=view)
+        got, got_in = numeric.backward(m, cache, c, out=view)
         assert got is view
         assert got.tobytes() == want.tobytes()
         assert got_in.tobytes() == want_in.tobytes()
@@ -270,33 +268,32 @@ class TestAdam:
     def test_first_step_magnitude(self):
         # With g=1, lr=0.1: m_hat=1, v_hat=1, step = 0.1/(1+1e-8).
         w = np.array([0.0])
-        state = numeric.adam_init([w], lr=0.1)
-        numeric.adam_step([w], [np.array([1.0])], state)
+        state = numeric.adam_init(w, lr=0.1)
+        numeric.adam_step(w, np.array([1.0]), state)
         assert abs(w[0] + 0.1) < 1e-8
 
     def test_zero_grads_no_move(self):
         m = random_mlp([3, 4, 2], seed=8)
-        before = [p.copy() for p in m.params()]
-        state = numeric.adam_init(m.params())
-        numeric.adam_step(m.params(), [np.zeros_like(p) for p in m.params()], state)
-        for p, b in zip(m.params(), before):
-            np.testing.assert_array_equal(p, b)
+        before = m.flat.copy()
+        state = numeric.adam_init(m.flat)
+        numeric.adam_step(m.flat, np.zeros_like(m.flat), state)
+        np.testing.assert_array_equal(m.flat, before)
 
     def test_quadratic_convergence(self):
         # min (w - 3)^2 from 0; lr=0.01 reaches |w - 3| < 1e-3 in 2000 steps.
         w = np.array([0.0])
-        state = numeric.adam_init([w], lr=0.01)
+        state = numeric.adam_init(w, lr=0.01)
         for _ in range(2000):
-            numeric.adam_step([w], [2.0 * (w - 3.0)], state)
+            numeric.adam_step(w, 2.0 * (w - 3.0), state)
         assert abs(w[0] - 3.0) < 1e-3
 
     def test_rejects_mismatched_grads(self):
         w = np.array([0.0, 1.0])
-        state = numeric.adam_init([w])
+        state = numeric.adam_init(w)
         with pytest.raises(ShapeError):
-            numeric.adam_step([w], [np.zeros(3)], state)
-        with pytest.raises(ShapeError):
-            numeric.adam_step([w, np.zeros(2)], [np.zeros(2), np.zeros(2)], state)
+            numeric.adam_step(w, np.zeros(3), state)
+        with pytest.raises(ShapeError):   # moments of another vector
+            numeric.adam_step(np.zeros(3), np.zeros(3), state)
 
 
 def frozen(a):
@@ -336,25 +333,36 @@ class TestOutOfPlaceBits:
             g = frozen(np.zeros(out.shape) if k % 5 == 1 else rng.normal(size=out.shape))
             want_flat, want_in = backward_out_of_place(layers, inputs, outputs, g)
             buf = np.full(flat.shape, np.nan) if k % 2 else None
-            (grad,), got_in = numeric.backward(m, cache, g, out=buf)
+            grad, got_in = numeric.backward(m, cache, g, out=buf)
             assert buf is None or grad is buf
             assert same_bits(grad, want_flat), k
             assert same_bits(got_in, want_in), k
             assert same_bits(numeric.input_grad(m, cache, g), want_in), k
 
-    def test_adam_one_and_two_arrays(self):
-        # Two arrays as SAC steps its critics: [q1.flat, q2.flat].
+    def test_adam_vector_equals_its_slices(self):
+        # A step on a vector equals steps on its slices, bit for bit, as
+        # `embedding._adam` and `sac._Critic.fit` step theirs.
         rng = np.random.default_rng(2027)
         for k in range(400):
-            sizes = rng.integers(1, 400, size=1 + k % 2).tolist()
-            params = [rng.normal(size=n) for n in sizes]
+            sizes = rng.integers(1, 200, size=1 + k % 3)
+            parts = [slice(end - n, end) for end, n in zip(np.cumsum(sizes), sizes)]
+            params = rng.normal(size=int(sizes.sum()))
+            by_slice = params.copy()
             lr = 0.0 if k % 7 == 0 else float(10.0 ** rng.uniform(-5, -1))
-            state = numeric.adam_init(params, lr=lr)
+            whole, sliced = numeric.adam_init(params, lr=lr), numeric.adam_init(params, lr=lr)
             for _ in range(int(rng.integers(1, 4))):
-                grads = [frozen(np.zeros(n) if (k + j) % 5 == 0
-                                else rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3]))
-                         for j, n in enumerate(sizes)]
-                want = adam_out_of_place(params, grads, state.m, state.v, state.t + 1, lr)
-                numeric.adam_step(params, grads, state)
-                for got, exp in zip((params, state.m, state.v), want):
-                    assert all(same_bits(a, b) for a, b in zip(got, exp)), k
+                grad = rng.normal(size=params.size) * rng.choice([1e-3, 1.0, 1e3], params.size)
+                grad = frozen(np.where(rng.random(params.size) < 0.2, 0.0, grad))
+                want = adam_out_of_place(*([a[p] for p in parts]
+                                           for a in (params, grad, whole.m, whole.v)),
+                                         whole.t + 1, lr)
+                numeric.adam_step(params, grad, whole)
+                for p in parts:
+                    numeric.adam_step(by_slice[p], grad[p], numeric.AdamState(
+                        sliced.m[p], sliced.v[p], sliced.t, lr))
+                sliced.t += 1
+                for got, exp in zip((params, whole.m, whole.v), want):
+                    assert same_bits(got, np.concatenate(exp)), k
+                for got, exp in zip((by_slice, sliced.m, sliced.v),
+                                    (params, whole.m, whole.v)):
+                    assert same_bits(got, exp), k

@@ -1,5 +1,8 @@
 """Gaussian policy: densities, sampling, squashing, persistence."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,25 @@ def make_clip_policy(seed=0, d_s=3, d_a=2, init_logstd=-0.5):
 def make_tanh_policy(seed=0, d_s=3, d_a=2, scale=2.0):
     return policy_init(d_s, d_a, scale=scale, squash="tanh",
                        state_dependent_std=True, seed=seed, hidden=16)
+
+
+def assert_views(policy):
+    """The trunk, the mean head and the log-std head or vector are views of
+    `flat`, one after another in that order."""
+    tail = policy.logstd_vec if policy.logstd_head is None else policy.logstd_head.flat
+    parts = [policy.trunk.flat, policy.mean_head.flat, tail]
+    assert sum(part.size for part in parts) == policy.flat.size
+    start, off = policy.flat.__array_interface__["data"][0], 0
+    for part in parts:
+        assert part.base is policy.flat
+        assert part.__array_interface__["data"][0] == start + 8 * off
+        off += part.size
+    grad = np.arange(policy.flat.size, dtype=np.float64)
+    assert [v.tobytes() for v in policy.split(grad)] == [
+        grad[:parts[0].size].tobytes(),
+        grad[parts[0].size:-tail.size].tobytes(), grad[-tail.size:].tobytes()]
+    policy.flat[-1] = 0.25   # the log-std's last entry
+    assert tail[-1] == 0.25
 
 
 class TestDensities:
@@ -158,15 +180,24 @@ class TestLifecycle:
             load_checkpoint(path)
 
     def test_params_order_and_count(self):
-        shared = make_clip_policy()
-        dependent = make_tanh_policy()
-        # one flat vector each for trunk and mean head; tail: vec or head
-        assert len(shared.params()) == 3
-        assert shared.params()[0] is shared.trunk.flat
-        assert shared.params()[1] is shared.mean_head.flat
-        assert shared.params()[-1] is shared.logstd_vec
-        assert len(dependent.params()) == 3
-        assert dependent.params()[-1] is dependent.logstd_head.flat
+        for policy in (make_clip_policy(), make_tanh_policy()):
+            assert_views(policy)
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy,
+                                        lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("make", [make_clip_policy, make_tanh_policy],
+                             ids=["clip", "tanh"])
+    def test_copy_keeps_views(self, copier, make):
+        policy = make(seed=5)
+        back = copier(policy)
+        assert back.flat.tobytes() == policy.flat.tobytes()
+        assert not np.shares_memory(back.flat, policy.flat)
+        assert_views(back)
+        s = np.array([0.3, -0.1, 0.7])
+        back.flat[:] = 0.0
+        assert np.all(back.mean_std(s)[0] == 0.0)
+        assert np.any(policy.mean_std(s)[0] != 0.0)
 
     def test_init_rejects_bad_args(self):
         with pytest.raises(ConfigError):

@@ -162,9 +162,9 @@ class TestSurrogate:
             numeric_grads = fd_grads(
                 lambda: ppo.surrogate_loss_and_grads(
                     policy, s, a, logp_old, adv, mask, 0.2, 0.01)[0],
-                policy.params(),
+                [policy.flat],
             )
-            assert max_rel_error(grads, numeric_grads) < 1e-4
+            assert max_rel_error([grads], numeric_grads) < 1e-4
 
     def test_unit_ratio_reduces_to_plain_policy_gradient(self):
         policy, s, a, _, adv, mask = self.setup_pieces(seed=14, perturb=0.0)
@@ -175,15 +175,14 @@ class TestSurrogate:
                 policy, s, a, lp, adv, mask, clip, 0.0)
             out[clip] = (loss, grads)
         np.testing.assert_allclose(out[0.1][0], -adv.mean(), atol=1e-12)
-        for g1, g2 in zip(out[0.1][1], out[0.5][1]):
-            np.testing.assert_allclose(g1, g2, atol=0.0)
+        np.testing.assert_allclose(out[0.1][1], out[0.5][1], atol=0.0)
 
     def test_all_masked_returns_zero_gradients(self):
         policy, s, a, logp_old, adv, _ = self.setup_pieces(seed=15)
         loss, grads, _ = ppo.surrogate_loss_and_grads(
             policy, s, a, logp_old, adv, np.zeros(s.shape[0]), 0.2, 0.01)
         assert loss == 0.0
-        assert all(np.all(g == 0.0) for g in grads)
+        assert grads.shape == policy.flat.shape and np.all(grads == 0.0)
 
     def test_state_dependent_std_rejected(self):
         policy = policy_init(3, 2, 1.0, "tanh", True, seed=16, hidden=8)
@@ -199,8 +198,8 @@ class TestSurrogate:
         ret = rng.standard_normal(6)
         _, grads = ppo.value_loss_and_grads(vnet, s, ret)
         numeric_grads = fd_grads(
-            lambda: ppo.value_loss_and_grads(vnet, s, ret)[0], vnet.params())
-        assert max_rel_error(grads, numeric_grads) < 1e-4
+            lambda: ppo.value_loss_and_grads(vnet, s, ret)[0], [vnet.flat])
+        assert max_rel_error([grads], numeric_grads) < 1e-4
 
     def test_approx_kl_zero_for_unchanged_policy(self):
         policy, s, a, *_ = self.setup_pieces(seed=18)
@@ -284,15 +283,13 @@ class TestAgent:
             row.s_next = rng.standard_normal(1)
             row.a = rng.standard_normal(1)
             row.overridden = True
-        policy_before = [p.copy() for p in agent.policy.params()]
-        value_before = [p.copy() for p in agent.vnet.params()]
+        policy_before = agent.policy.flat.copy()
+        value_before = agent.vnet.flat.copy()
         losses = agent.update_phase()
         assert losses["masked_fraction"] == 1.0
         assert losses["pi_loss"] == 0.0
-        for old, new in zip(policy_before, agent.policy.params()):
-            np.testing.assert_allclose(new, old, atol=0.0)
-        assert any(not np.allclose(old, new)
-                   for old, new in zip(value_before, agent.vnet.params()))
+        np.testing.assert_allclose(agent.policy.flat, policy_before, atol=0.0)
+        assert not np.allclose(value_before, agent.vnet.flat)
 
     def test_mixed_mask_reflects_override_flags(self):
         cfg = bandit_cfg(importance_correction=True)
@@ -550,7 +547,6 @@ class TestAgent:
                 agent.update_phase()
                 agent.between_phases()
             outcomes[memory_on] = (np.stack(taken),
-                                 [p.copy() for p in agent.policy.params()])
+                                 agent.policy.flat.copy())
         np.testing.assert_array_equal(outcomes[True][0], outcomes[False][0])
-        for p_on, p_off in zip(outcomes[True][1], outcomes[False][1]):
-            np.testing.assert_array_equal(p_on, p_off)
+        np.testing.assert_array_equal(outcomes[True][1], outcomes[False][1])

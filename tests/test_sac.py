@@ -59,7 +59,7 @@ class TestGradients:
             numeric_grads = fd_grads(
                 lambda: sac.critic_loss_and_grads(q1, q2, s, a, y)[0]
                 + sac.critic_loss_and_grads(q1, q2, s, a, y)[1],
-                q1.params() + q2.params(),
+                [q1.flat, q2.flat],
             )
             # loss is the sum of both MSE terms for the shared step
             assert max_rel_error(grads, numeric_grads) < 1e-4
@@ -80,9 +80,9 @@ class TestGradients:
             numeric_grads = fd_grads(
                 lambda: sac.actor_loss_and_grads(policy, q1, q2, log_alpha,
                                                  s, noise)[0],
-                policy.params(),
+                [policy.flat],
             )
-            assert max_rel_error(grads, numeric_grads) < 1e-4
+            assert max_rel_error([grads], numeric_grads) < 1e-4
 
     def test_temperature_grad_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -140,14 +140,11 @@ class TestTargets:
     def test_polyak_blends_parameters(self):
         src = numeric.mlp_init([2, 3, 1], seed=9)
         dst = numeric.mlp_init([2, 3, 1], seed=10)
-        before = [p.copy() for p in dst.params()]
+        before = dst.flat.copy()
         sac.polyak(src, dst, 0.25)
-        for p_src, p_old, p_new in zip(src.params(), before, dst.params()):
-            np.testing.assert_allclose(p_new, 0.75 * p_old + 0.25 * p_src,
-                                       atol=1e-15)
+        np.testing.assert_allclose(dst.flat, 0.75 * before + 0.25 * src.flat, atol=1e-15)
         sac.polyak(src, dst, 1.0)
-        for p_src, p_new in zip(src.params(), dst.params()):
-            np.testing.assert_allclose(p_new, p_src, atol=0.0)
+        np.testing.assert_allclose(dst.flat, src.flat, atol=0.0)
 
 
 class TestAgentMechanics:
@@ -165,29 +162,23 @@ class TestAgentMechanics:
         self.fill_buffer(agent, 200)
         for adam in (agent.policy_adam, agent.critic_adam, agent.temp_adam):
             adam.lr = 0.0
-        snap = [p.copy() for p in agent.policy.params()
-                + agent.q1.params() + agent.q2.params()] + [agent.log_alpha.copy()]
+        snap = [p.copy() for p in (agent.policy.flat, agent.q1.flat, agent.q2.flat,
+                                   agent.log_alpha)]
         for _ in range(5):
             agent.update()
-        now = (agent.policy.params() + agent.q1.params() + agent.q2.params()
-               + [agent.log_alpha])
+        now = (agent.policy.flat, agent.q1.flat, agent.q2.flat, agent.log_alpha)
         for old, new in zip(snap, now):
             np.testing.assert_allclose(new, old, atol=0.0)
 
     def test_update_moves_parameters_and_targets_lag(self):
         agent = SacAgent(BANDIT_SPEC, small_cfg(), seed=1)
         self.fill_buffer(agent, 200, seed=1)
-        q1_before = [p.copy() for p in agent.q1.params()]
-        q1t_before = [p.copy() for p in agent.q1t.params()]
+        q1_before, q1t_before = agent.q1.flat.copy(), agent.q1t.flat.copy()
         losses = agent.update()
-        assert any(
-            not np.allclose(p, q) for p, q in zip(agent.q1.params(), q1_before)
-        )
+        assert not np.allclose(agent.q1.flat, q1_before)
         # targets moved by tau=0.005, much less than the online net
-        online_delta = max(np.abs(p - q).max()
-                           for p, q in zip(agent.q1.params(), q1_before))
-        target_delta = max(np.abs(p - q).max()
-                           for p, q in zip(agent.q1t.params(), q1t_before))
+        online_delta = np.abs(agent.q1.flat - q1_before).max()
+        target_delta = np.abs(agent.q1t.flat - q1t_before).max()
         assert 0 < target_delta < online_delta
         assert set(losses) == {"q1_loss", "q2_loss", "actor_loss", "temp_loss",
                                "alpha", "entropy_est"}
@@ -323,11 +314,9 @@ def update_state(agent) -> tuple:
     temperature, each Adam state, the buffer, the losses and the batch
     stream."""
     arrays = [agent.q1.flat, agent.q2.flat, agent.q1t.flat, agent.q2t.flat,
-              *agent.policy.params(), agent.log_alpha]
+              agent.policy.flat, agent.log_alpha, agent.buffer.table]
     for adam in (agent.critic_adam, agent.policy_adam, agent.temp_adam):
-        arrays += adam.m + adam.v
-    buf = agent.buffer
-    arrays += [buf.s, buf.a, buf.r, buf.s_next, buf.done]
+        arrays += [adam.m, adam.v]
     return (b"".join(a.tobytes() for a in arrays),
             [adam.t for adam in (agent.critic_adam, agent.policy_adam, agent.temp_adam)],
             agent.last_losses, agent.learn_rng.bit_generator.state)
@@ -393,18 +382,18 @@ class TestTwoProcessUpdate:
         forks = count_forks(monkeypatch, 2)
         agent = cliff_agent(sac.FORK_BATCH)
         own, before = agent.q2.flat, agent.q2.flat.copy()
-        policy = agent.policy.params()
-        policy_before = [p.copy() for p in policy]
+        policy = agent.policy.flat
+        policy_before = policy.copy()
         start = time.monotonic()
         with pytest.raises(SacFault, match="helper refused its update"):
             agent.run_beside(lambda: [agent.update() for _ in range(3)], 6)
         assert time.monotonic() - start < 30
         assert forks == [["critic helper"]]
         assert agent.q2.flat is own and np.array_equal(own, before)
-        # the policy is bound back onto its own arrays; the failed update
+        # the policy is bound back onto its own vector; the failed update
         # stopped before the policy's Adam step
-        assert all(p is q for p, q in zip(agent.policy.params(), policy))
-        assert all(np.array_equal(p, q) for p, q in zip(policy, policy_before))
+        assert agent.policy.flat is policy and np.array_equal(policy, policy_before)
+        assert agent.policy.trunk.flat.base is policy
         assert agent._away is None
         assert_no_children()
 
@@ -432,7 +421,7 @@ class TestTwoProcessUpdate:
         update, as the one-process update does; the helper is reaped."""
         ref, agent = cliff_agent(sac.FORK_BATCH), cliff_agent(sac.FORK_BATCH)
         for ag in (ref, agent):
-            ag.buffer.r[123] = np.nan
+            ag.buffer.table[123] = np.nan
         done = 0
         with pytest.raises(TrainingError):
             for done in range(1, 50):
