@@ -12,13 +12,12 @@ actions. The twins meet only where their outputs meet: at the target's
 min, at the actor's min and in the actor's action gradient. The second
 side's share (`_Second`) also draws the target actions, the policy's draw
 at the next states that both target critics read, while the first side
-draws the actor's. In one process that share runs in line at each
-meeting; `SacAgent.run_beside` hands it to a helper process for a whole
-run where the batch size pays for one and a second CPU is free, with the
-policy's parameters on the mapping that both sides read. Each side runs
-the array operations of the one-process update on the same operands, and
-Adam is elementwise, so every parameter, moment, loss and output byte is
-the same either way.
+draws the actor's. The sides meet four times an update (`_MEETINGS`) in
+one process, or, through `SacAgent.run_beside`, with the share in a helper
+process for a whole run where the batch size pays for one and a second CPU
+is free. Each side runs the array operations of the one-process update on
+the same operands, and Adam is elementwise, so every parameter, moment,
+loss and output byte is the same either way.
 
 The hook itself lives in `HookedAgent`. SAC adds uniform warmup actions
 and publishes the memory as soon as a staged failure fills its update
@@ -28,12 +27,11 @@ quota.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .. import forking, numeric
-from ..errors import FemaError, TrainingError
+from ..errors import TrainingError
 # The benchmark's tracer self-test looks the capture function up here.
 from ..memory import END_HAZARD, FemaConfig, capture_failure  # noqa: F401
 from .buffers import ReplayBuffer
@@ -216,21 +214,12 @@ class _Critic:
 
 
 class _Second:
-    """The second side's share of each update: the policy's draw at the
-    next states, and the second critic's steps. It meets the first side as
-    `_MEETINGS` lists: each step takes what the first side posts and gives
-    an answer. It counts the critic Adam steps from t. Run in this process,
-    a post holds the meeting's inputs and take runs its step."""
+    """The second side's share of each update, as `_MEETINGS` meets it: the
+    policy's draw at the next states, and the second critic's steps. It
+    counts the critic Adam steps from t."""
 
     def __init__(self, policy: GaussianPolicy, critic: _Critic, t: int, tau: float):
         self.policy, self.critic, self.t, self.tau = policy, critic, t, tau
-
-    def post(self, meeting: int, *arrays) -> None:
-        self.ins = arrays
-
-    def take(self, meeting: int) -> tuple:
-        ins, self.ins = self.ins, ()
-        return getattr(self, _MEETINGS[meeting][0])(*ins)
 
     def draw(self, s_next: np.ndarray, noise_next: np.ndarray, x: np.ndarray) -> tuple:
         self.x = x
@@ -249,91 +238,16 @@ class _Second:
         return (self.critic.action_grad(weights),)
 
 
-# An update's meetings, in order: the `_Second` step, the `Shared` slots of
-# what the first side posts to it, and of the answer it gives back. The
-# target values follow the draw without a post of their own, so the second
-# side answers the draw at once and goes on to them.
+# An update's meetings (`forking.pair`): the next states and their noise,
+# answered with the policy's draw there (the backup's input, log-density);
+# with no post, q2t's values at that input; the backup and the actor's
+# input, answered after q2's Adam and Polyak steps with its loss and values
+# there; and q2's weights in the actor's min, answered with its action grad.
 _MEETINGS = (("draw", ("s_next", "noise_next", "x"), ("x2", "logp2")),
              ("targets", (), ("q2v",)),
              ("values", ("y", "xa"), ("qa2", "l2")),
              ("grads", ("w2",), ("gin2",)))
 _DRAW, _TARGETS, _VALUES, _GRADS = range(4)
-# Counters of `Shared.ready`: posts and answers (a cache line apart); the
-# stop flag, which the first side sets before its last post; and the number
-# of the last post that parks the helper.
-_POSTED, _ANSWERED, _STOP, _PARK = 0, 8, 9, 10
-
-
-class _Away:
-    """The second side's share run by the helper (`_help`), with the
-    `_Second` interface: a post writes the meeting's inputs to the shared
-    mapping and posts a counter, and take waits for the helper's next answer,
-    calling check() (the `forking.beside` call's) while it waits. `wake` is
-    the write end of the pipe that a parked helper blocks on."""
-
-    def __init__(self, shared: forking.Shared, check, wake: int):
-        self.shared, self.check, self.wake = shared, check, wake
-        self.posted, self.taken, self.parked = 0, 0, False
-
-    def post(self, meeting: int, *arrays) -> None:
-        for name, array in zip(_MEETINGS[meeting][1], arrays):
-            getattr(self.shared, name)[:] = array
-        self._post()
-
-    def _post(self) -> None:
-        if self.parked:
-            self.parked = False
-            self.check.block(-1)
-            os.write(self.wake, b"w")
-        self.posted += 1
-        self.shared.ready[_POSTED] = self.posted
-
-    def take(self, meeting: int) -> tuple:
-        self.taken += 1
-        forking.wait(self.shared.ready, _ANSWERED, self.taken, self.check)
-        return tuple(getattr(self.shared, name) for name in _MEETINGS[meeting][2])
-
-    def stop(self) -> None:
-        self.shared.ready[_STOP] = 1
-        self._post()
-
-    def park(self) -> None:
-        """Block the helper on the wake pipe, instead of polling, until the
-        next post, and count it out of `forking.processes` meanwhile, so
-        that a publish trains the risk stack with a helper of its own."""
-        if not self.parked:
-            self.shared.ready[_PARK] = self.posted + 1
-            self._post()
-            self.check.block(1)
-            self.parked = True
-
-
-def _help(second: _Second, shared: forking.Shared, caller: int, wake: int) -> None:
-    """The helper's side of `SacAgent.run_beside`: answer each meeting
-    with its `_Second` step, after its post where it has one, until the
-    caller posts the stop, and on a post that parks, block until a byte
-    (or the caller's exit) arrives on the pipe whose read end is `wake`."""
-    def check():
-        if os.getppid() != caller:
-            raise FemaError("the process training SAC exited")
-
-    posts = answers = 0
-    while True:
-        step, ins, outs = _MEETINGS[answers % len(_MEETINGS)]
-        if ins:
-            posts += 1
-            forking.wait(shared.ready, _POSTED, posts, check)
-            if shared.ready[_STOP]:
-                return
-            if shared.ready[_PARK] == posts:
-                if not os.read(wake, 1):
-                    raise FemaError("the process training SAC exited")
-                continue
-        answer = getattr(second, step)(*(getattr(shared, name) for name in ins))
-        for name, array in zip(outs, answer):
-            getattr(shared, name)[:] = array
-        answers += 1
-        shared.ready[_ANSWERED] = answers
 
 
 class SacAgent(HookedAgent):
@@ -364,7 +278,7 @@ class SacAgent(HookedAgent):
         self.temp_adam = numeric.adam_init(self.log_alpha, lr=cfg.temp_lr)
         self.target_entropy = -float(d_a)
         self.buffer = ReplayBuffer(cfg.buffer_capacity, d_s, d_a)
-        self._away = None   # the helper's side of the second critic, in run_beside
+        self._away = None   # this side's end of the handshake, in run_beside
 
     # -- acting ------------------------------------------------------------
 
@@ -400,8 +314,8 @@ class SacAgent(HookedAgent):
         noise_actor = self.learn_rng.standard_normal((cfg.batch_size, d_a))
         alpha = math.exp(float(self.log_alpha[0]))
         first = self._critic(0)
-        second = self._away or _Second(self.policy, self._critic(1),
-                                       self.critic_adam.t, cfg.tau)
+        second = self._away or forking.InLine(
+            _Second(self.policy, self._critic(1), self.critic_adam.t, cfg.tau), _MEETINGS)
 
         x = np.concatenate([batch["s"], batch["a"]], axis=1)
         second.post(_DRAW, batch["s_next"], noise_next, x)
@@ -458,7 +372,7 @@ class SacAgent(HookedAgent):
     def run_beside(self, loop, steps: int):
         """loop(), the run's first `steps` env steps, with the second side's
         share of every update in one helper forked through
-        `forking.beside`: where the run updates (steps > warmup_steps), its
+        `forking.pair`: where the run updates (steps > warmup_steps), its
         batches hold FORK_BATCH rows or more, and `forking.can_pair()`.
 
         The helper owns q2, q2t and their slices of the critic Adam moments
@@ -466,12 +380,6 @@ class SacAgent(HookedAgent):
         batch draw, q1, q1t, the temperature and the losses. The policy's
         vector is bound onto a slot of the mapping for the loop, so that the
         helper draws with the weights of this process's last Adam step.
-        They meet four times an update (`_MEETINGS`): the next states and
-        their noise, answered with the policy's draw there (the backup's
-        input and log-density); then, with no post, q2t's values at that
-        input; the backup and the actor's input, answered after q2's Adam
-        and Polyak steps with its loss and its values there; and q2's
-        weights in the actor's min, answered with its action gradient.
         Until the first update, and from each publish to the next update,
         the helper waits parked, blocked on a pipe, so that a publish forks
         its own risk helper. q2, q2t, their moments and the policy's
@@ -496,33 +404,19 @@ class SacAgent(HookedAgent):
             dst[:] = src
         second = _Second(pol, _Critic(q, d_s, qt, shared.m, shared.v, adam.lr),
                          adam.t, cfg.tau)
-        caller = os.getpid()
-        rfd, wfd = os.pipe()   # the wake pipe of a parked helper
-        fds = {rfd, wfd}       # those still open here
 
-        def lead(check):
-            os.close(rfd)
-            fds.remove(rfd)
-            self._away = _Away(shared, check, wfd)
-            self._away.park()   # until the first update
+        def lead(end):
+            self._away = end
+            end.park()   # until the first update
             try:
-                done = loop()
-                self._away.stop()
-                return done
+                return loop()
             finally:
                 self._away = None
 
-        def help_():
-            os.close(wfd)
-            return _help(second, shared, caller, rfd)
-
         pol.bind(shared.policy)
         try:
-            done, _ = forking.beside(lead, {"critic helper": help_})
+            return forking.pair("critic helper", second, _MEETINGS, shared, lead)
         finally:
-            for fd in fds:
-                os.close(fd)
             for dst, src in zip(own, away):
                 dst[:] = src
             pol.bind(flat)
-        return done

@@ -8,26 +8,27 @@ risk value means the pair resembles transitions that led to early
 termination.
 
 A training step has two shares: the state encoder, joint embedder and risk
-head, and the action share (the minibatch's targets and the action
-encoder). `train_risk` runs both in the calling process, or, for a fit of
-FORK_STEPS minibatch steps or more where `forking.can_pair()` (a second CPU
-on x86), hands the action share and Adam on the action encoder and joint
-embedder to a helper forked beside it; the two meet on a `forking.Shared`
-mapping. Each side runs the array operations of the one-process step on
-the same operands, and Adam is elementwise, so parameters, moments, losses
-and every output byte are the same either way.
+head, and the action share (`_ActionHalf`: the minibatch's targets and the
+action encoder), which meet three times a step (`_MEETINGS`). `train_risk`
+runs both in the calling process, or, for a fit of FORK_STEPS minibatch
+steps or more where `forking.can_pair()`, hands the action share and Adam
+on the action encoder and joint embedder to a helper forked beside it.
+Each side runs the array operations of the one-process step on the same
+operands, and Adam is elementwise, so parameters, moments, losses and
+every output byte are the same either way.
 """
 
 from __future__ import annotations
 
-import os
+import copy
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forking, numeric
-from .errors import FemaError, ShapeError, TrainingError, UsageError
+from .errors import ShapeError, TrainingError, UsageError
 
 NORM_EPS = 1e-6
 # Fewest minibatch steps of a train_risk call that forks its helper. On a
@@ -218,14 +219,16 @@ def train_risk(
         rng = np.random.default_rng(0)
 
     steps = epochs * -(-n // batch_size)
+    mine = _minibatches(rng, n, epochs, batch_size)
     if steps < FORK_STEPS or not forking.can_pair():
+        mine, theirs = itertools.tee(mine)
         grad = np.empty_like(stack.flat)
-        final = _fit(stack, states, _minibatches(rng, n, epochs, batch_size),
-                     _ActionHalf(stack, actions, returns, stack.split(grad)),
-                     grad, (slice(None),))
+        acts = _ActionHalf(stack, actions, returns, theirs, grad, ())
+        final = _fit(stack, states, mine, forking.InLine(acts, _MEETINGS), grad,
+                     (slice(None),))
     else:
-        final = _fit_beside(stack, states, actions, returns,
-                            _minibatches(rng, n, epochs, batch_size), min(batch_size, n))
+        final = _fit_beside(stack, states, actions, returns, mine, min(batch_size, n),
+                            _minibatches(copy.deepcopy(rng), n, epochs, batch_size))
     stack.version += 1
     return final
 
@@ -237,29 +240,46 @@ def _minibatches(rng: np.random.Generator, n: int, epochs: int, batch_size: int)
         yield [order[start:start + batch_size] for start in range(0, n, batch_size)]
 
 
-def _targets(returns: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """A minibatch's targets: its returns normalized, or 0 for one row."""
-    return normalize_returns(returns[idx]) if idx.size > 1 else np.zeros(idx.size)
-
-
 class _ActionHalf:
-    """The share of a step that `_fit` hands off: the minibatch's targets,
-    and the action encoder g, forward and then backward into its view of
-    `outs`."""
+    """The action share of each step, as `_MEETINGS` meets it: the
+    minibatch's targets, the action encoder g forward and then backward into
+    its view of `grad`, and Adam step t on the `own` parts of the stack's
+    vector, over the minibatches of `epochs`, its own iterator."""
 
-    def __init__(self, stack: EmbeddingStack, actions, returns, outs: list):
-        self.stack, self.actions, self.returns, self.out = stack, actions, returns, outs[1]
+    def __init__(self, stack: EmbeddingStack, actions, returns, epochs, grad, own: tuple):
+        self.stack, self.actions, self.returns = stack, actions, returns
+        self.grad, self.out, self.own = grad, stack.split(grad)[1], own
+        self.steps = (idx for batches in epochs for idx in batches)
+        self.t = stack.adam.t
+        self.targets()
 
-    def forward(self, idx: np.ndarray) -> tuple:
-        """(z_a, targets) of the minibatch `idx`."""
-        return self.encode(idx), _targets(self.returns, idx)
+    def encode(self) -> tuple:
+        """(z_a, targets) of this step; StopIteration after the last step."""
+        if self.next is None:
+            raise StopIteration
+        self.idx = self.next
+        z_a, self.cache = numeric.forward(self.stack.g, self.actions[self.idx])
+        return z_a, self.y
 
-    def encode(self, idx: np.ndarray) -> np.ndarray:
-        z_a, self.cache = numeric.forward(self.stack.g, self.actions[idx])
-        return z_a
+    def targets(self) -> None:
+        """The next step, and its targets: returns normalized, or 0 for one row."""
+        idx = self.next = next(self.steps, None)
+        if idx is not None:
+            self.y = normalize_returns(self.returns[idx]) if idx.size > 1 else np.zeros(idx.size)
 
-    def backward(self, d_z_a: np.ndarray) -> None:
-        numeric.backward(self.stack.g, self.cache, d_z_a, out=self.out)
+    def learn(self, d_z_a: np.ndarray) -> None:
+        numeric.backward(self.stack.g, self.cache, d_z_a[:self.idx.size], out=self.out)
+        self.t += 1
+        _adam(self.stack, self.grad, self.own, self.t)
+
+
+# A step's meetings (`forking.pair`), in order: the `_ActionHalf` step, the
+# `Shared` slots of what the other share posts to it, and of its answer.
+# The next targets are worked out during the other share's joint pass.
+_MEETINGS = (("encode", (), ("z_a", "y")),
+             ("targets", (), ()),
+             ("learn", ("d_z_a",), ()))
+_ENCODE, _TARGETS, _LEARN = range(3)
 
 
 def _adam(stack: EmbeddingStack, grad: np.ndarray, parts: tuple, t: int) -> None:
@@ -275,18 +295,18 @@ def _adam(stack: EmbeddingStack, grad: np.ndarray, parts: tuple, t: int) -> None
 def _fit(stack: EmbeddingStack, states, epochs, acts, grad, own: tuple) -> float:
     """Run the steps of `epochs` (as `_minibatches` yields them) and return
     the last epoch's mean loss. Here run the state encoder f, the joint pass
-    and Adam on the `own` parts of the vector; `acts` gives the targets and
-    z_a and takes d z_a."""
+    and Adam on the `own` parts of the vector; `acts`, an end of the
+    `_ActionHalf` handshake, gives the targets and z_a and takes d z_a."""
     outs = stack.split(grad)
     for batches in epochs:
         losses = []
         for idx in batches:
             z_s, cache_f = numeric.forward(stack.f, states[idx])
-            z_a, y = acts.forward(idx)
-            loss, d_cat = _joint(stack, z_s, z_a, y, outs)
+            z_a, y = acts.take(_ENCODE)
+            loss, d_cat = _joint(stack, z_s, z_a[:idx.size], y[:idx.size], outs)
             if not np.isfinite(loss):
                 raise TrainingError("risk loss diverged to NaN/Inf")
-            acts.backward(d_cat[:, stack.d_z:])
+            acts.post(_LEARN, d_cat[:, stack.d_z:])
             numeric.backward(stack.f, cache_f, d_cat[:, : stack.d_z], out=outs[0])
             t = stack.adam.t + 1
             _adam(stack, grad, own, t)
@@ -295,17 +315,11 @@ def _fit(stack: EmbeddingStack, states, epochs, acts, grad, own: tuple) -> float
     return float(np.mean(losses))
 
 
-def _fit_beside(stack, states, actions, returns, epochs, batch_size: int) -> float:
-    """`_fit`, with a helper forked through `forking.beside` that runs the
-    `_ActionHalf` of each step and Adam on g and j, while this process runs
-    Adam on f and h. Both see the stack's vector, Adam's moments, the
-    gradient and each step's z_a, targets and d z_a on one shared mapping,
-    and each draws the minibatches from its own copy of `epochs`. They meet
-    twice a step: this process waits for z_a, which the helper posts after
-    its Adam update of the last step, and the helper waits for d z_a, which
-    this process posts after its joint pass. The helper works out the next
-    targets during the joint pass. The stack gets its own arrays back,
-    trained, also on an error."""
+def _fit_beside(stack, states, actions, returns, mine, batch_size: int, theirs) -> float:
+    """`_fit` over `mine`, with the `_ActionHalf` over `theirs` (and Adam on
+    g and j) in a helper forked through `forking.pair`, the stack's vector,
+    moments and gradient on the shared mapping. The stack gets its own
+    arrays back, trained, also on an error."""
     p, d_z_a = stack.flat.size, stack.d_z_a
     shared = forking.Shared(flat=(p,), m=(p,), v=(p,), grad=(p,), z_a=(batch_size, d_z_a),
                             d_z_a=(batch_size, d_z_a), y=(batch_size,))
@@ -315,62 +329,14 @@ def _fit_beside(stack, states, actions, returns, epochs, batch_size: int) -> flo
     stack.adam = numeric.AdamState(shared.m, shared.v, adam.t, adam.lr)
     g_at = stack.f.flat.size
     h_at = g_at + stack.g.flat.size + stack.j.flat.size
-    caller = os.getpid()
     try:
-        final, _ = forking.beside(
-            lambda check: _fit(stack, states, epochs, _Beside(shared, stack.adam.t, check),
-                               shared.grad, (slice(0, g_at), slice(h_at, None))),
-            {"risk helper": lambda: _help(stack, actions, returns, epochs, shared,
-                                          (slice(g_at, h_at),), caller)})
+        acts = _ActionHalf(stack, actions, returns, theirs, shared.grad, (slice(g_at, h_at),))
+        return forking.pair(
+            "risk helper", acts, _MEETINGS, shared,
+            lambda away: _fit(stack, states, mine, away, shared.grad,
+                              (slice(0, g_at), slice(h_at, None))))
     finally:
         flat[:], adam.m[:], adam.v[:] = shared.flat, shared.m, shared.v
         adam.t = stack.adam.t
         stack.bind(flat)
         stack.adam = adam
-    return final
-
-
-class _Beside:
-    """`_fit`'s `acts` while the helper runs them: forward waits for the
-    helper's z_a and targets, backward posts d z_a to it."""
-
-    def __init__(self, shared: forking.Shared, t: int, check):
-        self.shared, self.t, self.check = shared, t, check
-
-    def forward(self, idx: np.ndarray) -> tuple:
-        self.t += 1
-        forking.wait(self.shared.ready, _Z_A, self.t, self.check)
-        return self.shared.z_a[:idx.size], self.shared.y[:idx.size]
-
-    def backward(self, d_z_a: np.ndarray) -> None:
-        self.shared.d_z_a[:d_z_a.shape[0]] = d_z_a
-        self.shared.ready[_D_Z_A] = self.t
-
-
-def _help(stack, actions, returns, epochs, shared: forking.Shared, own: tuple,
-          caller: int) -> None:
-    """The helper's side of `_fit_beside`. For each step: post z_a and the
-    targets, work out the next step's targets, wait for d z_a, then
-    backward g and run Adam on the `own` parts."""
-    def check():
-        if os.getppid() != caller:
-            raise FemaError("the process training the risk stack exited")
-
-    acts = _ActionHalf(stack, actions, returns, stack.split(shared.grad))
-    steps = (idx for batches in epochs for idx in batches)
-    idx, t = next(steps), stack.adam.t
-    y = _targets(returns, idx)
-    while idx is not None:
-        t += 1
-        shared.z_a[:idx.size], shared.y[:idx.size] = acts.encode(idx), y
-        shared.ready[_Z_A] = t
-        after = next(steps, None)
-        if after is not None:
-            y = _targets(returns, after)
-        forking.wait(shared.ready, _D_Z_A, t, check)
-        acts.backward(shared.d_z_a[:idx.size])
-        _adam(stack, shared.grad, own, t)
-        idx = after
-
-
-_Z_A, _D_Z_A = 0, 8   # the two step counters, a cache line apart

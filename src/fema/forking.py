@@ -1,7 +1,8 @@
 """Work run beside the caller in forked children that see its state
-copy-on-write: `processes` decides how many processes works may share, and
-`beside` runs them. Each child is collected (its result returned, or its
-error re-raised with type and message) or reaped; none outlives the call.
+copy-on-write: `processes` decides how many processes works may share,
+`beside` runs them, and `pair` splits one computation between the caller
+and one helper. Each child is collected (its result returned, or its error
+re-raised with type and message) or reaped; none outlives the call.
 
 Three callers: `harness.train.run_seeds` trains the runs of a config or of
 a whole sweep in parallel; `embedding.train_risk` splits each minibatch
@@ -14,11 +15,15 @@ processes that share them, so a seed process on a 2-CPU host forks no
 helper beside its sibling, and a SAC run with its critic helper fits its
 risk stack in one process.
 
-A helper and its caller that split one computation meet on a `Shared`
-mapping made before the fork: each side writes its arrays, then posts a
-step counter, and the other side `wait`s for the counter. That orders the
-arrays only where stores become visible in program order, so `can_pair`
-allows such a split on x86 alone.
+The handshake of `pair`: a share's methods are the helper's steps, and a
+table of meetings names, for each, its step and the `Shared` slots of what
+the caller posts to it and of its answer. The helper runs the meetings in
+order, round after round, waiting for a post where a meeting has one; the
+caller's take waits for its meeting's answer in the current round, so a
+meeting without an answer needs no take. Each side writes its arrays, then
+posts a step counter, and the other side `wait`s for the counter. That
+orders the arrays only where stores become visible in program order, so
+`can_pair` allows such a split on x86 alone; elsewhere `InLine` runs it.
 
 Two settings of the process's C runtime are made here, through ctypes.
 `beside` runs the OpenBLAS that numpy loaded on one thread while children
@@ -38,6 +43,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import gc
+import itertools
 import mmap
 import os
 import pickle
@@ -52,8 +58,6 @@ import numpy as np
 from .errors import FemaError
 
 SPIN = 1000   # polls of a step counter before a waiting side yields its CPU
-# A helper's step counters order the shared arrays only where stores become
-# visible in program order (x86); elsewhere its caller runs the work alone.
 STORES_IN_ORDER = platform.machine().lower() in ("x86_64", "amd64", "i386", "i686")
 TRIM_BYTES = 64 << 20   # freed heap top that `keep_freed_heap` keeps mapped
 _M_TRIM_THRESHOLD = -1  # glibc's mallopt number of that setting
@@ -81,8 +85,8 @@ def processes(parts: int) -> int:
 
 
 def can_pair() -> bool:
-    """Whether a helper that meets its caller on a `Shared` mapping may be
-    forked: on x86, where `processes(2)` leaves it a CPU of its own."""
+    """Whether `pair` may fork a helper: on x86, where `processes(2)`
+    leaves it a CPU of its own."""
     return STORES_IN_ORDER and processes(2) >= 2
 
 
@@ -283,8 +287,9 @@ class Shared:
     """One anonymous shared mapping, made before a fork so that both sides
     see it: `ready`, 16 int64 step counters (two cache lines; the two sides
     post on counters a cache line apart), then one zeroed float64 array per
-    keyword, `name=shape`, set as the attribute `name`. Each array starts
-    on a cache line of its own, so no line holds what both sides write."""
+    keyword, `name=shape`, set as the attribute `name` (`shared[names]`
+    is the tuple of the arrays named). Each array starts on a cache line of
+    its own, so no line holds what both sides write."""
 
     def __init__(self, **shapes):
         sizes = [int(np.prod(shape)) for shape in shapes.values()]
@@ -295,6 +300,9 @@ class Shared:
         for (name, shape), size, off in zip(shapes.items(), sizes, offsets):
             setattr(self, name, np.frombuffer(self.buf, np.float64, size,
                                               int(off)).reshape(shape))
+
+    def __getitem__(self, names: tuple) -> tuple:
+        return tuple(getattr(self, name) for name in names)
 
 
 def wait(ready: memoryview, at: int, t: int, check) -> None:
@@ -307,3 +315,133 @@ def wait(ready: memoryview, at: int, t: int, check) -> None:
         if spins > SPIN:
             os.sched_yield()
             check()
+
+
+# Counters of `Shared.ready` that `pair` uses: on the caller's cache line,
+# its posts and the numbers of the posts that stop and park the helper; on
+# the helper's, from _ANSWERED on, the rounds it has run of each meeting.
+_POSTED, _STOP, _PARK, _ANSWERED = 0, 1, 2, 8
+
+
+def pair(what: str, share, meetings: tuple, shared: Shared, lead):
+    """lead(away) here, with the steps of `share` run as `meetings` (at most
+    8) lists them by a helper named `what` that `beside` forks; returns
+    lead's result. When lead returns, `away` (`_Away`) stops the helper; a
+    step that raises StopIteration ends it before that."""
+    caller = os.getpid()
+    rfd, wfd = os.pipe()   # the wake pipe of a parked helper
+
+    def here(check):
+        away = _Away(meetings, shared, check, wfd)
+        done = lead(away)
+        away.stop()
+        return done
+
+    def helper():
+        os.close(wfd)
+        return _help(share, meetings, shared, caller, rfd)
+
+    try:
+        return beside(here, {what: helper})[0]
+    finally:
+        os.close(rfd)
+        os.close(wfd)
+
+
+class _Away:
+    """The caller's end of `pair`, with `InLine`'s post and take; take
+    calls check() (the `beside` call's) while it waits. `wake` is the write
+    end of the pipe that a parked helper blocks on."""
+
+    def __init__(self, meetings: tuple, shared: Shared, check, wake: int):
+        self.ready, self.check, self.wake = shared.ready, check, wake
+        self.slots = [(shared[ins], shared[outs]) for _, ins, outs in meetings]
+        self.posted, self.parked = 0, False
+        self.taken = [0] * len(meetings)   # rounds taken of each meeting
+
+    def post(self, meeting: int, *arrays) -> None:
+        for slot, array in zip(self.slots[meeting][0], arrays):
+            slot[:len(array)] = array
+        self._post()
+
+    def take(self, meeting: int) -> tuple:
+        self.taken[meeting] += 1
+        wait(self.ready, _ANSWERED + meeting, self.taken[meeting], self.check)
+        return self.slots[meeting][1]
+
+    def _post(self, at: int = _POSTED) -> None:
+        """Count a post, and name it in counter `at` too (_STOP, _PARK)."""
+        if self.parked:
+            self.parked = False
+            self.check.block(-1)
+            os.write(self.wake, b"w")
+        self.posted += 1
+        self.ready[at] = self.posted
+        self.ready[_POSTED] = self.posted
+
+    def stop(self) -> None:
+        self._post(_STOP)
+
+    def park(self) -> None:
+        """Block the helper on the wake pipe, instead of polling, until the
+        next post, and count it out of `processes` meanwhile. Call it where
+        the helper's next meeting waits for a post."""
+        if not self.parked:
+            self._post(_PARK)
+            self.check.block(1)
+            self.parked = True
+
+
+def _help(share, meetings: tuple, shared: Shared, caller: int, wake: int) -> None:
+    """The helper's side of `pair`: run each meeting's step, after its post
+    where it has one, until the caller posts the stop or exits or a step
+    raises StopIteration. A post that parks blocks it on the pipe `wake`."""
+    def check():
+        if os.getppid() != caller:
+            raise FemaError("the process that forked this helper exited")
+
+    ready, posts = shared.ready, 0
+    steps = [(getattr(share, step), shared[ins], shared[outs]) for step, ins, outs in meetings]
+    for rounds in itertools.count(1):
+        for k, (step, ins, outs) in enumerate(steps):
+            while ins:   # until the meeting's own post
+                posts += 1
+                wait(ready, _POSTED, posts, check)
+                if ready[_STOP] == posts:
+                    return
+                if ready[_PARK] != posts:
+                    break
+                if not os.read(wake, 1):   # the caller exited
+                    return
+            try:
+                answer = step(*ins)
+            except StopIteration:
+                return
+            if outs:
+                for slot, array in zip(outs, answer):
+                    slot[:len(array)] = array
+                ready[_ANSWERED + k] = rounds
+
+
+class InLine:
+    """The ends of `pair` in one process: post keeps a meeting's arrays,
+    and take runs the share's steps in meeting order through the meeting's
+    own and returns its answer. A meeting without an answer runs at its
+    post."""
+
+    def __init__(self, share, meetings: tuple):
+        self.steps = [getattr(share, step) for step, _, _ in meetings]
+        self.answered = [bool(outs) for _, _, outs in meetings]
+        self.ins, self.next = [()] * len(meetings), 0
+
+    def post(self, meeting: int, *arrays) -> None:
+        self.ins[meeting] = arrays
+        if not self.answered[meeting]:
+            self.take(meeting)
+
+    def take(self, meeting: int) -> tuple:
+        while True:
+            k, self.next = self.next, (self.next + 1) % len(self.steps)
+            answer = self.steps[k](*self.ins[k])
+            if k == meeting:
+                return answer

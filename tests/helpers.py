@@ -1,8 +1,9 @@
 """Test-only helpers built on the package: zero networks, an episode driver,
 a count of the transitions an agent still holds, checkpoints of chosen
 state and their edited copies, the digest of a run's output files that pins
-compare, and the one patch point through which tests choose the CPUs
-`fema.forking` sees and count what it forks."""
+compare, the one patch point through which tests choose the CPUs
+`fema.forking` sees and count what it forks, and whether a process it
+forked still runs."""
 
 import gc
 import hashlib
@@ -166,3 +167,12 @@ def assert_no_children():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False

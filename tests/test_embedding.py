@@ -2,6 +2,7 @@ import copy
 import hashlib
 import os
 import pickle
+import signal
 import time
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 
 from fema import checkpoint, embedding, forking, numeric
 from fema.errors import ShapeError, TrainingError, UsageError
-from helpers import assert_no_children, count_forks, save_agent
+from helpers import assert_no_children, count_forks, running, save_agent
 from oracles import (fd_grads, forward_oracle, max_rel_error, spearman,
                      train_risk_one_loop)
 
@@ -433,7 +434,7 @@ class TestTwoProcessFit:
         def fault(self, d_z_a):   # only the helper runs the action half
             raise RiskFault("helper refused its step")
 
-        monkeypatch.setattr(embedding._ActionHalf, "backward", fault)
+        monkeypatch.setattr(embedding._ActionHalf, "learn", fault)
         monkeypatch.setattr(embedding, "FORK_STEPS", 1)
         forks = count_forks(monkeypatch, 2)
         st = small_stack(seed=2)
@@ -443,6 +444,44 @@ class TestTwoProcessFit:
         assert time.monotonic() - start < 30
         assert forks == [["risk helper"]] and st.version == 0
         TestStackVector().assert_views(st)
+        assert_no_children()
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_helper_exits_when_its_parent_is_gone(self):
+        """A process killed in the middle of a two-process fit, while its
+        helper waits for a step's d z_a, leaves no helper running."""
+        rfd, wfd = os.pipe()
+        pid = os.fork()
+        if pid == 0:   # the fitting process: report the helper, then stall
+            try:
+                os.close(rfd)
+                real = forking._fork
+
+                def fork(work):
+                    child, fh = real(work)
+                    os.write(wfd, b"%d\n" % child)
+                    return child, fh
+
+                def stall(*args):   # only the fitting process runs the joint pass
+                    time.sleep(60)
+
+                forking._fork = fork
+                forking.usable_cpus = lambda: 2
+                embedding.FORK_STEPS = 1
+                embedding._joint = stall
+                embedding.train_risk(small_stack(), *fit_data(64), epochs=3, batch_size=8)
+            finally:
+                os._exit(0)
+        os.close(wfd)
+        with os.fdopen(rfd, "rb") as fh:
+            helper = int(fh.readline())
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and running(helper):
+            time.sleep(0.01)
+        assert not running(helper)
         assert_no_children()
 
     @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])

@@ -1,6 +1,6 @@
 """`forking`: how many processes works may share, also while a call's
-children share the CPUs, and the fork-join that runs them beside the
-caller."""
+children share the CPUs, the fork-join that runs them beside the caller,
+and the handshake of a computation split with one helper."""
 
 import os
 import pickle
@@ -13,7 +13,7 @@ import pytest
 from fema import forking
 from fema.errors import FemaError
 
-from helpers import assert_no_children
+from helpers import assert_no_children, count_forks
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="beside needs os.fork")
@@ -292,4 +292,72 @@ class TestShared:
             return shared.x.tolist()
 
         assert forking.beside(here, {"child": child}) == ([2, 4, 6, 8], ["done"])
+        assert_no_children()
+
+
+class Tally:
+    """A toy share: `add` keeps a running sum of what is posted to it and
+    answers nothing; `total`, with no post, answers the sum and the number
+    of steps run so far, and refuses the step numbered `fail_at`."""
+
+    def __init__(self, fail_at=None):
+        self.sum, self.steps, self.fail_at = 0.0, 0, fail_at
+
+    def add(self, x):
+        self.steps += 1
+        self.sum += float(x[0])
+
+    def total(self):
+        self.steps += 1
+        if self.steps == self.fail_at:
+            raise WorkFault(f"refused step {self.steps}")
+        return (np.array([self.sum, self.steps]),)
+
+
+TALLY = (("add", ("x",), ()), ("total", (), ("out",)))
+
+
+def tally(end, rounds: int) -> list:
+    """Post 1, 2, ... to `add` and take each round's total: `add` is never
+    taken, and `total` never posted to."""
+    got = []
+    for r in range(1, rounds + 1):
+        end.post(0, np.array([float(r)]))
+        got.append(end.take(1)[0].tolist())
+    return got
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not forking.STORES_IN_ORDER,
+                    reason="pair needs os.fork on x86")
+class TestPair:
+    @pytest.mark.parametrize("rounds", [0, 1, 40])
+    def test_answers_in_meeting_order(self, monkeypatch, rounds):
+        """Each round's total counts that round's add before it, in the
+        helper as in line; the helper stops when the caller's work ends,
+        waiting for a post or not."""
+        want = [[r * (r + 1) / 2, 2.0 * r] for r in range(1, rounds + 1)]
+        assert tally(forking.InLine(Tally(), TALLY), rounds) == want
+        forks = count_forks(monkeypatch, 2)
+        got = forking.pair("tally helper", Tally(), TALLY, forking.Shared(x=(1,), out=(2,)),
+                           lambda end: tally(end, rounds))
+        assert got == want
+        assert forks == [["tally helper"]]
+        assert_no_children()
+
+    def test_step_error_reaches_the_caller(self):
+        start = time.monotonic()
+        with pytest.raises(WorkFault, match="refused step 6"):
+            forking.pair("tally helper", Tally(fail_at=6), TALLY,
+                         forking.Shared(x=(1,), out=(2,)), lambda end: tally(end, 5))
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_caller_error_stops_the_helper(self):
+        def lead(end):
+            tally(end, 2)
+            raise WorkFault("caller gave up")
+
+        with pytest.raises(WorkFault, match="caller gave up"):
+            forking.pair("tally helper", Tally(), TALLY, forking.Shared(x=(1,), out=(2,)),
+                         lead)
         assert_no_children()

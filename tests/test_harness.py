@@ -1055,7 +1055,7 @@ class TestCriticHelper:
 
         rc = sac_seeds(tmp_path, "0, 1")
         monkeypatch.setattr(sac, "FORK_BATCH", rc.agent.batch_size)
-        monkeypatch.setattr(sac, "_help", helper_forked)
+        monkeypatch.setattr(forking, "_help", helper_forked)
         forks = count_forks(monkeypatch, 2)
         run_config(rc)
         assert forks == [["runs [seed1]"]]

@@ -26,6 +26,7 @@ from helpers import (
     held_transitions,
     mlp_zeros,
     run_episode,
+    running,
 )
 from oracles import (
     fd_grads,
@@ -506,9 +507,9 @@ class TestTwoProcessUpdate:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and _running(helper):
+        while time.monotonic() < deadline and running(helper):
             time.sleep(0.01)
-        assert not _running(helper)
+        assert not running(helper)
         assert_no_children()
 
     @needs_pair
@@ -558,12 +559,3 @@ class TestHeap:
             agent.update()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / 200 < 10
-
-
-def _running(pid: int) -> bool:
-    """Whether process `pid` exists and has not exited (a zombie has)."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
-    except FileNotFoundError:
-        return False
