@@ -14,7 +14,6 @@ one class here.
 
 from .buffers import ReplayBuffer
 from .common import AgentConfig
-from .loop import eval_episode
 from .policy import GaussianPolicy, policy_init
 from .ppo import PpoAgent
 from .sac import SacAgent
@@ -28,6 +27,5 @@ __all__ = [
     "PpoAgent",
     "ReplayBuffer",
     "SacAgent",
-    "eval_episode",
     "policy_init",
 ]

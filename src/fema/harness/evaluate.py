@@ -6,8 +6,8 @@ import numpy as np
 
 from .. import checkpoint
 from ..errors import UsageError
-from ..agents.loop import eval_episode
 from ..envs import make
+from ..envs.runner import eval_episode
 
 
 def cmd_eval(ckpt_path, env_name: str, episodes: int, seed: int) -> list:

@@ -9,14 +9,17 @@ episode lengths always sum to total_steps. A phase that the budget cut
 short is closed, and its losses logged, after the final eval.
 
 The learner owns this schedule: the harness steps `agent.n_workers` env
-workers round-robin and calls `agent.end_phase()` every
-`agent.phase_steps` steps. Each `runner.run` block ends at a phase or eval
-boundary. The run's last phase gap runs `agent.update_phase()` instead: it
-logs the losses but publishes no memory generation, which no decision would
-read, so the last phase's failures stay pending in memory.bin. The step
-loop runs through `agent.run_beside`, beside whatever helper process the
-learner offers (SAC's second critic, where a CPU is free; PPO none), and
-the checkpoint is saved after it returns, from the agent's own arrays.
+workers round-robin, one `runner.step()` at a time, and calls
+`agent.end_phase()` every `agent.phase_steps` steps. An episode is logged
+at the step that ends it, so its line records the memory state
+(`memory_records`, `memory_version`) and the cumulative `fallback_rate` at
+that episode's end. The run's last phase gap runs `agent.update_phase()`
+instead: it logs the losses but publishes no memory generation, which no
+decision would read, so the last phase's failures stay pending in
+memory.bin. The step loop runs through `agent.run_beside`, beside whatever
+helper process the learner offers (SAC's second critic, where a CPU is
+free; PPO none), and the checkpoint is saved after it returns, from the
+agent's own arrays.
 Before it trains, `run_seed` has the process keep its freed heap mapped
 (`forking.keep_freed_heap`), which spares each SAC update the page faults
 of a heap top handed back to the kernel after the last one.
@@ -45,9 +48,8 @@ import numpy as np
 
 from .. import checkpoint, forking, serialize
 from ..agents import AGENTS
-from ..agents.loop import eval_episode
 from ..envs import REGISTRY, make
-from ..envs.runner import VecRunner
+from ..envs.runner import VecRunner, eval_episode
 from ..errors import UsageError
 from ..memory import END_HAZARD, END_NONE
 from . import jsonl
@@ -146,29 +148,25 @@ def run_seed(rc: RunConfig, seed: int, run_dir) -> dict:
         eval_env = make(rc.env_kind, np.random.default_rng([seed, 5]))
 
     period = agent.phase_steps or rc.loss_log_every
-    cadences = [c for c in (period, rc.eval_every) if c > 0]
 
     metrics_path = os.path.join(run_dir, "metrics.jsonl")
     with open(metrics_path, "w", encoding="utf-8") as fh:
         log = _RunLog(fh)
 
         def loop() -> None:
-            done = 0
-            while done < rc.total_steps:
-                target = min(rc.total_steps,
-                             *((done // c + 1) * c for c in cadences))
-                for rec in runner.run(target - done):
+            for step in range(1, rc.total_steps + 1):
+                rec = runner.step()
+                if rec is not None:
                     log.episode(rec, agent)
-                done = target
-                if done % period == 0:
-                    last = agent.phase_steps and done == rc.total_steps
-                    log.loss(done, agent.update_phase() if last else agent.end_phase())
-                if rc.eval_every > 0 and done % rc.eval_every == 0:
+                if step % period == 0:
+                    last = agent.phase_steps and step == rc.total_steps
+                    log.loss(step, agent.update_phase() if last else agent.end_phase())
+                if rc.eval_every > 0 and step % rc.eval_every == 0:
                     evals = [eval_episode(agent.policy, eval_env)
                              for _ in range(rc.eval_episodes)]
-                    log.eval(done, evals)
-            if agent.phase_steps and done % period:
-                log.loss(done, agent.update_phase())
+                    log.eval(step, evals)
+            if agent.phase_steps and rc.total_steps % period:
+                log.loss(rc.total_steps, agent.update_phase())
 
         agent.run_beside(loop, rc.total_steps)
         for w in range(agent.n_workers):

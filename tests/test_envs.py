@@ -316,6 +316,36 @@ class RandomAgent:
         pass
 
 
+class CallLog(RandomAgent):
+    """A RandomAgent that logs every act_train and observe call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def act_train(self, s, rng, worker):
+        a = super().act_train(s, rng, worker)
+        self.calls.append(("act_train", worker, s.tobytes(), a.tobytes()))
+        return a
+
+    def observe(self, tr, worker, step):
+        self.calls.append(("observe", worker, step, tr.s.tobytes(),
+                           tr.a.tobytes(), tr.r, tr.s_next.tobytes(), tr.end))
+
+
+def step_by_step(runner, steps):
+    """The records of `steps` single `runner.step()` calls."""
+    records = []
+    for _ in range(steps):
+        rec = runner.step()
+        if rec is not None:
+            assert rec.end_step == runner.step_count
+            records.append(rec)
+    return records
+
+
+DRIVES = {"run": lambda runner, steps: runner.run(steps), "step": step_by_step}
+
+
 class TestRunner:
     def test_single_worker_matches_sequential(self):
         agent_a = ScriptedAgent([0.0, 0.3])
@@ -366,11 +396,28 @@ class TestRunner:
             )
 
     def test_runner_continues_episodes_across_calls(self):
-        agent = ScriptedAgent([0.0, 0.0])
-        env = envs.CliffCorridor(np.random.default_rng(5), noise_std=0.0)
-        runner = envs.VecRunner([env], agent, [np.random.default_rng(6)])
-        assert runner.run(150) == []
-        records = runner.run(300)
-        assert len(records) == 1
-        assert records[0].length == 400
-        assert records[0].end == memory.END_TIME_LIMIT
+        for drive in DRIVES.values():
+            agent = ScriptedAgent([0.0, 0.0])
+            env = envs.CliffCorridor(np.random.default_rng(5), noise_std=0.0)
+            runner = envs.VecRunner([env], agent, [np.random.default_rng(6)])
+            assert drive(runner, 150) == []
+            records = drive(runner, 300)
+            assert len(records) == 1
+            assert records[0].length == 400
+            assert records[0].end == memory.END_TIME_LIMIT
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_step_matches_run(self, workers):
+        """Single `step()` calls give the records, the step count and the
+        act_train/observe calls of `run` on the same pool."""
+        got = {}
+        for drive in sorted(DRIVES):
+            agent = CallLog()
+            runner = envs.VecRunner(
+                [envs.CliffCorridor(np.random.default_rng([9, w]))
+                 for w in range(workers)],
+                agent, [np.random.default_rng([10, w]) for w in range(workers)])
+            records = DRIVES[drive](runner, 170) + DRIVES[drive](runner, 230)
+            got[drive] = (records, runner.step_count, agent.calls)
+        assert got["step"][0]
+        assert got["step"] == got["run"]

@@ -750,6 +750,26 @@ class TestTrain:
         assert "# seed = 1" in text
         assert parse_text(text) == rc
 
+    def test_episode_lines_carry_their_own_memory_state(self, tmp_path):
+        """In a run of one loss window and no evals, each episode line reads
+        the memory and the fallback rate at that episode's end."""
+        path = tmp_path / "config.txt"
+        path.write_text(TINY_SAC.format(out_dir=tmp_path / "run"))
+        out = cmd_train(path, environ={
+            "FEMA_RUN__SEEDS": "0", "FEMA_RUN__TOTAL_STEPS": "300",
+            "FEMA_RUN__LOSS_LOG_EVERY": "300", "FEMA_RUN__EVAL_EVERY": "0"})
+        records, _ = read_jsonl_kinds(out, 0)
+        episodes = [r for r in records if r["kind"] == "episode"]
+        assert episodes[0]["memory_version"] == -1
+        assert episodes[0]["memory_records"] == 0
+        versions = [r["memory_version"] for r in episodes]
+        assert versions == sorted(versions)
+        assert len(set(versions)) >= 3
+        report_run(out)
+        with open(os.path.join(out, "report", "fallback.csv")) as fh:
+            rates = {line.split(",")[1] for line in fh.readlines()[1:]}
+        assert len(rates) > 1
+
     def test_rerun_is_byte_identical(self, sac_run, tmp_path):
         from dataclasses import replace
         rc = parse_config(sac_run["config"])

@@ -59,29 +59,30 @@ max_matches = 2
 # column was re-derived from the format-1 files, read with the format-1
 # loader). A budget of 200 ends mid-phase; an eval_every of 50
 # splits phases and the budget of 170 ends mid-phase too. The first three
-# columns were re-pinned when the last phase gap stopped publishing; the
-# fourth, `settled_digest` of metrics.jsonl, was taken while it still
-# published, and holds because only the trailing mid-episode records (their
-# memory fields) changed.
+# columns were re-pinned when the last phase gap stopped publishing. The
+# metrics.jsonl and `settled_digest` columns were re-pinned again when each
+# episode line came to read the cumulative fallback rate at the episode's
+# own end rather than at the end of its phase or eval block; the checkpoint
+# and memory columns held, and so did every other field of every line.
 PINNED = {
     ("grid_hazard", 2, 200, 0):
-        ("7b958c691f2a59c2", "e0f7dc428779d3ba", "fecb0b0297bfe4d5",
-         "7e7dbf8bc9efdcb8"),
+        ("5f4ffea667d573ef", "e0f7dc428779d3ba", "fecb0b0297bfe4d5",
+         "80962f689b0da4d2"),
     ("grid_hazard", 2, 170, 50):
-        ("cb99a3a2918f4bb0", "2efd8d8b382d448b", "22fd79f23c833982",
-         "3fece554aa67ba3a"),
+        ("9160e69987dcf45a", "2efd8d8b382d448b", "22fd79f23c833982",
+         "412584c3c236edeb"),
     ("grid_hazard", 3, 200, 0):
-        ("fa97a29623c65606", "c30c66b4a23079d1", "f3ce3e6d14243780",
-         "91eea4f4444afe6f"),
+        ("247bfc45496f3461", "c30c66b4a23079d1", "f3ce3e6d14243780",
+         "560d1287d0b7e631"),
     ("grid_hazard", 3, 170, 50):
-        ("9f17a9ad9f425ff3", "a5036c14a29521d1", "f0a85232440293cb",
-         "2a376cd57d1c117d"),
+        ("353738952309876c", "a5036c14a29521d1", "f0a85232440293cb",
+         "3a3ba0cd1d205508"),
     ("cliff_corridor", 2, 200, 0):
-        ("7f67d2d122877d35", "04246900ed196c3b", "61a4b53cbb3b776b",
-         "39b5ada8b5db95bc"),
+        ("94cc72b5f50d18a2", "04246900ed196c3b", "61a4b53cbb3b776b",
+         "f7d909de540b0dc2"),
     ("cliff_corridor", 2, 170, 50):
-        ("d3b04d11a0a27876", "d30f96d99273b9e4", "0c6dd6d714d0f895",
-         "a1b89ea0ee06a5bc"),
+        ("4cf954be9ebd244f", "d30f96d99273b9e4", "0c6dd6d714d0f895",
+         "7f09546482478655"),
     ("cliff_corridor", 3, 200, 0):
         ("517d4f28165abff8", "993bba3ec237e6d5", "818af214e5481c58",
          "809b9a8c242e9fec"),
