@@ -49,8 +49,8 @@ SQUASH_EPS = 1e-6  # keeps the squashed density's log finite where tanh saturate
 # helper process (`SacAgent.run_beside`). On a 2-core x86 VM an update in two
 # processes ran 1.2-1.4x as fast as in one at batch 32-128 and widths 16-64
 # (medians of 5-7 runs), and 1.2-1.3x at batch 16, where it saves about 100
-# us; below 32 that does not buy the second core that a helper keeps busy
-# for the whole run.
+# us; below 32 that does not buy the second core that a helper takes
+# during the updates.
 FORK_BATCH = 32
 
 
@@ -294,8 +294,6 @@ class SacAgent(HookedAgent):
     def observe(self, tr, worker: int = 0, step: int = 0) -> None:
         self.buffer.add(tr.s, tr.a, tr.r, tr.s_next, tr.end == END_HAZARD)
         if self._track(tr, worker, step) and self.memory.publish_due():
-            if self._away:
-                self._away.park()
             self.memory.update(self.stack)
         ready = (self.steps_seen >= self.cfg.warmup_steps
                  and self.buffer.size >= self.cfg.batch_size)
@@ -380,9 +378,9 @@ class SacAgent(HookedAgent):
         batch draw, q1, q1t, the temperature and the losses. The policy's
         vector is bound onto a slot of the mapping for the loop, so that the
         helper draws with the weights of this process's last Adam step.
-        Until the first update, and from each publish to the next update,
-        the helper waits parked, blocked on a pipe, so that a publish forks
-        its own risk helper. q2, q2t, their moments and the policy's
+        Between updates the helper waits, blocked on a pipe once the gap
+        outlasts `forking.wait`'s spinning and yielding, and a publish
+        forks its own risk helper. q2, q2t, their moments and the policy's
         vector are copied back into the agent's own arrays after the
         loop, also on an error."""
         cfg = self.cfg
@@ -407,7 +405,6 @@ class SacAgent(HookedAgent):
 
         def lead(end):
             self._away = end
-            end.park()   # until the first update
             try:
                 return loop()
             finally:

@@ -199,8 +199,8 @@ def train_risk(
     called with no data. Targets are re-normalized within every minibatch.
     Refuses `epochs` or `batch_size` below 1 and row counts that differ
     before it changes the stack. A fit of FORK_STEPS minibatch steps or
-    more runs each step in two processes where `forking.processes(2)` gives
-    it a second CPU (on x86), and leaves the same bytes.
+    more runs each step in two processes where `forking.can_pair()` gives
+    it a second CPU, and leaves the same bytes.
     """
     if epochs < 1 or batch_size < 1:
         raise UsageError(f"train_risk needs epochs >= 1 and batch_size >= 1, "

@@ -12,18 +12,21 @@ run to one helper.
 The CPUs are shared, not stacked: inside a child of `beside`, and in its
 caller while children run, `processes` divides the usable CPUs by the
 processes that share them, so a seed process on a 2-CPU host forks no
-helper beside its sibling, and a SAC run with its critic helper fits its
-risk stack in one process.
+helper beside its sibling; a helper of `pair` is not counted (see `pair`).
 
 The handshake of `pair`: a share's methods are the helper's steps, and a
 table of meetings names, for each, its step and the `Shared` slots of what
 the caller posts to it and of its answer. The helper runs the meetings in
 order, round after round, waiting for a post where a meeting has one; the
-caller's take waits for its meeting's answer in the current round, so a
-meeting without an answer needs no take. Each side writes its arrays, then
-posts a step counter, and the other side `wait`s for the counter. That
-orders the arrays only where stores become visible in program order, so
-`can_pair` allows such a split on x86 alone; elsewhere `InLine` runs it.
+caller takes every answer, in meeting order, so a meeting without an answer
+needs no take. A message, post or answer, is its arrays, then one byte on
+the pipe that runs its way, then a bump of its side's step counter. The
+other side `wait`s for it in three phases: it polls the counter, then
+yields the CPU between polls, then blocks on the pipe; in every phase it
+reads the message's byte before the arrays, so the kernel's pipe orders
+them on any CPU. End of file is the stop: the helper returns once the
+caller's write end closes, when lead returns or the caller exits or dies,
+and a caller that reads end of file re-raises the helper's error.
 
 Two settings of the process's C runtime are made here, through ctypes.
 `beside` runs the OpenBLAS that numpy loaded on one thread while children
@@ -43,11 +46,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import gc
-import itertools
 import mmap
 import os
 import pickle
-import platform
 import select
 import signal
 import threading
@@ -57,8 +58,11 @@ import numpy as np
 
 from .errors import FemaError
 
-SPIN = 1000   # polls of a step counter before a waiting side yields its CPU
-STORES_IN_ORDER = platform.machine().lower() in ("x86_64", "amd64", "i386", "i686")
+# Polls of a step counter in each of `wait`'s spinning and yielding phases:
+# on a 2-core x86 VM a wait blocks after about 1.3 ms, later than 99.9% of
+# the waits inside a SAC update or a risk fit's step (at 1000, after about
+# 0.55 ms, 6.6% of a 16k-row fit's helper waits blocked).
+SPIN = 2000
 TRIM_BYTES = 64 << 20   # freed heap top that `keep_freed_heap` keeps mapped
 _M_TRIM_THRESHOLD = -1  # glibc's mallopt number of that setting
 
@@ -85,9 +89,9 @@ def processes(parts: int) -> int:
 
 
 def can_pair() -> bool:
-    """Whether `pair` may fork a helper: on x86, where `processes(2)`
-    leaves it a CPU of its own."""
-    return STORES_IN_ORDER and processes(2) >= 2
+    """Whether `pair` may fork a helper: where `processes(2)` leaves it a
+    CPU of its own."""
+    return processes(2) >= 2
 
 
 def beside(here, away: dict):
@@ -100,8 +104,9 @@ def beside(here, away: dict):
     of after its last unit. While any child runs, every process of the call
     runs BLAS on one thread, and `processes` counts every process of the
     call, in a child, and in this process until its children are collected,
-    as sharing the CPUs, except children that here blocks and counts out
-    with `check.block(n)`."""
+    as sharing the CPUs, except children that here counts out with
+    `check.block(n)`: kept blocked, or run only inside here's own steps,
+    where nothing forks."""
     global _sharing
     children = _Children(_sharing)
     with _one_blas_thread() if away else nullcontext():
@@ -125,7 +130,7 @@ class _Children:
         self.outer = outer    # processes sharing the CPUs outside the call
         self.running = {}     # work name -> (pid, read end of its result pipe)
         self.results = {}     # work name -> result of a collected child
-        self.blocked = 0      # running children that here keeps blocked
+        self.blocked = 0      # running children counted out by block()
 
     def __call__(self) -> None:
         ready = select.select([fh for _, fh in self.running.values()], [], [], 0)[0]
@@ -137,8 +142,8 @@ class _Children:
         self.results[what] = _collect(*self.running.pop(what), what)
 
     def block(self, n: int) -> None:
-        """Count n more running children (n < 0: fewer), which here keeps
-        blocked, out of `processes`."""
+        """Count n more running children (n < 0: fewer) out of `processes`:
+        children that here keeps blocked, or that run only inside its steps."""
         self.blocked += n
         self._share()
 
@@ -305,122 +310,116 @@ class Shared:
         return tuple(getattr(self, name) for name in names)
 
 
-def wait(ready: memoryview, at: int, t: int, check) -> None:
-    """Return once counter `at` of `ready` reaches t. Poll SPIN times, then
-    yield the CPU between polls and call check(), which raises if the other
-    side is gone."""
-    spins = 0
-    while ready[at] < t:
-        spins += 1
-        if spins > SPIN:
+def wait(ready: memoryview, at: int, t: int, fd: int) -> bytes:
+    """Wait for the message that brings counter `at` of `ready` to t, and
+    read its byte from pipe fd: poll the counter SPIN times, then yield the
+    CPU between up to SPIN more polls, then block in the read. Returns the
+    byte, or b"" at end of file, once no process holds the pipe's write
+    end."""
+    for polls in range(2 * SPIN):
+        if ready[at] >= t:
+            break
+        if polls >= SPIN:
             os.sched_yield()
-            check()
+    return os.read(fd, 1)
 
 
-# Counters of `Shared.ready` that `pair` uses: on the caller's cache line,
-# its posts and the numbers of the posts that stop and park the helper; on
-# the helper's, from _ANSWERED on, the rounds it has run of each meeting.
-_POSTED, _STOP, _PARK, _ANSWERED = 0, 1, 2, 8
+def _send(slots: tuple, arrays, fd: int, ready: memoryview, at: int) -> None:
+    """Send a message: its arrays into their slots, then its byte to pipe
+    fd, then a bump of counter `at` of `ready`."""
+    for slot, array in zip(slots, arrays):
+        slot[:len(array)] = array
+    os.write(fd, b"m")
+    ready[at] += 1
+
+
+# Counters of `Shared.ready` that `pair` bumps, a cache line apart: the
+# caller's posts and the helper's answers.
+_POSTED, _ANSWERED = 0, 8
 
 
 def pair(what: str, share, meetings: tuple, shared: Shared, lead):
-    """lead(away) here, with the steps of `share` run as `meetings` (at most
-    8) lists them by a helper named `what` that `beside` forks; returns
-    lead's result. When lead returns, `away` (`_Away`) stops the helper; a
-    step that raises StopIteration ends it before that."""
-    caller = os.getpid()
-    rfd, wfd = os.pipe()   # the wake pipe of a parked helper
+    """lead(away) here, with the steps of `share` run as `meetings` lists
+    them by a helper named `what` that `beside` forks; returns lead's
+    result. The helper computes only inside the caller's meetings, where
+    nothing forks, so it is counted out of `processes`: a SAC publish forks
+    its risk helper beside the critic helper. It stops when lead returns,
+    or before, at a step that raises StopIteration."""
+    fds = [*os.pipe(), *os.pipe()]
+    posts_in, posts_out, answers_in, answers_out = fds
+
+    def close(*ends):
+        for fd in ends:
+            fds.remove(fd)
+            os.close(fd)
 
     def here(check):
-        away = _Away(meetings, shared, check, wfd)
-        done = lead(away)
-        away.stop()
+        close(posts_in, answers_out)   # the helper's alone, also in later forks
+        check.block(1)
+        done = lead(_Away(what, meetings, shared, check, posts_out, answers_in))
+        close(posts_out)   # the helper's end of file
         return done
 
     def helper():
-        os.close(wfd)
-        return _help(share, meetings, shared, caller, rfd)
+        close(posts_out, answers_in)
+        return _help(share, meetings, shared, posts_in, answers_out)
 
     try:
         return beside(here, {what: helper})[0]
     finally:
-        os.close(rfd)
-        os.close(wfd)
+        close(*fds)
 
 
 class _Away:
-    """The caller's end of `pair`, with `InLine`'s post and take; take
-    calls check() (the `beside` call's) while it waits. `wake` is the write
-    end of the pipe that a parked helper blocks on."""
+    """The caller's end of `pair`, with `InLine`'s post and take. A take
+    returns the helper's next answer, so the caller takes every answer, in
+    meeting order."""
 
-    def __init__(self, meetings: tuple, shared: Shared, check, wake: int):
-        self.ready, self.check, self.wake = shared.ready, check, wake
+    def __init__(self, what: str, meetings: tuple, shared: Shared, check,
+                 posts: int, answers: int):
+        self.what, self.ready, self.check = what, shared.ready, check
+        self.posts, self.answers = posts, answers
         self.slots = [(shared[ins], shared[outs]) for _, ins, outs in meetings]
-        self.posted, self.parked = 0, False
-        self.taken = [0] * len(meetings)   # rounds taken of each meeting
+        self.taken = 0
 
     def post(self, meeting: int, *arrays) -> None:
-        for slot, array in zip(self.slots[meeting][0], arrays):
-            slot[:len(array)] = array
-        self._post()
+        try:
+            _send(self.slots[meeting][0], arrays, self.posts, self.ready, _POSTED)
+        except BrokenPipeError:
+            self.gone()
 
     def take(self, meeting: int) -> tuple:
-        self.taken[meeting] += 1
-        wait(self.ready, _ANSWERED + meeting, self.taken[meeting], self.check)
+        self.taken += 1
+        if not wait(self.ready, _ANSWERED, self.taken, self.answers):
+            self.gone()
         return self.slots[meeting][1]
 
-    def _post(self, at: int = _POSTED) -> None:
-        """Count a post, and name it in counter `at` too (_STOP, _PARK)."""
-        if self.parked:
-            self.parked = False
-            self.check.block(-1)
-            os.write(self.wake, b"w")
-        self.posted += 1
-        self.ready[at] = self.posted
-        self.ready[_POSTED] = self.posted
-
-    def stop(self) -> None:
-        self._post(_STOP)
-
-    def park(self) -> None:
-        """Block the helper on the wake pipe, instead of polling, until the
-        next post, and count it out of `processes` meanwhile. Call it where
-        the helper's next meeting waits for a post."""
-        if not self.parked:
-            self._post(_PARK)
-            self.check.block(1)
-            self.parked = True
+    def gone(self) -> None:
+        """Re-raise the error of the helper, which has exited, through the
+        `beside` call's check(); else raise a FemaError."""
+        self.check()
+        raise FemaError(f"{self.what} exited before the caller's work ended")
 
 
-def _help(share, meetings: tuple, shared: Shared, caller: int, wake: int) -> None:
+def _help(share, meetings: tuple, shared: Shared, posts: int, answers: int) -> None:
     """The helper's side of `pair`: run each meeting's step, after its post
-    where it has one, until the caller posts the stop or exits or a step
-    raises StopIteration. A post that parks blocks it on the pipe `wake`."""
-    def check():
-        if os.getppid() != caller:
-            raise FemaError("the process that forked this helper exited")
-
-    ready, posts = shared.ready, 0
+    where it has one, round after round, until the caller's write end of
+    `posts` closes (the caller's work ended, or the caller exited) or a
+    step raises StopIteration."""
+    ready, posted = shared.ready, 0
     steps = [(getattr(share, step), shared[ins], shared[outs]) for step, ins, outs in meetings]
-    for rounds in itertools.count(1):
-        for k, (step, ins, outs) in enumerate(steps):
-            while ins:   # until the meeting's own post
-                posts += 1
-                wait(ready, _POSTED, posts, check)
-                if ready[_STOP] == posts:
-                    return
-                if ready[_PARK] != posts:
-                    break
-                if not os.read(wake, 1):   # the caller exited
+    while True:
+        for step, ins, outs in steps:
+            if ins:
+                posted += 1
+                if not wait(ready, _POSTED, posted, posts):
                     return
             try:
                 answer = step(*ins)
             except StopIteration:
                 return
             if outs:
-                for slot, array in zip(outs, answer):
-                    slot[:len(array)] = array
-                ready[_ANSWERED + k] = rounds
+                _send(outs, answer, answers, ready, _ANSWERED)
 
 
 class InLine:

@@ -169,10 +169,16 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def running(pid: int) -> bool:
-    """Whether process `pid` exists and has not exited (a zombie has)."""
+def process_state(pid: int) -> str:
+    """The state letter of process `pid` in /proc ("R" running, "S"
+    sleeping, ...); "" once it is gone."""
     try:
         with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+            return fh.read().rsplit(")", 1)[1].split()[0]
     except FileNotFoundError:
-        return False
+        return ""
+
+
+def running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    return process_state(pid) not in ("", "Z", "X")

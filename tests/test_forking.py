@@ -4,6 +4,7 @@ and the handshake of a computation split with one helper."""
 
 import os
 import pickle
+import signal
 import threading
 import time
 
@@ -13,7 +14,7 @@ import pytest
 from fema import forking
 from fema.errors import FemaError
 
-from helpers import assert_no_children, count_forks
+from helpers import assert_no_children, count_forks, running
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="beside needs os.fork")
@@ -275,60 +276,72 @@ class TestShared:
         assert len(shared.ready) == 16
 
     def test_both_sides_see_posts(self):
-        """A child's writes and counter post reach the caller's wait, and
-        the caller's reach the child."""
+        """A child's writes, byte and counter post reach the caller's wait,
+        and the caller's reach the child; each wait returns the byte."""
         shared = forking.Shared(x=(4,))
+        down, up = os.pipe(), os.pipe()
 
         def child():
-            forking.wait(shared.ready, 0, 1, lambda: None)
+            got = forking.wait(shared.ready, 0, 1, down[0])
             shared.x[:] = shared.x * 2
+            os.write(up[1], b"u")
             shared.ready[8] = 1
-            return "done"
+            return got
 
         def here(check):
             shared.x[:] = [1, 2, 3, 4]
+            os.write(down[1], b"d")
             shared.ready[0] = 1
-            forking.wait(shared.ready, 8, 1, check)
+            assert forking.wait(shared.ready, 8, 1, up[0]) == b"u"
             return shared.x.tolist()
 
-        assert forking.beside(here, {"child": child}) == ([2, 4, 6, 8], ["done"])
+        try:
+            assert forking.beside(here, {"child": child}) == ([2, 4, 6, 8], [b"d"])
+        finally:
+            for fd in (*down, *up):
+                os.close(fd)
         assert_no_children()
 
 
 class Tally:
     """A toy share: `add` keeps a running sum of what is posted to it and
     answers nothing; `total`, with no post, answers the sum and the number
-    of steps run so far, and refuses the step numbered `fail_at`."""
+    of steps run so far. The step numbered `fail_at` sleeps `nap` seconds
+    and is refused."""
 
-    def __init__(self, fail_at=None):
-        self.sum, self.steps, self.fail_at = 0.0, 0, fail_at
+    def __init__(self, fail_at=None, nap=0.0):
+        self.sum, self.steps, self.fail_at, self.nap = 0.0, 0, fail_at, nap
 
     def add(self, x):
-        self.steps += 1
+        self.step()
         self.sum += float(x[0])
 
     def total(self):
+        self.step()
+        return (np.array([self.sum, self.steps]),)
+
+    def step(self):
         self.steps += 1
         if self.steps == self.fail_at:
+            time.sleep(self.nap)
             raise WorkFault(f"refused step {self.steps}")
-        return (np.array([self.sum, self.steps]),)
 
 
 TALLY = (("add", ("x",), ()), ("total", (), ("out",)))
 
 
-def tally(end, rounds: int) -> list:
-    """Post 1, 2, ... to `add` and take each round's total: `add` is never
-    taken, and `total` never posted to."""
+def tally(end, rounds: int, nap: float = 0.0) -> list:
+    """Sleep `nap` seconds, post r to `add` and take round r's total, for r
+    = 1, 2, ... rounds: `add` is never taken, and `total` never posted to."""
     got = []
     for r in range(1, rounds + 1):
+        time.sleep(nap)
         end.post(0, np.array([float(r)]))
         got.append(end.take(1)[0].tolist())
     return got
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or not forking.STORES_IN_ORDER,
-                    reason="pair needs os.fork on x86")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="pair needs os.fork")
 class TestPair:
     @pytest.mark.parametrize("rounds", [0, 1, 40])
     def test_answers_in_meeting_order(self, monkeypatch, rounds):
@@ -360,4 +373,81 @@ class TestPair:
         with pytest.raises(WorkFault, match="caller gave up"):
             forking.pair("tally helper", Tally(), TALLY, forking.Shared(x=(1,), out=(2,)),
                          lead)
+        assert_no_children()
+
+    def test_answers_after_the_caller_slept(self):
+        """The caller sleeps past the helper's spinning and yielding before
+        each post, so the helper blocks on its pipe; the answers still come
+        in order."""
+        want = [[r * (r + 1) / 2, 2.0 * r] for r in range(1, 4)]
+        got = forking.pair("tally helper", Tally(), TALLY, forking.Shared(x=(1,), out=(2,)),
+                           lambda end: tally(end, 3, nap=0.05))
+        assert got == want
+        assert_no_children()
+
+    def test_late_step_error_reaches_the_blocked_caller(self):
+        """A step fails after the caller's take has blocked on the pipe: the
+        caller reads end of file and re-raises the step's error."""
+        start = time.monotonic()
+        with pytest.raises(WorkFault, match="refused step 6"):
+            forking.pair("tally helper", Tally(fail_at=6, nap=0.05), TALLY,
+                         forking.Shared(x=(1,), out=(2,)), lambda end: tally(end, 5))
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_post_after_a_failed_step_raises_its_error(self):
+        """A post to a helper that a failed step ended re-raises that error."""
+        def lead(end):
+            for r in range(1, 1000):
+                end.post(0, np.array([float(r)]))
+                time.sleep(0.01)
+
+        start = time.monotonic()
+        with pytest.raises(WorkFault, match="refused step 3"):
+            forking.pair("tally helper", Tally(fail_at=3), TALLY[:1], forking.Shared(x=(1,)),
+                         lead)
+        assert time.monotonic() - start < 5
+        assert_no_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_nested_helpers_exit_when_the_caller_is_killed(self):
+        """A pair inside another pair's lead, as a publish's risk fit runs
+        inside a SAC run with its critic helper: a caller killed while the
+        inner helper waits for a post leaves neither helper running, though
+        the inner one was forked while the caller held the outer pipes."""
+        rfd, wfd = os.pipe()
+        pid = os.fork()
+        if pid == 0:   # the caller: report both helpers, then wait
+            try:
+                os.close(rfd)
+                real = forking._fork
+
+                def fork(work):
+                    child, fh = real(work)
+                    os.write(wfd, b"%d\n" % child)
+                    return child, fh
+
+                def inner(end):
+                    tally(end, 2)
+                    time.sleep(60)
+
+                def outer(end):
+                    tally(end, 2)
+                    forking.pair("inner helper", Tally(), TALLY,
+                                 forking.Shared(x=(1,), out=(2,)), inner)
+
+                forking._fork = fork
+                forking.pair("outer helper", Tally(), TALLY, forking.Shared(x=(1,), out=(2,)),
+                             outer)
+            finally:
+                os._exit(0)
+        os.close(wfd)
+        with os.fdopen(rfd, "rb") as fh:
+            helpers = [int(fh.readline()) for _ in range(2)]
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and any(map(running, helpers)):
+            time.sleep(0.01)
+        assert not any(map(running, helpers))
         assert_no_children()

@@ -912,9 +912,7 @@ class TestSeedFork:
 
     @pytest.mark.parametrize("seeds, names", [
         pytest.param("0, 1", [["runs [seed1]"]], id="two_seeds"),
-        pytest.param("0", [[], ["risk helper"]], id="one_seed",
-                     marks=pytest.mark.skipif(not forking.STORES_IN_ORDER,
-                                              reason="the risk helper runs on x86")),
+        pytest.param("0", [[], ["risk helper"]], id="one_seed"),
     ])
     def test_risk_helper_only_on_a_free_cpu(self, tmp_path, monkeypatch, seeds, names):
         """At 2 CPUs a 2-seed run forks its second seed and, in neither
@@ -1039,12 +1037,10 @@ class TestCriticHelper:
     and its batch holds FORK_BATCH rows, and writes the bytes of a run
     without it."""
 
-    @pytest.mark.skipif(not forking.STORES_IN_ORDER, reason="the critic helper runs on x86")
     @pytest.mark.parametrize("memory", [True, False], ids=["memory", "plain"])
     def test_one_seed_files_match_one_process(self, tmp_path, monkeypatch, memory):
         """At 2 CPUs the run forks its critic helper, and each publish,
-        also after updates began, parks that helper and forks a risk
-        helper."""
+        also after updates began, forks a risk helper beside it."""
         import shutil
         rc = sac_seeds(tmp_path, "0", memory)
         rc.agent.warmup_steps = rc.agent.batch_size   # updates from step 16

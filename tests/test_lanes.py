@@ -16,7 +16,6 @@ import os
 
 import pytest
 
-from fema import forking
 from fema.agents.ppo import PpoAgent
 from fema.harness.config import parse_text
 from fema.harness.train import run_seed
@@ -123,8 +122,7 @@ class TestLaneIdentity:
 
 
 class TestRiskHelper:
-    @pytest.mark.skipif(not hasattr(os, "fork") or not forking.STORES_IN_ORDER,
-                        reason="the risk helper needs os.fork on x86")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the risk helper needs os.fork")
     def test_forking_publishes_keep_the_bytes(self, tmp_path, monkeypatch):
         """With 16 times the pinned runs' training epochs, the last two of
         the three publishes reach the fork size and fork the risk helper at
