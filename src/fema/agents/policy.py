@@ -11,7 +11,7 @@ steps the policy as one array. Squashing conventions:
           off-policy learner computes their density in `sac._squashed_sample`);
   "clip": raw Gaussian actions, clipped later by the environment;
           `Gaussian.density` is their plain Gaussian log-density, which
-          `log_prob` and the on-policy learner's act path both call.
+          the on-policy learner's act path calls.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .. import numeric
-from ..errors import ConfigError, ShapeError, UsageError
+from ..errors import ConfigError, ShapeError
 
 LOGSTD_MIN = -5.0
 LOGSTD_MAX = 2.0
@@ -113,13 +113,6 @@ class GaussianPolicy(numeric.OneVector):
         if self.squash == "tanh":
             return self.scale * np.tanh(mu)
         return np.clip(mu, -self.scale, self.scale)
-
-    def log_prob(self, s: np.ndarray, a: np.ndarray):
-        """Log-density of the unsquashed action a at state s (scalar for
-        single inputs); a "clip" policy only."""
-        if self.squash != "clip":
-            raise UsageError(f"log_prob is the density of a clip policy, not {self.squash!r}")
-        return self.at(s).density(a)
 
 
 def policy_init(

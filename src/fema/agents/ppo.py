@@ -225,10 +225,6 @@ class PpoAgent(HookedAgent):
         ))
         self._track(tr, worker, step)  # publishing waits for the phase gap
 
-    def collected_steps(self) -> int:
-        """Rows gathered since the last phase update."""
-        return sum(len(rows) for rows in self._rows.values())
-
     def build_batch(self) -> RolloutBatch:
         cfg = self.cfg
         all_rows = []

@@ -379,7 +379,7 @@ class SacAgent(HookedAgent):
         vector is bound onto a slot of the mapping for the loop, so that the
         helper draws with the weights of this process's last Adam step.
         Between updates the helper waits, blocked on a pipe once the gap
-        outlasts `forking.wait`'s spinning and yielding, and a publish
+        outlasts `forking.wait`'s polls of it, and a publish
         forks its own risk helper. q2, q2t, their moments and the policy's
         vector are copied back into the agent's own arrays after the
         loop, also on an error."""

@@ -20,9 +20,8 @@ the caller posts to it and of its answer. The helper runs the meetings in
 order, round after round, waiting for a post where a meeting has one; the
 caller takes every answer, in meeting order, so a meeting without an answer
 needs no take. A message, post or answer, is its arrays, then one byte on
-the pipe that runs its way, then a bump of its side's step counter. The
-other side `wait`s for it in three phases: it polls the counter, then
-yields the CPU between polls, then blocks on the pipe; in every phase it
+the pipe that runs its way. The other side `wait`s for it: it polls the
+pipe, yielding the CPU after each empty poll, then blocks in the read; it
 reads the message's byte before the arrays, so the kernel's pipe orders
 them on any CPU. End of file is the stop: the helper returns once the
 caller's write end closes, when lead returns or the caller exits or dies,
@@ -58,11 +57,11 @@ import numpy as np
 
 from .errors import FemaError
 
-# Polls of a step counter in each of `wait`'s spinning and yielding phases:
-# on a 2-core x86 VM a wait blocks after about 1.3 ms, later than 99.9% of
-# the waits inside a SAC update or a risk fit's step (at 1000, after about
-# 0.55 ms, 6.6% of a 16k-row fit's helper waits blocked).
-SPIN = 2000
+# Polls of the pipe before `wait` blocks, each a zero-timeout select and a
+# yield of the CPU: on a 2-core x86 VM a wait blocks after about 1.2 ms.
+# There 0.2% of a 3,000-step SAC run's update starts blocked, and under
+# 0.1% of the waits inside its updates or in a 16k-row risk fit's steps.
+SPIN = 1200
 TRIM_BYTES = 64 << 20   # freed heap top that `keep_freed_heap` keeps mapped
 _M_TRIM_THRESHOLD = -1  # glibc's mallopt number of that setting
 
@@ -139,7 +138,7 @@ class _Children:
         self._share()
 
     def collect(self, what: str) -> None:
-        self.results[what] = _collect(*self.running.pop(what), what)
+        self.results[what] = _collect(self.running, what)
 
     def block(self, n: int) -> None:
         """Count n more running children (n < 0: fewer) out of `processes`:
@@ -259,14 +258,17 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps(("error", FemaError(f"{type(exc).__name__}: {exc}")))
 
 
-def _collect(pid: int, fh, what: str):
-    """Read and reap one child; returns its result or raises its error. A
-    missing or partial payload raises a FemaError naming `what`."""
-    try:
-        with fh:
-            data = fh.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
+def _collect(running: dict, what: str):
+    """Read and reap child `what` of running (name -> (pid, pipe)), then
+    drop it from there; returns its result or raises its error. A missing
+    or partial payload raises a FemaError naming `what`. A read or reap
+    that raises (a signal's handler) leaves the child in running, for
+    `_reap` to stop: a wait for it could last for ever."""
+    pid, fh = running[what]
+    with fh:
+        data = fh.read()
+    _, status = os.waitpid(pid, 0)
+    del running[what]
     try:
         kind, value = pickle.loads(data)
     except (EOFError, pickle.UnpicklingError):
@@ -290,18 +292,16 @@ def _reap(running: dict) -> None:
 
 class Shared:
     """One anonymous shared mapping, made before a fork so that both sides
-    see it: `ready`, 16 int64 step counters (two cache lines; the two sides
-    post on counters a cache line apart), then one zeroed float64 array per
-    keyword, `name=shape`, set as the attribute `name` (`shared[names]`
-    is the tuple of the arrays named). Each array starts on a cache line of
-    its own, so no line holds what both sides write."""
+    see it: one zeroed float64 array per keyword, `name=shape`, set as the
+    attribute `name` (`shared[names]` is the tuple of the arrays named).
+    Each array starts on a cache line of its own, so no line holds what both
+    sides write."""
 
     def __init__(self, **shapes):
         sizes = [int(np.prod(shape)) for shape in shapes.values()]
         lines = [-(-8 * size // 64) for size in sizes]
-        self.buf = mmap.mmap(-1, 128 + 64 * sum(lines))
-        self.ready = memoryview(self.buf)[:128].cast("q")
-        offsets = 128 + 64 * np.cumsum([0] + lines[:-1])
+        self.buf = mmap.mmap(-1, 64 * sum(lines))
+        offsets = 64 * np.cumsum([0] + lines[:-1])
         for (name, shape), size, off in zip(shapes.items(), sizes, offsets):
             setattr(self, name, np.frombuffer(self.buf, np.float64, size,
                                               int(off)).reshape(shape))
@@ -310,32 +310,23 @@ class Shared:
         return tuple(getattr(self, name) for name in names)
 
 
-def wait(ready: memoryview, at: int, t: int, fd: int) -> bytes:
-    """Wait for the message that brings counter `at` of `ready` to t, and
-    read its byte from pipe fd: poll the counter SPIN times, then yield the
-    CPU between up to SPIN more polls, then block in the read. Returns the
-    byte, or b"" at end of file, once no process holds the pipe's write
-    end."""
-    for polls in range(2 * SPIN):
-        if ready[at] >= t:
+def wait(fd: int) -> bytes:
+    """Read the next message's byte from pipe fd: poll the pipe up to SPIN
+    times, yielding the CPU after each empty poll, then block in the read.
+    Returns the byte, or b"" at end of file, once no process holds the
+    pipe's write end (a poll sees end of file as readable)."""
+    for _ in range(SPIN):
+        if select.select([fd], [], [], 0)[0]:
             break
-        if polls >= SPIN:
-            os.sched_yield()
+        os.sched_yield()
     return os.read(fd, 1)
 
 
-def _send(slots: tuple, arrays, fd: int, ready: memoryview, at: int) -> None:
-    """Send a message: its arrays into their slots, then its byte to pipe
-    fd, then a bump of counter `at` of `ready`."""
+def _send(slots: tuple, arrays, fd: int) -> None:
+    """Send a message: its arrays into their slots, then its byte to pipe fd."""
     for slot, array in zip(slots, arrays):
         slot[:len(array)] = array
     os.write(fd, b"m")
-    ready[at] += 1
-
-
-# Counters of `Shared.ready` that `pair` bumps, a cache line apart: the
-# caller's posts and the helper's answers.
-_POSTED, _ANSWERED = 0, 8
 
 
 def pair(what: str, share, meetings: tuple, shared: Shared, lead):
@@ -377,20 +368,18 @@ class _Away:
 
     def __init__(self, what: str, meetings: tuple, shared: Shared, check,
                  posts: int, answers: int):
-        self.what, self.ready, self.check = what, shared.ready, check
+        self.what, self.check = what, check
         self.posts, self.answers = posts, answers
         self.slots = [(shared[ins], shared[outs]) for _, ins, outs in meetings]
-        self.taken = 0
 
     def post(self, meeting: int, *arrays) -> None:
         try:
-            _send(self.slots[meeting][0], arrays, self.posts, self.ready, _POSTED)
+            _send(self.slots[meeting][0], arrays, self.posts)
         except BrokenPipeError:
             self.gone()
 
     def take(self, meeting: int) -> tuple:
-        self.taken += 1
-        if not wait(self.ready, _ANSWERED, self.taken, self.answers):
+        if not wait(self.answers):
             self.gone()
         return self.slots[meeting][1]
 
@@ -406,20 +395,17 @@ def _help(share, meetings: tuple, shared: Shared, posts: int, answers: int) -> N
     where it has one, round after round, until the caller's write end of
     `posts` closes (the caller's work ended, or the caller exited) or a
     step raises StopIteration."""
-    ready, posted = shared.ready, 0
     steps = [(getattr(share, step), shared[ins], shared[outs]) for step, ins, outs in meetings]
     while True:
         for step, ins, outs in steps:
-            if ins:
-                posted += 1
-                if not wait(ready, _POSTED, posted, posts):
-                    return
+            if ins and not wait(posts):
+                return
             try:
                 answer = step(*ins)
             except StopIteration:
                 return
             if outs:
-                _send(outs, answer, answers, ready, _ANSWERED)
+                _send(outs, answer, answers)
 
 
 class InLine:

@@ -156,6 +156,25 @@ class TestBeside:
         assert time.monotonic() - start < 30   # killed, not waited for
         assert_no_children()
 
+    def test_interrupted_collect_kills_the_child(self):
+        """A signal whose handler raises while the caller reads a child's
+        result kills the child, where waiting for it to end could hang."""
+        def interrupt(signum, frame):
+            raise WorkFault("interrupted")
+
+        def here(check):
+            threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGUSR1)).start()
+
+        before = signal.signal(signal.SIGUSR1, interrupt)
+        start = time.monotonic()
+        try:
+            with pytest.raises(WorkFault, match="interrupted"):
+                forking.beside(here, {"child": wait_long})
+        finally:
+            signal.signal(signal.SIGUSR1, before)
+        assert time.monotonic() - start < 30   # killed, not waited for
+        assert_no_children()
+
     def test_child_error_reraised_and_others_reaped(self):
         start = time.monotonic()
         with pytest.raises(WorkFault, match="away failed"):
@@ -273,26 +292,23 @@ class TestShared:
         assert shared.b.shape == (2, 5)
         assert shared.b.ctypes.data - shared.a.ctypes.data == 64
         assert shared.c.ctypes.data - shared.b.ctypes.data == 128
-        assert len(shared.ready) == 16
 
     def test_both_sides_see_posts(self):
-        """A child's writes, byte and counter post reach the caller's wait,
-        and the caller's reach the child; each wait returns the byte."""
+        """A child's writes, then its byte, reach the caller's wait, and the
+        caller's reach the child; each wait returns the byte."""
         shared = forking.Shared(x=(4,))
         down, up = os.pipe(), os.pipe()
 
         def child():
-            got = forking.wait(shared.ready, 0, 1, down[0])
+            got = forking.wait(down[0])
             shared.x[:] = shared.x * 2
             os.write(up[1], b"u")
-            shared.ready[8] = 1
             return got
 
         def here(check):
             shared.x[:] = [1, 2, 3, 4]
             os.write(down[1], b"d")
-            shared.ready[0] = 1
-            assert forking.wait(shared.ready, 8, 1, up[0]) == b"u"
+            assert forking.wait(up[0]) == b"u"
             return shared.x.tolist()
 
         try:
@@ -365,6 +381,18 @@ class TestPair:
         assert time.monotonic() - start < 30
         assert_no_children()
 
+    def test_exit_seen_while_polling(self, monkeypatch):
+        """A helper that exits while the caller still polls for its answer
+        shows as end of file to the poll: the step's error reaches the
+        caller at once, not after the caller's polls run out."""
+        monkeypatch.setattr(forking, "SPIN", 10**7)   # the helper inherits it
+        start = time.monotonic()
+        with pytest.raises(WorkFault, match="refused step 6"):
+            forking.pair("tally helper", Tally(fail_at=6), TALLY,
+                         forking.Shared(x=(1,), out=(2,)), lambda end: tally(end, 5))
+        assert time.monotonic() - start < 1
+        assert_no_children()
+
     def test_caller_error_stops_the_helper(self):
         def lead(end):
             tally(end, 2)
@@ -376,9 +404,9 @@ class TestPair:
         assert_no_children()
 
     def test_answers_after_the_caller_slept(self):
-        """The caller sleeps past the helper's spinning and yielding before
-        each post, so the helper blocks on its pipe; the answers still come
-        in order."""
+        """The caller sleeps past the helper's polls of its pipe before each
+        post, so the helper blocks in the read; the answers still come in
+        order."""
         want = [[r * (r + 1) / 2, 2.0 * r] for r in range(1, 4)]
         got = forking.pair("tally helper", Tally(), TALLY, forking.Shared(x=(1,), out=(2,)),
                            lambda end: tally(end, 3, nap=0.05))

@@ -11,7 +11,7 @@ from fema.agents.policy import (
     policy_init,
 )
 from fema.checkpoint import load_checkpoint
-from fema.errors import ConfigError, SerializationError, ShapeError, UsageError
+from fema.errors import ConfigError, SerializationError, ShapeError
 
 from helpers import edit_checkpoint, save_agent
 from oracles import gaussian_logpdf
@@ -58,26 +58,21 @@ class TestDensities:
             want = sum(
                 gaussian_logpdf(a[d], mu[d], sigma[d]) for d in range(2)
             )
-            np.testing.assert_allclose(policy.log_prob(s, a), want, atol=1e-12)
-
-    def test_tanh_policy_refused(self):
-        policy = make_tanh_policy(seed=4)
-        with pytest.raises(UsageError, match="clip policy"):
-            policy.log_prob(np.zeros(3), np.zeros(2))
+            np.testing.assert_allclose(policy.at(s).density(a), want, atol=1e-12)
 
     def test_logprob_batched_matches_rowwise(self):
         policy = make_clip_policy(seed=5)
         rng = np.random.default_rng(12)
         s = rng.standard_normal((6, 3))
         a = rng.standard_normal((6, 2))
-        batch = policy.log_prob(s, a)
-        rows = np.array([policy.log_prob(s[i], a[i]) for i in range(6)])
+        batch = policy.at(s).density(a)
+        rows = np.array([policy.at(s[i]).density(a[i]) for i in range(6)])
         np.testing.assert_allclose(batch, rows, atol=1e-12)
 
     def test_logprob_shape_mismatch_rejected(self):
         policy = make_clip_policy()
         with pytest.raises(ShapeError):
-            policy.log_prob(np.zeros(3), np.zeros(5))
+            policy.at(np.zeros(3)).density(np.zeros(5))
 
 
 class TestSampling:

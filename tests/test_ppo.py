@@ -333,7 +333,7 @@ class TestAgent:
         assert row.overridden
         # the selector executed a later candidate, not the first draw
         assert not np.array_equal(a, first_draw)
-        assert row.logp == float(agent.policy.log_prob(s, a))
+        assert row.logp == agent.policy.at(s).density(a)
 
     @pytest.mark.parametrize("case", ["memory off", "cold", "fallback", "scored"])
     def test_one_policy_pass_per_step(self, monkeypatch, case):
@@ -360,7 +360,7 @@ class TestAgent:
             a = agent.act_train(state, rng, 0)
             passes = len(calls)
             logp, _, overridden = agent.pending[0]
-            assert logp == agent.policy.log_prob(state, a)
+            assert logp == agent.policy.at(state).density(a)
             agent.observe(Transition(s=state, a=a, r=-1.0, s_next=state, end=end),
                           0, next(steps))
             return passes, overridden
@@ -403,7 +403,7 @@ class TestAgent:
             agent.memory.update(agent.stack)
         a = agent.act_train(s, rng, 0)
         assert agent.pending[0][2]
-        assert agent.pending[0][0] == agent.policy.log_prob(s, a)
+        assert agent.pending[0][0] == agent.policy.at(s).density(a)
 
     @pytest.mark.parametrize("memory_on", [False, True])
     def test_update_refreshes_policy_and_value(self, memory_on):
@@ -418,9 +418,9 @@ class TestAgent:
         drive_bandit(agent, 9, 1, 32)   # acts at s throughout, then updates
         a = agent.act_train(s, rng, 0)
         logp, value, _ = agent.pending[0]
-        assert logp == agent.policy.log_prob(s, a)
+        assert logp == agent.policy.at(s).density(a)
         assert value == agent.value_of(s)
-        assert agent.policy.log_prob(s, before[0]) != before[1][0]
+        assert agent.policy.at(s).density(before[0]) != before[1][0]
         assert value != before[1][1]
 
     @pytest.mark.parametrize("memory_on", [False, True])
@@ -439,7 +439,7 @@ class TestAgent:
                 state = [x] if as_list else np.array([x])
                 a = agent.act_train(state, rng, 0)
                 logp, value, overridden = agent.pending[0]
-                assert logp == agent.policy.log_prob(np.array([x]), a)
+                assert logp == agent.policy.at(np.array([x])).density(a)
                 assert value == agent.value_of([x])
                 assert overridden == (memory_on and step > 0)
                 got.append((a.tolist(), agent.pending[0]))
@@ -488,7 +488,7 @@ class TestAgent:
         assert not agent.memory.publish_due()
         losses = agent.end_phase()
         assert agent.last_losses == losses
-        assert agent.collected_steps() == 0
+        assert sum(map(len, agent._rows.values())) == 0
         assert agent.memory.version == -1
 
     def test_end_phase_publishes_when_due(self):
@@ -496,7 +496,7 @@ class TestAgent:
         assert agent.memory.publish_due()
         losses = agent.end_phase()
         assert agent.last_losses == losses
-        assert agent.collected_steps() == 0
+        assert sum(map(len, agent._rows.values())) == 0
         assert agent.memory.version == 1
 
     def test_non_finite_update_leaves_memory_unpublished(self):
@@ -516,7 +516,7 @@ class TestAgent:
                          fema_cfg=fcfg if memory_on else None)
         held = held_transitions(agent, steps=200, workers=2)
         assert held == (2 * fcfg.suffix_len if memory_on else 0)
-        assert agent.collected_steps() == 400
+        assert sum(map(len, agent._rows.values())) == 400
 
     def test_inert_memory_keeps_training_identical(self):
         fcfg = FemaConfig(suffix_len=4, update_every=10000, capacity=10000,
