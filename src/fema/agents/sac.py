@@ -293,8 +293,8 @@ class SacAgent(HookedAgent):
 
     def observe(self, tr, worker: int = 0, step: int = 0) -> None:
         self.buffer.add(tr.s, tr.a, tr.r, tr.s_next, tr.end == END_HAZARD)
-        if self._track(tr, worker, step) and self.memory.publish_due():
-            self.memory.update(self.stack)
+        if self._track(tr, worker, step):
+            self.memory.maybe_update(self.stack)
         ready = (self.steps_seen >= self.cfg.warmup_steps
                  and self.buffer.size >= self.cfg.batch_size)
         if ready and step % self.cfg.update_interval == 0:

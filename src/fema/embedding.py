@@ -21,7 +21,6 @@ every output byte are the same either way.
 from __future__ import annotations
 
 import copy
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -219,16 +218,16 @@ def train_risk(
         rng = np.random.default_rng(0)
 
     steps = epochs * -(-n // batch_size)
+    # the action share walks the same minibatches, drawn from a copy of rng
+    theirs = _minibatches(copy.deepcopy(rng), n, epochs, batch_size)
     mine = _minibatches(rng, n, epochs, batch_size)
     if steps < FORK_STEPS or not forking.can_pair():
-        mine, theirs = itertools.tee(mine)
         grad = np.empty_like(stack.flat)
         acts = _ActionHalf(stack, actions, returns, theirs, grad, ())
         final = _fit(stack, states, mine, forking.InLine(acts, _MEETINGS), grad,
                      (slice(None),))
     else:
-        final = _fit_beside(stack, states, actions, returns, mine, min(batch_size, n),
-                            _minibatches(copy.deepcopy(rng), n, epochs, batch_size))
+        final = _fit_beside(stack, states, actions, returns, mine, min(batch_size, n), theirs)
     stack.version += 1
     return final
 

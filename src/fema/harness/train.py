@@ -8,18 +8,15 @@ record per worker still mid-episode when the step budget runs out, so
 episode lengths always sum to total_steps. A phase that the budget cut
 short is closed, and its losses logged, after the final eval.
 
-The learner owns this schedule: the harness steps `agent.n_workers` env
-workers round-robin, one `runner.step()` at a time, and calls
-`agent.end_phase()` every `agent.phase_steps` steps. An episode is logged
-at the step that ends it, so its line records the memory state
-(`memory_records`, `memory_version`) and the cumulative `fallback_rate` at
-that episode's end. The run's last phase gap runs `agent.update_phase()`
-instead: it logs the losses but publishes no memory generation, which no
-decision would read, so the last phase's failures stay pending in
-memory.bin. The step loop runs through `agent.run_beside`, beside whatever
-helper process the learner offers (SAC's second critic, where a CPU is
-free; PPO none), and the checkpoint is saved after it returns, from the
-agent's own arrays.
+The learner owns this schedule through the learner contract that
+`agents.common.HookedAgent` documents: the harness steps its env workers
+round-robin, one `runner.step()` at a time, and closes each phase through
+it, the run's last gap without a publish, so the last phase's failures stay
+pending in memory.bin. An episode is logged at the step that ends it, so
+its line records the memory state (`memory_records`, `memory_version`) and
+the cumulative `fallback_rate` at that episode's end. The step loop runs
+through the learner's `run_beside`, and the checkpoint is saved after it
+returns, from the agent's own arrays.
 Before it trains, `run_seed` has the process keep its freed heap mapped
 (`forking.keep_freed_heap`), which spares each SAC update the page faults
 of a heap top handed back to the kernel after the last one.

@@ -168,10 +168,15 @@ class Generation:
                           self.event_seq[rows], self.step_idx[rows], self.version)
 
 
-def _table(tails) -> tuple:
-    """The event table of `tails`: their seqs and tail lengths."""
-    return (np.array([t.seq for t in tails], dtype=np.int64),
-            np.array([len(t.returns) for t in tails], dtype=np.int64))
+def _rows(tails) -> tuple:
+    """The row table of `tails`: their event seqs and tail lengths, then
+    their rows' `s` (rows x d_s), `a` (rows x d_a) and `returns`, in order."""
+    table = (np.array([t.seq for t in tails], dtype=np.int64),
+             np.array([len(t.returns) for t in tails], dtype=np.int64))
+    if not tails:
+        return *table, np.empty((0, 0)), np.empty((0, 0)), np.empty(0)
+    return *table, *(np.concatenate([getattr(t, k) for t in tails])
+                     for k in ("s", "a", "returns"))
 
 
 def _shape(x, what: str, i: int = -1) -> tuple:
@@ -267,7 +272,7 @@ class FailureMemory:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.pending: deque = deque(maxlen=cfg.capacity)  # staged Tails
         self.events: list = []      # published Tails, ascending seq
-        self.records = _generation(*_table([]), np.empty(0), np.empty((0, 0)),
+        self.records = _generation(*_rows([])[:2], np.empty(0), np.empty((0, 0)),
                                    np.empty((0, 0)), -1)
         self.next_seq: int = 0
 
@@ -326,16 +331,14 @@ class FailureMemory:
         if len(self.events) > self.cfg.capacity:
             self.events = self.events[-self.cfg.capacity:]
 
-        states = np.concatenate([e.s for e in self.events])
-        actions = np.concatenate([e.a for e in self.events])
-        rets = np.concatenate([e.returns for e in self.events])
+        seqs, lengths, states, actions, rets = _rows(self.events)
         embedding.train_risk(stack, states, actions, rets, epochs=self.cfg.train_epochs,
                              batch_size=self.cfg.train_batch, rng=self.rng)
 
         z_s = embedding.encode_state(stack, states)
         z_a = embedding.encode_action(stack, actions)
         phi = embedding.joint_embed(stack, z_s, z_a)
-        self.records = _generation(*_table(self.events), rets, z_s, phi, stack.version)
+        self.records = _generation(seqs, lengths, rets, z_s, phi, stack.version)
         return len(self.records)
 
     # -- query side -------------------------------------------------------
@@ -390,15 +393,13 @@ class FailureMemory:
         (n x d_z) and `phi` (n x d_phi). Row event seqs and step indices are
         derived from the table on load, as `update` derives them.
         """
-        tails, gen = list(self.events) + list(self.pending), self.records
-        d_s, d_a = (tails[0].s.shape[1], tails[0].a.shape[1]) if tails else (0, 0)
+        rows, gen = _rows([*self.events, *self.pending]), self.records
         meta = {"format": self.FORMAT_NAME, "version": self.FORMAT_VERSION,
                 "config": self.cfg.to_dict(), "generation": self.version,
                 "next_seq": self.next_seq, "published": len(self.events),
-                "d_s": d_s, "d_a": d_a, "d_z": gen.z_s.shape[1], "d_phi": gen.phi.shape[1]}
-        rows = [np.concatenate([getattr(t, k) for t in tails]) if tails else np.empty(0)
-                for k in ("s", "a", "returns")]
-        arrays = zip(self.ARRAYS.items(), (*_table(tails), *rows, gen.z_s, gen.phi))
+                "d_s": rows[2].shape[1], "d_a": rows[3].shape[1],
+                "d_z": gen.z_s.shape[1], "d_phi": gen.phi.shape[1]}
+        arrays = zip(self.ARRAYS.items(), (*rows, gen.z_s, gen.phi))
         return serialize.seal({"meta": json.dumps(meta, sort_keys=True).encode("utf-8"),
                                **{k: np.ascontiguousarray(x, dtype) for (k, dtype), x in arrays}})
 

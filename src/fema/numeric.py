@@ -2,8 +2,8 @@
 
 A network's parameters are one float64 vector, `Mlp.flat`, laid out layer by
 layer as W (row-major) then b; a checkpoint stores it as is. Layer `w` and `b`
-are views into it, and backward() returns one gradient vector in the same
-layout. Forward/backward are purely functional over explicit parameter values.
+are its `layer_views`, and backward() fills the same views of one gradient
+vector. Forward/backward are purely functional over explicit parameter values.
 A layer's activation is tanh or identity; backward() takes only a batched
 forward pass. A learner of several parts keeps them as views of one
 vector (split, bind; `OneVector`). Adam steps one array; it is
@@ -40,6 +40,17 @@ class Layer:
     act: str
 
 
+def layer_views(widths: Sequence[int], vec: np.ndarray) -> list:
+    """Each layer's (W, b) views of `vec`, a vector in the layout of
+    `Mlp.flat` for layer widths `widths`: W (out, in) row-major, then b."""
+    views, off = [], 0
+    for n_in, n_out in zip(widths, widths[1:]):
+        w_end = off + n_in * n_out
+        views.append((vec[off:w_end].reshape(n_out, n_in), vec[w_end:w_end + n_out]))
+        off = w_end + n_out
+    return views
+
+
 class Mlp:
     """Dense network over one parameter vector; `layers` are views into `flat`."""
 
@@ -51,13 +62,8 @@ class Mlp:
         if len(self.acts) != len(sizes) or flat.shape != (sum(sizes),):
             raise ShapeError(f"parameter vector of shape {flat.shape} does not fit "
                              f"widths {self.widths} with {len(self.acts)} activations")
-        self.layers = []
-        off = 0
-        for n_in, n_out, act in zip(self.widths, self.widths[1:], self.acts):
-            w = flat[off:off + n_in * n_out].reshape(n_out, n_in)
-            off += n_in * n_out
-            self.layers.append(Layer(w, flat[off:off + n_out], act))
-            off += n_out
+        self.layers = [Layer(w, b, act)
+                       for (w, b), act in zip(layer_views(self.widths, flat), self.acts)]
 
     @property
     def in_dim(self) -> int:
@@ -220,17 +226,15 @@ def _backprop(mlp: Mlp, cache: ForwardCache, output_grad, grad) -> np.ndarray:
     if grad is not None and grad.shape != mlp.flat.shape:
         raise ShapeError(f"gradient buffer shape {grad.shape} != {mlp.flat.shape}")
 
-    end = mlp.flat.size
-    for layer, x_in, a in zip(mlp.layers[::-1], cache.inputs[::-1], cache.outputs[::-1]):
+    outs = [None] * len(mlp.layers) if grad is None else layer_views(mlp.widths, grad)
+    for layer, out, x_in, a in zip(mlp.layers[::-1], outs[::-1], cache.inputs[::-1],
+                                   cache.outputs[::-1]):
         if layer.act == "tanh":  # g * (1.0 - a * a) in one temporary
             d = a * a
             g = np.multiply(g, np.subtract(1.0, d, out=d), out=d)
-        n_out, n_in = layer.w.shape
-        b_at, w_at = end - n_out, end - n_out - n_out * n_in
-        if grad is not None:
-            np.add.reduce(g, axis=0, out=grad[b_at:end])
-            np.matmul(g.T, x_in, out=grad[w_at:b_at].reshape(n_out, n_in))
-        end = w_at
+        if out is not None:
+            np.add.reduce(g, axis=0, out=out[1])
+            np.matmul(g.T, x_in, out=out[0])
         g = g @ layer.w
     return g
 

@@ -2,14 +2,17 @@
 a count of the transitions an agent still holds, checkpoints of chosen
 state and their edited copies, the digest of a run's output files that pins
 compare, the one patch point through which tests choose the CPUs
-`fema.forking` sees and count what it forks, and whether a process it
-forked still runs."""
+`fema.forking` sees and count what it forks, whether a process it forked
+still runs, and a wait for such processes that kills those left running."""
 
+import contextlib
 import gc
 import hashlib
 import json
 import os
+import signal
 import tempfile
+import time
 import weakref
 
 import numpy as np
@@ -182,3 +185,19 @@ def process_state(pid: int) -> str:
 def running(pid: int) -> bool:
     """Whether process `pid` exists and has not exited (a zombie has)."""
     return process_state(pid) not in ("", "Z", "X")
+
+
+def left_running(pids, deadline: float) -> list:
+    """Those of `pids` still running once all have exited or
+    time.monotonic() has passed `deadline`. Each of them is SIGKILLed
+    before this returns, so that a failed test leaves no orphan holding the
+    test run's output open."""
+    try:
+        while time.monotonic() < deadline and any(map(running, pids)):
+            time.sleep(0.01)
+        return [pid for pid in pids if running(pid)]
+    finally:
+        for pid in pids:
+            if running(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)

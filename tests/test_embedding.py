@@ -11,7 +11,7 @@ import pytest
 
 from fema import checkpoint, embedding, forking, numeric
 from fema.errors import ShapeError, TrainingError, UsageError
-from helpers import assert_no_children, count_forks, running, save_agent
+from helpers import assert_no_children, count_forks, left_running, save_agent
 from oracles import (fd_grads, forward_oracle, max_rel_error, spearman,
                      train_risk_one_loop)
 
@@ -477,10 +477,7 @@ class TestTwoProcessFit:
             helper = int(fh.readline())
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and running(helper):
-            time.sleep(0.01)
-        assert not running(helper)
+        assert left_running([helper], time.monotonic() + 30) == []
         assert_no_children()
 
     @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])

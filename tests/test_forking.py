@@ -14,7 +14,7 @@ import pytest
 from fema import forking
 from fema.errors import FemaError
 
-from helpers import assert_no_children, count_forks, running
+from helpers import assert_no_children, count_forks, left_running
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="beside needs os.fork")
@@ -474,8 +474,5 @@ class TestPair:
             helpers = [int(fh.readline()) for _ in range(2)]
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and any(map(running, helpers)):
-            time.sleep(0.01)
-        assert not any(map(running, helpers))
+        assert left_running(helpers, time.monotonic() + 30) == []
         assert_no_children()

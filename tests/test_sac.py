@@ -24,10 +24,10 @@ from helpers import (
     assert_no_children,
     count_forks,
     held_transitions,
+    left_running,
     mlp_zeros,
     process_state,
     run_episode,
-    running,
 )
 from oracles import (
     fd_grads,
@@ -507,12 +507,12 @@ class TestTwoProcessUpdate:
         if parked:
             while time.monotonic() < deadline and process_state(helper) != "S":
                 time.sleep(0.01)
-        assert process_state(helper) == ("S" if parked else "R")
+        state = process_state(helper)
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        while time.monotonic() < deadline and running(helper):
-            time.sleep(0.01)
-        assert not running(helper)
+        left = left_running([helper], deadline)
+        assert state == ("S" if parked else "R")
+        assert left == []
         assert_no_children()
 
     @needs_pair
