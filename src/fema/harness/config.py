@@ -12,7 +12,9 @@ field spelled out. Values are typed by each field's annotation; booleans are
 optional field.
 
 Environment variables named FEMA_<SECTION>__<KEY> (upper case) override file
-values at parse time, e.g. FEMA_RUN__TOTAL_STEPS=5000.
+values at parse time, e.g. FEMA_RUN__TOTAL_STEPS=5000. A retired [fema] key
+(`memory.RETIRED`) is still read, so old files and run echoes load: at its
+surviving value it is dropped with a SchemaWarning, else it is a ConfigError.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from ..agents import AGENTS, AgentConfig
 from ..envs import REGISTRY
 from ..errors import ConfigError
-from ..memory import FemaConfig
+from ..memory import RETIRED, FemaConfig
 
 ENV_PREFIX = "FEMA_"
 # Field annotation -> value kind, where the two differ.
@@ -181,6 +183,7 @@ def parse_text(text: str, source: str = "<config>",
                environ: dict | None = None) -> RunConfig:
     """Parse config text, then apply FEMA_* overrides from `environ`."""
     schemas = _schemas()
+    schemas["fema"].update({key: type(v).__name__ for key, v in RETIRED.items()})
     values = _parse_lines(text, source, schemas)
     if environ:
         apply_env_overrides(values, environ, schemas)
@@ -212,8 +215,11 @@ def _build(values: dict, source: str) -> RunConfig:
     run = {run_fields[key].name: value for key, value in kw["run"].items()}
     if "enabled" in kw["fema"]:
         run["fema_enabled"] = kw["fema"].pop("enabled")
-    rc = RunConfig(**run, agent=AgentConfig(**kw["agent"]),
-                   fema=FemaConfig(**kw["fema"]))
+    fema = FemaConfig.from_dict(kw["fema"])
+    retired = sorted(RETIRED.keys() & kw["fema"].keys())
+    if retired:
+        warnings.warn(f"retired [fema] keys dropped: {retired}", SchemaWarning, stacklevel=3)
+    rc = RunConfig(**run, agent=AgentConfig(**kw["agent"]), fema=fema)
     return rc.validate()
 
 

@@ -35,10 +35,11 @@ END_NONE = "none"
 END_HAZARD = "hazard"
 END_TIME_LIMIT = "time_limit"
 
-AGGREGATORS = ("mean", "min", "sum")
-
 # annotation of a FemaConfig field -> the values it accepts (bool never)
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}
+
+# Retired FemaConfig key -> the one value that old configs and snapshots may give it
+RETIRED = {"aggregator": "mean"}  # candidates are scored by their mean gap
 
 
 @dataclass
@@ -53,7 +54,6 @@ class FemaConfig:
     risk_weight: float = 0.5     # weight on the risk term in the score
     discount: float = 0.99       # discount for tail returns
     capacity: int = 2000         # stored failure events, FIFO beyond this
-    aggregator: str = "mean"     # how candidate-to-record distances combine
     train_epochs: int = 50       # risk regression epochs per update
     train_batch: int = 64        # risk regression minibatch size
 
@@ -72,8 +72,6 @@ class FemaConfig:
             raise ConfigError("discount must be in (0, 1]")
         if self.capacity < self.update_every:
             raise ConfigError("capacity must be >= update_every")
-        if self.aggregator not in AGGREGATORS:
-            raise ConfigError(f"aggregator must be one of {AGGREGATORS}")
         if not math.isfinite(self.risk_weight):
             raise ConfigError("risk_weight must be finite")
         return self
@@ -85,8 +83,12 @@ class FemaConfig:
     def from_dict(cls, d: dict) -> "FemaConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"FemaConfig must be a mapping, got {type(d).__name__}")
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known
+        for key in sorted(RETIRED.keys() & d.keys()):
+            if d[key] != RETIRED[key]:
+                raise ConfigError(f"{key} = {d[key]!r} is retired; only "
+                                  f"{RETIRED[key]!r}, the rule that remains, is accepted")
+        d = {key: value for key, value in d.items() if key not in RETIRED}
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown FemaConfig keys: {sorted(extra)}")
         return cls(**d).validate()

@@ -5,9 +5,9 @@ retrieves the remembered failure rows near it, as row indices into the
 published generation. It depends only on the state, the stack and the
 generation, so a caller may keep it while those stay frozen and hand it
 back. The decision (`select`) draws and scores. On a hit the policy draws a
-batch of candidate actions in one go; `candidate_scores` scores each by how
-far its joint embedding sits from the retrieved rows, minus a weighted risk
-estimate, on arrays, and the top-scoring candidate is executed.
+batch of candidate actions in one go; `candidate_scores` scores each by the
+mean distance from its joint embedding to those of the retrieved rows, minus
+a weighted risk estimate, on arrays, and the top-scoring candidate is executed.
 `ScoredCandidate` objects are built only where `score_candidates` is called
 or a `SelectionTrace`'s candidates are read. When nothing relevant is
 remembered one plain policy draw passes through untouched, which keeps the
@@ -24,13 +24,13 @@ import numpy as np
 
 from . import embedding
 from .errors import CoherenceError, UsageError
-from .memory import AGGREGATORS, FailureMemory, FemaConfig, Generation
+from .memory import FailureMemory, FemaConfig, Generation
 
 
 @dataclass
 class ScoredCandidate:
     action: np.ndarray
-    distance: float   # aggregated l2 gap to the retrieved embeddings
+    distance: float   # mean l2 gap to the retrieved embeddings
     risk: float       # risk head output for this candidate
     score: float      # distance - risk_weight * risk
 
@@ -55,39 +55,31 @@ class SelectionTrace:
         return _candidates(*self.scored) if self.scored else []
 
 
-def candidate_scores(z_s, acts, phi, version, stack, risk_weight, aggregator) -> tuple:
+def candidate_scores(z_s, acts, phi, version, stack, risk_weight) -> tuple:
     """(acts, distance, risk, score) of candidate actions `acts` (n, d_a) at
     a state of embedding z_s, against retrieved rows' joint embeddings
     `phi`, which the stack made at `version`."""
     if version != stack.version:
         raise CoherenceError(f"record embedding version {version} does not match "
                              f"stack version {stack.version}")
-    if aggregator not in AGGREGATORS:
-        raise UsageError(f"unknown aggregator {aggregator!r}")
     z_a = embedding.encode_action(stack, acts)
     joint = embedding.joint_embed(stack, np.tile(z_s, (len(acts), 1)), z_a)
     rho = np.atleast_1d(embedding.risk(stack, joint))
     # gaps[i, j]: l2 distance from candidate i to retrieved row j
     gaps = np.sqrt(np.sum((phi[None, :, :] - joint[:, None, :]) ** 2, axis=2))
-    dist = getattr(gaps, aggregator)(axis=1)
+    dist = gaps.mean(axis=1)
     return acts, dist, rho, dist - risk_weight * rho
 
 
-def score_candidates(
-    s: np.ndarray,
-    candidates: list,
-    records: Generation,
-    stack: embedding.EmbeddingStack,
-    risk_weight: float,
-    aggregator: str = "mean",
-) -> list:
+def score_candidates(s: np.ndarray, candidates: list, records: Generation,
+                     stack: embedding.EmbeddingStack, risk_weight: float) -> list:
     """Score candidate actions (a list, or an (n, d_a) array) against the
     retrieved failure rows."""
     if not records:
         raise UsageError("score_candidates requires a non-empty retrieval")
     return _candidates(*candidate_scores(
         embedding.encode_state(stack, s), np.asarray(candidates, dtype=np.float64),
-        records.phi, records.version, stack, risk_weight, aggregator))
+        records.phi, records.version, stack, risk_weight))
 
 
 def lookup(s: np.ndarray, mem: FailureMemory, stack: embedding.EmbeddingStack,
@@ -122,7 +114,7 @@ def select(
                                                      cold=result.cold)
     acts = np.asarray(policy.sample(s, rng, cfg.n_candidates), dtype=np.float64)
     scored = candidate_scores(z_s, acts, result.gen.phi[result.rows], result.gen.version,
-                              stack, cfg.risk_weight, cfg.aggregator)
+                              stack, cfg.risk_weight)
     chosen = int(np.argmax(scored[3]))  # lowest index on ties
     return acts[chosen], SelectionTrace(chosen=chosen, fallback=False, cold=False,
                                         scored=scored)

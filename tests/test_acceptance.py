@@ -358,7 +358,6 @@ class TestCriterion7:
         rng = np.random.default_rng(407)
         st = embedding.stack_init(d_s=3, d_a=2, seed=1, d_z=4, d_z_a=3,
                                   d_phi=5, hidden=8)
-        aggs = ("mean", "min", "sum")
         exact, shifts = True, True
         for trial in range(1000):
             n_rec = int(rng.integers(1, 7))
@@ -376,8 +375,7 @@ class TestCriterion7:
                 mc_return=np.array([d[3] for d in draws]),
                 event_seq=np.arange(n_rec),
                 step_idx=np.zeros(n_rec, dtype=np.int64), version=st.version)
-            scored = selection.score_candidates(s, cands, recs, st, lam,
-                                                aggs[trial % 3])
+            scored = selection.score_candidates(s, cands, recs, st, lam)
             scores = np.array([c.score for c in scored])
             for c in scored:
                 if c.score != c.distance - lam * c.risk:

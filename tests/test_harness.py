@@ -232,6 +232,28 @@ class TestConfigParsing:
             rc = parse_text(text)
         assert rc.fema.n_candidates == 4 and not rc.fema_enabled
 
+    def test_retired_key_at_its_surviving_value_is_dropped(self, tmp_path):
+        """`aggregator = mean`, from a line, an override or both, parses with
+        one SchemaWarning to the config without it, which renders no
+        aggregator line."""
+        plain = parse_text(MINIMAL.format(out_dir=tmp_path / "run"))
+        retired = MINIMAL.replace("[fema]", "[fema]\naggregator = mean")
+        for text, environ in [(retired, None), (MINIMAL, {"FEMA_FEMA__AGGREGATOR": "mean"}),
+                              (retired, {"FEMA_FEMA__AGGREGATOR": "mean"})]:
+            with pytest.warns(SchemaWarning, match="aggregator") as got:
+                rc = parse_config(write_config(tmp_path, text), environ=environ)
+            assert len(got) == 1 and rc == plain
+            assert "aggregator" not in render_config(rc)
+
+    @pytest.mark.parametrize("value", ["sum", "min"])
+    def test_retired_key_at_another_value_refused(self, tmp_path, value):
+        retired = MINIMAL.replace("[fema]", f"[fema]\naggregator = {value}")
+        with pytest.raises(ConfigError, match=f"aggregator = '{value}' is retired"):
+            parse_config(write_config(tmp_path, retired))
+        with pytest.raises(ConfigError, match=f"aggregator = '{value}' is retired"):
+            parse_config(write_config(tmp_path, MINIMAL),
+                         environ={"FEMA_FEMA__AGGREGATOR": value})
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         text = "# leading note\n\n" + MINIMAL.format(out_dir=tmp_path)
         assert parse_text(text) == parse_text(MINIMAL.format(out_dir=tmp_path))
@@ -311,15 +333,15 @@ class TestConfigParsing:
     # that moves a key, a default or a number format changes these bytes
     @pytest.mark.parametrize("name,digest", [
         ("cliff_radius_sweep.txt",
-         "eb10d94594338487baa4765992934acaf468843e4dcd50ca5a40d424042eed37"),
+         "fc018064203be5a557158cdffebab8387c85af7a13a0eece610cf6f8edb08438"),
         ("cliff_sac_baseline.txt",
-         "de6f3a17143a2028725bdc72cf2b2aff83beba540b58d9350b046702b38895b8"),
+         "14bdaa08663ce683ad030a9c9a74271c600da28746ca1c8d1da0bfe60b48af54"),
         ("cliff_sac_memory.txt",
-         "2391e6210ae704eed3c6ba327022d122c421b49018793c51bc30b0cdeae8aa6d"),
+         "e224eb1b5b134f98d0fde6c332628a5aff4755b71fe4a75e919cab398d3acb0e"),
         ("grid_hazard_ppo_demo.txt",
-         "c1140eabb7d09e46ff70767705937b5caaf1e76f938e9ea17fcfaab365395438"),
+         "c645d0d17a7c9f5f1fad5e6622fbd80262c547ac01dd824aa3a92f907409d94c"),
         ("tilt_pole_sac_demo.txt",
-         "4a47bd86874102bac2380fffa7b8c242ff3a6448643d8f332f41d3d3b55a845e"),
+         "97274ceae28a94f204385b3bbcfea5c77a71ce55655b09153435e78a5b35e72f"),
     ])
     def test_shipped_config_renders_unchanged(self, name, digest):
         path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
@@ -1355,6 +1377,28 @@ class TestReportFiles:
             fh.write(line + "\n")
         with pytest.raises(SerializationError, match=message):
             load_run_dir(root)
+
+    def test_echo_with_retired_key_reports(self, sac_run, tmp_path):
+        """A run directory whose config echoes `aggregator = mean`, as runs
+        from before its retirement do, gives the report of one that does not."""
+        import shutil
+        reports = []
+        for name, retired in (("now", False), ("old", True)):
+            shutil.copytree(sac_run["out"], tmp_path / name,
+                            ignore=shutil.ignore_patterns("report"))
+            for seed in (0, 1):
+                echo = tmp_path / name / f"seed{seed}" / "config.txt"
+                text = echo.read_text()
+                assert "aggregator" not in text
+                if retired:
+                    echo.write_text(text.replace("[fema]\n", "[fema]\naggregator = mean\n"))
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                cmd_report(tmp_path / name)
+            assert [w.category for w in got] == [SchemaWarning] * (2 if retired else 0)
+            out = tmp_path / name / "report"
+            reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert reports[0] == reports[1] and "summary.txt" in reports[1]
 
     def test_missing_config_echo_refused(self, sac_run, tmp_path):
         import shutil

@@ -62,31 +62,34 @@ max_matches = 2
 # metrics.jsonl and `settled_digest` columns were re-pinned again when each
 # episode line came to read the cumulative fallback rate at the episode's
 # own end rather than at the end of its phase or eval block; the checkpoint
-# and memory columns held, and so did every other field of every line.
+# and memory columns held, and so did every other field of every line. The
+# memory column was re-pinned when the retired `aggregator` key left the
+# config that it hashes; the old files, read by the new loader, give the new
+# pins.
 PINNED = {
     ("grid_hazard", 2, 200, 0):
-        ("5f4ffea667d573ef", "e0f7dc428779d3ba", "fecb0b0297bfe4d5",
+        ("5f4ffea667d573ef", "e0f7dc428779d3ba", "67c93c259b290c04",
          "80962f689b0da4d2"),
     ("grid_hazard", 2, 170, 50):
-        ("9160e69987dcf45a", "2efd8d8b382d448b", "22fd79f23c833982",
+        ("9160e69987dcf45a", "2efd8d8b382d448b", "cbb418e6e4171d28",
          "412584c3c236edeb"),
     ("grid_hazard", 3, 200, 0):
-        ("247bfc45496f3461", "c30c66b4a23079d1", "f3ce3e6d14243780",
+        ("247bfc45496f3461", "c30c66b4a23079d1", "891f30b4bf72faaa",
          "560d1287d0b7e631"),
     ("grid_hazard", 3, 170, 50):
-        ("353738952309876c", "a5036c14a29521d1", "f0a85232440293cb",
+        ("353738952309876c", "a5036c14a29521d1", "0d8f24c2f8ce7d96",
          "3a3ba0cd1d205508"),
     ("cliff_corridor", 2, 200, 0):
-        ("94cc72b5f50d18a2", "04246900ed196c3b", "61a4b53cbb3b776b",
+        ("94cc72b5f50d18a2", "04246900ed196c3b", "035656edae998549",
          "f7d909de540b0dc2"),
     ("cliff_corridor", 2, 170, 50):
-        ("4cf954be9ebd244f", "d30f96d99273b9e4", "0c6dd6d714d0f895",
+        ("4cf954be9ebd244f", "d30f96d99273b9e4", "c005e41464722530",
          "7f09546482478655"),
     ("cliff_corridor", 3, 200, 0):
-        ("517d4f28165abff8", "993bba3ec237e6d5", "818af214e5481c58",
+        ("517d4f28165abff8", "993bba3ec237e6d5", "b75a79390de94728",
          "809b9a8c242e9fec"),
     ("cliff_corridor", 3, 170, 50):
-        ("b4414d7f9483bed4", "e1f3a7a7e7fde4d7", "3dd47f8e0711ce84",
+        ("b4414d7f9483bed4", "e1f3a7a7e7fde4d7", "8a5cde843dd34f8d",
          "2cdc9fb667277f6b"),
 }
 

@@ -53,7 +53,7 @@ class TestConfig:
             dict(suffix_len=0), dict(update_every=0), dict(n_candidates=0),
             dict(match_radius=-0.1), dict(max_matches=0), dict(discount=0.0),
             dict(discount=1.5), dict(capacity=50, update_every=100),
-            dict(aggregator="median"), dict(train_epochs=0),
+            dict(train_epochs=0),
             dict(risk_weight=float("nan")),
         ]:
             with pytest.raises(ConfigError):
@@ -577,6 +577,20 @@ class TestSnapshot:
         mem, _ = self.build()
         cfg = dict(mem.cfg.to_dict(), suffix_len=value)
         with pytest.raises(ConfigError, match="suffix_len"):
+            memory.FailureMemory.from_bytes(self.resealed(mem, meta={"config": cfg}))
+
+    def test_retired_key_at_its_surviving_value_loads(self):
+        """A snapshot written while `aggregator` was a field loads without it."""
+        mem, _ = self.build()
+        cfg = dict(mem.cfg.to_dict(), aggregator="mean")
+        back = memory.FailureMemory.from_bytes(self.resealed(mem, meta={"config": cfg}))
+        assert back.cfg == mem.cfg and back.to_bytes() == mem.to_bytes()
+
+    @pytest.mark.parametrize("value", ["sum", "min"])
+    def test_retired_key_at_another_value_refused(self, value):
+        mem, _ = self.build()
+        cfg = dict(mem.cfg.to_dict(), aggregator=value)
+        with pytest.raises(ConfigError, match=f"aggregator = '{value}' is retired"):
             memory.FailureMemory.from_bytes(self.resealed(mem, meta={"config": cfg}))
 
     def test_truncation_refused(self):

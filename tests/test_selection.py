@@ -73,7 +73,7 @@ class TestScoreCandidates:
         s = np.array([0.1, 0.2, -0.3])
         cands = [np.array([0.5, 0.5]), np.array([-1.0, 0.2]), np.array([2.0, -2.0])]
         lam = 0.7
-        scored = selection.score_candidates(s, cands, mem.records, st, lam, "mean")
+        scored = selection.score_candidates(s, cands, mem.records, st, lam)
         z_s = embedding.encode_state(st, s)
         rec_phi = np.stack([r.phi for r in mem.records])
         for c, a in zip(scored, cands):
@@ -84,20 +84,6 @@ class TestScoreCandidates:
             assert abs(c.risk - rho) < 1e-12
             assert abs(c.score - (d - lam * rho)) < 1e-12
 
-    def test_aggregators(self):
-        st, mem = self.setup_scene(seed=2)
-        s = np.zeros(3)
-        cands = [np.array([0.3, -0.3])]
-        rec_phi = np.stack([r.phi for r in mem.records])
-        phi = embedding.joint_embed(
-            st, embedding.encode_state(st, s),
-            embedding.encode_action(st, cands[0]),
-        )
-        gaps = np.sqrt(np.sum((rec_phi - phi) ** 2, axis=1))
-        for how, want in [("mean", gaps.mean()), ("min", gaps.min()), ("sum", gaps.sum())]:
-            got = selection.score_candidates(s, cands, mem.records, st, 0.0, how)
-            assert abs(got[0].distance - float(want)) < 1e-12
-
     def test_zero_distance_candidate(self):
         st, mem = self.setup_scene(seed=3)
         # Make the single retained record's phi exactly the candidate's phi.
@@ -107,7 +93,7 @@ class TestScoreCandidates:
             st, embedding.encode_state(st, s), embedding.encode_action(st, a)
         )
         rec = dataclasses.replace(mem.records.take([0]), phi=phi[None, :].copy())
-        scored = selection.score_candidates(s, [a], rec, st, 0.5, "mean")
+        scored = selection.score_candidates(s, [a], rec, st, 0.5)
         assert scored[0].distance == 0.0
         assert scored[0].score == -0.5 * scored[0].risk
 
